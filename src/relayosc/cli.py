@@ -9,8 +9,10 @@ error (structured JSON on stderr).
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import functools
 import json
-import os
 import sys
 
 import click
@@ -20,11 +22,6 @@ from . import __version__, bounds as bounds_mod, limit_cycle, poincare, sfs
 from . import relay_dynamics
 from .errors import PlantError, RelayOscError
 from .plant import classify, parse_plant, realize
-
-#: Caps internal parallelism; the current implementation is single-threaded
-#: (equivalently: parallelism 1 <= any cap), the env var is reserved.
-THREADS_ENV = "RELAY_OSC_THREADS"
-
 
 def _parse_coeffs(text: str) -> list[float]:
     try:
@@ -68,9 +65,19 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _fail(code: int, message: str):
-    sys.stderr.write(_json_dumps({"schema_version": 1, "error": message}) + "\n")
-    sys.exit(code)
+def exit_codes(fn):
+    """Exit 2 on an invalid plant and 3 on an analysis error, with the
+    message as JSON on stderr."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (RelayOscError, ValueError) as exc:
+            sys.stderr.write(_json_dumps({"schema_version": 1, "error": str(exc)}) + "\n")
+            sys.exit(2 if isinstance(exc, PlantError) else 3)
+
+    return wrapper
 
 
 def plant_options(fn):
@@ -90,21 +97,16 @@ def plant_options(fn):
 @click.version_option(__version__)
 def main():
     """Relay feedback oscillation analysis toolkit."""
-    os.environ.setdefault(THREADS_ENV, "1")
 
 
 @main.command("classify")
 @plant_options
 @click.option("--out", default=None, type=click.Path())
+@exit_codes
 def cmd_classify(num, den, plant_file, descending, out):
     """Classify a plant (stability, DC gain, relative degree, class flags)."""
-    try:
-        tf, _ = _load_plant(num, den, plant_file, descending)
-        pc = classify(tf)
-    except PlantError as exc:
-        _fail(2, str(exc))
-    except RelayOscError as exc:
-        _fail(3, str(exc))
+    tf, _ = _load_plant(num, den, plant_file, descending)
+    pc = classify(tf)
     payload = {
         "schema_version": 1,
         "toolkit_version": __version__,
@@ -127,18 +129,14 @@ def cmd_classify(num, den, plant_file, descending, out):
 @click.option("--out", default=None, type=click.Path(), help="CSV output path.")
 @click.option("--events-out", default=None, type=click.Path(),
               help="JSON switch-event log path.")
+@exit_codes
 def cmd_simulate(num, den, plant_file, descending, x0, t_end, dense_dt, out, events_out):
     """Exact event-driven simulation of the relay loop."""
-    try:
-        _, ss = _load_plant(num, den, plant_file, descending)
-        x0v = np.array(_parse_coeffs(x0))
-        if x0v.shape != (ss.n,):
-            raise PlantError(f"x0 must have length {ss.n}")
-        traj, sliding = relay_dynamics.simulate(ss, x0v, t_end, dense_dt=dense_dt)
-    except PlantError as exc:
-        _fail(2, str(exc))
-    except RelayOscError as exc:
-        _fail(3, str(exc))
+    _, ss = _load_plant(num, den, plant_file, descending)
+    x0v = np.array(_parse_coeffs(x0))
+    if x0v.shape != (ss.n,):
+        raise PlantError(f"x0 must have length {ss.n}")
+    traj, sliding = relay_dynamics.simulate(ss, x0v, t_end, dense_dt=dense_dt)
     if out is not None:
         relay_dynamics.trajectory_to_csv(traj, out, version=__version__)
     text = relay_dynamics.events_to_json(traj, sliding, version=__version__)
@@ -150,16 +148,12 @@ def cmd_simulate(num, den, plant_file, descending, x0, t_end, dense_dt, out, eve
 @click.option("--epsilon", type=float, default=None,
               help="Envelope margin; default 1e-3 * min |Re pole|.")
 @click.option("--out", default=None, type=click.Path())
+@exit_codes
 def cmd_bounds(num, den, plant_file, descending, epsilon, out):
     """Decay envelope and all closed-form bound constants."""
-    try:
-        _, ss = _load_plant(num, den, plant_file, descending)
-        env = bounds_mod.decay_envelope(ss.A, epsilon)
-        rep = bounds_mod.bounds_report(ss, env)
-    except PlantError as exc:
-        _fail(2, str(exc))
-    except (RelayOscError, ValueError) as exc:
-        _fail(3, str(exc))
+    _, ss = _load_plant(num, den, plant_file, descending)
+    env = bounds_mod.decay_envelope(ss.A, epsilon)
+    rep = bounds_mod.bounds_report(ss, env)
     payload = {
         "schema_version": 1,
         "toolkit_version": __version__,
@@ -185,37 +179,19 @@ def cmd_bounds(num, den, plant_file, descending, epsilon, out):
 @click.option("--k", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path(), help="CSV output path.")
+@exit_codes
 def cmd_poincare_survey(num, den, plant_file, descending, count, k, seed, out):
     """Spectral statistics of return-map jacobians over the anchor region."""
-    try:
-        _, ss = _load_plant(num, den, plant_file, descending)
-        env = bounds_mod.decay_envelope(ss.A)
-        rep = bounds_mod.bounds_report(ss, env)
-        samples, counters = poincare.spectral_survey(ss, rep, count, k, seed)
-    except PlantError as exc:
-        _fail(2, str(exc))
-    except (RelayOscError, ValueError) as exc:
-        _fail(3, str(exc))
+    _, ss = _load_plant(num, den, plant_file, descending)
+    env = bounds_mod.decay_envelope(ss.A)
+    rep = bounds_mod.bounds_report(ss, env)
+    samples, counters = poincare.spectral_survey(ss, rep, count, k, seed)
     if out is not None:
         poincare.survey_to_csv(samples, out, version=__version__)
         click.echo(_json_dumps({"schema_version": 1, "written": out,
                                 "n_samples": len(samples), **counters}))
     else:
-        import io
-
-        buf = io.StringIO()
-        import csv as _csv
-
-        buf.write(f"# relayosc {__version__}; dimensionless spectral statistics\n")
-        w = _csv.writer(buf)
-        w.writerow(["point_id", "rho_astrom", "rho_exact", "norm_astrom",
-                    "norm_exact", "bf_astrom", "bf_exact", "schur_stable"])
-        for i, s in enumerate(samples):
-            w.writerow([i, repr(s.rho_astrom), repr(s.rho_exact),
-                        repr(s.norm_astrom), repr(s.norm_exact),
-                        repr(s.bauer_fike_astrom), repr(s.bauer_fike_exact),
-                        int(s.schur_stable)])
-        click.echo(buf.getvalue().rstrip("\n"))
+        poincare.survey_to_csv(samples, sys.stdout, version=__version__)
 
 
 @main.command("fixed-point")
@@ -225,20 +201,16 @@ def cmd_poincare_survey(num, den, plant_file, descending, count, k, seed, out):
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 @click.option("--max-iter", type=int, default=200, show_default=True)
 @click.option("--out", default=None, type=click.Path())
+@exit_codes
 def cmd_fixed_point(num, den, plant_file, descending, k, seed, tol, max_iter, out):
     """Fixed point of the k-switch return map from a seeded start in the
     anchor region."""
-    try:
-        _, ss = _load_plant(num, den, plant_file, descending)
-        env = bounds_mod.decay_envelope(ss.A)
-        rep = bounds_mod.bounds_report(ss, env)
-        region = bounds_mod.anchor_region(ss, rep)
-        x0 = bounds_mod.sample_anchor_region(region, 1, seed)[0]
-        res = poincare.fixed_point_search(ss, rep, k, x0, max_iter, tol)
-    except PlantError as exc:
-        _fail(2, str(exc))
-    except (RelayOscError, ValueError) as exc:
-        _fail(3, str(exc))
+    _, ss = _load_plant(num, den, plant_file, descending)
+    env = bounds_mod.decay_envelope(ss.A)
+    rep = bounds_mod.bounds_report(ss, env)
+    region = bounds_mod.anchor_region(ss, rep)
+    x0 = bounds_mod.sample_anchor_region(region, 1, seed)[0]
+    res = poincare.fixed_point_search(ss, rep, k, x0, max_iter, tol)
     payload = {
         "schema_version": 1,
         "toolkit_version": __version__,
@@ -259,17 +231,13 @@ def cmd_fixed_point(num, den, plant_file, descending, k, seed, tol, max_iter, ou
 @click.option("--out", default=None, type=click.Path())
 @click.option("--orbit-csv", default=None, type=click.Path(),
               help="Optional dense orbit CSV (t, x, u, y).")
+@exit_codes
 def cmd_find_orbit(num, den, plant_file, descending, tau_min, tau_max, out, orbit_csv):
     """Symmetric unimodal orbit: half-period, anchor, monodromy, multipliers."""
-    try:
-        _, ss = _load_plant(num, den, plant_file, descending)
-        rng = (tau_min, tau_max) if tau_min is not None and tau_max is not None else None
-        orbit = limit_cycle.find_symmetric_orbit(ss, rng)
-        report = limit_cycle.monodromy_exact(ss, orbit)
-    except PlantError as exc:
-        _fail(2, str(exc))
-    except (RelayOscError, ValueError) as exc:
-        _fail(3, str(exc))
+    _, ss = _load_plant(num, den, plant_file, descending)
+    rng = (tau_min, tau_max) if tau_min is not None and tau_max is not None else None
+    orbit = limit_cycle.find_symmetric_orbit(ss, rng)
+    report = limit_cycle.monodromy_exact(ss, orbit)
     payload = {
         "schema_version": 1,
         "toolkit_version": __version__,
@@ -287,21 +255,18 @@ def cmd_find_orbit(num, den, plant_file, descending, tau_min, tau_max, out, orbi
     }
     _emit(_json_dumps(payload), out)
     if orbit_csv is not None:
-        import csv as _csv
-
-        sys_ = relay_dynamics.RelaySystem(ss)
         ts = np.linspace(0.0, orbit.period, 2001)
+        # the second half repeats the first with the sign flipped
+        half = relay_dynamics.RelaySystem(ss).flow.grid(orbit.anchor, +1, ts[1], 1001)
         with open(orbit_csv, "w", newline="") as fh:
             fh.write(f"# relayosc {__version__}; units: t in seconds\n")
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["t"] + [f"x_{i+1}" for i in range(ss.n)] + ["u", "y"])
-            for t in ts:
+            for j, t in enumerate(ts):
                 if t <= orbit.half_period:
-                    x = sys_.flow.state(orbit.anchor, +1, t)
-                    u = 1.0
+                    x, u = half[j], 1.0
                 else:
-                    x = -sys_.flow.state(orbit.anchor, +1, t - orbit.half_period)
-                    u = -1.0
+                    x, u = -half[j - 1000], -1.0
                 w.writerow([repr(float(t))] + [repr(float(v)) for v in x]
                            + [repr(u), repr(float(ss.C @ x))])
 
@@ -311,38 +276,34 @@ def cmd_find_orbit(num, den, plant_file, descending, tau_min, tau_max, out, orbi
 @click.option("--gamma", type=float, default=None,
               help="Also integrate the smooth-loop monodromy at this gain.")
 @click.option("--out", default=None, type=click.Path())
+@exit_codes
 def cmd_monodromy(num, den, plant_file, descending, gamma, out):
     """Monodromy of the symmetric orbit (closed form, plus optional smooth
     integration at a finite gain)."""
-    try:
-        _, ss = _load_plant(num, den, plant_file, descending)
-        orbit = limit_cycle.find_symmetric_orbit(ss)
-        exact = limit_cycle.monodromy_exact(ss, orbit)
-        payload = {
-            "schema_version": 1,
-            "toolkit_version": __version__,
-            "half_period": orbit.half_period,
-            "exact": {
-                "det": exact.det,
-                "det_limit_formula": exact.det_limit_formula,
-                "floquet_multipliers": [[m.real, m.imag] for m in exact.floquet_multipliers],
-                "trivial_multiplier_error": exact.trivial_multiplier_error,
-            },
+    _, ss = _load_plant(num, den, plant_file, descending)
+    orbit = limit_cycle.find_symmetric_orbit(ss)
+    exact = limit_cycle.monodromy_exact(ss, orbit)
+    payload = {
+        "schema_version": 1,
+        "toolkit_version": __version__,
+        "half_period": orbit.half_period,
+        "exact": {
+            "det": exact.det,
+            "det_limit_formula": exact.det_limit_formula,
+            "floquet_multipliers": [[m.real, m.imag] for m in exact.floquet_multipliers],
+            "trivial_multiplier_error": exact.trivial_multiplier_error,
+        },
+    }
+    if gamma is not None:
+        flo = limit_cycle.monodromy_floquet(ss, gamma, orbit)
+        payload["floquet"] = {
+            "gamma": gamma,
+            "det": flo.det,
+            "liouville_det": flo.det_limit_formula,
+            "floquet_multipliers": [[m.real, m.imag] for m in flo.floquet_multipliers],
+            "trivial_multiplier_error": flo.trivial_multiplier_error,
+            "period": flo.period,
         }
-        if gamma is not None:
-            flo = limit_cycle.monodromy_floquet(ss, gamma, orbit)
-            payload["floquet"] = {
-                "gamma": gamma,
-                "det": flo.det,
-                "liouville_det": flo.det_limit_formula,
-                "floquet_multipliers": [[m.real, m.imag] for m in flo.floquet_multipliers],
-                "trivial_multiplier_error": flo.trivial_multiplier_error,
-                "period": flo.period,
-            }
-    except PlantError as exc:
-        _fail(2, str(exc))
-    except (RelayOscError, ValueError) as exc:
-        _fail(3, str(exc))
     _emit(_json_dumps(payload), out)
 
 
@@ -353,22 +314,16 @@ def cmd_monodromy(num, den, plant_file, descending, gamma, out):
 @click.option("--out", default=None, type=click.Path(), help="CSV of eigen tracks.")
 @click.option("--crossings-out", default=None, type=click.Path(),
               help="JSON crossing list.")
+@exit_codes
 def cmd_root_locus(num, den, plant_file, descending, gamma_max, points, out, crossings_out):
     """Closed-loop eigenvalue tracks over the gain and their axis crossings."""
-    try:
-        _, ss = _load_plant(num, den, plant_file, descending)
-        scan = sfs.root_locus(ss, gamma_max, points)
-    except PlantError as exc:
-        _fail(2, str(exc))
-    except (RelayOscError, ValueError) as exc:
-        _fail(3, str(exc))
+    _, ss = _load_plant(num, den, plant_file, descending)
+    scan = sfs.root_locus(ss, gamma_max, points)
     if out is not None:
-        import csv as _csv
-
         with open(out, "w", newline="") as fh:
             fh.write(f"# relayosc {__version__}; gamma dimensionless, "
                      "eigenvalues in 1/seconds\n")
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             n = ss.n
             w.writerow(["gamma"] + [f"re_{i+1}" for i in range(n)]
                        + [f"im_{i+1}" for i in range(n)])
@@ -396,41 +351,29 @@ def cmd_root_locus(num, den, plant_file, descending, gamma_max, points, out, cro
 @click.option("--rel-tol", type=float, default=1e-9, show_default=True)
 @click.option("--abs-tol", type=float, default=1e-12, show_default=True)
 @click.option("--out", default=None, type=click.Path(), help="CSV output path.")
+@exit_codes
 def cmd_sfs_sim(num, den, plant_file, descending, gamma, x0, t_end, dense_dt,
                 rel_tol, abs_tol, out):
     """Simulate the smooth tanh approximation of the relay loop."""
-    try:
-        _, ss = _load_plant(num, den, plant_file, descending)
-        x0v = np.array(_parse_coeffs(x0))
-        if x0v.shape != (ss.n,):
-            raise PlantError(f"x0 must have length {ss.n}")
-        cfg = sfs.SfsConfig(gamma=gamma, rel_tol=rel_tol, abs_tol=abs_tol)
-        sol = sfs.simulate_sfs(ss, cfg, x0v, t_end)
-    except PlantError as exc:
-        _fail(2, str(exc))
-    except (RelayOscError, ValueError) as exc:
-        _fail(3, str(exc))
-    import csv as _csv
-    import io
-
+    _, ss = _load_plant(num, den, plant_file, descending)
+    x0v = np.array(_parse_coeffs(x0))
+    if x0v.shape != (ss.n,):
+        raise PlantError(f"x0 must have length {ss.n}")
+    cfg = sfs.SfsConfig(gamma=gamma, rel_tol=rel_tol, abs_tol=abs_tol)
+    sol = sfs.simulate_sfs(ss, cfg, x0v, t_end)
     ts = np.arange(0.0, t_end + dense_dt / 2, dense_dt)
     ts[-1] = min(ts[-1], t_end)
     xs = sol.sol(ts)
-    buf = io.StringIO()
-    buf.write(f"# relayosc {__version__}; units: t in seconds\n")
-    w = _csv.writer(buf)
-    w.writerow(["t"] + [f"x_{i+1}" for i in range(ss.n)] + ["u", "y"])
-    for j, t in enumerate(ts):
-        y = float(ss.C @ xs[:, j])
-        u = float(np.tanh(gamma * y))  # relay output; the loop feeds back -u
-        w.writerow([repr(float(t))] + [repr(float(v)) for v in xs[:, j]]
-                   + [repr(u), repr(y)])
-    text = buf.getvalue()
-    if out is None:
-        click.echo(text.rstrip("\n"))
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    stream = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+    with stream as fh:
+        fh.write(f"# relayosc {__version__}; units: t in seconds\n")
+        w = csv.writer(fh)
+        w.writerow(["t"] + [f"x_{i+1}" for i in range(ss.n)] + ["u", "y"])
+        for j, t in enumerate(ts):
+            y = float(ss.C @ xs[:, j])
+            u = float(np.tanh(gamma * y))  # relay output; the loop feeds back -u
+            w.writerow([repr(float(t))] + [repr(float(v)) for v in xs[:, j]]
+                       + [repr(u), repr(y)])
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ design envelope is small dense systems (n <= 20).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.linalg
@@ -31,29 +32,21 @@ class EigenDecomposition:
     is_diagonalizable: bool
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """Sign-change bracket [lo, hi] with the function values at both ends."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-
-def expm(M: np.ndarray, t: float = 1.0) -> np.ndarray:
+def expm(M: np.ndarray, t=1.0) -> np.ndarray:
     """Evaluate e^{M t} by scaling-and-squaring (Pade), via scipy.
 
-    Raises OverflowError when the result overflows double precision, and
+    An array ``t`` gives the stack of exponentials, one per time.  Raises
+    OverflowError when the result overflows double precision, and
     ValueError on non-finite input.
     """
     M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)) or not np.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not (np.isfinite(M).all() and np.isfinite(t).all()):
         raise ValueError("expm requires finite entries")
     with warnings.catch_warnings(), np.errstate(over="ignore"):
         warnings.simplefilter("ignore", RuntimeWarning)
-        out = scipy.linalg.expm(M * t)
-    if not np.all(np.isfinite(out)):
+        out = scipy.linalg.expm(M * t[..., None, None])
+    if not np.isfinite(out).all():
         raise OverflowError("matrix exponential overflow: ||M t|| too large")
     return out
 
@@ -154,18 +147,18 @@ def find_first_root(
     step_hint: float | None = None,
     *,
     f_tol: float = 1e-12,
-    vectorized: bool = False,
+    blocks: Iterable[np.ndarray] | None = None,
     check_grazing: bool = True,
     allow_negative_start: bool = False,
 ) -> float:
     """Locate the first zero crossing of ``f`` after ``t_start``.
 
-    Marches forward with step ``step_hint`` until a sign-change bracket is
-    found, then refines it with Brent's method to |f| < ``f_tol`` and
-    bracket width < 1e-12 * max(1, t).  The first crossing is guaranteed not
-    to be skipped at resolution ``step_hint``; crossings finer than the hint
-    are invisible by design (choose the hint from a minimum inter-event
-    bound when one is available).
+    Marches forward on the grid t_start + j * ``step_hint`` until a
+    sign-change bracket is found, then refines it with Brent's method to
+    |f| < ``f_tol`` and bracket width < 1e-12 * max(1, t).  The first
+    crossing is guaranteed not to be skipped at resolution ``step_hint``;
+    crossings finer than the hint are invisible by design (choose the hint
+    from a minimum inter-event bound when one is available).
 
     Parameters
     ----------
@@ -176,8 +169,12 @@ def find_first_root(
         Search window.
     step_hint : float, optional
         Marching step; defaults to (t_max - t_start) / 1e4.
-    vectorized : bool
-        When True, ``f`` accepts an ndarray of times (marching is batched).
+    blocks : iterable of arrays, optional
+        Values of ``f`` on the march grid j = 1, 2, ..., in consecutive
+        blocks of any length (for example from a closed-form propagator).
+        Each block is tested for a bracket at once; ``f`` itself is then only
+        called at t_start and inside the bracket.  By default the blocks
+        are 64 calls of ``f``.
     check_grazing : bool
         When True, warns if the slope magnitude at the root is below 1e-8
         (near-tangential crossing: the root is numerically fragile).
@@ -198,13 +195,14 @@ def find_first_root(
     if h <= 0:
         raise ValueError("step_hint must be positive")
 
-    f0 = float(f(np.array([t_start]))[0]) if vectorized else float(f(t_start))
+    f0 = float(f(t_start))
     if not np.isfinite(f0):
         raise ValueError("non-finite function value at t_start")
     if f0 < -f_tol and not allow_negative_start:
         raise ValueError("f(t_start) must be nonnegative")
-
-    scalar_f = (lambda t: float(f(np.array([t]))[0])) if vectorized else f
+    if blocks is None:
+        grid = (t_start + h * np.arange(j, j + 64) for j in itertools.count(1, 64))
+        blocks = ([f(t) for t in ts[ts <= t_max]] for ts in grid)
 
     # When the start sits on zero, only a strictly negative sample counts as
     # a crossing until f has visibly lifted off ("armed"); otherwise a zero
@@ -212,48 +210,44 @@ def find_first_root(
     # allowed) must lift off before any crossing is armed at all.
     armed = f0 > f_tol
     immediate_ok = f0 >= -f_tol
-    bracket = None
-    t_prev, f_prev = t_start, f0
-    block = 64 if vectorized else 1
-    t = t_start
-    while t < t_max and bracket is None:
-        ts = t + h * np.arange(1, block + 1)
-        ts = ts[ts <= t_max]
-        if len(ts) == 0:
+    lo, f_lo, hi = t_start, f0, None  # the bracket [lo, hi] once found
+    j = 0  # grid points consumed
+    for block in blocks:
+        ts = t_start + h * np.arange(j + 1, j + 1 + len(block))
+        j += len(block)
+        inside = int(np.searchsorted(ts, t_max, side="right"))
+        ts, vals = ts[:inside], np.asarray(block, dtype=float)[:inside]
+        if inside == 0:
             break
-        if vectorized:
-            vals = np.asarray(f(ts), dtype=float)
-        else:
-            vals = np.array([float(f(tk)) for tk in ts])
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("non-finite function value during marching")
-        for tk, fk in zip(ts, vals):
-            if not armed:
-                if fk > f_tol:
-                    armed = True
-                elif fk < -f_tol and immediate_ok:
-                    bracket = RootBracket(t_prev, float(tk), f_prev, float(fk))
-                    break
-                t_prev, f_prev = float(tk), float(fk)
-                continue
-            if fk <= 0.0:
-                bracket = RootBracket(t_prev, float(tk), f_prev, float(fk))
-                break
-            t_prev, f_prev = float(tk), float(fk)
-        t = float(ts[-1])
+        if armed:
+            hit = vals <= 0.0
+        else:
+            lifted = np.logical_or.accumulate(vals > f_tol)
+            before = np.concatenate(([False], lifted[:-1]))
+            hit = np.where(before, vals <= 0.0, immediate_ok & (vals < -f_tol))
+            armed = bool(lifted[-1])
+        k = int(hit.argmax())
+        if hit[k]:
+            if k > 0:
+                lo, f_lo = float(ts[k - 1]), float(vals[k - 1])
+            hi, f_hi = float(ts[k]), float(vals[k])
+            break
+        lo, f_lo = float(ts[-1]), float(vals[-1])
+        if inside < len(block):  # the block reached past t_max
+            break
 
-    if bracket is None:
+    if hi is None:
         raise NoCrossingError(f"no crossing of zero in ({t_start}, {t_max}]")
-
-    if bracket.f_hi == 0.0 and bracket.f_lo > 0.0:
-        root = bracket.hi
+    if f_hi == 0.0 and f_lo > 0.0:
+        root = hi
     else:
-        root = _brent(scalar_f, bracket.lo, bracket.hi, bracket.f_lo,
-                      bracket.f_hi, f_tol)
+        root = _brent(f, lo, hi, f_lo, f_hi, f_tol)
 
     if check_grazing:
         d = max(1e-9, 1e-7 * max(1.0, abs(root)))
-        slope = (scalar_f(min(root + d, t_max)) - scalar_f(max(root - d, t_start))) / (2 * d)
+        slope = (f(min(root + d, t_max)) - f(max(root - d, t_start))) / (2 * d)
         if abs(slope) < 1e-8:
             warnings.warn("near-tangential crossing at t=%g" % root, RuntimeWarning)
     return float(root)
@@ -269,7 +263,6 @@ def integrate_adaptive(
     method: str = "DOP853",
     max_step: float = np.inf,
     dense_output: bool = True,
-    events=None,
 ):
     """Adaptive embedded Runge-Kutta integration with dense output.
 
@@ -289,7 +282,6 @@ def integrate_adaptive(
         atol=abs_tol,
         dense_output=dense_output,
         max_step=max_step,
-        events=events,
     )
     if not sol.success and sol.status == -1:
         raise StiffnessError(

@@ -52,9 +52,14 @@ class TransferFunction:
 
     def __call__(self, s: complex) -> complex:
         """Evaluate the transfer function at a complex frequency."""
+        num, den = self.polynomials(s)
+        return num / den
+
+    def polynomials(self, s: complex) -> tuple[complex, complex]:
+        """Numerator and denominator values at a complex frequency."""
         num = sum(b * s**k for k, b in enumerate(self.num_coeffs))
         den = s**self.n + sum(a * s**k for k, a in enumerate(self.den_coeffs))
-        return num / den
+        return num, den
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ spectrum they share.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ class JacobianPair:
     field_at_exit: np.ndarray
     field_at_start: np.ndarray
     tau: float
+    landing: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def jacobians(ss: StateSpace, x, sign: int = +1,
     astrom = (np.eye(n) - np.outer(u, ss.C) / Cu) @ E
     exact = astrom @ (np.eye(n) - np.outer(v, v) / float(v @ v))
     return JacobianPair(astrom=astrom, exact=exact, field_at_exit=u,
-                        field_at_start=v, tau=tau)
+                        field_at_start=v, tau=tau, landing=x_land)
 
 
 def chained_jacobians(ss: StateSpace, x, k: int,
@@ -130,7 +132,7 @@ def chained_jacobians(ss: StateSpace, x, k: int,
         else:
             J_a = pair.astrom @ (-J_a)
             J_e = pair.exact @ (-J_e)
-        pt = -sys_.exit_map(pt, +1)
+        pt = -pair.landing
         points.append(pt)
     return J_a, J_e, points
 
@@ -186,18 +188,22 @@ def spectral_survey(ss: StateSpace, bounds: BoundsReport, count: int,
     return samples, counters
 
 
-def survey_to_csv(samples: list[SpectralSample], path, *, version: str = "") -> None:
-    """Write survey samples in the plot-ready CSV schema."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# relayosc {version}; dimensionless spectral statistics\n")
-        w = csv.writer(fh)
-        w.writerow(["point_id", "rho_astrom", "rho_exact", "norm_astrom",
-                    "norm_exact", "bf_astrom", "bf_exact", "schur_stable"])
-        for i, s in enumerate(samples):
-            w.writerow([i, repr(s.rho_astrom), repr(s.rho_exact),
-                        repr(s.norm_astrom), repr(s.norm_exact),
-                        repr(s.bauer_fike_astrom), repr(s.bauer_fike_exact),
-                        int(s.schur_stable)])
+def survey_to_csv(samples: list[SpectralSample], dest, *, version: str = "") -> None:
+    """Write survey samples in the plot-ready CSV schema to a path or a
+    text stream."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", newline="") as fh:
+            survey_to_csv(samples, fh, version=version)
+        return
+    dest.write(f"# relayosc {version}; dimensionless spectral statistics\n")
+    w = csv.writer(dest)
+    w.writerow(["point_id", "rho_astrom", "rho_exact", "norm_astrom",
+                "norm_exact", "bf_astrom", "bf_exact", "schur_stable"])
+    for i, s in enumerate(samples):
+        w.writerow([i, repr(s.rho_astrom), repr(s.rho_exact),
+                    repr(s.norm_astrom), repr(s.norm_exact),
+                    repr(s.bauer_fike_astrom), repr(s.bauer_fike_exact),
+                    int(s.schur_stable)])
 
 
 def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
@@ -221,10 +227,12 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
     escape_radius = 50.0 * max(bounds.m_excursion, bounds.m_loose)
     residuals: list[float] = []
 
-    def res_of(p):
-        return float(np.linalg.norm(p + sys_.kth_exit_map(p, k)))
+    def image(p):
+        """-psi(p; k) and the residual |p + psi(p; k)|."""
+        img = -sys_.kth_exit_map(p, k)
+        return img, float(np.linalg.norm(p - img))
 
-    r = res_of(x)
+    x_img, r = image(x)
     history = [r]
     newton_mode = False
     it = 0
@@ -232,8 +240,8 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
         if r < tol:
             break
         if not newton_mode:
-            x_new = -sys_.kth_exit_map(x, k)
-            r_new = res_of(x_new)
+            x_new = x_img
+            x_img, r_new = image(x_new)
             residuals.append(r_new)
             # plateau: last few Picard residuals not contracting
             if len(residuals) >= 5 and residuals[-1] > 0.9 * residuals[-5]:
@@ -241,8 +249,8 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
             x, r = x_new, r_new
             history.append(r)
         else:
-            J_a, J_e, _ = chained_jacobians(ss, x, k, system=sys_)
-            F = x + sys_.kth_exit_map(x, k)
+            J_a, J_e, points = chained_jacobians(ss, x, k, system=sys_)
+            F = x - points[-1]
             # derivative of x + psi(x; k)
             M = np.eye(ss.n) + (J_e if np.all(np.isfinite(J_e)) else J_a)
             try:
@@ -252,7 +260,7 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
             alpha = 1.0
             while alpha >= 2.0 ** -20:
                 x_try = x + alpha * step
-                r_try = res_of(x_try)
+                _, r_try = image(x_try)
                 if r_try < r:
                     x, r = x_try, r_try
                     history.append(r)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,93 +80,142 @@ class SlidingReport:
     entry_state: np.ndarray | None = None
 
 
-class _AffineFlow:
-    """Closed-form evaluation of the flow of x' = A x - s B.
+def _powers(v: np.ndarray, P: np.ndarray, count: int) -> np.ndarray:
+    """Rows v P^j for j = 0..count-1, built by doubling."""
+    rows = np.empty((count, len(v)))
+    rows[0] = v
+    filled = 1
+    while filled < count:
+        m = min(filled, count - filled)
+        rows[filled:filled + m] = rows[:m] @ P
+        filled += m
+        P = P @ P
+    return rows
 
-    Uses the eigendecomposition of A when it is well conditioned (fast,
-    vectorizable in t); falls back to scipy's Pade matrix exponential
-    otherwise.  Singular A (pole at the origin) is handled by propagating
-    the augmented state [x; 1] with the constant input folded in, so no
-    formula ever needs A^{-1}.
+
+def _taylor_degree(theta: float) -> int:
+    """Degree whose Taylor remainder for e^{M d}, ||M d|| <= theta, is below
+    half the unit roundoff: theta^(K+1) / (K+1)! * e^theta."""
+    k, term = 0, theta
+    while term * math.exp(theta) > 0.5 * np.finfo(float).eps:
+        k += 1
+        term *= theta / (k + 1)
+    return k
+
+
+class _AffineFlow:
+    """Closed-form flow of x' = A x - s B through one augmented exponential.
+
+    z = [s x; 1] evolves under M = [[A, -B], [0, 0]] for either sign (odd
+    symmetry: x(t; xi, -1) = -x(t; -xi, +1)); no formula needs A^{-1} or
+    eigenvectors, so a pole at the origin is no special case (Van Loan,
+    IEEE TAC 1978).  e^{M t} z comes from ``numerics.expm`` at given times,
+    from powers of e^{M h} on evenly spaced grids, and from a Taylor
+    polynomial within one node interval of a known state (``_Path``).
     """
 
-    _FAST_COND_LIMIT = 1e4
+    #: Samples per march block.
+    BLOCK = 64
 
-    def __init__(self, ss: StateSpace):
+    def __init__(self, ss: StateSpace, step: float):
         self.A = np.asarray(ss.A, dtype=float)
         self.B = np.asarray(ss.B, dtype=float)
         self.C = np.asarray(ss.C, dtype=float)
-        self.n = self.A.shape[0]
-        lam = np.linalg.eigvals(self.A)
-        self.eigenvalues = lam
-        scale = max(1.0, np.abs(lam).max())
-        self.singular = bool(np.abs(lam).min() < 1e-12 * scale)
-        self.spectral_abscissa = float(lam.real.max())
-        self.is_hurwitz = self.spectral_abscissa < 0.0
-        self.slowest_decay = -self.spectral_abscissa if self.is_hurwitz else None
+        self.n = n = self.A.shape[0]
+        self.M = np.zeros((n + 1, n + 1))
+        self.M[:n, :n] = self.A
+        self.M[:n, n] = -self.B
+        self._c = np.append(self.C, 0.0)
+        # march: rows [C 0] e^{M j h}, j = 1..BLOCK, and the leap e^{BLOCK M h}
+        E = numerics.expm(self.M, step)
+        self._rows = _powers(self._c, E, self.BLOCK + 1)[1:]
+        self._leap = np.linalg.matrix_power(E, self.BLOCK)
+        # Taylor nodes: ||M d|| <= 1 in the balanced norm on each interval
+        Mb, _ = scipy.linalg.matrix_balance(self.M, permute=False, separate=True)
+        theta = float(np.linalg.norm(Mb, 1)) * step
+        nodes = max(1, math.ceil(theta))
+        self.node_step = step / nodes
+        terms = [np.eye(n + 1)]
+        for k in range(1, _taylor_degree(1.125 * theta / nodes) + 1):
+            terms.append(terms[-1] @ self.M / k)
+        self._taylor = np.stack(terms)            # M^k / k!
 
-        if not self.singular:
-            self.x_eq = np.linalg.solve(self.A, self.B)  # equilibrium of x' = A x - B
-        else:
-            self.x_eq = None
+    def lift(self, xi: np.ndarray, s: int) -> np.ndarray:
+        """Augmented state [s xi; 1]."""
+        return np.append(s * np.asarray(xi, dtype=float), 1.0)
 
-        self._fast = False
-        if not self.singular:
-            w, V = np.linalg.eig(self.A)
-            cond = np.linalg.cond(V)
-            if np.isfinite(cond) and cond < self._FAST_COND_LIMIT:
-                self._fast = True
-                self._lam = w
-                self._V = V
-                self._Vinv = np.linalg.inv(V)
-                self._CV = self.C @ V
-
-    # -- matrix exponential -------------------------------------------------
     def expAt(self, t: float) -> np.ndarray:
-        if self._fast:
-            return ((self._V * np.exp(self._lam * t)) @ self._Vinv).real
-        return numerics.expm(self.A, t)
+        """e^{A t}, the leading block of e^{M t}."""
+        return numerics.expm(self.M, t)[: self.n, : self.n]
 
-    # -- trajectory of x' = A x - s B starting at xi ------------------------
-    def state(self, xi: np.ndarray, s: int, t: float) -> np.ndarray:
-        if self.singular:
-            M = np.zeros((self.n + 1, self.n + 1))
-            M[: self.n, : self.n] = self.A
-            M[: self.n, self.n] = -s * self.B
-            z = scipy.linalg.expm(M * t) @ np.append(xi, 1.0)
-            return z[: self.n]
-        dev = xi - s * self.x_eq
-        if self._fast:
-            w = self._Vinv @ dev
-            return (self._V @ (w * np.exp(self._lam * t))).real + s * self.x_eq
-        return self.expAt(t) @ dev + s * self.x_eq
+    def state(self, xi: np.ndarray, s: int, t) -> np.ndarray:
+        """x(t) for scalar t, or one row per time for array t."""
+        z = numerics.expm(self.M, t) @ self.lift(xi, s)
+        return s * z[..., : self.n]
 
     def output(self, xi: np.ndarray, s: int, t):
-        """C x(t); accepts scalar or array t (array requires nonsingular A)."""
-        if self.singular:
-            return float(self.C @ self.state(xi, s, float(t)))
-        dev = xi - s * self.x_eq
-        y_inf = s * float(self.C @ self.x_eq)
-        scalar = np.ndim(t) == 0
-        if self._fast:
-            coef = self._CV * (self._Vinv @ dev)
-            ta = np.atleast_1d(np.asarray(t, dtype=float))
-            vals = (coef @ np.exp(np.outer(self._lam, ta))).real + y_inf
-            return float(vals[0]) if scalar else vals
-        if scalar:
-            return float(self.C @ (self.expAt(float(t)) @ dev)) + y_inf
-        return np.array([float(self.C @ (self.expAt(tk) @ dev)) for tk in np.asarray(t)]) + y_inf
+        """C x(t); accepts scalar or array t."""
+        y = s * (numerics.expm(self.M, t) @ self.lift(xi, s) @ self._c)
+        return float(y) if np.ndim(y) == 0 else y
+
+    def grid(self, xi: np.ndarray, s: int, dt: float, count: int) -> np.ndarray:
+        """States at t = j dt, j = 0..count-1, from powers of e^{M dt}."""
+        z = _powers(self.lift(xi, s), numerics.expm(self.M, dt).T, count)
+        return s * z[:, : self.n]
+
+    def march(self, z: np.ndarray):
+        """[C 0] e^{M t} z on the grid t = j h, j = 1, 2, ..., in blocks."""
+        while True:
+            yield self._rows @ z
+            z = self._leap @ z
 
     def output_speed(self, x: np.ndarray, s: int) -> float:
         """Output derivative C (A x - s B) at a state under relay sign s."""
         return float(self.C @ (self.A @ x - s * self.B))
 
 
+class _Path:
+    """The trajectory of x' = A x - s B from xi; calling it gives s C x(t),
+    whose first zero is the exit time.
+
+    e^{M t} z is one exponential at the node just below t times the Taylor
+    polynomial in the offset.  The node is kept, so a root search and
+    landing inside one node interval cost one exponential.
+    """
+
+    def __init__(self, flow: _AffineFlow, xi: np.ndarray, s: int):
+        self.flow = flow
+        self.s = s
+        self.z = flow.lift(xi, s)
+        self._t0 = None
+
+    def _offset(self, t: float) -> np.ndarray:
+        """Powers of t - t0 for the node t0 whose interval holds t."""
+        flow = self.flow
+        h = flow.node_step
+        if self._t0 is None or not -0.125 * h <= t - self._t0 <= 1.125 * h:
+            j = math.floor(t / h + 1e-6)
+            self._t0 = j * h
+            z = self.z if j == 0 else numerics.expm(flow.M, self._t0) @ self.z
+            self._zk = flow._taylor @ z
+            self._yk = self._zk @ flow._c
+        return (t - self._t0) ** np.arange(len(self._yk))
+
+    def __call__(self, t: float) -> float:
+        return float(self._offset(t) @ self._yk)
+
+    def state(self, t: float) -> np.ndarray:
+        return self.s * (self._offset(t) @ self._zk)[: self.flow.n]
+
+
 class RelaySystem:
     """Relay feedback loop around a realized plant.
 
-    Precomputes the affine-flow machinery once so that exit times, exit
-    maps, and whole simulations can be evaluated repeatedly at low cost.
+    Precomputes the affine-flow machinery once (augmented matrix, march
+    rows for ``step_hint``, Taylor tables), so that an exit costs one
+    matrix exponential: the march runs on powers of e^{M h}, and the Brent
+    refinement and the landing state use a Taylor expansion about the
+    bracket's left end.
 
     Parameters
     ----------
@@ -184,14 +234,12 @@ class RelaySystem:
     def __init__(self, ss: StateSpace, *, step_hint: float | None = None,
                  t_max: float | None = None):
         self.ss = ss
-        self.flow = _AffineFlow(ss)
         if t_max is None:
-            if self.flow.is_hurwitz:
-                t_max = 50.0 / min(abs(self.flow.eigenvalues.real))
-            else:
-                t_max = 100.0
+            lam = np.linalg.eigvals(ss.A)
+            t_max = 50.0 / min(abs(lam.real)) if lam.real.max() < 0.0 else 100.0
         self.t_max = float(t_max)
         self.step_hint = float(step_hint) if step_hint is not None else self.t_max / 1e4
+        self.flow = _AffineFlow(ss, self.step_hint)
         self.b_tail = float(ss.B[-1])  # C B, the output-derivative jump half
 
     # -- exit computations ---------------------------------------------------
@@ -204,6 +252,10 @@ class RelaySystem:
         output never crosses before the horizon, which cannot happen for a
         stable plant with positive DC gain.
         """
+        return self._exit(xi, sign, t_max)[0]
+
+    def _exit(self, xi, sign, t_max) -> tuple[float, _Path]:
+        """Exit time and the path it was found on."""
         xi = np.asarray(xi, dtype=float)
         s = int(sign)
         if s not in (+1, -1):
@@ -217,23 +269,22 @@ class RelaySystem:
         if s * y0 < -1e-3 * scale:
             raise InvalidStartError(
                 f"start output {y0:g} is on the wrong side for sign {s:+d}")
+        path = _Path(self.flow, xi, s)
         if abs(y0) <= PLANE_TOL * scale:
             depart = s * self.flow.output_speed(xi, s)
             if depart < -GRAZE_TOL:
                 # the flow leaves the sign region transversally at once; the
                 # first exit is the start itself
-                return 0.0
-
-        f = lambda t: s * self.flow.output(xi, s, t)
+                return 0.0, path
         try:
-            return numerics.find_first_root(
-                f, 0.0, horizon, self.step_hint,
-                vectorized=not self.flow.singular, check_grazing=False,
-                allow_negative_start=True)
+            tau = numerics.find_first_root(
+                path, 0.0, horizon, self.step_hint, blocks=self.flow.march(path.z),
+                check_grazing=False, allow_negative_start=True)
         except NoCrossingError as exc:
             raise NoCrossingError(
                 f"quiescent: output does not cross zero within {horizon:g} "
                 "time units (plant is not restless from this state)") from exc
+        return tau, path
 
     def exit_event(self, xi: np.ndarray, sign: int = +1,
                    t_max: float | None = None) -> tuple[float, np.ndarray, SwitchEvent]:
@@ -243,14 +294,13 @@ class RelaySystem:
         the residual output is at roundoff level rather than at the root
         finder's tolerance; this prevents drift over thousands of switches.
         """
-        xi = np.asarray(xi, dtype=float)
         s = int(sign)
-        tau = self.exit_time(xi, s, t_max)
-        x_land = self.flow.state(xi, s, tau)
+        tau, path = self._exit(xi, s, t_max)
+        x_land = path.state(tau)
         speed = self.flow.output_speed(x_land, s)
         if abs(speed) > GRAZE_TOL:
             tau = tau - float(self.flow.C @ x_land) / speed
-            x_land = self.flow.state(xi, s, tau)
+            x_land = path.state(tau)
             speed = self.flow.output_speed(x_land, s)
         grazing = abs(speed) <= GRAZE_TOL
         event = SwitchEvent(t=tau, x=x_land, incoming_sign=s,
@@ -318,7 +368,11 @@ class RelaySystem:
         states are appended as events.  If the state reaches the sliding set
         where no non-sliding continuation exists, the trajectory stops there
         and the SlidingReport says so.  Grazing arrivals mark the trajectory
-        as non-certified but the simulation continues.
+        as non-certified but the simulation continues.  A departure from the
+        plane that returns to it within one march step (switches piling up
+        faster than ``step_hint`` resolves, as on the way to a Zeno point)
+        stops the trajectory on the plane, non-certified, with
+        ``final_state`` set there.
         """
         if t_end <= 0:
             raise ValueError("t_end must be positive")
@@ -333,7 +387,8 @@ class RelaySystem:
 
         y0 = float(self.flow.C @ x)
         scale = 1.0 + float(np.linalg.norm(x))
-        if abs(y0) <= PLANE_TOL * scale:
+        departing = abs(y0) <= PLANE_TOL * scale
+        if departing:
             try:
                 sign, _ = self._select_sign_on_plane(x)
             except SlidingError:
@@ -348,14 +403,16 @@ class RelaySystem:
             except NoCrossingError:
                 tau, x_land, ev = np.inf, None, None
 
+            if departing and tau < min(self.step_hint, remaining):
+                traj.certified = False
+                traj.final_state = RelayState(x, sign, t)
+                break
             seg_len = min(tau, remaining)
             if dense_dt is not None:
                 m = max(int(np.ceil(seg_len / dense_dt)), 1)
-                ts = np.linspace(0.0, seg_len, m + 1)
-                xs = np.stack([self.flow.state(x, sign, tk) for tk in ts])
-                dense_t.append(t + ts)
-                dense_x.append(xs)
-                dense_u.append(np.full(len(ts), sign, dtype=float))
+                dense_t.append(t + np.linspace(0.0, seg_len, m + 1))
+                dense_x.append(self.flow.grid(x, sign, seg_len / m, m + 1))
+                dense_u.append(np.full(m + 1, sign, dtype=float))
 
             traj.segments.append((x, seg_len, sign))
             if tau >= remaining:
@@ -376,6 +433,7 @@ class RelaySystem:
                 sliding = SlidingReport(True, t, x)
                 break
             sign = new_sign
+            departing = True
             if len(traj.events) >= max_switches:
                 traj.final_state = RelayState(x, sign, t)
 
@@ -425,14 +483,16 @@ def trajectory_to_csv(traj: Trajectory, path, *, version: str = "") -> None:
     if traj.times is None:
         raise ValueError("trajectory has no dense samples; simulate with dense_dt")
     n = traj.states.shape[1]
-    switch_times = {round(ev.t, 12) for ev in traj.events}
+    # a switch instant ends one segment's samples and starts the next's, at
+    # exactly the event time
+    is_switch = np.isin(traj.times, [ev.t for ev in traj.events])
     with open(path, "w", newline="") as fh:
         fh.write(f"# relayosc {version}; units: t in seconds, x dimensionless\n")
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x_{i+1}" for i in range(n)] + ["u", "is_switch"])
-        for t, xrow, u in zip(traj.times, traj.states, traj.relay_signs):
+        for t, xrow, u, flag in zip(traj.times, traj.states, traj.relay_signs, is_switch):
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in xrow]
-                            + [repr(float(u)), int(round(t, 12) in switch_times)])
+                            + [repr(float(u)), int(flag)])
 
 
 def events_to_json(traj: Trajectory, sliding: SlidingReport, *, version: str = "") -> str:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics
 from .errors import RelayOscError
-from .plant import StateSpace
+from .plant import StateSpace, TransferFunction
 
 #: Crossings with |omega| below this are real-axis (pitchfork-type); above,
 #: oscillatory (Hopf-type).
@@ -288,16 +288,6 @@ def hopf_classify(ss: StateSpace, scan: RootLocusScan,
                       pitchfork_gammas=pitchforks, evidence=evidence)
 
 
-def _tf_eval(ss: StateSpace, s: complex) -> complex:
-    """G(s) from the companion coefficients (polynomial evaluation)."""
-    a = ss.den_coeffs
-    b = ss.num_coeffs
-    n = ss.n
-    num = sum(b[k] * s**k for k in range(n))
-    den = s**n + sum(a[k] * s**k for k in range(n))
-    return num / den
-
-
 def describing_locus(ss: StateSpace, omega: float, gamma: float,
                      theta_max: float = 1.0, points: int = 200) -> DescribingLocus:
     """Second-harmonic describing-function locus at a fixed frequency.
@@ -315,19 +305,17 @@ def describing_locus(ss: StateSpace, omega: float, gamma: float,
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    s = 1j * omega
-    a = ss.den_coeffs
-    n = ss.n
-    den = s**n + sum(a[k] * s**k for k in range(n))
+    tf = TransferFunction(tuple(ss.num_coeffs), tuple(ss.den_coeffs))
+    num, den = tf.polynomials(1j * omega)
     if abs(den) < 1e-12:
         raise RelayOscError(f"plant pole on the imaginary axis at omega={omega:g}")
-    G = _tf_eval(ss, s)
+    G = num / den
     thetas = np.linspace(0.0, theta_max, points)
     L = -1.0 + thetas**2 * gamma**2 / 4.0 * G
     direction = gamma**2 * G / 4.0
     # Nyquist tangent of gamma*G at omega by central differencing in omega
     h = max(1e-7 * omega, 1e-9)
-    tangent = gamma * (_tf_eval(ss, 1j * (omega + h)) - _tf_eval(ss, 1j * (omega - h))) / (2 * h)
+    tangent = gamma * (tf(1j * (omega + h)) - tf(1j * (omega - h))) / (2 * h)
     cross = direction.real * tangent.imag - direction.imag * tangent.real
     denom = abs(direction) * abs(tangent)
     sin_angle = cross / denom if denom > 0 else 0.0

@@ -118,6 +118,29 @@ class TestArtifacts:
         lines = out.read_text().splitlines()
         assert len(lines) == 52  # comment + header + 50 rows
 
+    def test_poincare_survey_stdout_matches_file(self, runner, tmp_path):
+        out = tmp_path / "survey.csv"
+        args = ["poincare-survey", "--num", "1,-1", "--den", "6,5,1",
+                "--count", "20", "--seed", "7"]
+        invoke(runner, args + ["--out", str(out)])
+        res = invoke(runner, args)
+        assert res.exit_code == 0
+        assert res.stdout_bytes == out.read_bytes()
+
+
+class TestExitCodes:
+    def test_simulate_zero_t_end_exits_3(self, runner):
+        res = invoke(runner, ["simulate", "--num", "1,-1", "--den", "6,5,1",
+                              "--x0", "0.4,0.2", "--t-end", "0"])
+        assert res.exit_code == 3
+        assert "t_end" in json.loads(res.stderr)["error"]
+
+    def test_wrong_x0_length_exits_2(self, runner):
+        res = invoke(runner, ["sfs-sim", "--num", "1,-1", "--den", "6,5,1",
+                              "--gamma", "10", "--x0", "0.4", "--t-end", "1"])
+        assert res.exit_code == 2
+        assert json.loads(res.stderr)["schema_version"] == 1
+
 
 class TestDeterminism:
     def test_survey_byte_identical(self, runner, tmp_path):

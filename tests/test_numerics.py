@@ -80,6 +80,14 @@ class TestBauerFike:
             assert np.abs(res).max() <= 1e-8 * max(1.0, np.abs(M).max())
 
 
+def grid_blocks(f, t_start, h, size=64):
+    """Blocks of a vectorized f on the march grid t_start + j h, j >= 1."""
+    j = 1
+    while True:
+        yield f(t_start + h * np.arange(j, j + size))
+        j += size
+
+
 class TestFindFirstRoot:
     def test_scalar_affine_closed_form(self):
         f = lambda t: 2 * np.exp(-t) - 1
@@ -106,7 +114,8 @@ class TestFindFirstRoot:
         # first zero of 0.1 + sin(2 pi t) is at (pi + asin(0.1)) / (2 pi)
         f = lambda t: 0.1 + np.sin(2 * np.pi * np.asarray(t))
         expect = (np.pi + np.arcsin(0.1)) / (2 * np.pi)
-        root = numerics.find_first_root(f, 0.0, 10.0, 0.02, vectorized=True,
+        root = numerics.find_first_root(f, 0.0, 10.0, 0.02,
+                                        blocks=grid_blocks(f, 0.0, 0.02),
                                         check_grazing=False)
         assert root == pytest.approx(expect, abs=1e-10)
 
@@ -114,13 +123,15 @@ class TestFindFirstRoot:
         fs = lambda t: 2 * np.exp(-t) - 1
         fv = lambda t: 2 * np.exp(-np.asarray(t)) - 1
         r1 = numerics.find_first_root(fs, 0.0, 10.0, 0.05)
-        r2 = numerics.find_first_root(fv, 0.0, 10.0, 0.05, vectorized=True)
+        r2 = numerics.find_first_root(fv, 0.0, 10.0, 0.05,
+                                      blocks=grid_blocks(fv, 0.0, 0.05))
         assert r1 == pytest.approx(r2, abs=1e-12)
 
     def test_zero_start_lifts_off(self):
         # f(0) = 0, rises, then crosses: the start must not be returned
         f = lambda t: np.sin(2 * np.pi * np.asarray(t))
-        root = numerics.find_first_root(f, 0.0, 2.0, 0.01, vectorized=True,
+        root = numerics.find_first_root(f, 0.0, 2.0, 0.01,
+                                        blocks=grid_blocks(f, 0.0, 0.01),
                                         check_grazing=False)
         assert root == pytest.approx(0.5, abs=1e-10)
 

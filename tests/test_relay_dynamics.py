@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
+from conftest import make_brl_plant
 from relayosc import relay_dynamics as rd
 from relayosc.errors import InvalidStartError, NoCrossingError
 from relayosc.plant import StateSpace, parse_plant, realize
@@ -213,6 +216,22 @@ class TestSimulate:
         y_end = float(ss.C @ fs.x)
         assert np.sign(y_end) == fs.relay_sign or abs(y_end) < 1e-9
 
+    def test_switches_faster_than_march_stop_uncertified(self):
+        # 1/(s(s+1)): the switches accumulate near t = 13.671 faster than the
+        # march step resolves; the run stops there instead of piling up
+        # zero-length segments
+        ss = realize(parse_plant([1], [0, 1]))
+        sys_ = RelaySystem(ss)
+        traj, sliding = sys_.simulate(np.array([0.2, 0.1]), 50.0, max_switches=3000)
+        assert not sliding.entered_sliding
+        assert traj.certified is False
+        assert len(traj.events) < 3000
+        assert all(length >= sys_.step_hint for _, length, _ in traj.segments[1:])
+        assert all(length > 0.0 for _, length, _ in traj.segments)
+        fs = traj.final_state
+        assert fs.t == traj.events[-1].t and np.array_equal(fs.x, traj.events[-1].x)
+        assert fs.t == pytest.approx(13.671, abs=1e-3)
+
     def test_grazing_flag_in_events(self, second_order):
         _, ss = second_order
         traj, _ = rd.simulate(ss, np.array([0.4, 0.2]), 30.0)
@@ -236,6 +255,17 @@ class TestExport:
         assert len(payload["events"]) == len(traj.events)
         assert payload["sliding"]["entered_sliding"] is False
 
+    def test_csv_flags_every_switch(self, third_order_brl, tmp_path):
+        _, ss = third_order_brl
+        x0 = np.array([0.5504566376963491, 0.7000708815108326, 0.5253085737531595])
+        traj, _ = rd.simulate(ss, x0, 30.0, dense_dt=0.01)
+        path = tmp_path / "traj.csv"
+        rd.trajectory_to_csv(traj, path)
+        rows = [r.split(",") for r in path.read_text().splitlines()[2:]]
+        flagged = {float(r[0]) for r in rows if r[-1] == "1"}
+        assert len(traj.events) == 19
+        assert flagged == {ev.t for ev in traj.events}
+
     def test_csv_requires_dense(self, second_order):
         _, ss = second_order
         traj, _ = rd.simulate(ss, np.array([0.4, 0.2]), 5.0)
@@ -255,3 +285,73 @@ class TestSingularPlant:
         assert tau > 0
         x = sys_.exit_map(np.array([0.5, 1.0]), +1)
         assert abs(x[1]) < 1e-9
+
+
+def _kernel_plant(name, request):
+    if name.startswith("brl"):
+        n = int(name[3:])
+        return realize(make_brl_plant(np.random.default_rng(100 + n), n))
+    if name == "origin":
+        return realize(parse_plant([1], [0, 1, 2]))  # 1/(s (s+1)^2)
+    return request.getfixturevalue(name)[1]
+
+
+def _ref_state(ss, s, x, t):
+    """x' = A x - s B from x, by scipy's expm of [[A, -s B], [0, 0]]."""
+    n = ss.n
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = ss.A
+    M[:n, n] = -s * ss.B
+    return (scipy.linalg.expm(M * t) @ np.append(x, 1.0))[:n]
+
+
+def _ref_exit(ss, s, x, dt, t_end):
+    """First zero of s C x(t) on a grid of step dt, refined by brentq."""
+    f = lambda t: s * float(ss.C @ _ref_state(ss, s, x, t))
+    ts = np.arange(1, int(np.ceil(t_end / dt)) + 1) * dt
+    ys = np.array([f(t) for t in ts])
+    k = int(np.flatnonzero(ys <= 0.0)[0])
+    lo = ts[k - 1] if k > 0 else 0.0
+    return brentq(f, lo, ts[k], xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+class TestOneKernel:
+    """Exit computations and states against an independent propagation at
+    n = 2 to 10, where companion eigenvector matrices grow ill-conditioned
+    (cond(V) 1.8e4 and 2.0e9 for the n = 6 and 10 draws), and with a pole
+    at the origin."""
+
+    PLANTS = ["second_order", "third_order", "third_order_brl", "brl6", "brl10", "origin"]
+
+    @pytest.mark.parametrize("name", PLANTS)
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_exit_event_matches_reference(self, name, sign, request):
+        ss = _kernel_plant(name, request)
+        sys_ = RelaySystem(ss)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            x = rng.standard_normal(ss.n)
+            x[-1] = sign * (0.1 + abs(x[-1]))  # start on the side of ``sign``
+            tau, x_land, ev = sys_.exit_event(x, sign)
+            tau_ref = _ref_exit(ss, sign, x, sys_.step_hint / 4, tau + sys_.step_hint)
+            assert tau == pytest.approx(tau_ref, rel=1e-13, abs=1e-13)
+            ref = _ref_state(ss, sign, x, tau_ref)
+            assert np.linalg.norm(x_land - ref) <= 1e-13 * (1 + np.linalg.norm(ref))
+            assert abs(float(ss.C @ x_land)) <= 1e-9 * (1 + np.linalg.norm(x_land))
+            assert ev.t == tau and ev.incoming_sign == sign
+
+    @pytest.mark.parametrize("name", PLANTS)
+    def test_state_both_signs(self, name, request):
+        ss = _kernel_plant(name, request)
+        flow = RelaySystem(ss).flow
+        x = np.random.default_rng(3).standard_normal(ss.n)
+        for s in (+1, -1):
+            for t in (0.0, 0.013, 0.7, 3.0):
+                ref = _ref_state(ss, s, x, t)
+                got = flow.state(x, s, t)
+                assert np.linalg.norm(got - ref) <= 1e-13 * (1 + np.linalg.norm(ref))
+                assert flow.output(x, s, t) == pytest.approx(float(ss.C @ ref),
+                                                             rel=1e-13, abs=1e-13)
+            grid = flow.grid(x, s, 0.25, 13)
+            refs = np.array([_ref_state(ss, s, x, 0.25 * j) for j in range(13)])
+            assert np.abs(grid - refs).max() <= 1e-12 * (1 + np.abs(refs).max())
