@@ -74,9 +74,37 @@ class AnchorRegion:
         )
 
 
+#: Powers of e^{Ah} whose 2-norms one SVD call takes at once.
+_NORM_BLOCK = 512
+
+
+def _power_norms(E: np.ndarray, count: int) -> np.ndarray:
+    """2-norms of E^k, k = 1..count.
+
+    The powers are built by the sequential product E^k = E E^{k-1}; their
+    largest singular values are taken in blocks of at most ``_NORM_BLOCK``
+    matrices, one batched SVD (the LAPACK routine of ``norm(., 2)``) each.
+    """
+    buf = np.empty((min(count, _NORM_BLOCK),) + E.shape)
+    norms = np.empty(count)
+    P = np.eye(E.shape[0])
+    for start in range(0, count, _NORM_BLOCK):
+        m = min(_NORM_BLOCK, count - start)
+        for i in range(m):
+            P = E @ P
+            buf[i] = P
+        norms[start:start + m] = np.linalg.svd(buf[:m], compute_uv=False)[:, 0]
+    return norms
+
+
 def decay_envelope(A: np.ndarray, epsilon: float | None = None,
                    *, grid_points: int = 4000, safety: float = 1.05) -> DecayEnvelope:
     """Estimate a verified exponential decay envelope for e^{At}.
+
+    ||e^{At}|| e^{sigma t} is maximized on a grid of ``grid_points`` steps
+    over 40 / sigma and checked on a grid of twice as many over 20 / sigma;
+    on each grid the norms of e^{At} come from powers of one step
+    exponential, taken in blocks of sequential powers.
 
     Parameters
     ----------
@@ -106,28 +134,20 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
 
     horizon = 40.0 / sigma
     h = horizon / grid_points
-    Eh = numerics.expm(A, h)
-    m_grid = 1.0  # t = 0 term
-    Ek = np.eye(A.shape[0])
-    for k in range(1, grid_points + 1):
-        Ek = Eh @ Ek
-        val = np.linalg.norm(Ek, 2) * math.exp(sigma * k * h)
-        if val > m_grid:
-            m_grid = val
-    m_initial = safety * m_grid
+    norms = _power_norms(numerics.expm(A, h), grid_points)
+    growth = np.array([math.exp(sigma * k * h) for k in range(1, grid_points + 1)])
+    m_initial = safety * max(1.0, float((norms * growth).max()))  # 1.0: t = 0
 
     # a-posteriori check on a finer, shorter grid
     fine = np.linspace(0.0, 20.0 / sigma, 2 * grid_points + 1)
-    hf = fine[1] - fine[0]
-    Ehf = numerics.expm(A, hf)
-    Ek = np.eye(A.shape[0])
-    for k, t in enumerate(fine):
-        if k > 0:
-            Ek = Ehf @ Ek
-        if np.linalg.norm(Ek, 2) > m_initial * math.exp(-sigma * t) * (1 + 1e-9):
-            raise ValueError(
-                "decay envelope verification failed at t=%g; the eigenvector "
-                "basis may be too ill-conditioned for a grid estimate" % t)
+    norms = np.concatenate(([1.0], _power_norms(numerics.expm(A, fine[1] - fine[0]),
+                                                2 * grid_points)))
+    limit = m_initial * np.array([math.exp(-sigma * t) for t in fine]) * (1 + 1e-9)
+    failed = norms > limit
+    if failed.any():
+        raise ValueError(
+            "decay envelope verification failed at t=%g; the eigenvector "
+            "basis may be too ill-conditioned for a grid estimate" % fine[failed.argmax()])
     return DecayEnvelope(float(m_initial), float(sigma), float(epsilon))
 
 

@@ -85,9 +85,12 @@ def _orbit_function(ss: StateSpace):
     n = ss.n
     I = np.eye(n)
 
-    def g(tau: float) -> float:
+    def g(tau):
+        """g at a scalar tau, or one value per entry of an array tau."""
         E = numerics.expm(A, tau)
-        return float(C @ np.linalg.solve(E + I, (E - I) @ AinvB))
+        X = np.linalg.solve(E + I, ((E - I) @ AinvB)[..., None])[..., 0]
+        y = X @ C
+        return float(y) if np.ndim(y) == 0 else y
 
     return g, AinvB
 
@@ -123,7 +126,7 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         if lo <= 0:
             lo = 1e-12 + hi * 1e-10
     taus = np.geomspace(lo, hi, grid_points)
-    vals = np.array([g(t) for t in taus])
+    vals = g(taus)
 
     roots: list[float] = []
     for i in range(len(taus) - 1):

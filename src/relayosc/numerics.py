@@ -43,8 +43,7 @@ def expm(M: np.ndarray, t=1.0) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not (np.isfinite(M).all() and np.isfinite(t).all()):
         raise ValueError("expm requires finite entries")
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(M * t[..., None, None])
     if not np.isfinite(out).all():
         raise OverflowError("matrix exponential overflow: ||M t|| too large")

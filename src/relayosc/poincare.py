@@ -93,8 +93,8 @@ def jacobians(ss: StateSpace, x, sign: int = +1,
     sys_ = system if system is not None else RelaySystem(ss)
     x = np.asarray(x, dtype=float)
     s = int(sign)
-    tau, x_land, _ = sys_.exit_event(x, s)
-    E = sys_.flow.expAt(tau)
+    tau, x_land, _, path = sys_.exit_event(x, s, with_path=True)
+    E = path.expAt(tau)
     u = ss.A @ x_land - s * ss.B      # field at the crossing (A e^{A tau}(x - s A^{-1}B))
     v = ss.A @ x - s * ss.B           # field at the start
     Cu = float(ss.C @ u)
@@ -212,7 +212,9 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
 
     Plain Picard iteration is used while it contracts; if the residual
     plateaus, the iteration switches to a damped Newton step built from the
-    chained jacobian (I + J_chain, the derivative of x + psi(x; k)).
+    chained jacobian (I + J_chain, the derivative of x + psi(x; k)).  The
+    search stops when the residual |x + psi(x; k)| is below
+    tol * max(1, |x|), so the test stays above roundoff for large anchors.
     Iterates may make bounded excursions outside the anchor region; only
     genuine blow-up (non-finite or far beyond the excursion bound) raises.
 
@@ -232,12 +234,15 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
         img = -sys_.kth_exit_map(p, k)
         return img, float(np.linalg.norm(p - img))
 
+    def within_tol(r):
+        return r < tol * max(1.0, float(np.linalg.norm(x)))
+
     x_img, r = image(x)
     history = [r]
     newton_mode = False
     it = 0
     for it in range(1, max_iter + 1):
-        if r < tol:
+        if within_tol(r):
             break
         if not newton_mode:
             x_new = x_img
@@ -272,7 +277,7 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
             raise DivergenceError("fixed-point iteration diverged",
                                   iterate=x, iteration=it)
 
-    converged = bool(r < tol and region.contains(x, plane_tol=1e-6))
+    converged = bool(within_tol(r) and region.contains(x, plane_tol=1e-6))
     return FixedPointResult(x_hat=x, k=k, residual=r,
                             iterations_used=it, converged=converged,
                             residual_history=tuple(history))

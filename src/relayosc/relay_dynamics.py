@@ -144,10 +144,6 @@ class _AffineFlow:
         """Augmented state [s xi; 1]."""
         return np.append(s * np.asarray(xi, dtype=float), 1.0)
 
-    def expAt(self, t: float) -> np.ndarray:
-        """e^{A t}, the leading block of e^{M t}."""
-        return numerics.expm(self.M, t)[: self.n, : self.n]
-
     def state(self, xi: np.ndarray, s: int, t) -> np.ndarray:
         """x(t) for scalar t, or one row per time for array t."""
         z = numerics.expm(self.M, t) @ self.lift(xi, s)
@@ -179,8 +175,9 @@ class _Path:
     whose first zero is the exit time.
 
     e^{M t} z is one exponential at the node just below t times the Taylor
-    polynomial in the offset.  The node is kept, so a root search and
-    landing inside one node interval cost one exponential.
+    polynomial in the offset.  The node and its exponential are kept, so a
+    root search, the landing and the propagator at the exit inside one node
+    interval cost one exponential.
     """
 
     def __init__(self, flow: _AffineFlow, xi: np.ndarray, s: int):
@@ -196,7 +193,11 @@ class _Path:
         if self._t0 is None or not -0.125 * h <= t - self._t0 <= 1.125 * h:
             j = math.floor(t / h + 1e-6)
             self._t0 = j * h
-            z = self.z if j == 0 else numerics.expm(flow.M, self._t0) @ self.z
+            if j == 0:
+                self._node, z = np.eye(flow.n + 1), self.z
+            else:
+                self._node = numerics.expm(flow.M, self._t0)
+                z = self._node @ self.z
             self._zk = flow._taylor @ z
             self._yk = self._zk @ flow._c
         return (t - self._t0) ** np.arange(len(self._yk))
@@ -206,6 +207,12 @@ class _Path:
 
     def state(self, t: float) -> np.ndarray:
         return self.s * (self._offset(t) @ self._zk)[: self.flow.n]
+
+    def expAt(self, t: float) -> np.ndarray:
+        """e^{A t}, the leading block of e^{M t0} sum_k (M^k / k!) (t - t0)^k."""
+        taylor = np.tensordot(self._offset(t), self.flow._taylor, axes=1)
+        n = self.flow.n
+        return self._node[:n, :n] @ taylor[:n, :n]
 
 
 class RelaySystem:
@@ -287,12 +294,14 @@ class RelaySystem:
         return tau, path
 
     def exit_event(self, xi: np.ndarray, sign: int = +1,
-                   t_max: float | None = None) -> tuple[float, np.ndarray, SwitchEvent]:
+                   t_max: float | None = None, *, with_path: bool = False):
         """Exit time, landing state, and the corresponding SwitchEvent.
 
         The landing state is corrected by one Newton step along the flow so
         the residual output is at roundoff level rather than at the root
         finder's tolerance; this prevents drift over thousands of switches.
+        ``with_path=True`` appends the path the exit was found on, whose
+        ``expAt(tau)`` gives e^{A tau} without a further exponential.
         """
         s = int(sign)
         tau, path = self._exit(xi, s, t_max)
@@ -305,6 +314,8 @@ class RelaySystem:
         grazing = abs(speed) <= GRAZE_TOL
         event = SwitchEvent(t=tau, x=x_land, incoming_sign=s,
                             transversal_speed=speed, grazing_flag=grazing)
+        if with_path:
+            return tau, x_land, event, path
         return tau, x_land, event
 
     def exit_map(self, xi: np.ndarray, sign: int = +1) -> np.ndarray:

@@ -80,3 +80,14 @@ def make_brl_plant(rng, n=None):
     c = -rng.uniform(0.2, 2.0)  # negative leading numerator coefficient
     num = (c * np.real(np.poly(zeros)))[::-1].tolist()
     return parse_plant(num, den)
+
+
+def named_plant(name, request):
+    """A fixture plant by fixture name, ``brl<n>`` for the seeded
+    make_brl_plant draw of order n, or ``origin`` for 1/(s (s+1)^2)."""
+    if name.startswith("brl"):
+        n = int(name[3:])
+        return realize(make_brl_plant(np.random.default_rng(100 + n), n))
+    if name == "origin":
+        return realize(parse_plant([1], [0, 1, 2]))
+    return request.getfixturevalue(name)[1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_brl_plant
+from conftest import make_brl_plant, named_plant
 from relayosc import bounds as bm
 from relayosc import numerics
 from relayosc import relay_dynamics as rd
@@ -43,6 +43,73 @@ class TestDecayEnvelope:
     def test_non_hurwitz_rejected(self):
         with pytest.raises(ValueError, match="Hurwitz"):
             bm.decay_envelope(np.array([[1.0]]))
+
+
+def _envelope_per_power(A, grid_points=4000, safety=1.05):
+    """decay_envelope as one 2-norm per power of e^{Ah}: (m_initial, sigma);
+    raises the ValueError of the first failing time."""
+    decay = -np.linalg.eigvals(A).real.max()
+    sigma = decay - 1e-3 * decay
+    h = 40.0 / sigma / grid_points
+    Eh = numerics.expm(A, h)
+    m_grid = 1.0
+    Ek = np.eye(A.shape[0])
+    for k in range(1, grid_points + 1):
+        Ek = Eh @ Ek
+        m_grid = max(m_grid, np.linalg.norm(Ek, 2) * math.exp(sigma * k * h))
+    m_initial = safety * m_grid
+    fine = np.linspace(0.0, 20.0 / sigma, 2 * grid_points + 1)
+    Ehf = numerics.expm(A, fine[1] - fine[0])
+    Ek = np.eye(A.shape[0])
+    for k, t in enumerate(fine):
+        if k > 0:
+            Ek = Ehf @ Ek
+        if np.linalg.norm(Ek, 2) > m_initial * math.exp(-sigma * t) * (1 + 1e-9):
+            raise ValueError("decay envelope verification failed at t=%g; the eigenvector "
+                              "basis may be too ill-conditioned for a grid estimate" % t)
+    return float(m_initial), float(sigma)
+
+
+class TestBlockedNorms:
+    """The block-batched envelope against one 2-norm per power."""
+
+    @pytest.mark.parametrize("name", ["second_order", "third_order_brl", "brl6", "brl10"])
+    def test_bit_identical_to_per_power_loop(self, name, request):
+        A = named_plant(name, request).A
+        env = bm.decay_envelope(A)
+        assert (env.m_initial, env.sigma_slowest) == _envelope_per_power(A)
+
+    @pytest.mark.parametrize("grid_points", [777, 1000])
+    def test_grid_not_a_multiple_of_the_block(self, grid_points, third_order):
+        A = third_order[1].A
+        env = bm.decay_envelope(A, grid_points=grid_points)
+        assert (env.m_initial, env.sigma_slowest) == _envelope_per_power(A, grid_points)
+
+    @pytest.mark.parametrize("A, grid_points, safety", [
+        (np.diag([-1.0, -3.0]), 4000, 0.5),                   # fails at t = 0
+        (np.array([[-1.0, 10.0], [0.0, -3.0]]), 333, 1.0),    # fails on the hump
+    ])
+    def test_verification_failure_at_first_time(self, A, grid_points, safety):
+        with pytest.raises(ValueError) as ref:
+            _envelope_per_power(A, grid_points, safety)
+        with pytest.raises(ValueError) as got:
+            bm.decay_envelope(A, grid_points=grid_points, safety=safety)
+        assert str(got.value) == str(ref.value)
+
+    def test_work_counts(self, third_order, monkeypatch):
+        calls = {"expm": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(numerics, "expm", counted("expm", numerics.expm))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        bm.decay_envelope(third_order[1].A)
+        assert calls["expm"] == 2
+        assert 0 < calls["svd"] <= 32
 
 
 class TestBoundsReport:

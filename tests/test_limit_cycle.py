@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from relayosc import limit_cycle as lc
+from relayosc import numerics
 from relayosc import poincare as pc
 from relayosc.errors import NoOrbitError
 from relayosc.plant import StateSpace
@@ -85,6 +86,27 @@ class TestFindSymmetricOrbit:
             orbit2.half_period, abs=1e-8)
         assert np.linalg.norm(exit_map(ss, orbit2.anchor, +1)
                               + orbit2.anchor) < 1e-8
+
+    @pytest.mark.parametrize("plant", ["second_order", "third_order", "third_order_brl"])
+    def test_batched_scan_matches_scalar(self, plant, request):
+        _, ss = request.getfixturevalue(plant)
+        g, _ = lc._orbit_function(ss)
+        taus = np.geomspace(1e-4, 100.0, 400)
+        assert np.array_equal(g(taus), [g(t) for t in taus])
+
+    def test_scan_is_one_batched_expm(self, third_order, monkeypatch):
+        _, ss = third_order
+        ndims = []
+        expm = numerics.expm
+
+        def counted(M, t=1.0):
+            ndims.append(np.ndim(t))
+            return expm(M, t)
+
+        monkeypatch.setattr(numerics, "expm", counted)
+        lc.find_symmetric_orbit(ss)
+        assert ndims.count(1) == 1
+        assert ndims.count(0) < 100  # Brent, the anchors, one RelaySystem
 
 
 class TestMonodromyExact:

@@ -32,6 +32,7 @@ class TestExpm:
             rhs = numerics.expm(ss.A, t1 + t2)
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             numerics.expm(np.array([[np.nan]]), 1.0)
@@ -39,6 +40,13 @@ class TestExpm:
     def test_overflow_rejected(self):
         with pytest.raises(OverflowError):
             numerics.expm(np.array([[1.0]]), 1e5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_without_warning(self):
+        with pytest.raises(OverflowError):
+            numerics.expm(np.diag([800.0, 1.0]))
+        with pytest.raises(OverflowError):
+            numerics.expm(np.diag([800.0, 1.0]), np.array([0.5, 1.0]))
 
 
 class TestBauerFike:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relayosc import numerics
 from relayosc import poincare as pc
 from relayosc.bounds import anchor_region, sample_anchor_region
 from relayosc.errors import NonTransversalError
@@ -114,6 +115,28 @@ class TestJacobians:
         assert len(la) == len(le)
         assert np.allclose(la, le, rtol=1e-6)
 
+    def test_no_exponential_beyond_the_exit(self, third_order_brl, monkeypatch):
+        from relayosc.bounds import bounds_report, decay_envelope
+
+        _, ss = third_order_brl
+        rep = bounds_report(ss, decay_envelope(ss.A))
+        sys_ = RelaySystem(ss)
+        calls = [0]
+        expm = numerics.expm
+
+        def counted(*args):
+            calls[0] += 1
+            return expm(*args)
+
+        monkeypatch.setattr(numerics, "expm", counted)
+        for p in sample_anchor_region(anchor_region(ss, rep), 20, seed=6):
+            calls[0] = 0
+            sys_.exit_event(p, +1)
+            exit_calls = calls[0]
+            calls[0] = 0
+            pc.jacobians(ss, p, system=sys_)
+            assert calls[0] == exit_calls
+
 
 class TestChainedJacobians:
     def test_chain_matches_finite_difference_k2(self, second_order):
@@ -209,3 +232,22 @@ class TestFixedPointSearch:
         res = pc.fixed_point_search(ss, rep, 1, x0)
         tail = [r for r in res.residual_history if r > 0][-5:]
         assert all(a > b for a, b in zip(tail, tail[1:]))
+
+    def test_converges_at_order_ten(self):
+        # anchor norm about 1e4: an absolute residual of 1e-12 is below the
+        # roundoff of the return map there, so the stop test scales with |x|
+        from conftest import make_brl_plant
+        from relayosc.bounds import bounds_report, decay_envelope
+        from relayosc.limit_cycle import find_symmetric_orbit
+        from relayosc.plant import realize
+
+        ss = realize(make_brl_plant(np.random.default_rng(18), 10))
+        rep = bounds_report(ss, decay_envelope(ss.A))
+        anchor = find_symmetric_orbit(ss).anchor
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            x0 = anchor * (1 + 0.05 * rng.choice([-1, 1], ss.n))
+            x0[-1] = 0.0
+            res = pc.fixed_point_search(ss, rep, 1, x0, max_iter=60)
+            assert res.converged
+            assert np.linalg.norm(res.x_hat - anchor) < 1e-12 * np.linalg.norm(anchor)

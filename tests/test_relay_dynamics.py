@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from conftest import make_brl_plant
+from conftest import named_plant
 from relayosc import relay_dynamics as rd
 from relayosc.errors import InvalidStartError, NoCrossingError
 from relayosc.plant import StateSpace, parse_plant, realize
@@ -287,15 +287,6 @@ class TestSingularPlant:
         assert abs(x[1]) < 1e-9
 
 
-def _kernel_plant(name, request):
-    if name.startswith("brl"):
-        n = int(name[3:])
-        return realize(make_brl_plant(np.random.default_rng(100 + n), n))
-    if name == "origin":
-        return realize(parse_plant([1], [0, 1, 2]))  # 1/(s (s+1)^2)
-    return request.getfixturevalue(name)[1]
-
-
 def _ref_state(ss, s, x, t):
     """x' = A x - s B from x, by scipy's expm of [[A, -s B], [0, 0]]."""
     n = ss.n
@@ -326,7 +317,7 @@ class TestOneKernel:
     @pytest.mark.parametrize("name", PLANTS)
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_exit_event_matches_reference(self, name, sign, request):
-        ss = _kernel_plant(name, request)
+        ss = named_plant(name, request)
         sys_ = RelaySystem(ss)
         rng = np.random.default_rng(7)
         for _ in range(3):
@@ -341,8 +332,30 @@ class TestOneKernel:
             assert ev.t == tau and ev.incoming_sign == sign
 
     @pytest.mark.parametrize("name", PLANTS)
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_exit_propagator_matches_expm(self, name, sign, request):
+        ss = named_plant(name, request)
+        sys_ = RelaySystem(ss)
+        rng = np.random.default_rng(8)
+        starts = [rng.standard_normal(ss.n) for _ in range(3)]
+        for x in starts:
+            x[-1] = sign * (0.1 + abs(x[-1]))
+        # just off the plane and heading back: the exit lies in the first
+        # node interval, where the node exponential is the identity
+        w = ss.A.T @ ss.C
+        w[-1] = 0.0
+        x = -sign * (abs(float(ss.C @ ss.B)) + 1.0) / float(ss.C @ ss.A @ w) * w
+        x[-1] = sign * 1e-3
+        starts.append(x)
+        for x in starts:
+            tau, _, _, path = sys_.exit_event(x, sign, with_path=True)
+            ref = scipy.linalg.expm(ss.A * tau)
+            assert np.linalg.norm(path.expAt(tau) - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert 0.0 < tau < sys_.flow.node_step
+
+    @pytest.mark.parametrize("name", PLANTS)
     def test_state_both_signs(self, name, request):
-        ss = _kernel_plant(name, request)
+        ss = named_plant(name, request)
         flow = RelaySystem(ss).flow
         x = np.random.default_rng(3).standard_normal(ss.n)
         for s in (+1, -1):
