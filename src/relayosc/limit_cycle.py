@@ -345,6 +345,7 @@ def monodromy_floquet(ss: StateSpace, gamma: float, orbit_hint: OrbitCandidate,
         z, tau = _shoot_half_period(ss, g, z, tau, rel_tol, abs_tol)
 
     A, B, C = ss.A, ss.B, ss.C
+    BC = np.outer(B, C)
     T = 2.0 * tau
 
     def aug_rhs(t, w):
@@ -353,7 +354,7 @@ def monodromy_floquet(ss: StateSpace, gamma: float, orbit_hint: OrbitCandidate,
         y = float(C @ zz)
         arg = gamma * y
         c = gamma / math.cosh(arg) ** 2 if abs(arg) < 350.0 else 0.0
-        M = A - c * np.outer(B, C)
+        M = A - c * BC
         dz = A @ zz - B * math.tanh(arg)
         return np.concatenate([dz, (M @ Phi).ravel(), [c]])
 

@@ -9,6 +9,7 @@ design envelope is small dense systems (n <= 20).
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -24,12 +25,18 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues/eigenvectors of a square matrix with a diagonalizability
-    verdict (smallest singular value of V above 1e-10 of the largest)."""
+    """Eigenvalues/eigenvectors of a square matrix, or of each matrix of a
+    stack, with a diagonalizability verdict (smallest singular value of V
+    above 1e-10 of the largest).
+
+    For a stack of shape (m, n, n) the fields are stacked too:
+    ``eigenvalues`` (m, n), ``eigenvectors`` (m, n, n) and
+    ``is_diagonalizable`` a bool array of length m.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    is_diagonalizable: bool
+    is_diagonalizable: bool | np.ndarray
 
 
 def expm(M: np.ndarray, t=1.0) -> np.ndarray:
@@ -51,27 +58,57 @@ def expm(M: np.ndarray, t=1.0) -> np.ndarray:
 
 
 def eigendecompose(M: np.ndarray) -> EigenDecomposition:
-    """Dense nonsymmetric eigendecomposition with unit-normalized columns."""
+    """Dense nonsymmetric eigendecomposition with unit-normalized columns.
+
+    ``M`` is one matrix or a stack of them; a stack costs one LAPACK call
+    per routine (numpy loops over it in C) and gives each matrix the same
+    values, bit for bit, as a call on that matrix alone.
+    """
     M = np.asarray(M, dtype=float)
     lam, V = np.linalg.eig(M)
-    norms = np.linalg.norm(V, axis=0)
-    V = V / norms
-    sv = np.linalg.svd(V, compute_uv=False)
-    diagonalizable = bool(sv[-1] > 1e-10 * sv[0])
+    V, sv = _unit_columns(lam, V)
+    diagonalizable = sv[..., -1] > 1e-10 * sv[..., 0]
+    if M.ndim == 2:
+        diagonalizable = bool(diagonalizable)
     return EigenDecomposition(lam, V, diagonalizable)
 
 
-def bauer_fike(e: EigenDecomposition) -> float:
+def bauer_fike(e: EigenDecomposition) -> float | np.ndarray:
     """2-norm condition number of the (unit-column) eigenvector matrix.
 
     This bounds the sensitivity of the computed eigenvalues; it is >= 1 and
-    equals 1 exactly for normal matrices.
+    equals 1 exactly for normal matrices.  For a stacked decomposition it
+    returns one value per matrix, inf where the matrix is not
+    diagonalizable; a single non-diagonalizable matrix raises ValueError.
     """
-    if not e.is_diagonalizable:
-        raise ValueError("non-diagonalizable: eigenvector matrix is singular")
-    V = e.eigenvectors / np.linalg.norm(e.eigenvectors, axis=0)
-    sv = np.linalg.svd(V, compute_uv=False)
-    return float(sv[0] / sv[-1])
+    _, sv = _unit_columns(e.eigenvalues, e.eigenvectors)
+    if sv.ndim == 1:
+        if not e.is_diagonalizable:
+            raise ValueError("non-diagonalizable: eigenvector matrix is singular")
+        return float(sv[0] / sv[-1])
+    return np.where(e.is_diagonalizable, sv[:, 0] / sv[:, -1], math.inf)
+
+
+def _unit_columns(lam: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``V`` with its columns scaled to unit 2-norm, and its singular values.
+
+    ``np.linalg.eig`` of a stack returns complex vectors for every matrix
+    as soon as one matrix has a complex spectrum; the matrices with a real
+    spectrum are then scaled and decomposed in real arithmetic, as a call
+    on each alone does, so that a stack gives the values of its members.
+    """
+    def scaled(V):
+        V = V / np.linalg.norm(V, axis=-2, keepdims=True)
+        return V, np.linalg.svd(V, compute_uv=False)
+
+    if V.ndim == 2 or not np.iscomplexobj(V):
+        return scaled(V)
+    real = ~lam.imag.any(axis=-1)
+    out, sv = np.empty_like(V), np.empty(V.shape[:-1])
+    for part, cast in ((real, np.real), (~real, np.asarray)):
+        if part.any():
+            out[part], sv[part] = scaled(cast(V[part]))
+    return out, sv
 
 
 def _brent(f, a, b, fa, fb, f_tol, max_iter=200):
@@ -262,10 +299,15 @@ def integrate_adaptive(
     method: str = "DOP853",
     max_step: float = np.inf,
     dense_output: bool = True,
+    t_eval: np.ndarray | None = None,
 ):
     """Adaptive embedded Runge-Kutta integration with dense output.
 
     Thin contract wrapper around scipy's solve_ivp (RK45/DOP853 pairs).
+    With ``t_eval`` the states at those times are returned in ``y``; with
+    ``dense_output=False`` as well, DOP853 builds its interpolant only on
+    the steps that hold one of them, and saves the three right-hand-side
+    evaluations it costs on every other step.
     Raises StiffnessError when the step controller gives up, which for the
     smooth relay approximation usually means the gain is too large for the
     requested tolerance.
@@ -280,6 +322,7 @@ def integrate_adaptive(
         rtol=rel_tol,
         atol=abs_tol,
         dense_output=dense_output,
+        t_eval=t_eval,
         max_step=max_step,
     )
     if not sol.success and sol.status == -1:

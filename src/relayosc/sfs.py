@@ -29,6 +29,13 @@ OMEGA_HOPF_TOL = 1e-6
 #: Refinement target on |Re lambda| at a crossing.
 CROSSING_RE_TOL = 1e-9
 
+#: Eigen-evaluations (one closed-loop matrix each) that one
+#: hyperbolicity_check may make before it gives up.
+HYPERBOLICITY_BUDGET = 1 << 16
+
+#: Subdivision midpoints evaluated per stacked eigen call.
+_MIDPOINT_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class SfsConfig:
@@ -95,7 +102,9 @@ def sfs_field(ss: StateSpace, gamma: float):
     A, B, C = ss.A, ss.B, ss.C
 
     def rhs(t, z):
-        return A @ z - B * math.tanh(gamma * float(C @ z))
+        out = A.dot(z)
+        out -= B * math.tanh(gamma * C.dot(z))
+        return out
 
     return rhs
 
@@ -111,12 +120,16 @@ def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float,
         (0.0, t_end), cfg.rel_tol, cfg.abs_tol, dense_output=dense_output)
 
 
-def closed_loop_matrix(ss: StateSpace, gamma: float) -> np.ndarray:
-    """Companion matrix A - gamma B C of the linearization at the origin."""
-    return ss.A - gamma * np.outer(ss.B, ss.C)
+def closed_loop_matrix(ss: StateSpace, gamma) -> np.ndarray:
+    """Companion matrix A - gamma B C of the linearization at the origin;
+    an array of gains gives the stack of matrices, one per gain."""
+    gamma = np.asarray(gamma, dtype=float)
+    return ss.A - gamma[..., None, None] * np.outer(ss.B, ss.C)
 
 
-def closed_loop_eigenvalues(ss: StateSpace, gamma: float) -> np.ndarray:
+def closed_loop_eigenvalues(ss: StateSpace, gamma) -> np.ndarray:
+    """Eigenvalues of A - gamma B C; an array of gains gives one row per
+    gain from a single stacked LAPACK call."""
     return np.linalg.eigvals(closed_loop_matrix(ss, gamma))
 
 
@@ -150,10 +163,9 @@ def root_locus(ss: StateSpace, gamma_max: float = 1e3, points: int = 400,
         raise ValueError("points must be >= 10")
     grid = np.geomspace(gamma_min, gamma_max, points)
     n = ss.n
-    tracks = np.empty((points, n), dtype=complex)
-    tracks[0] = closed_loop_eigenvalues(ss, grid[0])
+    tracks = closed_loop_eigenvalues(ss, grid).astype(complex)
     for i in range(1, points):
-        tracks[i] = _pair_tracks(tracks[i - 1], closed_loop_eigenvalues(ss, grid[i]))
+        tracks[i] = _pair_tracks(tracks[i - 1], tracks[i])
 
     raw: list[Crossing] = []
     for j in range(n):
@@ -205,11 +217,8 @@ def root_locus(ss: StateSpace, gamma_max: float = 1e3, points: int = 400,
                          crossings=tuple(final))
 
 
-def _tail_amplitude(ss: StateSpace, sol, window: float = 0.2):
-    """Output amplitude statistics over the trailing window of a simulation."""
-    t0, t1 = sol.t[0], sol.t[-1]
-    ts = np.linspace(t1 - window * (t1 - t0), t1, 2000)
-    ys = ss.C @ sol.sol(ts)
+def _tail_amplitude(ys: np.ndarray):
+    """Output amplitude statistics of samples over the trailing window."""
     crossings = int(np.sum(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0))
     return float(np.max(np.abs(ys))), float(np.mean(ys)), crossings
 
@@ -223,8 +232,10 @@ def hopf_classify(ss: StateSpace, scan: RootLocusScan,
     critical gain from a small initial state.  A bounded small-amplitude
     steady oscillation is supercritical evidence; settling on a nonzero
     equilibrium or a large/unbounded response is subcritical evidence;
-    anything else stays undetermined.  Real-axis crossings (possible only
-    with a negative leading numerator constant) are reported alongside.
+    anything else stays undetermined.  Real-axis crossings are reported
+    alongside: the closed-loop constant coefficient a0 + gamma b0 vanishes
+    at gamma = -a0 / b0, kept when positive, merged with any real crossing
+    the scan found.
 
     Raises
     ------
@@ -238,18 +249,12 @@ def hopf_classify(ss: StateSpace, scan: RootLocusScan,
 
     a0 = float(-ss.A[0, -1])
     b0 = float(ss.B[0])
-    if b0 >= 0:
-        # positive-DC-gain guard: a0 + gamma b0 > 0 for all gamma >= 0
-        assert a0 > 0, "stable plant must have a0 > 0"
-        pitchforks: tuple[float, ...] = ()
-    else:
-        g_real = -a0 / b0
-        scanned = tuple(round(c.gamma0, 9) for c in scan.crossings if c.kind == "real")
-        pitchforks = (g_real,) if g_real > 0 else ()
-        # keep any additional scanned real crossings not matching the closed form
-        for g in scanned:
-            if all(abs(g - p) > 1e-6 * max(1.0, g) for p in pitchforks):
-                pitchforks = pitchforks + (g,)
+    g_real = -a0 / b0 if b0 != 0.0 else 0.0
+    pitchforks: tuple[float, ...] = (g_real,) if g_real > 0 else ()
+    # keep any additional scanned real crossings not matching the closed form
+    for g in (round(c.gamma0, 9) for c in scan.crossings if c.kind == "real"):
+        if all(abs(g - p) > 1e-6 * max(1.0, g) for p in pitchforks):
+            pitchforks = pitchforks + (g,)
 
     votes: list[str] = []
     evidence = {}
@@ -262,9 +267,11 @@ def hopf_classify(ss: StateSpace, scan: RootLocusScan,
         growth = max(growth, 1e-4)
         # time for ||z|| to grow from init_norm to order one, with margin
         t_end = min(max(100.0, 4.0 * math.log(1.0 / init_norm) / growth), 2e4)
-        cfg = SfsConfig(gamma=gamma, rel_tol=1e-9, abs_tol=1e-12)
-        sol = simulate_sfs(ss, cfg, x0, t_end)
-        amp, mean, ncross = _tail_amplitude(ss, sol)
+        # sampled on the trailing fifth only: no dense output elsewhere
+        tail = np.linspace(t_end - 0.2 * t_end, t_end, 2000)
+        sol = numerics.integrate_adaptive(sfs_field(ss, gamma), x0, (0.0, t_end),
+                                          1e-9, 1e-12, dense_output=False, t_eval=tail)
+        amp, mean, ncross = _tail_amplitude(ss.C @ sol.y)
         if not np.isfinite(amp) or amp > 1e6:
             votes.append("subcritical")
         elif ncross >= 4 and amp < amp_small:
@@ -336,31 +343,48 @@ def hyperbolicity_check(ss: StateSpace, gamma_max: float = 1e3,
     witness instead.  Near-defective gains are accepted on sufficiently
     small intervals with positive margins (the estimate, not a proof, is
     what a grid certificate can offer there).
+
+    The grid is evaluated with one stacked eigendecomposition.  The
+    subdivision keeps a depth-first stack of open intervals and pops up to
+    256 of them at a time, evaluating their midpoints in one stacked call,
+    so a certified result evaluates the same gains as one midpoint at a
+    time would.  A witness found during subdivision is the first failing
+    midpoint of its chunk in pop order.
+
+    Raises
+    ------
+    RelayOscError
+        The check needs more than ``HYPERBOLICITY_BUDGET`` eigen-evaluations
+        (each interval closes only at a width of 1e-9 gamma_max when the
+        eigenvector condition number is large along the whole axis).
     """
     norm_B = float(np.linalg.norm(ss.B))
+    evaluations = 0
 
-    def margin_and_lip(kappa: float):
-        M = closed_loop_matrix(ss, kappa)
-        e = numerics.eigendecompose(M)
-        margin = -float(e.eigenvalues.real.max())
-        if e.is_diagonalizable:
-            lip = numerics.bauer_fike(e) * norm_B
-        else:
-            lip = math.inf
-        return margin, lip, e.eigenvalues
+    def margins_and_lips(kappas: np.ndarray):
+        nonlocal evaluations
+        evaluations += len(kappas)
+        if evaluations > HYPERBOLICITY_BUDGET:
+            raise RelayOscError(
+                f"hyperbolicity check on [0, {gamma_max:g}] exceeds its budget of "
+                f"HYPERBOLICITY_BUDGET = {HYPERBOLICITY_BUDGET} eigen-evaluations")
+        e = numerics.eigendecompose(closed_loop_matrix(ss, kappas))
+        margins = -e.eigenvalues.real.max(axis=-1)
+        lips = numerics.bauer_fike(e) * norm_B  # inf where not diagonalizable
+        return margins.tolist(), lips.tolist(), e.eigenvalues
 
     kappas = np.linspace(0.0, gamma_max, samples + 1)
-    vals = [margin_and_lip(k) for k in kappas]
-    for i, (k, (m, _, lam)) in enumerate(zip(kappas, vals)):
+    margins, lips, lams = margins_and_lips(kappas)
+    for i, (k, m) in enumerate(zip(kappas, margins)):
         if m <= 0.0:
             # bisect back to the stability boundary so the witness sits at
             # the first non-Hurwitz gain rather than at a coarse grid point
-            if i > 0 and vals[i - 1][0] > 0.0:
+            if i > 0 and margins[i - 1] > 0.0:
                 lo, hi = float(kappas[i - 1]), float(k)
-                lam_hi = lam
+                lam_hi = lams[i]
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    m_mid, _, lam_mid = margin_and_lip(mid)
+                    (m_mid,), _, (lam_mid,) = margins_and_lips(np.array([mid]))
                     if m_mid <= 0.0:
                         hi, lam_hi = mid, lam_mid
                     else:
@@ -368,24 +392,33 @@ def hyperbolicity_check(ss: StateSpace, gamma_max: float = 1e3,
                     if hi - lo <= 1e-9 * max(1.0, hi):
                         break
                 return HyperbolicityResult(False, hi, tuple(lam_hi))
-            return HyperbolicityResult(False, float(k), tuple(lam))
+            return HyperbolicityResult(False, float(k), tuple(lams[i]))
 
     # certify each interval, subdividing adaptively
-    stack = [(float(kappas[i]), float(kappas[i + 1]),
-              vals[i][:2], vals[i + 1][:2]) for i in range(samples)]
+    ends = list(zip(kappas.tolist(), margins, lips))
+    stack = list(zip(ends[:-1], ends[1:]))
     min_width = max(gamma_max * 1e-9, 1e-12)
     while stack:
-        lo, hi, (mlo, llo), (mhi, lhi) = stack.pop()
-        width = hi - lo
-        lip = max(llo, lhi)
-        if np.isfinite(lip) and min(mlo, mhi) > width * lip:
-            continue
-        if width <= min_width and min(mlo, mhi) > 0:
-            continue  # margin certificate at estimate resolution
-        mid = 0.5 * (lo + hi)
-        m, l, lam = margin_and_lip(mid)
-        if m <= 0.0:
-            return HyperbolicityResult(False, float(mid), tuple(lam))
-        stack.append((lo, mid, (mlo, llo), (m, l)))
-        stack.append((mid, hi, (m, l), (mhi, lhi)))
+        chunk = []
+        while stack and len(chunk) < _MIDPOINT_CHUNK:
+            (lo, mlo, llo), (hi, mhi, lhi) = interval = stack.pop()
+            width = hi - lo
+            lip = max(llo, lhi)
+            if math.isfinite(lip) and min(mlo, mhi) > width * lip:
+                continue
+            if width <= min_width and min(mlo, mhi) > 0:
+                continue  # margin certificate at estimate resolution
+            chunk.append(interval)
+        if not chunk:
+            break
+        mids = [0.5 * (lo + hi) for (lo, _, _), (hi, _, _) in chunk]
+        margins, lips, lams = margins_and_lips(np.array(mids))
+        for mid, m, lam in zip(mids, margins, lams):
+            if m <= 0.0:
+                return HyperbolicityResult(False, mid, tuple(lam))
+        # push in reverse, so that the first interval popped is split first
+        ends = list(zip(mids, margins, lips))
+        for (left, right), mid in zip(chunk[::-1], ends[::-1]):
+            stack.append((left, mid))
+            stack.append((mid, right))
     return HyperbolicityResult(True)

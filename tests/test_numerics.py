@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_stable_plant
+from conftest import make_brl_plant, make_stable_plant
 from relayosc import numerics
 from relayosc.errors import NoCrossingError
 from relayosc.plant import realize
@@ -86,6 +86,55 @@ class TestBauerFike:
                 continue
             res = M @ e.eigenvectors - e.eigenvectors @ np.diag(e.eigenvalues)
             assert np.abs(res).max() <= 1e-8 * max(1.0, np.abs(M).max())
+
+
+def _closed_loop_stacks(request):
+    """Stacks of A - g B C over 60 gains for the fixtures and for
+    make_brl_plant draws at n = 6 and 10 (real and complex spectra mixed)."""
+    plants = [request.getfixturevalue(name)[1]
+              for name in ("second_order", "third_order", "third_order_brl")]
+    plants += [realize(make_brl_plant(np.random.default_rng(seed), n))
+               for n in (6, 10) for seed in (1, 2)]
+    gains = np.concatenate(([0.0], np.geomspace(1e-2, 1e3, 59)))
+    return [ss.A - gains[:, None, None] * np.outer(ss.B, ss.C) for ss in plants]
+
+
+class TestStackedEigen:
+    def _assert_stack_matches(self, S):
+        e = numerics.eigendecompose(S)
+        bf = numerics.bauer_fike(e)
+        assert e.is_diagonalizable.dtype == bool and e.is_diagonalizable.shape == (len(S),)
+        for i, M in enumerate(S):
+            one = numerics.eigendecompose(M)
+            assert np.array_equal(e.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(e.eigenvectors[i], one.eigenvectors)
+            assert e.is_diagonalizable[i] == one.is_diagonalizable
+            if one.is_diagonalizable:
+                assert bf[i] == numerics.bauer_fike(one)
+            else:
+                assert bf[i] == np.inf
+
+    def test_closed_loop_stacks_bit_identical(self, request):
+        for S in _closed_loop_stacks(request):
+            self._assert_stack_matches(S)
+
+    def test_real_complex_and_defective_members(self):
+        rng = np.random.default_rng(11)
+        general = rng.standard_normal((8, 5, 5))           # complex spectra
+        triangular = np.triu(rng.standard_normal((8, 5, 5)))  # real spectra
+        mixed = np.concatenate([general, triangular])[rng.permutation(16)]
+        for S in (general, triangular, mixed):
+            self._assert_stack_matches(S)
+        defective = np.array([[[1.0, 1.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]])
+        e = numerics.eigendecompose(defective)
+        assert e.is_diagonalizable.tolist() == [False, True]
+        assert numerics.bauer_fike(e)[0] == np.inf
+
+    def test_single_matrix_fields_unstacked(self):
+        e = numerics.eigendecompose(np.diag([1.0, 2.0]))
+        assert type(e.is_diagonalizable) is bool
+        assert e.eigenvalues.shape == (2,) and e.eigenvalues.dtype == float
+        assert type(numerics.bauer_fike(e)) is float
 
 
 def grid_blocks(f, t_start, h, size=64):
@@ -181,3 +230,15 @@ class TestIntegrateAdaptive:
     def test_bad_tolerances(self):
         with pytest.raises(ValueError):
             numerics.integrate_adaptive(lambda t, x: -x, [1.0], (0.0, 1.0), -1e-9, 1e-12)
+
+    def test_t_eval_without_dense_output(self):
+        rhs = lambda t, z: np.array([z[1], -z[0]])
+        ts = np.linspace(15.0, 20.0, 200)
+        dense = numerics.integrate_adaptive(rhs, [1.0, 0.0], (0.0, 20.0), 1e-9, 1e-12)
+        sampled = numerics.integrate_adaptive(rhs, [1.0, 0.0], (0.0, 20.0), 1e-9, 1e-12,
+                                              dense_output=False, t_eval=ts)
+        assert sampled.sol is None
+        assert np.array_equal(sampled.t, ts)
+        assert np.abs(sampled.y - dense.sol(ts)).max() <= 1e-14
+        assert np.abs(sampled.y[0] - np.cos(ts)).max() < 1e-7
+        assert sampled.nfev < dense.nfev

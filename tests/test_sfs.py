@@ -1,11 +1,83 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_stable_plant
-from relayosc import sfs
+from conftest import make_brl_plant, make_stable_plant
+from relayosc import numerics, sfs
 from relayosc.errors import RelayOscError
 from relayosc.plant import parse_plant, realize
+
+#: (s^2 + s + 125) / (s^3 + 3 s^2 + 100 s + 179.25): the Routh product
+#: (3 + g)(100 + g) - (179.25 + 125 g) = (g - 10.5)(g - 11.5) is negative on
+#: (10.5, 11.5) only, so the closed loop is unstable on that window alone.
+WINDOW_PLANT = ([125.0, 1.0, 1.0], [179.25, 100.0, 3.0])
+
+
+def count_evaluations(monkeypatch):
+    """Wrap numerics.eigendecompose; the list holds the number of matrices
+    of each call."""
+    sizes = []
+    original = numerics.eigendecompose
+
+    def counting(M):
+        M = np.asarray(M)
+        sizes.append(1 if M.ndim == 2 else len(M))
+        return original(M)
+
+    monkeypatch.setattr(numerics, "eigendecompose", counting)
+    return sizes
+
+
+def per_gain_hyperbolicity(ss, gamma_max, samples):
+    """The check evaluated one gain at a time with a plain depth-first
+    stack; returns (hurwitz, witness gain, witness eigenvalues, evaluations)."""
+    norm_B = float(np.linalg.norm(ss.B))
+    count = 0
+
+    def at(kappa):
+        nonlocal count
+        count += 1
+        e = numerics.eigendecompose(ss.A - kappa * np.outer(ss.B, ss.C))
+        lip = numerics.bauer_fike(e) * norm_B if e.is_diagonalizable else math.inf
+        return -float(e.eigenvalues.real.max()), lip, e.eigenvalues
+
+    kappas = np.linspace(0.0, gamma_max, samples + 1)
+    vals = [at(float(k)) for k in kappas]
+    for i, (m, _, lam) in enumerate(vals):
+        if m > 0.0:
+            continue
+        if i == 0 or vals[i - 1][0] <= 0.0:
+            return False, float(kappas[i]), tuple(lam), count
+        lo, hi, lam_hi = float(kappas[i - 1]), float(kappas[i]), lam
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            m_mid, _, lam_mid = at(mid)
+            if m_mid <= 0.0:
+                hi, lam_hi = mid, lam_mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-9 * max(1.0, hi):
+                break
+        return False, hi, tuple(lam_hi), count
+    stack = [(float(kappas[i]), float(kappas[i + 1]), vals[i][:2], vals[i + 1][:2])
+             for i in range(samples)]
+    min_width = max(gamma_max * 1e-9, 1e-12)
+    while stack:
+        lo, hi, (mlo, llo), (mhi, lhi) = stack.pop()
+        lip = max(llo, lhi)
+        if np.isfinite(lip) and min(mlo, mhi) > (hi - lo) * lip:
+            continue
+        if hi - lo <= min_width and min(mlo, mhi) > 0:
+            continue
+        mid = 0.5 * (lo + hi)
+        m, l, lam = at(mid)
+        if m <= 0.0:
+            return False, mid, tuple(lam), count
+        stack.append((lo, mid, (mlo, llo), (m, l)))
+        stack.append((mid, hi, (m, l), (mhi, lhi)))
+    return True, None, None, count
 
 
 class TestSimulateSfs:
@@ -35,9 +107,13 @@ class TestSimulateSfs:
         rng = np.random.default_rng(9)
         for _ in range(20):
             ss = realize(make_stable_plant(rng))
-            rhs = sfs.sfs_field(ss, gamma=float(rng.uniform(0.5, 100)))
+            gamma = float(rng.uniform(0.5, 100))
+            rhs = sfs.sfs_field(ss, gamma=gamma)
             x = rng.standard_normal(ss.n)
             assert np.allclose(rhs(0.0, -x), -np.asarray(rhs(0.0, x)), atol=1e-12)
+            # bit for bit the textbook expression
+            expected = ss.A @ x - ss.B * math.tanh(gamma * float(ss.C @ x))
+            assert np.array_equal(rhs(0.0, x), expected)
 
     def test_bad_inputs(self, second_order):
         _, ss = second_order
@@ -95,6 +171,55 @@ class TestRootLocus:
                 resid = z**2 + (5 - g) * z + (6 + g)
                 assert abs(resid) < 1e-8 * max(1.0, abs(z) ** 2)
 
+    @pytest.mark.parametrize("name", ["second_order", "third_order", "third_order_brl",
+                                      "brl6", "pitchfork"])
+    def test_matches_per_gain_reference(self, name, request, monkeypatch):
+        if name == "brl6":
+            ss = realize(make_brl_plant(np.random.default_rng(3), 6))
+        elif name == "pitchfork":
+            ss = realize(parse_plant([-2, 0.5, -1], [6, 11, 6]))
+        else:
+            ss = request.getfixturevalue(name)[1]
+        scan = sfs.root_locus(ss, 1e3, 400)
+
+        def per_gain(ss, gamma):
+            return np.linalg.eigvals(ss.A - gamma * np.outer(ss.B, ss.C))
+
+        grid = np.geomspace(1e-2, 1e3, 400)
+        tracks = np.empty((400, ss.n), dtype=complex)
+        tracks[0] = per_gain(ss, grid[0])
+        for i in range(1, 400):
+            tracks[i] = sfs._pair_tracks(tracks[i - 1], per_gain(ss, grid[i]))
+        assert np.array_equal(scan.gamma_grid, grid)
+        assert np.array_equal(scan.eigen_tracks, tracks)
+        assert np.array_equal(np.signbit(scan.eigen_tracks.imag), np.signbit(tracks.imag))
+        # the crossings, with every eigenvalue evaluated one gain at a time
+        def per_gain_rows(ss, gamma):
+            if np.ndim(gamma) == 0:
+                return per_gain(ss, gamma)
+            return np.array([per_gain(ss, g) for g in gamma], dtype=complex)
+
+        monkeypatch.setattr(sfs, "closed_loop_eigenvalues", per_gain_rows)
+        assert scan.crossings == sfs.root_locus(ss, 1e3, 400).crossings
+
+    @pytest.mark.parametrize("num, den, crossings", [([1], [1, 2], 0), ([1, -1], [6, 5], 1)])
+    def test_grid_is_one_stacked_call(self, num, den, crossings, monkeypatch):
+        ss = realize(parse_plant(num, den))
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counting(M):
+            shapes.append(np.shape(M))
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        scan = sfs.root_locus(ss, 1e3, 400)
+        assert len(scan.crossings) == crossings
+        assert [s for s in shapes if len(s) == 3] == [(400, ss.n, ss.n)]
+        assert all(s == (ss.n, ss.n) for s in shapes[1:])
+        if crossings == 0:
+            assert len(shapes) == 1
+
     def test_pitchfork_then_hopf_both_detected(self):
         # negative DC gain plant with a later complex crossing
         ss = realize(parse_plant([-2, 0.5, -1], [6, 11, 6]))
@@ -125,6 +250,36 @@ class TestHopfClassify:
         assert rep.pitchfork_gammas[0] == pytest.approx(3.0, rel=1e-9)
         assert rep.kind in ("subcritical", "undetermined")
         assert rep.kind == "subcritical"
+
+    def test_pole_at_origin_positive_dc_numerator(self):
+        # (1 - s) / (s (s + 1) (s + 2)): a0 = 0, b0 = 1, so the closed-form
+        # pitchfork gain -a0/b0 is not positive; the Hopf point is
+        # gamma0 = 1.5, omega0 = 1/sqrt(2) (Routh: 3 (2 - g) = g)
+        ss = realize(parse_plant([1, -1], [0, 2, 3]))
+        scan = sfs.root_locus(ss, 1e3, 400)
+        rep = sfs.hopf_classify(ss, scan)
+        assert rep.gamma0 == pytest.approx(1.5, rel=1e-6)
+        assert rep.omega0 == pytest.approx(1 / np.sqrt(2), rel=1e-6)
+        assert rep.kind == "supercritical"
+        assert rep.pitchfork_gammas == ()
+
+    def test_tail_samples_match_dense_output(self, second_order):
+        # the run samples its trailing window through t_eval; a dense run
+        # interpolated at the same times gives the same statistics
+        _, ss = second_order
+        scan = sfs.root_locus(ss, 1e3, 400)
+        rep = sfs.hopf_classify(ss, scan, (0.2,))
+        ev = rep.evidence["delta=0.2"]
+        cfg = sfs.SfsConfig(gamma=ev["gamma"])
+        x0 = np.random.Generator(np.random.Philox(12345)).standard_normal(ss.n)
+        x0 *= 1e-3 / np.linalg.norm(x0)
+        growth = max(float(sfs.closed_loop_eigenvalues(ss, ev["gamma"]).real.max()), 1e-4)
+        t_end = min(max(100.0, 4.0 * np.log(1e3) / growth), 2e4)
+        sol = sfs.simulate_sfs(ss, cfg, x0, t_end)
+        ys = ss.C @ sol.sol(np.linspace(t_end - 0.2 * t_end, t_end, 2000))
+        assert ev["tail_amplitude"] == float(np.max(np.abs(ys)))
+        assert ev["tail_crossings"] == int(np.sum(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0))
+        assert ev["tail_mean"] == pytest.approx(float(np.mean(ys)), rel=1e-9, abs=1e-15)
 
     def test_no_crossing_is_error(self):
         ss = realize(parse_plant([1], [1, 2]))
@@ -182,6 +337,57 @@ class TestHyperbolicity:
         assert not res.hurwitz_everywhere
         assert res.witness_gain == pytest.approx(5.0, abs=1e-3)
         assert max(z.real for z in res.witness_eigenvalues) >= 0
+
+    @pytest.mark.parametrize("gamma_max", [3e2, 1e3])
+    def test_certified_matches_per_gain_reference(self, gamma_max, monkeypatch):
+        # a certified check evaluates the same gains in any order
+        ss = realize(parse_plant([1], [1, 2]))  # 1/(s+1)^2
+        ref = per_gain_hyperbolicity(ss, gamma_max, 400)
+        sizes = count_evaluations(monkeypatch)
+        res = sfs.hyperbolicity_check(ss, gamma_max, 400)
+        assert ref[:3] == (True, None, None)
+        assert (res.hurwitz_everywhere, res.witness_gain, res.witness_eigenvalues) == ref[:3]
+        assert sum(sizes) == ref[3]
+        # one call for the grid, then chunks of at most 256 midpoints: two
+        # orders of magnitude fewer LAPACK calls than gains
+        assert sizes[0] == 401 and max(sizes[1:]) == 256
+        assert len(sizes) <= ref[3] / 100
+
+    def test_grid_witness_matches_per_gain_reference(self, second_order, monkeypatch):
+        _, ss = second_order
+        ref = per_gain_hyperbolicity(ss, 1e3, 400)
+        sizes = count_evaluations(monkeypatch)
+        res = sfs.hyperbolicity_check(ss, 1e3, 400)
+        assert not ref[0]
+        assert (res.hurwitz_everywhere, res.witness_gain, res.witness_eigenvalues) == ref[:3]
+        assert sum(sizes) == ref[3]
+        assert sizes == [401] + [1] * (ref[3] - 401)  # grid, then the bisection
+
+    @pytest.mark.parametrize("chunk", [1, 256])
+    def test_subdivision_witness(self, chunk, monkeypatch):
+        # the window (10.5, 11.5) lies inside the last grid interval
+        # [10, 12.5], which the depth-first stack pops first
+        ss = realize(parse_plant(*WINDOW_PLANT))
+        ref = per_gain_hyperbolicity(ss, 12.5, 5)
+        monkeypatch.setattr(sfs, "_MIDPOINT_CHUNK", chunk)
+        sizes = count_evaluations(monkeypatch)
+        res = sfs.hyperbolicity_check(ss, 12.5, 5)
+        assert ref[:2] == (False, 11.25) and ref[3] == 7
+        assert (res.hurwitz_everywhere, res.witness_gain, res.witness_eigenvalues) == ref[:3]
+        # one midpoint per call is the depth-first order exactly; a chunk
+        # evaluates the midpoints of all five open intervals at once
+        assert sizes == ([6, 1] if chunk == 1 else [6, 5])
+
+    def test_budget_bounds_the_work(self, monkeypatch):
+        # cond(V) is 2-4e9 along [0, 1] for this draw, so intervals close
+        # only at the 1e-9 gamma_max width floor (about 8e8 evaluations)
+        ss = realize(make_brl_plant(np.random.default_rng(4), 10))
+        monkeypatch.setattr(sfs, "HYPERBOLICITY_BUDGET", 2048)
+        sizes = count_evaluations(monkeypatch)
+        with pytest.raises(RelayOscError, match="HYPERBOLICITY_BUDGET = 2048"):
+            sfs.hyperbolicity_check(ss, 1.0, 400)
+        # the raise comes before the chunk that would pass the budget
+        assert 2048 - 256 < sum(sizes) <= 2048
 
     def test_gain_zero_endpoint_is_open_loop(self, second_order):
         _, ss = second_order
