@@ -4,37 +4,27 @@ Replacing sign(y) with tanh(gamma y) turns the discontinuous loop into the
 smooth family  z' = A z - B tanh(gamma C z)  with the gain gamma as the
 bifurcation parameter.  The origin is an equilibrium for every gamma; its
 linearization A - gamma B C is again a companion matrix, with closed-loop
-characteristic polynomial  lambda^n + sum (a_i + gamma b_i) lambda^i.  This
-module scans the eigenvalue root locus over gamma, detects and refines
-imaginary-axis crossings, classifies the resulting bifurcations empirically,
-evaluates the second-harmonic describing-function locus at a crossing, and
-certifies hyperbolicity of the whole family when no crossing exists.
+characteristic polynomial  den(s) + gamma num(s).  This module computes the
+imaginary-axis crossings of its roots exactly (Sturm sequences in rational
+arithmetic on the float coefficients, which are dyadic rationals), scans
+the eigenvalue root locus over gamma, classifies the resulting bifurcations
+empirically, evaluates the second-harmonic describing-function locus at a
+crossing, and proves hyperbolicity of the whole family by zero exclusion
+when no crossing exists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from . import numerics
 from .errors import RelayOscError
 from .plant import StateSpace, TransferFunction
-
-#: Crossings with |omega| below this are real-axis (pitchfork-type); above,
-#: oscillatory (Hopf-type).
-OMEGA_HOPF_TOL = 1e-6
-
-#: Refinement target on |Re lambda| at a crossing.
-CROSSING_RE_TOL = 1e-9
-
-#: Eigen-evaluations (one closed-loop matrix each) that one
-#: hyperbolicity_check may make before it gives up.
-HYPERBOLICITY_BUDGET = 1 << 16
-
-#: Subdivision midpoints evaluated per stacked eigen call.
-_MIDPOINT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -56,8 +46,8 @@ class Crossing:
 
     gamma0: float
     omega0: float
-    direction: int           # +1 if the branch moves into the RHP as gamma grows
-    multiplicity_parity: int  # 1 for a generic simple pair (odd), else 0
+    direction: int           # +1 into the RHP as gamma grows, -1 out, 0 a touch
+    multiplicity_parity: int  # 1: a sign change, an odd number of branches
     kind: str                 # "hopf" or "real"
 
 
@@ -144,77 +134,166 @@ def _pair_tracks(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     return out
 
 
-def _track_eigen_at(ss: StateSpace, gamma: float, ref: np.ndarray) -> np.ndarray:
-    return _pair_tracks(ref, closed_loop_eigenvalues(ss, gamma))
+# Exact polynomials are ascending lists of Python ints without trailing
+# zeros ([] is zero).  Signs are all that is asked of them, so each one may
+# be replaced by a positive multiple.
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _combine(p: list[int], q: list[int], c: int = 1) -> list[int]:
+    """p + c q."""
+    out = [a + c * b for a, b in zip_longest(p, q, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _sturm(p: list[int], q: list[int]) -> list[list[int]]:
+    """Signed remainder sequence p, q, -rem(p, q), ..., each member made
+    primitive.  Its sign variations at a < b, neither a root of p, count
+    sum sign(r) over the distinct roots of p in (a, b] when q = p' r
+    (Sturm-Tarski; r = 1 is Sturm's theorem)."""
+    seq = [p, q]
+    while seq[-1]:
+        p, q = seq[-2], seq[-1]
+        while len(p) >= len(q):  # pseudo-division by q, scaled by |lead q|
+            p = _combine([abs(q[-1]) * v for v in p], [0] * (len(p) - len(q)) + q,
+                         -_sign(q[-1]) * p[-1])
+        g = math.gcd(*p)
+        seq.append([-v // g for v in p])
+    return seq[:-1]
+
+
+def _value(p: list[int], x: Fraction) -> int:
+    """p(x) times x.denominator ** deg p."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc, scale = acc * x.numerator + c * scale, scale * x.denominator
+    return acc
+
+
+def _variations(seq: list[list[int]], lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of ``seq`` at lo minus those at hi."""
+    def at(x):
+        signs = [s for s in (_sign(_value(p, x)) for p in seq) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return at(lo) - at(hi)
+
+
+def _is_hurwitz(coeffs: list[Fraction]) -> bool:
+    """Exact Routh test of an ascending coefficient list with positive
+    leading coefficient: every first-column entry must be positive."""
+    desc = coeffs[::-1]
+    row, nxt = desc[0::2], desc[1::2]
+    while nxt:
+        if nxt[0] <= 0:
+            return False
+        c = row[0] / nxt[0]
+        row, nxt = nxt, [a - c * b for a, b in zip_longest(row[1:], nxt[1:], fillvalue=0)]
+    return True
+
+
+def _axis_crossings(ss: StateSpace, gamma_max: float) -> list[Crossing]:
+    """Every gain gamma in (0, gamma_max] at which den + gamma num has a root
+    j omega on the imaginary axis, sorted by (gamma, omega).
+
+    With den(j omega) = Dr(x) + j omega Di(x), num(j omega) = Nr(x) +
+    j omega Ni(x) and x = omega^2, Im(den conj num) = omega Q(x) for
+    Q = Di Nr - Dr Ni, and the gain at a root of Q is -P/W for
+    P = Dr Nr + x Di Ni and W = Nr^2 + x Ni^2.  P vanishes where num does,
+    so asking for P < 0 (gamma > 0) also drops the zeros of num on the
+    axis, which are no crossings.  The crossing at omega = 0 is
+    gamma = -a0/b0.  Which side of 0 and of gamma_max a gain lies on is
+    decided exactly; only the reported floats are rounded.  A root where Q
+    keeps its sign is a tangential touch, with direction 0.
+    """
+    den = [Fraction(float(c)) for c in ss.den_coeffs] + [Fraction(1)]
+    num = [Fraction(float(c)) for c in ss.num_coeffs]
+    g_max = Fraction(float(gamma_max))
+    out = []
+    if num[0] != 0 and 0 < (g0 := -den[0] / num[0]) <= g_max:
+        slope = den[1] + g0 * (num[1] if len(num) > 1 else 0)  # p_g0'(0), 0 at a double root
+        out.append(Crossing(float(g0), 0.0, -_sign(num[0] * slope), 1, "real"))
+
+    scale = math.lcm(*(c.denominator for c in den + num))
+    (Dr, Di), (Nr, Ni) = ([_combine([int(c * scale) * (-1) ** (k // 2)
+                                     for k, c in enumerate(p) if k % 2 == r], [])
+                           for r in (0, 1)] for p in (den, num))
+    Q = _combine(_mul(Di, Nr), _mul(Dr, Ni), -1)
+    P = _combine(_mul(Dr, Nr), [0] + _mul(Di, Ni))
+    W = _combine(_mul(Nr, Nr), [0] + _mul(Ni, Ni))
+    while Q and Q[0] == 0:  # x = 0 is the real crossing above
+        Q = Q[1:]
+    if len(Q) < 2:
+        return out  # no positive root (Q = 0: the roots stay on the axis)
+
+    dQ = [k * c for k, c in enumerate(Q)][1:]
+    sturm = _sturm(Q, dQ)
+    positive = _sturm(Q, _mul(dQ, P))
+    within = _sturm(Q, _mul(dQ, _combine(_mul([g_max.denominator], P), W, g_max.numerator)))
+    hi = Fraction(1)
+    while hi <= 1 + Fraction(max(map(abs, Q[:-1])), abs(Q[-1])):  # Cauchy bound
+        hi *= 2
+
+    def split(lo, hi):  # a point of (lo, hi) that is no root of Q
+        mid, step = (lo + hi) / 2, (hi - lo) / 4
+        while _value(Q, mid) == 0:
+            mid, step = mid + step, step / 2
+        return mid
+
+    todo = [(Fraction(0), hi)]
+    while todo:
+        lo, hi = todo.pop()
+        count = _variations(sturm, lo, hi)
+        if count > 1:
+            mid = split(lo, hi)
+            todo += [(mid, hi), (lo, mid)]
+        if (count != 1 or _variations(positive, lo, hi) >= 0
+                or _variations(within, lo, hi) < 0):
+            continue  # not one root, or its gain is not in (0, gamma_max]
+        while hi - lo > lo / 2**60:
+            mid = split(lo, hi)
+            lo, hi = (lo, mid) if _variations(sturm, lo, mid) else (mid, hi)
+        s_lo, s_hi = _sign(_value(Q, lo)), _sign(_value(Q, hi))
+        x = (lo + hi) / 2
+        gain = Fraction(-_value(P, x) * x.denominator ** len(W),
+                        _value(W, x) * x.denominator ** len(P))
+        out.append(Crossing(float(gain), math.sqrt(x), 0 if s_lo == s_hi else -s_hi, 1, "hopf"))
+    return sorted(out, key=lambda c: (c.gamma0, c.omega0))
 
 
 def root_locus(ss: StateSpace, gamma_max: float = 1e3, points: int = 400,
                gamma_min: float = 1e-2) -> RootLocusScan:
-    """Scan closed-loop eigenvalues over a log-spaced gain grid and refine
-    every imaginary-axis crossing.
+    """Closed-loop eigenvalue tracks over a log-spaced gain grid, and the
+    imaginary-axis crossings of the root locus in [gamma_min, gamma_max].
 
-    Each eigenvalue track's real part is monitored for sign changes; a
-    bracketed change is refined by bisection on gamma (tracking the branch
-    by nearest-neighbor matching at each midpoint) until |Re| < 1e-9.
-    Crossings are classified oscillatory (omega0 > 1e-6) or real-axis, and
-    conjugate twins are merged.  An empty crossing list is a valid result.
+    The crossings are computed exactly from the characteristic polynomial
+    (see the module docstring), not from the tracks: kind "real" at
+    omega = 0, "hopf" otherwise, direction +1 when the root moves into the
+    right half plane as gamma grows.  Tangential touches, where the root
+    meets the axis without crossing it, are left out.  The tracks come from
+    one stacked eigenvalue call over the grid, paired between neighbouring
+    gains by nearest neighbour.  An empty crossing list is a valid result.
     """
     if points < 10:
         raise ValueError("points must be >= 10")
     grid = np.geomspace(gamma_min, gamma_max, points)
-    n = ss.n
     tracks = closed_loop_eigenvalues(ss, grid).astype(complex)
     for i in range(1, points):
         tracks[i] = _pair_tracks(tracks[i - 1], tracks[i])
-
-    raw: list[Crossing] = []
-    for j in range(n):
-        re = tracks[:, j].real
-        for i in range(points - 1):
-            if re[i] == 0.0 or re[i] * re[i + 1] >= 0.0:
-                continue
-            glo, ghi = grid[i], grid[i + 1]
-            lam_lo = tracks[i, j]
-            rlo = re[i]
-            for _ in range(200):
-                gm = 0.5 * (glo + ghi)
-                lam_m = _track_eigen_at(ss, gm, np.array([lam_lo]))[0]
-                if abs(lam_m.real) < CROSSING_RE_TOL:
-                    glo = ghi = gm
-                    lam_lo = lam_m
-                    break
-                if (lam_m.real > 0) == (rlo > 0):
-                    glo, lam_lo, rlo = gm, lam_m, lam_m.real
-                else:
-                    ghi = gm
-                if (ghi - glo) <= 1e-15 * max(1.0, ghi):
-                    break
-            g0 = 0.5 * (glo + ghi)
-            lam0 = _track_eigen_at(ss, g0, np.array([lam_lo]))[0]
-            direction = +1 if re[i + 1] > re[i] else -1
-            omega0 = abs(lam0.imag)
-            kind = "hopf" if omega0 > OMEGA_HOPF_TOL else "real"
-            raw.append(Crossing(gamma0=float(g0), omega0=float(omega0),
-                                direction=direction, multiplicity_parity=1,
-                                kind=kind))
-
-    # merge conjugate twins and count branch multiplicity at each crossing
-    merged: list[Crossing] = []
-    for c in sorted(raw, key=lambda c: (c.gamma0, c.omega0)):
-        dup = next((m for m in merged
-                    if abs(m.gamma0 - c.gamma0) <= 1e-6 * max(1.0, c.gamma0)
-                    and abs(m.omega0 - c.omega0) <= 1e-6 * max(1.0, c.omega0)), None)
-        if dup is None:
-            merged.append(c)
-    final = []
-    for m in merged:
-        lam = closed_loop_eigenvalues(ss, m.gamma0)
-        mult = int(np.sum((np.abs(lam.real) < 1e-6)
-                          & (np.abs(np.abs(lam.imag) - m.omega0) < 1e-6 * max(1.0, m.omega0))))
-        pairs = max(mult // 2, 1) if m.kind == "hopf" else max(mult, 1)
-        final.append(Crossing(m.gamma0, m.omega0, m.direction, pairs % 2, m.kind))
-    return RootLocusScan(gamma_grid=grid, eigen_tracks=tracks,
-                         crossings=tuple(final))
+    crossings = tuple(c for c in _axis_crossings(ss, gamma_max)
+                      if c.direction and c.gamma0 >= gamma_min)
+    return RootLocusScan(gamma_grid=grid, eigen_tracks=tracks, crossings=crossings)
 
 
 def _tail_amplitude(ys: np.ndarray):
@@ -232,10 +311,9 @@ def hopf_classify(ss: StateSpace, scan: RootLocusScan,
     critical gain from a small initial state.  A bounded small-amplitude
     steady oscillation is supercritical evidence; settling on a nonzero
     equilibrium or a large/unbounded response is subcritical evidence;
-    anything else stays undetermined.  Real-axis crossings are reported
+    anything else stays undetermined.  The real-axis crossing is reported
     alongside: the closed-loop constant coefficient a0 + gamma b0 vanishes
-    at gamma = -a0 / b0, kept when positive, merged with any real crossing
-    the scan found.
+    at gamma = -a0 / b0, kept when positive.
 
     Raises
     ------
@@ -250,11 +328,7 @@ def hopf_classify(ss: StateSpace, scan: RootLocusScan,
     a0 = float(-ss.A[0, -1])
     b0 = float(ss.B[0])
     g_real = -a0 / b0 if b0 != 0.0 else 0.0
-    pitchforks: tuple[float, ...] = (g_real,) if g_real > 0 else ()
-    # keep any additional scanned real crossings not matching the closed form
-    for g in (round(c.gamma0, 9) for c in scan.crossings if c.kind == "real"):
-        if all(abs(g - p) > 1e-6 * max(1.0, g) for p in pitchforks):
-            pitchforks = pitchforks + (g,)
+    pitchforks = (g_real,) if g_real > 0 else ()
 
     votes: list[str] = []
     evidence = {}
@@ -333,92 +407,26 @@ def describing_locus(ss: StateSpace, omega: float, gamma: float,
 
 def hyperbolicity_check(ss: StateSpace, gamma_max: float = 1e3,
                         samples: int = 400) -> HyperbolicityResult:
-    """Certify that A - kappa B C stays Hurwitz for all kappa in [0, gamma_max].
+    """Decide whether A - kappa B C is Hurwitz for all kappa in [0, gamma_max].
 
-    The gain axis is scanned on a grid; each interval is certified when the
-    eigenvalue real-part margin at its ends exceeds the interval length
-    times a local Lipschitz estimate (eigenvector condition number times
-    ||B||, the Bauer-Fike sensitivity), recursively subdividing where the
-    certificate is not yet conclusive.  A non-Hurwitz sample produces a
-    witness instead.  Near-defective gains are accepted on sufficiently
-    small intervals with positive margins (the estimate, not a proof, is
-    what a grid certificate can offer there).
-
-    The grid is evaluated with one stacked eigendecomposition.  The
-    subdivision keeps a depth-first stack of open intervals and pops up to
-    256 of them at a time, evaluating their midpoints in one stacked call,
-    so a certified result evaluates the same gains as one midpoint at a
-    time would.  A witness found during subdivision is the first failing
-    midpoint of its chunk in pop order.
-
-    Raises
-    ------
-    RelayOscError
-        The check needs more than ``HYPERBOLICITY_BUDGET`` eigen-evaluations
-        (each interval closes only at a width of 1e-9 gamma_max when the
-        eigenvector condition number is large along the whole axis).
+    The verdict is a proof by zero exclusion: den (kappa = 0) passes an
+    exact Routh test, and no root of den + kappa num meets the imaginary
+    axis for kappa in (0, gamma_max], decided in exact rational arithmetic
+    from the crossings of the module docstring, tangential touches
+    included.  Otherwise the witness is gain 0, or the smallest crossing
+    gain kappa* with the closed-loop eigenvalues there; of these, the one
+    nearest j omega* and its conjugate are set to +-j omega* (0 at a real
+    crossing), the root that the exact count proves.  ``samples`` is
+    accepted for call compatibility and unused.
     """
-    norm_B = float(np.linalg.norm(ss.B))
-    evaluations = 0
-
-    def margins_and_lips(kappas: np.ndarray):
-        nonlocal evaluations
-        evaluations += len(kappas)
-        if evaluations > HYPERBOLICITY_BUDGET:
-            raise RelayOscError(
-                f"hyperbolicity check on [0, {gamma_max:g}] exceeds its budget of "
-                f"HYPERBOLICITY_BUDGET = {HYPERBOLICITY_BUDGET} eigen-evaluations")
-        e = numerics.eigendecompose(closed_loop_matrix(ss, kappas))
-        margins = -e.eigenvalues.real.max(axis=-1)
-        lips = numerics.bauer_fike(e) * norm_B  # inf where not diagonalizable
-        return margins.tolist(), lips.tolist(), e.eigenvalues
-
-    kappas = np.linspace(0.0, gamma_max, samples + 1)
-    margins, lips, lams = margins_and_lips(kappas)
-    for i, (k, m) in enumerate(zip(kappas, margins)):
-        if m <= 0.0:
-            # bisect back to the stability boundary so the witness sits at
-            # the first non-Hurwitz gain rather than at a coarse grid point
-            if i > 0 and margins[i - 1] > 0.0:
-                lo, hi = float(kappas[i - 1]), float(k)
-                lam_hi = lams[i]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    (m_mid,), _, (lam_mid,) = margins_and_lips(np.array([mid]))
-                    if m_mid <= 0.0:
-                        hi, lam_hi = mid, lam_mid
-                    else:
-                        lo = mid
-                    if hi - lo <= 1e-9 * max(1.0, hi):
-                        break
-                return HyperbolicityResult(False, hi, tuple(lam_hi))
-            return HyperbolicityResult(False, float(k), tuple(lams[i]))
-
-    # certify each interval, subdividing adaptively
-    ends = list(zip(kappas.tolist(), margins, lips))
-    stack = list(zip(ends[:-1], ends[1:]))
-    min_width = max(gamma_max * 1e-9, 1e-12)
-    while stack:
-        chunk = []
-        while stack and len(chunk) < _MIDPOINT_CHUNK:
-            (lo, mlo, llo), (hi, mhi, lhi) = interval = stack.pop()
-            width = hi - lo
-            lip = max(llo, lhi)
-            if math.isfinite(lip) and min(mlo, mhi) > width * lip:
-                continue
-            if width <= min_width and min(mlo, mhi) > 0:
-                continue  # margin certificate at estimate resolution
-            chunk.append(interval)
-        if not chunk:
-            break
-        mids = [0.5 * (lo + hi) for (lo, _, _), (hi, _, _) in chunk]
-        margins, lips, lams = margins_and_lips(np.array(mids))
-        for mid, m, lam in zip(mids, margins, lams):
-            if m <= 0.0:
-                return HyperbolicityResult(False, mid, tuple(lam))
-        # push in reverse, so that the first interval popped is split first
-        ends = list(zip(mids, margins, lips))
-        for (left, right), mid in zip(chunk[::-1], ends[::-1]):
-            stack.append((left, mid))
-            stack.append((mid, right))
-    return HyperbolicityResult(True)
+    if not _is_hurwitz([Fraction(float(c)) for c in ss.den_coeffs] + [Fraction(1)]):
+        return HyperbolicityResult(False, 0.0, tuple(closed_loop_eigenvalues(ss, 0.0)))
+    crossings = _axis_crossings(ss, gamma_max)
+    if not crossings:
+        return HyperbolicityResult(True)
+    first = crossings[0]
+    lam = closed_loop_eigenvalues(ss, first.gamma0).astype(complex)
+    w = first.omega0
+    for target in ((1j * w, -1j * w) if w else (0j,)):
+        lam[np.argmin(np.abs(lam - target))] = target
+    return HyperbolicityResult(False, first.gamma0, tuple(lam))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_brl_plant, make_stable_plant
+from conftest import make_brl_plant, make_stable_plant, named_plant
 from relayosc import numerics, sfs
 from relayosc.errors import RelayOscError
 from relayosc.plant import parse_plant, realize
@@ -13,21 +13,6 @@ from relayosc.plant import parse_plant, realize
 #: (3 + g)(100 + g) - (179.25 + 125 g) = (g - 10.5)(g - 11.5) is negative on
 #: (10.5, 11.5) only, so the closed loop is unstable on that window alone.
 WINDOW_PLANT = ([125.0, 1.0, 1.0], [179.25, 100.0, 3.0])
-
-
-def count_evaluations(monkeypatch):
-    """Wrap numerics.eigendecompose; the list holds the number of matrices
-    of each call."""
-    sizes = []
-    original = numerics.eigendecompose
-
-    def counting(M):
-        M = np.asarray(M)
-        sizes.append(1 if M.ndim == 2 else len(M))
-        return original(M)
-
-    monkeypatch.setattr(numerics, "eigendecompose", counting)
-    return sizes
 
 
 def per_gain_hyperbolicity(ss, gamma_max, samples):
@@ -220,6 +205,48 @@ class TestRootLocus:
         if crossings == 0:
             assert len(shapes) == 1
 
+    def test_closed_form_crossings_exact(self, second_order, third_order):
+        for (_, ss), gmax, (g0, w0) in ((second_order, 1e3, (5.0, math.sqrt(11.0))),
+                                        (third_order, 100.0, (2.25, math.sqrt(2.75)))):
+            (c,) = sfs.root_locus(ss, gmax, 400).crossings
+            assert abs(c.gamma0 - g0) <= 1e-12 * g0
+            assert abs(c.omega0 - w0) <= 1e-12 * w0
+
+    def test_window_crossings(self):
+        ss = realize(parse_plant(*WINDOW_PLANT))
+        scan = sfs.root_locus(ss, 1e3, 400)
+        assert [(c.kind, c.direction, c.multiplicity_parity) for c in scan.crossings] == [
+            ("hopf", +1, 1), ("hopf", -1, 1)]
+        assert [c.gamma0 for c in scan.crossings] == pytest.approx([10.5, 11.5], rel=1e-9)
+        for c in scan.crossings:  # p(j omega) = 0 at the crossing gain
+            s = 1j * c.omega0
+            p = (s**3 + np.polyval(ss.den_coeffs[::-1], s)
+                 + c.gamma0 * np.polyval(ss.num_coeffs[::-1], s))
+            assert abs(p) <= 1e-9 * c.omega0**3
+
+    @pytest.mark.filterwarnings("error")
+    def test_numerator_zeros_on_axis(self):
+        # (s^2 + 4)/(s + 1)^3: num vanishes at +-2j, which is no crossing;
+        # Routh 3 (3 + g) = 1 + 4 g gives g = 8, omega = sqrt(3)
+        ss = realize(parse_plant([4, 0, 1], [1, 3, 3]))
+        (c,) = sfs.root_locus(ss, 1e3, 400).crossings
+        assert (c.kind, c.direction) == ("hopf", +1)
+        assert c.gamma0 == pytest.approx(8.0, rel=1e-12)
+        assert c.omega0 == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert sfs.hyperbolicity_check(ss, 1e3, 400).witness_gain == pytest.approx(8.0, rel=1e-12)
+
+    @pytest.mark.parametrize("num, den", [([-2, 0.5, -1], [6, 11, 6]), ([1], [-1]),
+                                          ([1, -1], [0, 2, 3]), WINDOW_PLANT])
+    def test_directions_match_eigenvalues(self, num, den):
+        # just past each crossing gain, the root next to j omega0 lies on
+        # the side of the axis that the direction names
+        ss = realize(parse_plant(num, den))
+        scan = sfs.root_locus(ss, 1e3, 400)
+        assert scan.crossings
+        for c in scan.crossings:
+            lam = sfs.closed_loop_eigenvalues(ss, c.gamma0 * (1 + 1e-6))
+            assert np.sign(lam[np.argmin(np.abs(lam - 1j * c.omega0))].real) == c.direction
+
     def test_pitchfork_then_hopf_both_detected(self):
         # negative DC gain plant with a later complex crossing
         ss = realize(parse_plant([-2, 0.5, -1], [6, 11, 6]))
@@ -339,55 +366,78 @@ class TestHyperbolicity:
         assert max(z.real for z in res.witness_eigenvalues) >= 0
 
     @pytest.mark.parametrize("gamma_max", [3e2, 1e3])
-    def test_certified_matches_per_gain_reference(self, gamma_max, monkeypatch):
-        # a certified check evaluates the same gains in any order
+    def test_certified_matches_per_gain_reference(self, gamma_max):
         ss = realize(parse_plant([1], [1, 2]))  # 1/(s+1)^2
         ref = per_gain_hyperbolicity(ss, gamma_max, 400)
-        sizes = count_evaluations(monkeypatch)
         res = sfs.hyperbolicity_check(ss, gamma_max, 400)
         assert ref[:3] == (True, None, None)
         assert (res.hurwitz_everywhere, res.witness_gain, res.witness_eigenvalues) == ref[:3]
-        assert sum(sizes) == ref[3]
-        # one call for the grid, then chunks of at most 256 midpoints: two
-        # orders of magnitude fewer LAPACK calls than gains
-        assert sizes[0] == 401 and max(sizes[1:]) == 256
-        assert len(sizes) <= ref[3] / 100
 
-    def test_grid_witness_matches_per_gain_reference(self, second_order, monkeypatch):
+    def test_grid_witness_matches_per_gain_reference(self, second_order):
         _, ss = second_order
         ref = per_gain_hyperbolicity(ss, 1e3, 400)
-        sizes = count_evaluations(monkeypatch)
         res = sfs.hyperbolicity_check(ss, 1e3, 400)
-        assert not ref[0]
-        assert (res.hurwitz_everywhere, res.witness_gain, res.witness_eigenvalues) == ref[:3]
-        assert sum(sizes) == ref[3]
-        assert sizes == [401] + [1] * (ref[3] - 401)  # grid, then the bisection
+        assert not ref[0] and not res.hurwitz_everywhere
+        assert abs(res.witness_gain - ref[1]) <= 1e-9 * max(1.0, ref[1])
+        assert np.abs(np.sort_complex(res.witness_eigenvalues)
+                      - np.sort_complex(ref[2])).max() <= 1e-8
 
-    @pytest.mark.parametrize("chunk", [1, 256])
-    def test_subdivision_witness(self, chunk, monkeypatch):
-        # the window (10.5, 11.5) lies inside the last grid interval
-        # [10, 12.5], which the depth-first stack pops first
+    @pytest.mark.parametrize("name", ["third_order", "third_order_brl", "brl6", "brl10",
+                                      "origin", "pitchfork", "axis_zeros"])
+    def test_matches_per_gain_reference(self, name, request):
+        # where the eigen-scan reference terminates and finds its witness by
+        # bisection to the first non-Hurwitz gain, the exact check agrees
+        extra = {"pitchfork": ([-2, 0.5, -1], [6, 11, 6]), "axis_zeros": ([4, 0, 1], [1, 3, 3])}
+        ss = realize(parse_plant(*extra[name])) if name in extra else named_plant(name, request)
+        ref = per_gain_hyperbolicity(ss, 1e3, 400)
+        res = sfs.hyperbolicity_check(ss, 1e3, 400)
+        assert res.hurwitz_everywhere == ref[0]
+        assert abs(res.witness_gain - ref[1]) <= 1e-9 * max(1.0, ref[1])
+        assert max(z.real for z in res.witness_eigenvalues) >= 0
+
+    def test_window_witness_is_first_unstable_gain(self):
+        # unstable on (10.5, 11.5) only: the witness is the left end
         ss = realize(parse_plant(*WINDOW_PLANT))
-        ref = per_gain_hyperbolicity(ss, 12.5, 5)
-        monkeypatch.setattr(sfs, "_MIDPOINT_CHUNK", chunk)
-        sizes = count_evaluations(monkeypatch)
-        res = sfs.hyperbolicity_check(ss, 12.5, 5)
-        assert ref[:2] == (False, 11.25) and ref[3] == 7
-        assert (res.hurwitz_everywhere, res.witness_gain, res.witness_eigenvalues) == ref[:3]
-        # one midpoint per call is the depth-first order exactly; a chunk
-        # evaluates the midpoints of all five open intervals at once
-        assert sizes == ([6, 1] if chunk == 1 else [6, 5])
+        res = sfs.hyperbolicity_check(ss, 1e3, 400)
+        assert not res.hurwitz_everywhere
+        assert res.witness_gain == pytest.approx(10.5, rel=1e-9)
+        lam = sfs.closed_loop_eigenvalues(ss, [10.5 - 1e-6, 11.0, 11.5 + 1e-6]).real.max(axis=1)
+        assert lam[0] < 0 < lam[1] and lam[2] < 0
 
-    def test_budget_bounds_the_work(self, monkeypatch):
-        # cond(V) is 2-4e9 along [0, 1] for this draw, so intervals close
-        # only at the 1e-9 gamma_max width floor (about 8e8 evaluations)
+    def test_tangential_touch_is_a_witness(self):
+        # the Routh product of (s^2+s+125)/(s^3+3s^2+100s+179) is (g - 11)^2:
+        # at g = 11 the pair +-j sqrt(111) touches the axis without crossing
+        ss = realize(parse_plant([125, 1, 1], [179, 100, 3]))
+        res = sfs.hyperbolicity_check(ss, 1e3, 400)
+        assert not res.hurwitz_everywhere
+        assert res.witness_gain == pytest.approx(11.0, rel=1e-9)
+        assert sorted(z.imag for z in res.witness_eigenvalues if z.real == 0) == pytest.approx(
+            [-math.sqrt(111), math.sqrt(111)], rel=1e-12)
+        assert sfs.root_locus(ss, 1e3, 400).crossings == ()
+        assert sfs.hyperbolicity_check(ss, 10.999, 400).hurwitz_everywhere
+
+    def test_ill_conditioned_order_ten_certified(self):
+        # cond(V) is 2-4e9 along [0, 1] for this draw, so a Bauer-Fike
+        # interval certificate needs about 8e8 eigen-evaluations; the exact
+        # count proves it, and the first crossing, at 2.0846, lies beyond
         ss = realize(make_brl_plant(np.random.default_rng(4), 10))
-        monkeypatch.setattr(sfs, "HYPERBOLICITY_BUDGET", 2048)
-        sizes = count_evaluations(monkeypatch)
-        with pytest.raises(RelayOscError, match="HYPERBOLICITY_BUDGET = 2048"):
-            sfs.hyperbolicity_check(ss, 1.0, 400)
-        # the raise comes before the chunk that would pass the budget
-        assert 2048 - 256 < sum(sizes) <= 2048
+        res = sfs.hyperbolicity_check(ss, 1.0, 400)
+        assert res == sfs.HyperbolicityResult(True)
+        grid = np.linspace(0.0, 1.0, 2001)
+        assert np.all([np.linalg.eigvals(ss.A - g * np.outer(ss.B, ss.C)).real.max() < 0
+                       for g in grid])
+        first = sfs.hyperbolicity_check(ss, 1e3, 400).witness_gain
+        assert first == pytest.approx(2.0846, abs=1e-4)
+        assert sfs.hyperbolicity_check(ss, np.nextafter(first, 0.0), 400).hurwitz_everywhere
+        reference = per_gain_hyperbolicity(ss, 1e3, 400)
+        assert abs(first - reference[1]) <= 1e-9 * first
+
+    def test_gain_bound_is_decided_exactly(self, second_order):
+        # the crossing gain 5 is rational: gamma_max = 5 includes it, the
+        # next float below excludes it
+        _, ss = second_order
+        assert sfs.hyperbolicity_check(ss, 5.0, 400).witness_gain == 5.0
+        assert sfs.hyperbolicity_check(ss, np.nextafter(5.0, 0.0), 400).hurwitz_everywhere
 
     def test_gain_zero_endpoint_is_open_loop(self, second_order):
         _, ss = second_order
