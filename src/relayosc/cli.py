@@ -257,7 +257,7 @@ def cmd_find_orbit(num, den, plant_file, descending, tau_min, tau_max, out, orbi
     if orbit_csv is not None:
         ts = np.linspace(0.0, orbit.period, 2001)
         # the second half repeats the first with the sign flipped
-        half = relay_dynamics.RelaySystem(ss).flow.grid(orbit.anchor, +1, ts[1], 1001)
+        half = relay_dynamics.system_for(ss).flow.grid(orbit.anchor, +1, ts[1], 1001)
         with open(orbit_csv, "w", newline="") as fh:
             fh.write(f"# relayosc {__version__}; units: t in seconds\n")
             w = csv.writer(fh)

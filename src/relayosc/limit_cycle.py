@@ -38,7 +38,7 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateOrbitError, NoOrbitError, ShootingError
 from .plant import StateSpace
-from .relay_dynamics import RelaySystem
+from .relay_dynamics import system_for
 from .sfs import sfs_field
 
 #: Output-sign condition tolerance: tiny negative slack absorbs roundoff at
@@ -143,7 +143,7 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
     candidates = []
     A, B, C = ss.A, ss.B, ss.C
     I = np.eye(ss.n)
-    sys_ = RelaySystem(ss)
+    sys_ = system_for(ss)
     for tau in roots:
         E = numerics.expm(A, tau)
         anchor = np.linalg.solve(E + I, (E - I) @ AinvB)

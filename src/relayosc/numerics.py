@@ -1,23 +1,21 @@
 """Shared numerical kernels.
 
 Dense matrix exponential, eigendecomposition with a diagonalizability
-contract, eigenvector condition numbers, safeguarded first-root location
-(forward march + Brent refinement), and adaptive ODE integration.  The
-design envelope is small dense systems (n <= 20).
+contract, eigenvector condition numbers, Brent refinement of a root
+bracket, and adaptive ODE integration.  The design envelope is small dense
+systems (n <= 20).
 """
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .errors import NoCrossingError, StiffnessError
+from .errors import StiffnessError
 
 _EPS = np.finfo(float).eps
 
@@ -70,8 +68,9 @@ def bauer_fike(e: EigenDecomposition) -> float:
 
 
 def _unit_columns(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``V`` with its columns scaled to unit 2-norm, and its singular values."""
-    V = V / np.linalg.norm(V, axis=0)
+    """``V`` with its columns scaled to unit 2-norm, and its singular values;
+    a stack (m, n, n) is scaled and decomposed member by member."""
+    V = V / np.linalg.norm(V, axis=-2, keepdims=True)
     return V, np.linalg.svd(V, compute_uv=False)
 
 
@@ -138,119 +137,6 @@ def brent_root(f: Callable[[float], float], lo: float, hi: float,
     if (f_lo > 0) == (f_hi > 0):
         raise ValueError("not a sign-change bracket")
     return float(_brent(f, lo, hi, f_lo, f_hi, f_tol))
-
-
-def find_first_root(
-    f: Callable[[float], float],
-    t_start: float,
-    t_max: float,
-    step_hint: float | None = None,
-    *,
-    f_tol: float = 1e-12,
-    blocks: Iterable[np.ndarray] | None = None,
-    check_grazing: bool = True,
-    allow_negative_start: bool = False,
-) -> float:
-    """Locate the first zero crossing of ``f`` after ``t_start``.
-
-    Marches forward on the grid t_start + j * ``step_hint`` until a
-    sign-change bracket is found, then refines it with Brent's method to
-    |f| < ``f_tol`` and bracket width < 1e-12 * max(1, t).  The first
-    crossing is guaranteed not to be skipped at resolution ``step_hint``;
-    crossings finer than the hint are invisible by design (choose the hint
-    from a minimum inter-event bound when one is available).
-
-    Parameters
-    ----------
-    f : callable
-        Continuous scalar function of time; f(t_start) must be >= 0 (a zero
-        start is allowed when f moves positive immediately after).
-    t_start, t_max : float
-        Search window.
-    step_hint : float, optional
-        Marching step; defaults to (t_max - t_start) / 1e4.
-    blocks : iterable of arrays, optional
-        Values of ``f`` on the march grid j = 1, 2, ..., in consecutive
-        blocks of any length (for example from a closed-form propagator).
-        Each block is tested for a bracket at once; ``f`` itself is then only
-        called at t_start and inside the bracket.  By default the blocks
-        are 64 calls of ``f``.
-    check_grazing : bool
-        When True, warns if the slope magnitude at the root is below 1e-8
-        (near-tangential crossing: the root is numerically fragile).
-    allow_negative_start : bool
-        Accept f(t_start) < 0 and search for the first down-crossing after
-        f has lifted above zero.  This evaluates the analytic continuation
-        of a crossing time at starts nudged past the zero set, which is what
-        finite-difference probing of crossing maps needs.
-
-    Raises
-    ------
-    NoCrossingError
-        No sign change found before ``t_max``.
-    """
-    if t_max <= t_start:
-        raise ValueError("t_max must exceed t_start")
-    h = step_hint if step_hint is not None else (t_max - t_start) / 1e4
-    if h <= 0:
-        raise ValueError("step_hint must be positive")
-
-    f0 = float(f(t_start))
-    if not np.isfinite(f0):
-        raise ValueError("non-finite function value at t_start")
-    if f0 < -f_tol and not allow_negative_start:
-        raise ValueError("f(t_start) must be nonnegative")
-    if blocks is None:
-        grid = (t_start + h * np.arange(j, j + 64) for j in itertools.count(1, 64))
-        blocks = ([f(t) for t in ts[ts <= t_max]] for ts in grid)
-
-    # When the start sits on zero, only a strictly negative sample counts as
-    # a crossing until f has visibly lifted off ("armed"); otherwise a zero
-    # start would be returned as its own root.  A below-zero start (when
-    # allowed) must lift off before any crossing is armed at all.
-    armed = f0 > f_tol
-    immediate_ok = f0 >= -f_tol
-    lo, f_lo, hi = t_start, f0, None  # the bracket [lo, hi] once found
-    j = 0  # grid points consumed
-    for block in blocks:
-        ts = t_start + h * np.arange(j + 1, j + 1 + len(block))
-        j += len(block)
-        inside = int(np.searchsorted(ts, t_max, side="right"))
-        ts, vals = ts[:inside], np.asarray(block, dtype=float)[:inside]
-        if inside == 0:
-            break
-        if not np.isfinite(vals).all():
-            raise ValueError("non-finite function value during marching")
-        if armed:
-            hit = vals <= 0.0
-        else:
-            lifted = np.logical_or.accumulate(vals > f_tol)
-            before = np.concatenate(([False], lifted[:-1]))
-            hit = np.where(before, vals <= 0.0, immediate_ok & (vals < -f_tol))
-            armed = bool(lifted[-1])
-        k = int(hit.argmax())
-        if hit[k]:
-            if k > 0:
-                lo, f_lo = float(ts[k - 1]), float(vals[k - 1])
-            hi, f_hi = float(ts[k]), float(vals[k])
-            break
-        lo, f_lo = float(ts[-1]), float(vals[-1])
-        if inside < len(block):  # the block reached past t_max
-            break
-
-    if hi is None:
-        raise NoCrossingError(f"no crossing of zero in ({t_start}, {t_max}]")
-    if f_hi == 0.0 and f_lo > 0.0:
-        root = hi
-    else:
-        root = _brent(f, lo, hi, f_lo, f_hi, f_tol)
-
-    if check_grazing:
-        d = max(1e-9, 1e-7 * max(1.0, abs(root)))
-        slope = (f(min(root + d, t_max)) - f(max(root - d, t_start))) / (2 * d)
-        if abs(slope) < 1e-8:
-            warnings.warn("near-tangential crossing at t=%g" % root, RuntimeWarning)
-    return float(root)
 
 
 def integrate_adaptive(

@@ -26,9 +26,13 @@ from . import numerics
 from .bounds import BoundsReport, anchor_region, sample_anchor_region
 from .errors import DivergenceError, NonTransversalError, NoCrossingError
 from .plant import StateSpace
-from .relay_dynamics import RelaySystem
+from .relay_dynamics import RelaySystem, system_for
 
 TRANSVERSALITY_TOL = 1e-8
+
+#: Points per block of ``spectral_survey``: bounds the exit tables and the
+#: jacobian stacks at n = 20 and 10,000 points.
+SURVEY_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,32 @@ class FixedPointResult:
     residual_history: tuple[float, ...] = ()
 
 
+def _return_jacobians(ss: StateSpace, sys_: RelaySystem, X: np.ndarray, s: int):
+    """One exit of each start in the rows of X under sign ``s``, and both
+    derivative formulas there.
+
+    Returns (pairs, ok, errors): a ``JacobianPair`` of stacks over the rows
+    that exit transversally, the mask of those rows, and the error a
+    one-row call raises for each other row, by row index.
+    """
+    exits = sys_.exit_events(X, s)
+    U = (ss.A @ exits.x[:, :, None])[:, :, 0] - s * ss.B     # fields at the crossings
+    Cu = (U[:, None, :] @ ss.C[:, None])[:, 0, 0]
+    ok = np.abs(Cu) > TRANSVERSALITY_TOL      # nan on the rows without an exit
+    errors = {int(i): exits.error(i) or NonTransversalError(
+        f"non-transversal point: |C u| = {abs(Cu[i]):.3e} <= {TRANSVERSALITY_TOL:g}")
+        for i in np.flatnonzero(~ok)}
+    U, Cu = U[ok], Cu[ok]
+    V = (ss.A @ X[ok][:, :, None])[:, :, 0] - s * ss.B       # fields at the starts
+    I = np.eye(ss.n)
+    astrom = (I - U[:, :, None] * ss.C / Cu[:, None, None]) @ exits.expAt(exits.tau)[ok]
+    exact = astrom @ (I - V[:, :, None] * V[:, None, :]
+                      / np.einsum("ij,ij->i", V, V)[:, None, None])
+    pairs = JacobianPair(astrom=astrom, exact=exact, field_at_exit=U, field_at_start=V,
+                         tau=exits.tau[ok], landing=exits.x[ok])
+    return pairs, ok, errors
+
+
 def jacobians(ss: StateSpace, x, sign: int = +1,
               system: RelaySystem | None = None) -> JacobianPair:
     """Return-map jacobians at an on-plane point.
@@ -83,29 +113,46 @@ def jacobians(ss: StateSpace, x, sign: int = +1,
     sign : int
         Relay sign of the departing flow (default +1).
     system : RelaySystem, optional
-        Reusable precomputed system (cheaper in loops).
+        Reusable precomputed system (the plant's shared one by default).
 
     Raises
     ------
     NonTransversalError
         When the output speed at the crossing is numerically zero.
     """
-    sys_ = system if system is not None else RelaySystem(ss)
-    x = np.asarray(x, dtype=float)
-    s = int(sign)
-    tau, x_land, _, path = sys_.exit_event(x, s, with_path=True)
-    E = path.expAt(tau)
-    u = ss.A @ x_land - s * ss.B      # field at the crossing (A e^{A tau}(x - s A^{-1}B))
-    v = ss.A @ x - s * ss.B           # field at the start
-    Cu = float(ss.C @ u)
-    if abs(Cu) <= TRANSVERSALITY_TOL:
-        raise NonTransversalError(
-            f"non-transversal point: |C u| = {abs(Cu):.3e} <= {TRANSVERSALITY_TOL:g}")
-    n = ss.n
-    astrom = (np.eye(n) - np.outer(u, ss.C) / Cu) @ E
-    exact = astrom @ (np.eye(n) - np.outer(v, v) / float(v @ v))
-    return JacobianPair(astrom=astrom, exact=exact, field_at_exit=u,
-                        field_at_start=v, tau=tau, landing=x_land)
+    sys_ = system if system is not None else system_for(ss)
+    pairs, ok, errors = _return_jacobians(
+        ss, sys_, np.asarray(x, dtype=float)[None], int(sign))
+    if not ok[0]:
+        raise errors[0]
+    return JacobianPair(astrom=pairs.astrom[0], exact=pairs.exact[0],
+                        field_at_exit=pairs.field_at_exit[0],
+                        field_at_start=pairs.field_at_start[0],
+                        tau=float(pairs.tau[0]), landing=pairs.landing[0])
+
+
+def _chain(ss: StateSpace, sys_: RelaySystem, X: np.ndarray, k: int):
+    """Chained jacobians of psi(.; k) for each start in the rows of X.
+
+    Returns (rows, J_a, J_e, points, errors): the indices of the rows whose
+    k exits are all transversal, their chained jacobians as stacks, their
+    negated images x_0 .. x_k (one (len(rows), n) array each), and the error
+    a one-row call raises for each other row, by row index.
+    """
+    rows = np.arange(len(X))
+    points = [X]
+    errors = {}
+    for j in range(k):
+        pairs, ok, errs = _return_jacobians(ss, sys_, points[-1], +1)
+        errors.update((int(rows[i]), e) for i, e in errs.items())
+        rows = rows[ok]
+        if j == 0:
+            J_a, J_e = pairs.astrom, pairs.exact
+        else:
+            J_a = pairs.astrom @ (-J_a[ok])
+            J_e = pairs.exact @ (-J_e[ok])
+        points = [p[ok] for p in points] + [-pairs.landing]
+    return rows, J_a, J_e, points, errors
 
 
 def chained_jacobians(ss: StateSpace, x, k: int,
@@ -118,34 +165,23 @@ def chained_jacobians(ss: StateSpace, x, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sys_ = system if system is not None else RelaySystem(ss)
-    pt = np.asarray(x, dtype=float)
-    n = ss.n
-    J_a = np.eye(n)
-    J_e = np.eye(n)
-    points = [pt]
-    for j in range(k):
-        pair = jacobians(ss, pt, +1, system=sys_)
-        if j == 0:
-            J_a = pair.astrom
-            J_e = pair.exact
-        else:
-            J_a = pair.astrom @ (-J_a)
-            J_e = pair.exact @ (-J_e)
-        pt = -pair.landing
-        points.append(pt)
-    return J_a, J_e, points
+    sys_ = system if system is not None else system_for(ss)
+    _, J_a, J_e, points, errors = _chain(ss, sys_, np.asarray(x, dtype=float)[None], k)
+    if errors:
+        raise errors[0]
+    return J_a[0], J_e[0], [p[0] for p in points]
 
 
 def _spectral_stats(M: np.ndarray):
-    lam = np.linalg.eigvals(M)
-    rho = float(np.abs(lam).max())
-    nrm = float(np.linalg.norm(M, 2))
-    e = numerics.eigendecompose(M)
-    if e.is_diagonalizable:
-        bf = numerics.bauer_fike(e)
-    else:
-        bf = float("inf")
+    """Spectral radius, 2-norm and eigenvector condition number (inf where
+    the eigenvector matrix is numerically singular) of each member of a
+    stack of matrices."""
+    rho = np.abs(np.linalg.eigvals(M)).max(axis=-1)
+    nrm = np.linalg.svd(M, compute_uv=False)[:, 0]
+    _, sv = numerics._unit_columns(np.linalg.eig(M)[1])
+    bf = np.full(len(M), np.inf)
+    regular = sv[:, -1] > 1e-10 * sv[:, 0]
+    bf[regular] = sv[regular, 0] / sv[regular, -1]
     return rho, nrm, bf
 
 
@@ -157,32 +193,35 @@ def spectral_survey(ss: StateSpace, bounds: BoundsReport, count: int,
     switches at each, and records spectral radius, 2-norm, and eigenvector
     condition number for both formulas.  Non-transversal points and points
     with numerically defective chained jacobians are skipped and counted.
+    The points are processed in blocks of ``SURVEY_CHUNK``, each exit step
+    of a block at once.
 
     Returns the samples plus a counter dict
     ``{"skipped_nontransversal": .., "skipped_degenerate": ..}``.
     """
     region = anchor_region(ss, bounds)
     pts = sample_anchor_region(region, count, seed)
-    sys_ = RelaySystem(ss)
+    sys_ = system_for(ss)
     samples: list[SpectralSample] = []
     skipped_nt = 0
     skipped_dg = 0
-    for p in pts:
-        try:
-            J_a, J_e, _ = chained_jacobians(ss, p, k, system=sys_)
-        except (NonTransversalError, NoCrossingError):
-            skipped_nt += 1
-            continue
+    for start in range(0, len(pts), SURVEY_CHUNK):
+        block = pts[start:start + SURVEY_CHUNK]
+        rows, J_a, J_e, _, errors = _chain(ss, sys_, block, k)
+        for error in errors.values():
+            if not isinstance(error, (NonTransversalError, NoCrossingError)):
+                raise error
+        skipped_nt += len(errors)
         rho_a, nrm_a, bf_a = _spectral_stats(J_a)
         rho_e, nrm_e, bf_e = _spectral_stats(J_e)
-        if not (np.isfinite(bf_a) and np.isfinite(bf_e)):
-            skipped_dg += 1
-            continue
-        samples.append(SpectralSample(
-            point=p, rho_astrom=rho_a, rho_exact=rho_e,
-            norm_astrom=nrm_a, norm_exact=nrm_e,
-            bauer_fike_astrom=bf_a, bauer_fike_exact=bf_e,
-            schur_stable=bool(rho_e < 1.0)))
+        regular = np.isfinite(bf_a) & np.isfinite(bf_e)
+        skipped_dg += int((~regular).sum())
+        for i in np.flatnonzero(regular):
+            samples.append(SpectralSample(
+                point=block[rows[i]], rho_astrom=float(rho_a[i]), rho_exact=float(rho_e[i]),
+                norm_astrom=float(nrm_a[i]), norm_exact=float(nrm_e[i]),
+                bauer_fike_astrom=float(bf_a[i]), bauer_fike_exact=float(bf_e[i]),
+                schur_stable=bool(rho_e[i] < 1.0)))
     counters = {"skipped_nontransversal": skipped_nt,
                 "skipped_degenerate": skipped_dg}
     return samples, counters
@@ -224,7 +263,7 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
         Iterates blew up; carries the escaping iterate.
     """
     region = anchor_region(ss, bounds)
-    sys_ = RelaySystem(ss)
+    sys_ = system_for(ss)
     x = np.asarray(x0, dtype=float).copy()
     escape_radius = 50.0 * max(bounds.m_excursion, bounds.m_loose)
     residuals: list[float] = []

@@ -3,8 +3,9 @@
 The closed loop is  x' = A x - B sign(C x)  with an ideal relay.  Between
 switches the dynamics are affine, so states are propagated in closed form
 through the matrix exponential; switching instants are located as first
-zeros of the scalar output along the affine flow (forward march plus Brent
-refinement), never by fixed-step integration.
+zeros of the scalar output along the affine flow (forward march plus
+Newton refinement on Taylor polynomials, for a block of starts at once),
+never by fixed-step integration.
 
 Sign conventions: ``sign=+1`` means the relay output is +1 and the active
 field is A x - B; exits from the negative sign reuse the central-symmetry
@@ -14,6 +15,7 @@ identities  tau_-(x) = tau_+(-x)  and  psi_-(x) = -psi_+(-x).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,6 +32,8 @@ PLANE_TOL = 1e-10
 
 #: Output-speed magnitudes below this raise the grazing flag.
 GRAZE_TOL = 1e-8
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ class _AffineFlow:
     eigenvectors, so a pole at the origin is no special case (Van Loan,
     IEEE TAC 1978).  e^{M t} z comes from ``numerics.expm`` at given times,
     from powers of e^{M h} on evenly spaced grids, and from a Taylor
-    polynomial within one node interval of a known state (``_Path``).
+    polynomial within one node interval of a known state (``_Paths``).
     """
 
     #: Samples per march block.
@@ -126,6 +130,7 @@ class _AffineFlow:
         self.M[:n, :n] = self.A
         self.M[:n, n] = -self.B
         self._c = np.append(self.C, 0.0)
+        self._CA, self._CB = self.C @ self.A, float(self.C @ self.B)
         # march: rows [C 0] e^{M j h}, j = 1..BLOCK, and the leap e^{BLOCK M h}
         E = numerics.expm(self.M, step)
         self._rows = _powers(self._c, E, self.BLOCK + 1)[1:]
@@ -136,13 +141,27 @@ class _AffineFlow:
         nodes = max(1, math.ceil(theta))
         self.node_step = step / nodes
         terms = [np.eye(n + 1)]
-        for k in range(1, _taylor_degree(1.125 * theta / nodes) + 1):
+        for k in range(1, max(3, _taylor_degree(1.125 * theta / nodes)) + 1):
             terms.append(terms[-1] @ self.M / k)
         self._taylor = np.stack(terms)            # M^k / k!
+        self._powers = k = np.arange(len(terms))
+        self._taylor_rows = self._taylor.reshape(-1, n + 1)
+        self._taylor_A = self._taylor[:, :n, :n].reshape(len(terms), n * n)
+        # coefficients in d of [C 0] e^{M d} and of its first two derivatives
+        ck = self._taylor.transpose(0, 2, 1) @ self._c
+        dk = np.zeros_like(ck)
+        dk[:-1] = ck[1:] * k[1:, None]
+        d2k = np.zeros_like(ck)
+        d2k[:-2] = ck[2:] * (k[2:] * (k[2:] - 1))[:, None]
+        self._output_rows = np.vstack((ck, dk, d2k))
 
     def lift(self, xi: np.ndarray, s: int) -> np.ndarray:
-        """Augmented state [s xi; 1]."""
-        return np.append(s * np.asarray(xi, dtype=float), 1.0)
+        """Augmented state [s xi; 1], of each row for a block of states."""
+        xi = np.asarray(xi, dtype=float)
+        z = np.empty(xi.shape[:-1] + (self.n + 1,))
+        np.multiply(xi, s, out=z[..., : self.n])
+        z[..., self.n] = 1.0
+        return z
 
     def state(self, xi: np.ndarray, s: int, t) -> np.ndarray:
         """x(t) for scalar t, or one row per time for array t."""
@@ -159,70 +178,141 @@ class _AffineFlow:
         z = _powers(self.lift(xi, s), numerics.expm(self.M, dt).T, count)
         return s * z[:, : self.n]
 
-    def march(self, z: np.ndarray):
-        """[C 0] e^{M t} z on the grid t = j h, j = 1, 2, ..., in blocks."""
-        while True:
-            yield self._rows @ z
-            z = self._leap @ z
-
-    def output_speed(self, x: np.ndarray, s: int) -> float:
-        """Output derivative C (A x - s B) at a state under relay sign s."""
-        return float(self.C @ (self.A @ x - s * self.B))
+    def output_speed(self, x: np.ndarray, s: int):
+        """Output derivative C (A x - s B) under relay sign s, of a state or
+        of each row of a block."""
+        x = np.asarray(x, dtype=float)
+        return (x[..., None, :] @ self._CA[:, None])[..., 0, 0] - s * self._CB
 
 
-class _Path:
-    """The trajectory of x' = A x - s B from xi; calling it gives s C x(t),
-    whose first zero is the exit time.
+class _Paths:
+    """Trajectories of x' = A x - s B from the rows of a block of augmented
+    starts Z = [s xi; 1]; row i gives s C x(t) and s x(t) as
 
-    e^{M t} z is one exponential at the node just below t times the Taylor
-    polynomial in the offset.  The node and its exponential are kept, so a
-    root search, the landing and the propagator at the exit inside one node
-    interval cost one exponential.
+        e^{M t} z_i = e^{M t0_i} sum_k (M^k / k!) (t - t0_i)^k z_i
+
+    about a node t0_i of its own, a multiple of the node step.  The nodes'
+    exponentials come from one stacked ``numerics.expm`` call, and a row
+    gets a new node only when its time leaves the node interval.
     """
 
-    def __init__(self, flow: _AffineFlow, xi: np.ndarray, s: int):
+    def __init__(self, flow: _AffineFlow, Z: np.ndarray, t0: np.ndarray):
         self.flow = flow
-        self.s = s
-        self.z = flow.lift(xi, s)
-        self._t0 = None
+        self.Z = Z
+        self.t0 = np.array(t0, dtype=float)
+        self.node, self.zk, self.yd = self._expand(Z, self.t0)
 
-    def _offset(self, t: float) -> np.ndarray:
-        """Powers of t - t0 for the node t0 whose interval holds t."""
+    def _expand(self, Z: np.ndarray, t0: np.ndarray):
+        """The exponentials e^{M t0} of the node times t0, and the Taylor
+        coefficients about them of s x, and of s C x and its first two
+        derivatives."""
         flow = self.flow
-        h = flow.node_step
-        if self._t0 is None or not -0.125 * h <= t - self._t0 <= 1.125 * h:
-            j = math.floor(t / h + 1e-6)
-            self._t0 = j * h
-            if j == 0:
-                self._node, z = np.eye(flow.n + 1), self.z
-            else:
-                self._node = numerics.expm(flow.M, self._t0)
-                z = self._node @ self.z
-            self._zk = flow._taylor @ z
-            self._yk = self._zk @ flow._c
-        return (t - self._t0) ** np.arange(len(self._yk))
+        node = numerics.expm(flow.M, t0)         # the identity, exactly, at t0 = 0
+        Z = (node @ Z[:, :, None])[:, :, 0]
+        K = len(flow._powers)
+        zk = (flow._taylor_rows @ Z[:, :, None]).reshape(len(t0), K, flow.n + 1)
+        yd = (flow._output_rows @ Z[:, :, None]).reshape(len(t0), 3, K)
+        return node, zk, yd
 
-    def __call__(self, t: float) -> float:
-        return float(self._offset(t) @ self._yk)
+    def follow(self, t: np.ndarray) -> None:
+        """Move the rows whose times t left their node intervals to the
+        nodes of those times."""
+        h = self.flow.node_step
+        off = np.abs(t - self.t0 - 0.5 * h) > 0.625 * h
+        if off.any():
+            away = off.nonzero()[0]
+            self.t0[away] = np.floor(t[away] / h + 1e-6) * h
+            self.node[away], self.zk[away], self.yd[away] = \
+                self._expand(self.Z[away], self.t0[away])
 
-    def state(self, t: float) -> np.ndarray:
-        return self.s * (self._offset(t) @ self._zk)[: self.flow.n]
+    def _offsets(self, t: np.ndarray) -> np.ndarray:
+        """Powers (t - t0)^k of the node offsets."""
+        return (t - self.t0)[:, None] ** self.flow._powers
 
-    def expAt(self, t: float) -> np.ndarray:
-        """e^{A t}, the leading block of e^{M t0} sum_k (M^k / k!) (t - t0)^k."""
-        taylor = np.tensordot(self._offset(t), self.flow._taylor, axes=1)
+    def output(self, t: np.ndarray):
+        """s C x(t) and its first two time derivatives, for times within
+        the rows' node intervals."""
+        fd = self.yd @ self._offsets(t)[:, :, None]
+        return fd[:, 0, 0], fd[:, 1, 0], fd[:, 2, 0]
+
+    def state(self, t: np.ndarray) -> np.ndarray:
+        """s x(t), for times within the rows' node intervals."""
+        return (self._offsets(t)[:, None, :] @ self.zk)[:, 0, : self.flow.n]
+
+    def expAt(self, t: np.ndarray) -> np.ndarray:
+        """e^{A t}, the leading block of the expansion about each row's
+        node."""
+        self.follow(t)
         n = self.flow.n
-        return self._node[:n, :n] @ taylor[:n, :n]
+        taylor = (self._offsets(t)[:, None, :] @ self.flow._taylor_A).reshape(-1, n, n)
+        return self.node[:, :n, :n] @ taylor
+
+
+#: Outcome of one row of ``RelaySystem.exit_events``: the output crossed
+#: zero (a start leaving the sign region at once exits at tau = 0), it did
+#: not cross before the horizon, or the start is on the wrong side of the
+#: plane for the relay sign.
+EXITED, QUIESCENT, WRONG_SIDE = 0, 1, 2
+
+#: Output level that a march started within it must first rise above.
+F_TOL = 1e-12
+
+
+class Exits:
+    """First exits of a block of starts under one relay sign, one row each.
+
+    ``tau``, ``x`` and ``speed`` hold the exit time, the landing state on the
+    plane and the transversal speed C (A x - s B) there, and are nan on the
+    rows whose ``status`` is not EXITED.  ``error(i)`` is the exception a
+    one-row call raises for row i, and ``expAt(tau)`` gives e^{A tau} at the
+    exit times without a further exponential.
+    """
+
+    def __init__(self, sign, horizon, y0, status, rows, paths, tau, x, speed):
+        self.sign = sign
+        self.horizon = horizon
+        self.y0 = y0
+        self.status = status
+        self.tau, self.x, self.speed = tau, x, speed
+        if len(tau) < len(status):
+            m = len(status)
+            self.tau = np.full(m, np.nan)
+            self.x = np.full((m, x.shape[1]), np.nan)
+            self.speed = np.full(m, np.nan)
+            self.tau[rows], self.x[rows], self.speed[rows] = tau, x, speed
+        self._rows = rows
+        self._paths = paths
+
+    def error(self, i: int) -> Exception | None:
+        """The error a one-row call raises for row ``i``; None if it exits."""
+        if self.status[i] == WRONG_SIDE:
+            return InvalidStartError(f"start output {self.y0[i]:g} is on the wrong "
+                                     f"side for sign {self.sign:+d}")
+        if self.status[i] == QUIESCENT:
+            return NoCrossingError(
+                f"quiescent: output does not cross zero within {self.horizon:g} "
+                "time units (plant is not restless from this state)")
+        return None
+
+    def expAt(self, tau) -> np.ndarray:
+        """e^{A tau} per row for times near the exits, (m, n, n) with nan
+        rows where there is no exit; a scalar ``tau`` on a one-row block
+        gives the matrix."""
+        tau = np.asarray(tau, dtype=float)
+        n = self.x.shape[1]
+        out = np.full((len(self.status), n, n), np.nan)
+        out[self._rows] = self._paths.expAt(np.broadcast_to(tau, self.tau.shape)[self._rows])
+        return out[0] if tau.ndim == 0 else out
 
 
 class RelaySystem:
     """Relay feedback loop around a realized plant.
 
     Precomputes the affine-flow machinery once (augmented matrix, march
-    rows for ``step_hint``, Taylor tables), so that an exit costs one
-    matrix exponential: the march runs on powers of e^{M h}, and the Brent
-    refinement and the landing state use a Taylor expansion about the
-    bracket's left end.
+    rows for ``step_hint``, Taylor tables), so that a block of exits costs
+    one stacked matrix exponential: the march runs on powers of e^{M h},
+    and the Newton refinement and the landing states use Taylor expansions
+    about the brackets' left ends.
 
     Parameters
     ----------
@@ -250,6 +340,175 @@ class RelaySystem:
         self.b_tail = float(ss.B[-1])  # C B, the output-derivative jump half
 
     # -- exit computations ---------------------------------------------------
+    def exit_events(self, X: np.ndarray, sign: int = +1,
+                    t_max: float | None = None) -> Exits:
+        """First exits of the starts in the rows of ``X`` (m, n) under relay
+        sign ``sign``, all at once.
+
+        Each row needs sign * C xi >= 0 (a start up to 1e-3 (1 + |xi|) past
+        the plane is accepted: the analytic continuation of its crossing time
+        exists, and finite-difference probes of the exit map rely on it).  A
+        start on the plane whose flow leaves the sign region transversally
+        exits at tau = 0.  Every other row marches on the grid j h
+        (h = ``step_hint``) up to the horizon to its first sign change of
+        s C x(t); a start within ``F_TOL`` of the plane must first rise
+        above it, unless its output drops below -``F_TOL`` at once.  The
+        brackets are refined together by safeguarded Newton steps on the
+        Taylor polynomials (``_refine``), whose last step leaves the
+        residual output at roundoff level rather than at the refinement
+        tolerance; this prevents drift over thousands of switches.
+        """
+        s = int(sign)
+        if s not in (+1, -1):
+            raise ValueError("sign must be +1 or -1")
+        flow = self.flow
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if not np.isfinite(X).all():
+            raise ValueError("non-finite function value at t_start")
+        horizon = float(t_max) if t_max is not None else self.t_max
+        Z = flow.lift(X, s)
+        f0 = Z @ flow._c                           # s C xi
+        scale = 1.0 + np.sqrt(np.add.reduce(X * X, axis=1))
+        march = f0 > PLANE_TOL * scale
+        wrong = None
+        if not march.all():
+            # a start past the plane by less than 1e-3 (1 + |xi|) marches
+            # too; one on it marches unless its flow leaves the sign region
+            # transversally, when it exits at once
+            wrong = f0 < -1e-3 * scale
+            march |= ~wrong & ((f0 < -PLANE_TOL * scale)
+                               | (s * flow.output_speed(X, s) >= -GRAZE_TOL))
+        K, f_lo, f_hi = self._brackets(Z, f0, march, horizon)
+        status = np.where(np.isnan(f_hi), QUIESCENT, EXITED)
+        if wrong is not None:
+            status[wrong] = WRONG_SIDE
+        exited = status == EXITED
+        rows = slice(None) if exited.all() else exited.nonzero()[0]
+        Z, K, f_lo = Z[rows], K[rows], f_lo[rows]
+        lo = self.step_hint * K
+        hi = self.step_hint * (K + 1)
+        paths = _Paths(flow, Z, lo)                # nodes at the brackets' left ends
+        cross = f_lo > 0.0
+        if not cross.all():
+            # a start that exits at once, and a bracket that is none (a start
+            # within F_TOL of the plane dropping below -F_TOL at once), keep
+            # to their node intervals
+            lo = np.where(cross, lo, paths.t0 - 0.125 * flow.node_step)
+            hi = np.where(cross, hi, paths.t0 + 1.125 * flow.node_step)
+        t = self._refine(paths, lo, hi)
+        x = s * paths.state(t)
+        return Exits(s, horizon, s * f0, status, rows, paths, t, x, flow.output_speed(x, s))
+
+    def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray,
+                  horizon: float):
+        """First brackets [K h, (K + 1) h] of a zero of [C 0] e^{M t} z on
+        the grid t = j h, j = 1, 2, ..., for the rows z of Z marked
+        ``march``, from their values f0 at t = 0: (K, f(K h), f((K + 1) h)),
+        with f((K + 1) h) nan where no crossing comes before the horizon, and
+        K = 0, f = (f0, 0) on the unmarked rows."""
+        m = len(f0)
+        K = np.zeros(m, dtype=int)
+        f_lo, f_hi = f0.copy(), np.zeros(m)
+        rows = march.nonzero()[0]          # the rows still marching
+        if not rows.size:
+            return K, f_lo, f_hi
+        if horizon <= 0.0:
+            raise ValueError("t_max must exceed t_start")
+        h = self.step_hint
+        if h <= 0:
+            raise ValueError("step_hint must be positive")
+        prev = f0[rows]                    # and their values at grid point j
+        flow = self.flow
+        # grid points up to the horizon: the last j with j h <= horizon
+        last = int(horizon // h)
+        while h * (last + 1) <= horizon:
+            last += 1
+        while last > 0 and h * last > horizon:
+            last -= 1
+        f_hi[rows] = np.nan
+        Zt = Z[rows].T
+        armed = prev > F_TOL
+        at_once = prev >= -F_TOL
+        lifting = not armed.all()
+        j = 0
+        while j < last:
+            count = min(flow.BLOCK, last - j)
+            vals = flow._rows[:count] @ Zt
+            if lifting or not vals.min() > 0.0:
+                if not np.isfinite(vals).all():
+                    raise ValueError("non-finite function value during marching")
+                if lifting:
+                    up = np.logical_or.accumulate(vals > F_TOL, axis=0) | armed
+                    hit = np.where(np.concatenate((armed[None], up[:-1])), vals <= 0.0,
+                                   at_once & (vals < -F_TOL))
+                    armed = up[-1]
+                    lifting = not armed.all()
+                else:
+                    hit = vals <= 0.0
+                got = hit.any(axis=0)
+                if got.any():
+                    cols = got.nonzero()[0]
+                    k = hit[:, cols].argmax(axis=0)
+                    r = rows[cols]
+                    K[r] = j + k
+                    both = np.concatenate((prev[None], vals))
+                    f_lo[r] = both[k, cols]
+                    f_hi[r] = both[k + 1, cols]
+                    if len(cols) == len(rows):
+                        break
+                    keep = ~got
+                    rows, Zt, vals = rows[keep], Zt[:, keep], vals[:, keep]
+                    armed, at_once = armed[keep], at_once[keep]
+            prev = vals[-1]
+            j += count
+            Zt = flow._leap @ Zt
+        return K, f_lo, f_hi
+
+    def _refine(self, paths: _Paths, lo: np.ndarray, hi: np.ndarray,
+                max_iter: int = 100) -> np.ndarray:
+        """Zeros of s C x on the brackets [lo, hi] by safeguarded Newton
+        steps, from the cubic series reversion of each row's Taylor
+        polynomial about its node (clipped to the bracket); a step that
+        leaves its bracket is replaced by bisection.  A row stops after a
+        step below 1e-12 max(1, t), or after one that leaves a Newton error
+        estimate |f'' / (2 f')| step^2 below the roundoff of t, and takes
+        that last step, clipped to its bracket.  A stopped row stays put
+        while the others go on, so a row's result does not depend on the
+        block.  With one node interval per march step a bracket lies in
+        the node interval of its left end; with more, the rows follow their
+        times from node to node."""
+        follow = self.flow.node_step < self.step_hint
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = paths.yd[:, 0]
+            w = -y[:, 0] / y[:, 1]
+            a2 = y[:, 2] / y[:, 1]
+            t = paths.t0 + w * (1.0 + w * (w * (2.0 * a2 * a2 - y[:, 3] / y[:, 1]) - a2))
+            t = np.fmax(lo, np.fmin(t, hi))
+            tol = 1e-12 * np.maximum(1.0, hi)
+            floor = (2.0 * _EPS) * hi + 0.5e-15
+            move = np.ones(len(t), dtype=bool)
+            for _ in range(max_iter):
+                if follow:
+                    paths.follow(t)
+                f, df, d2f = paths.output(t)
+                above = f > 0.0
+                lo = np.where(above, t, lo)
+                hi = np.where(above, hi, t)
+                step = f / df
+                nxt = t - step
+                size = np.abs(step)
+                last = (size <= tol) | (np.abs(d2f * step) * size <= floor * np.abs(df))
+                inside = (nxt >= lo) & (nxt <= hi)
+                if not inside.all():
+                    nxt = np.where(inside | last, np.clip(nxt, lo, hi), 0.5 * (lo + hi))
+                t = np.where(move, nxt, t)
+                move &= ~last
+                if not move.any():
+                    break
+        if follow:
+            paths.follow(t)
+        return t
+
     def exit_time(self, xi: np.ndarray, sign: int = +1,
                   t_max: float | None = None) -> float:
         """First time the output crosses zero under fixed relay sign.
@@ -259,63 +518,32 @@ class RelaySystem:
         output never crosses before the horizon, which cannot happen for a
         stable plant with positive DC gain.
         """
-        return self._exit(xi, sign, t_max)[0]
+        return float(self._exit(xi, sign, t_max).tau[0])
 
-    def _exit(self, xi, sign, t_max) -> tuple[float, _Path]:
-        """Exit time and the path it was found on."""
-        xi = np.asarray(xi, dtype=float)
-        s = int(sign)
-        if s not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        horizon = float(t_max) if t_max is not None else self.t_max
-        y0 = float(self.flow.C @ xi)
-        scale = 1.0 + float(np.linalg.norm(xi))
-        # tolerate slightly wrong-sided starts: the analytic continuation of
-        # the crossing time exists there and finite-difference probing of the
-        # exit map relies on it
-        if s * y0 < -1e-3 * scale:
-            raise InvalidStartError(
-                f"start output {y0:g} is on the wrong side for sign {s:+d}")
-        path = _Path(self.flow, xi, s)
-        if abs(y0) <= PLANE_TOL * scale:
-            depart = s * self.flow.output_speed(xi, s)
-            if depart < -GRAZE_TOL:
-                # the flow leaves the sign region transversally at once; the
-                # first exit is the start itself
-                return 0.0, path
-        try:
-            tau = numerics.find_first_root(
-                path, 0.0, horizon, self.step_hint, blocks=self.flow.march(path.z),
-                check_grazing=False, allow_negative_start=True)
-        except NoCrossingError as exc:
-            raise NoCrossingError(
-                f"quiescent: output does not cross zero within {horizon:g} "
-                "time units (plant is not restless from this state)") from exc
-        return tau, path
+    def _exit(self, xi, sign, t_max) -> Exits:
+        """The one-row block of ``xi``; raises when it has no exit."""
+        exits = self.exit_events(xi, sign, t_max)
+        error = exits.error(0)
+        if error is not None:
+            raise error
+        return exits
 
     def exit_event(self, xi: np.ndarray, sign: int = +1,
                    t_max: float | None = None, *, with_path: bool = False):
-        """Exit time, landing state, and the corresponding SwitchEvent.
+        """Exit time, landing state, and the corresponding SwitchEvent: the
+        one-row call of ``exit_events``.
 
-        The landing state is corrected by one Newton step along the flow so
-        the residual output is at roundoff level rather than at the root
-        finder's tolerance; this prevents drift over thousands of switches.
-        ``with_path=True`` appends the path the exit was found on, whose
+        ``with_path=True`` appends the one-row ``Exits``, whose
         ``expAt(tau)`` gives e^{A tau} without a further exponential.
         """
-        s = int(sign)
-        tau, path = self._exit(xi, s, t_max)
-        x_land = path.state(tau)
-        speed = self.flow.output_speed(x_land, s)
-        if abs(speed) > GRAZE_TOL:
-            tau = tau - float(self.flow.C @ x_land) / speed
-            x_land = path.state(tau)
-            speed = self.flow.output_speed(x_land, s)
-        grazing = abs(speed) <= GRAZE_TOL
-        event = SwitchEvent(t=tau, x=x_land, incoming_sign=s,
-                            transversal_speed=speed, grazing_flag=grazing)
+        exits = self._exit(xi, sign, t_max)
+        tau = float(exits.tau[0])
+        x_land = exits.x[0]
+        speed = float(exits.speed[0])
+        event = SwitchEvent(t=tau, x=x_land, incoming_sign=exits.sign,
+                            transversal_speed=speed, grazing_flag=abs(speed) <= GRAZE_TOL)
         if with_path:
-            return tau, x_land, event, path
+            return tau, x_land, event, exits
         return tau, x_land, event
 
     def exit_map(self, xi: np.ndarray, sign: int = +1) -> np.ndarray:
@@ -459,29 +687,45 @@ class RelaySystem:
 # module-level operation wrappers
 
 
+def system_for(ss: StateSpace, step_hint: float | None = None) -> RelaySystem:
+    """The ``RelaySystem`` of a plant with the default horizon, built once
+    per plant content and ``step_hint`` and then shared: construction
+    (march rows, balancing, Taylor tables) costs more than one exit."""
+    A, B, C = (np.asarray(v, dtype=float) for v in (ss.A, ss.B, ss.C))
+    return _cached_system(A.tobytes(), B.tobytes(), C.tobytes(), ss.n,
+                          None if step_hint is None else float(step_hint))
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_system(A: bytes, B: bytes, C: bytes, n: int,
+                   step_hint: float | None) -> RelaySystem:
+    ss = StateSpace(np.frombuffer(A).reshape(n, n), np.frombuffer(B), np.frombuffer(C))
+    return RelaySystem(ss, step_hint=step_hint)
+
+
 def exit_time(ss: StateSpace, xi, sign: int = +1, t_max: float | None = None,
               step_hint: float | None = None) -> float:
     """First exit time from ``sign`` for the plant ``ss`` started at ``xi``."""
-    return RelaySystem(ss, step_hint=step_hint).exit_time(xi, sign, t_max)
+    return system_for(ss, step_hint).exit_time(xi, sign, t_max)
 
 
 def exit_map(ss: StateSpace, xi, sign: int = +1,
              step_hint: float | None = None) -> np.ndarray:
     """First exit map from ``sign``: the landing state on the plane."""
-    return RelaySystem(ss, step_hint=step_hint).exit_map(xi, sign)
+    return system_for(ss, step_hint).exit_map(xi, sign)
 
 
 def kth_exit_map(ss: StateSpace, xi, k: int, collect_events: bool = False,
                  step_hint: float | None = None):
     """k-th exit map with the alternating sign recursion."""
-    return RelaySystem(ss, step_hint=step_hint).kth_exit_map(xi, k, collect_events)
+    return system_for(ss, step_hint).kth_exit_map(xi, k, collect_events)
 
 
 def simulate(ss: StateSpace, x0, t_end: float, *, dense_dt: float | None = None,
              step_hint: float | None = None,
              max_switches: int = 1_000_000) -> tuple[Trajectory, SlidingReport]:
     """Event-driven simulation of the relay loop (see RelaySystem.simulate)."""
-    return RelaySystem(ss, step_hint=step_hint).simulate(
+    return system_for(ss, step_hint).simulate(
         x0, t_end, dense_dt=dense_dt, max_switches=max_switches)
 
 

@@ -203,6 +203,12 @@ def _is_hurwitz(coeffs: list[Fraction]) -> bool:
     return True
 
 
+def _check_gamma_max(gamma_max: float, gamma_min: float = 0.0) -> None:
+    """Reject a gain bound that is not a finite number above ``gamma_min``."""
+    if not (math.isfinite(gamma_max) and gamma_max > gamma_min):
+        raise ValueError(f"gamma_max must be finite and > {gamma_min:g}, got {gamma_max!r}")
+
+
 def _axis_crossings(ss: StateSpace, gamma_max: float) -> list[Crossing]:
     """Every gain gamma in (0, gamma_max] at which den + gamma num has a root
     j omega on the imaginary axis, sorted by (gamma, omega).
@@ -287,6 +293,7 @@ def root_locus(ss: StateSpace, gamma_max: float = 1e3, points: int = 400,
     """
     if points < 10:
         raise ValueError("points must be >= 10")
+    _check_gamma_max(gamma_max, gamma_min)
     grid = np.geomspace(gamma_min, gamma_max, points)
     tracks = closed_loop_eigenvalues(ss, grid).astype(complex)
     for i in range(1, points):
@@ -419,6 +426,7 @@ def hyperbolicity_check(ss: StateSpace, gamma_max: float = 1e3,
     crossing), the root that the exact count proves.  ``samples`` is
     accepted for call compatibility and unused.
     """
+    _check_gamma_max(gamma_max)
     if not _is_hurwitz([Fraction(float(c)) for c in ss.den_coeffs] + [Fraction(1)]):
         return HyperbolicityResult(False, 0.0, tuple(closed_loop_eigenvalues(ss, 0.0)))
     crossings = _axis_crossings(ss, gamma_max)

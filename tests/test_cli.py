@@ -135,6 +135,13 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert "t_end" in json.loads(res.stderr)["error"]
 
+    def test_infinite_gain_bound_exits_3(self, runner):
+        res = invoke(runner, ["root-locus", "--num", "1,-1", "--den", "6,5,1",
+                              "--gamma-max", "inf"])
+        assert res.exit_code == 3
+        payload = json.loads(res.stderr)
+        assert payload["schema_version"] == 1 and "gamma_max" in payload["error"]
+
     def test_wrong_x0_length_exits_2(self, runner):
         res = invoke(runner, ["sfs-sim", "--num", "1,-1", "--den", "6,5,1",
                               "--gamma", "10", "--x0", "0.4", "--t-end", "1"])

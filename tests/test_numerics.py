@@ -3,7 +3,6 @@ import pytest
 
 from conftest import make_stable_plant
 from relayosc import numerics
-from relayosc.errors import NoCrossingError
 from relayosc.plant import realize
 
 
@@ -94,68 +93,6 @@ class TestStackedEigen:
         assert type(e.is_diagonalizable) is bool
         assert e.eigenvalues.shape == (2,) and e.eigenvalues.dtype == float
         assert type(numerics.bauer_fike(e)) is float
-
-
-def grid_blocks(f, t_start, h, size=64):
-    """Blocks of a vectorized f on the march grid t_start + j h, j >= 1."""
-    j = 1
-    while True:
-        yield f(t_start + h * np.arange(j, j + size))
-        j += size
-
-
-class TestFindFirstRoot:
-    def test_scalar_affine_closed_form(self):
-        f = lambda t: 2 * np.exp(-t) - 1
-        root = numerics.find_first_root(f, 0.0, 10.0)
-        assert root == pytest.approx(np.log(2), abs=1e-10)
-
-    def test_linear(self):
-        root = numerics.find_first_root(lambda t: 1 - t, 0.0, 10.0)
-        assert root == pytest.approx(1.0, abs=1e-12)
-
-    def test_sine_first_zero(self):
-        root = numerics.find_first_root(np.sin, 0.1, 10.0, 0.01)
-        assert root == pytest.approx(np.pi, abs=1e-10)
-
-    def test_no_crossing(self):
-        with pytest.raises(NoCrossingError):
-            numerics.find_first_root(lambda t: 1.0 + t, 0.0, 5.0)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            numerics.find_first_root(lambda t: -1.0, 0.0, 5.0)
-
-    def test_monotone_safety_oscillatory(self):
-        # first zero of 0.1 + sin(2 pi t) is at (pi + asin(0.1)) / (2 pi)
-        f = lambda t: 0.1 + np.sin(2 * np.pi * np.asarray(t))
-        expect = (np.pi + np.arcsin(0.1)) / (2 * np.pi)
-        root = numerics.find_first_root(f, 0.0, 10.0, 0.02,
-                                        blocks=grid_blocks(f, 0.0, 0.02),
-                                        check_grazing=False)
-        assert root == pytest.approx(expect, abs=1e-10)
-
-    def test_vectorized_matches_scalar(self):
-        fs = lambda t: 2 * np.exp(-t) - 1
-        fv = lambda t: 2 * np.exp(-np.asarray(t)) - 1
-        r1 = numerics.find_first_root(fs, 0.0, 10.0, 0.05)
-        r2 = numerics.find_first_root(fv, 0.0, 10.0, 0.05,
-                                      blocks=grid_blocks(fv, 0.0, 0.05))
-        assert r1 == pytest.approx(r2, abs=1e-12)
-
-    def test_zero_start_lifts_off(self):
-        # f(0) = 0, rises, then crosses: the start must not be returned
-        f = lambda t: np.sin(2 * np.pi * np.asarray(t))
-        root = numerics.find_first_root(f, 0.0, 2.0, 0.01,
-                                        blocks=grid_blocks(f, 0.0, 0.01),
-                                        check_grazing=False)
-        assert root == pytest.approx(0.5, abs=1e-10)
-
-    def test_grazing_warning(self):
-        # near-double root at t=1: slope ~ 2e-9 there
-        f = lambda t: (t - 1.0) ** 2 - 1e-18
-        with pytest.warns(RuntimeWarning, match="tangential"):
-            numerics.find_first_root(f, 0.9, 1.1, 0.05)
 
 
 class TestBrentRoot:

@@ -251,3 +251,89 @@ class TestFixedPointSearch:
             res = pc.fixed_point_search(ss, rep, 1, x0, max_iter=60)
             assert res.converged
             assert np.linalg.norm(res.x_hat - anchor) < 1e-12 * np.linalg.norm(anchor)
+
+
+def _survey_loop(ss, rep, count, k, seed):
+    """spectral_survey as a per-point loop: one chained_jacobians call and
+    single-matrix eig/svd statistics per point."""
+    from relayosc.errors import NoCrossingError
+
+    sys_ = RelaySystem(ss)
+    rows, skipped = [], {"skipped_nontransversal": 0, "skipped_degenerate": 0}
+    for p in sample_anchor_region(anchor_region(ss, rep), count, seed):
+        try:
+            chain = pc.chained_jacobians(ss, p, k, system=sys_)
+        except (NonTransversalError, NoCrossingError):
+            skipped["skipped_nontransversal"] += 1
+            continue
+        stats = []
+        for J in chain[:2]:
+            lam, V = np.linalg.eig(J)
+            sv = np.linalg.svd(V / np.linalg.norm(V, axis=0), compute_uv=False)
+            bf = sv[0] / sv[-1] if sv[-1] > 1e-10 * sv[0] else np.inf
+            stats.append((np.abs(lam).max(), np.linalg.norm(J, 2), bf))
+        if not all(np.isfinite(bf) for _, _, bf in stats):
+            skipped["skipped_degenerate"] += 1
+            continue
+        rows.append((p, stats))
+    return rows, skipped
+
+
+class TestBatchedSurvey:
+    @pytest.mark.parametrize("name,k", [("second_order", 1), ("second_order", 2),
+                                        ("third_order", 1), ("third_order", 2),
+                                        ("brl6", 1)])
+    def test_matches_per_point_loop(self, name, k, request):
+        import io
+
+        from conftest import named_plant
+        from relayosc.bounds import bounds_report, decay_envelope
+
+        ss = named_plant(name, request)
+        rep = bounds_report(ss, decay_envelope(ss.A))
+        samples, counters = pc.spectral_survey(ss, rep, 150, k=k, seed=9)
+        rows, skipped = _survey_loop(ss, rep, 150, k, 9)
+        assert counters == skipped
+        assert len(samples) == len(rows) > 0
+        for s, (p, ((ra, na, ba), (re, ne, be))) in zip(samples, rows):
+            assert np.array_equal(s.point, p)
+            assert s.rho_astrom == pytest.approx(ra, rel=1e-12)
+            assert s.rho_exact == pytest.approx(re, rel=1e-12)
+            assert s.norm_astrom == pytest.approx(na, rel=1e-12)
+            assert s.norm_exact == pytest.approx(ne, rel=1e-12)
+            assert s.bauer_fike_astrom == pytest.approx(ba, rel=1e-9)
+            assert s.bauer_fike_exact == pytest.approx(be, rel=1e-9)
+            assert s.schur_stable == bool(re < 1.0)
+        texts = []
+        for _ in range(2):
+            buf = io.StringIO()
+            pc.survey_to_csv(pc.spectral_survey(ss, rep, 150, k=k, seed=9)[0], buf, version="t")
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_work_counts(self, second_order, second_order_bounds, monkeypatch, k):
+        # the survey batches its exits: k stacked exponentials for 200
+        # points and no one-row exit; a chained_jacobians call makes k
+        from relayosc import relay_dynamics
+
+        _, ss = second_order
+        _, rep = second_order_bounds
+        relay_dynamics.system_for(ss)       # the shared system, built beforehand
+        calls = {"expm": 0, "exit_event": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(numerics, "expm", counted("expm", numerics.expm))
+        monkeypatch.setattr(RelaySystem, "exit_event",
+                            counted("exit_event", RelaySystem.exit_event))
+        samples, _ = pc.spectral_survey(ss, rep, 200, k=k, seed=1)
+        assert len(samples) == 200
+        assert calls["expm"] <= k and calls["exit_event"] == 0
+        calls["expm"] = 0
+        pc.chained_jacobians(ss, samples[0].point, k)
+        assert calls["expm"] <= k and calls["exit_event"] == 0

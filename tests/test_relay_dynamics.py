@@ -368,3 +368,228 @@ class TestOneKernel:
             grid = flow.grid(x, s, 0.25, 13)
             refs = np.array([_ref_state(ss, s, x, 0.25 * j) for j in range(13)])
             assert np.abs(grid - refs).max() <= 1e-12 * (1 + np.abs(refs).max())
+
+
+def _ref_exits(ss, s, X, dt, t_end):
+    """First zero of s C x(t) from each row of X, on a grid of step dt up to
+    t_end (powers of scipy's expm of [[A, -s B], [0, 0]] dt), refined by
+    brentq on _ref_state.  A start below zero must first rise above it."""
+    n = ss.n
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = ss.A
+    M[:n, n] = -s * ss.B
+    E = scipy.linalg.expm(M * dt)
+    count = int(np.ceil(t_end / dt))
+    Z = np.vstack((np.asarray(X, dtype=float).T, np.ones(len(X))))
+    ys = np.empty((count, len(X)))
+    for j in range(count):
+        Z = E @ Z
+        ys[j] = s * (ss.C @ Z[:n])
+    out = []
+    for i, x in enumerate(X):
+        y = ys[:, i]
+        k0 = 0 if s * float(ss.C @ x) > 0 else int(np.flatnonzero(y > 0)[0]) + 1
+        k = k0 + int(np.flatnonzero(y[k0:] <= 0.0)[0])
+        f = lambda t: s * float(ss.C @ _ref_state(ss, s, x, t))
+        out.append(brentq(f, (k + 1) * dt - dt if k > 0 else 0.0, (k + 1) * dt,
+                          xtol=1e-15, rtol=4 * np.finfo(float).eps))
+    return np.array(out)
+
+
+def _starts(ss, sign, count, seed):
+    """Random starts on the side of ``sign``."""
+    X = np.random.default_rng(seed).standard_normal((count, ss.n))
+    X[:, -1] = sign * (0.1 + np.abs(X[:, -1]))
+    return X
+
+
+class TestBatchedExits:
+    """RelaySystem.exit_events on blocks of starts: the batched march,
+    stacked node exponentials and Newton refinement against an independent
+    propagation and against the one-row calls, and the per-row outcomes."""
+
+    @pytest.mark.parametrize("name", TestOneKernel.PLANTS)
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_block_matches_reference(self, name, sign, request):
+        ss = named_plant(name, request)
+        sys_ = RelaySystem(ss)
+        X = _starts(ss, sign, 50, 11)
+        ex = sys_.exit_events(X, sign)
+        assert np.all(ex.status == rd.EXITED)
+        ref = _ref_exits(ss, sign, X, sys_.step_hint / 4, ex.tau.max() + sys_.step_hint)
+        assert np.abs(ex.tau - ref).max() <= 1e-13 * max(1.0, ref.max())
+        for x, tau, x_land in zip(X, ref, ex.x):
+            want = _ref_state(ss, sign, x, tau)
+            assert np.linalg.norm(x_land - want) <= 1e-13 * (1 + np.linalg.norm(want))
+
+    def test_block_matches_one_row_calls(self, request):
+        for name in TestOneKernel.PLANTS:
+            ss = named_plant(name, request)
+            sys_ = RelaySystem(ss)
+            for sign in (+1, -1):
+                X = _starts(ss, sign, 50, 12)
+                ex = sys_.exit_events(X, sign)
+                for x, tau, x_land, speed in zip(X, ex.tau, ex.x, ex.speed):
+                    t1, x1, ev = sys_.exit_event(x, sign)
+                    assert t1 == pytest.approx(tau, rel=1e-14, abs=1e-15)
+                    assert np.linalg.norm(x1 - x_land) <= 1e-14 * (1 + np.linalg.norm(x_land))
+                    assert ev.transversal_speed == pytest.approx(speed, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("name", TestOneKernel.PLANTS)
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_mixed_block(self, name, sign, request):
+        ss = named_plant(name, request)
+        sys_ = RelaySystem(ss)
+        h = sys_.step_hint
+        X = _starts(ss, sign, 6, 13)
+        # landing states, negated and nudged 1e-6 past the plane (the
+        # finite-difference probes of the exit map)
+        nudged = -sys_.exit_events(X[:2], sign).x
+        nudged[:, -1] = -sign * 1e-6
+        X = np.vstack((X, nudged))
+        taus = sys_.exit_events(X, sign).tau
+        # a horizon between two exit times, a grid point clear of both
+        t = np.sort(taus)
+        i = max(i for i in range(len(t) - 1) if t[i + 1] - t[i] > 3 * h)
+        t_max = 0.5 * (t[i] + t[i + 1])
+        late = taus > t_max
+        # on the plane, leaving the sign region at once: x_{n-2} sets C A x
+        depart = np.zeros(ss.n)
+        depart[-2] = -sign * (abs(float(ss.C @ ss.B)) + 1.0)
+        wrong = X[0].copy()
+        wrong[-1] = -sign * 1.0
+        block = np.vstack((X, depart, wrong))
+        ex = sys_.exit_events(block, sign, t_max)
+        assert list(ex.status) == ([rd.QUIESCENT if q else rd.EXITED for q in late]
+                                   + [rd.EXITED, rd.WRONG_SIDE])
+        assert np.array_equal(np.isnan(ex.tau), ex.status != rd.EXITED)
+        assert abs(ex.tau[-2]) < 1e-9 and ex.speed[-2] * sign < 0
+        assert isinstance(ex.error(int(np.flatnonzero(late)[0])), NoCrossingError)
+        assert isinstance(ex.error(len(block) - 1), InvalidStartError)
+        assert ex.error(len(block) - 2) is None
+        ok = np.flatnonzero(ex.status == rd.EXITED)
+        assert np.allclose(ex.tau[ok[:-1]], taus[ok[:-1]], rtol=1e-14, atol=0.0)
+        for i in ok:
+            t1, x1, _ = sys_.exit_event(block[i], sign, t_max)
+            assert t1 == pytest.approx(ex.tau[i], rel=1e-14, abs=1e-15)
+            assert np.linalg.norm(x1 - ex.x[i]) <= 1e-14 * (1 + np.linalg.norm(x1))
+        probes = [i for i in (6, 7) if not late[i]]
+        if probes:
+            ref = _ref_exits(ss, sign, block[probes], h / 4, ex.tau[probes].max() + h)
+            assert np.abs(ex.tau[probes] - ref).max() <= 1e-13 * max(1.0, ref.max())
+        E = ex.expAt(ex.tau)
+        assert np.isnan(E[-1]).all()
+        for i in ok:
+            want = scipy.linalg.expm(ss.A * ex.tau[i])
+            assert np.linalg.norm(E[i] - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_first_order_closed_form(self, first_order):
+        # y(t) = (y0 + 1) e^{-t} - 1 under y' = -y - 1
+        _, ss = first_order
+        y0 = np.linspace(0.1, 5.0, 40)
+        ex = RelaySystem(ss).exit_events(y0[:, None], +1)
+        assert np.abs(ex.tau - np.log1p(y0)).max() <= 1e-13
+
+    def test_constant_field_linear(self):
+        # A = 0: y(t) = y0 - t
+        ss = StateSpace(np.zeros((1, 1)), np.array([1.0]), np.array([1.0]))
+        y0 = np.linspace(0.1, 50.0, 30)
+        ex = RelaySystem(ss).exit_events(y0[:, None], +1)
+        assert np.abs(ex.tau - y0).max() <= 1e-13 * y0.max()
+        assert np.abs(ex.x).max() <= 1e-13
+
+    def test_oscillator_first_zero(self):
+        # x1' = -x2, x2' = x1: y = sin(t + 0.1) has zeros at pi - 0.1 + k pi
+        ss = StateSpace(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2), np.array([0.0, 1.0]))
+        ex = RelaySystem(ss).exit_events(np.array([[np.cos(0.1), np.sin(0.1)]]), +1)
+        assert ex.tau[0] == pytest.approx(np.pi - 0.1, abs=1e-12)
+
+    def test_first_zero_after_rising(self):
+        # y = 0.1 + sin(2 pi t) rises first; its first zero is
+        # (pi + asin(0.1)) / (2 pi), after the peak
+        w = 2 * np.pi
+        ss = StateSpace(np.array([[0.0, -w * w], [1.0, 0.0]]),
+                        np.array([-0.1 * w * w, 0.0]), np.array([0.0, 1.0]))
+        ex = RelaySystem(ss).exit_events(np.array([[w, 0.1]]), +1)
+        assert ex.tau[0] == pytest.approx((np.pi + np.arcsin(0.1)) / w, abs=1e-12)
+
+    def test_zero_start_lifts_off(self):
+        # y = sin(2 pi t) from the plane: the start is not its own exit
+        w = 2 * np.pi
+        ss = StateSpace(np.array([[0.0, -w * w], [1.0, 0.0]]), np.zeros(2),
+                        np.array([0.0, 1.0]))
+        ex = RelaySystem(ss).exit_events(np.array([[w, 0.0], [w, 1e-13], [w, -1e-13]]), +1)
+        assert np.all(ex.status == rd.EXITED)
+        assert np.abs(ex.tau - 0.5).max() <= 1e-12
+
+    def test_no_crossing_row(self):
+        # negative DC gain: the positive-sign flow settles at y > 0
+        ss = realize(parse_plant([-1, -1], [6, 5]))
+        sys_ = RelaySystem(ss)
+        ex = sys_.exit_events(np.array([[3.0, 2.0], [1.0, 0.5]]), +1)
+        assert np.all(ex.status == rd.QUIESCENT) and np.isnan(ex.tau).all()
+        with pytest.raises(NoCrossingError, match="quiescent"):
+            raise ex.error(1)
+
+    def test_wrong_sided_row(self, second_order):
+        _, ss = second_order
+        sys_ = RelaySystem(ss)
+        X = np.array([[0.5, -0.3], [2.0, -1e-6], [0.5, 0.3]])
+        ex = sys_.exit_events(X, +1)
+        assert list(ex.status) == [rd.WRONG_SIDE, rd.EXITED, rd.EXITED]
+        with pytest.raises(InvalidStartError, match="wrong side"):
+            sys_.exit_event(X[0], +1)
+        assert sys_.exit_time(X[1], +1) == pytest.approx(ex.tau[1], rel=1e-14)
+
+    def test_dip_of_march_steps(self, third_order):
+        # near-fold starts: y = 1e-6, y' = -v, y'' = acc, so the output dips
+        # below zero for t2 = 2 v / acc, 3 to 8 march steps, and comes back;
+        # the exit is the down-crossing at the start of the dip
+        _, ss = third_order
+        sys_ = RelaySystem(ss)
+        a, b, y0 = -ss.A[:, -1], ss.B, 1e-6
+        rng = np.random.default_rng(5)
+        X = []
+        for _ in range(8):
+            acc = rng.uniform(0.5, 3.0)
+            v = acc * rng.uniform(3.0, 8.0) * sys_.step_hint / 2
+            X.append([acc - a[2] * v + a[1] * y0 + b[1], -v + a[2] * y0 + b[2], y0])
+        X = np.array(X)
+        ex = sys_.exit_events(X, +1)
+        ref = _ref_exits(ss, +1, X, sys_.step_hint / 4, 2 * sys_.step_hint)
+        assert np.abs(ex.tau - ref).max() <= 1e-13
+        assert np.all(ex.tau < sys_.step_hint)
+
+    def test_grazing_row_flagged(self):
+        # a field almost parallel to the plane: y(t) = y0 - 1e-12 t crosses at
+        # y0 / 1e-12 with a speed below GRAZE_TOL; the march step (1e3) spans
+        # a thousand Taylor node intervals
+        ss = StateSpace(np.zeros((2, 2)), np.array([-1.0, 1e-12]), np.array([0.0, 1.0]))
+        sys_ = RelaySystem(ss, t_max=1e7)
+        assert sys_.flow.node_step < sys_.step_hint
+        y0 = np.array([1e-6, 2e-6, 3e-6])
+        ex = sys_.exit_events(np.column_stack((np.zeros(3), y0)), +1)
+        assert np.abs(ex.tau / (y0 * 1e12) - 1.0).max() <= 1e-12
+        assert np.all(np.abs(ex.speed) <= rd.GRAZE_TOL)
+        _, _, ev = sys_.exit_event([0.0, 1e-6], +1)
+        assert ev.grazing_flag
+
+    def test_module_wrappers_share_one_system(self, second_order, third_order):
+        _, ss = second_order
+        rd._cached_system.cache_clear()
+        x = np.array([0.4, 0.2])
+        rd.exit_time(ss, x)
+        rd.exit_map(ss, x)
+        rd.kth_exit_map(ss, x, 2)
+        rd.simulate(ss, x, 1.0)
+        copy = StateSpace(ss.A.copy(), ss.B.copy(), ss.C.copy())
+        rd.exit_time(copy, x)
+        assert rd._cached_system.cache_info().misses == 1
+        rd.exit_time(ss, x, step_hint=1e-3)
+        assert rd._cached_system.cache_info().misses == 2
+        rd.exit_time(third_order[1], np.array([0.3, 0.2, 0.5]))
+        assert rd._cached_system.cache_info().misses == 3
+        A = ss.A.copy()
+        A[0, -1] *= 1.01        # the same arrays, changed content
+        rd.exit_time(StateSpace(A, ss.B, ss.C), x)
+        assert rd._cached_system.cache_info().misses == 4

@@ -439,6 +439,21 @@ class TestHyperbolicity:
         assert sfs.hyperbolicity_check(ss, 5.0, 400).witness_gain == 5.0
         assert sfs.hyperbolicity_check(ss, np.nextafter(5.0, 0.0), 400).hurwitz_everywhere
 
+    @pytest.mark.parametrize("gamma_max", [np.inf, np.nan, -1.0, 0.0])
+    def test_bad_gain_bound_rejected(self, second_order, gamma_max):
+        _, ss = second_order
+        with pytest.raises(ValueError, match="gamma_max"):
+            sfs.hyperbolicity_check(ss, gamma_max)
+        with pytest.raises(ValueError, match="gamma_max"):
+            sfs.root_locus(ss, gamma_max)
+
+    def test_root_locus_gain_bound_above_minimum(self, second_order):
+        _, ss = second_order
+        with pytest.raises(ValueError, match="gamma_max"):
+            sfs.root_locus(ss, 5e-3)
+        with pytest.raises(ValueError, match="gamma_max"):
+            sfs.root_locus(ss, 10.0, gamma_min=10.0)
+
     def test_gain_zero_endpoint_is_open_loop(self, second_order):
         _, ss = second_order
         lam = sfs.closed_loop_eigenvalues(ss, 0.0)
