@@ -34,25 +34,30 @@ def expm(M: np.ndarray, t=1.0) -> np.ndarray:
     """Evaluate e^{M t} by scaling-and-squaring (Pade), via scipy.
 
     An array ``t`` gives the stack of exponentials, one per time.  Raises
-    OverflowError when the result overflows double precision, and
+    OverflowError when M t or the result overflows double precision, and
     ValueError on non-finite input.
     """
     M = np.asarray(M, dtype=float)
     t = np.asarray(t, dtype=float)
-    if not (np.isfinite(M).all() and np.isfinite(t).all()):
-        raise ValueError("expm requires finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(M * t[..., None, None])
-    if not np.isfinite(out).all():
+    Mt = M * t[..., None, None]
+    if np.count_nonzero(np.isfinite(Mt)) < Mt.size:
+        if not (np.isfinite(M).all() and np.isfinite(t).all()):
+            raise ValueError("expm requires finite entries")
         raise OverflowError("matrix exponential overflow: ||M t|| too large")
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        # scipy exponentiates a stack member by member in a Python loop, so
+        # a stack of one goes in as its matrix
+        out = scipy.linalg.expm(Mt[0] if t.shape == (1,) else Mt)
+    if np.count_nonzero(np.isfinite(out)) < out.size:
+        raise OverflowError("matrix exponential overflow: ||M t|| too large")
+    return out.reshape(Mt.shape)
 
 
 def eigendecompose(M: np.ndarray) -> EigenDecomposition:
     """Dense nonsymmetric eigendecomposition with unit-normalized columns."""
     lam, V = np.linalg.eig(np.asarray(M, dtype=float))
     V, sv = _unit_columns(V)
-    return EigenDecomposition(lam, V, bool(sv[-1] > 1e-10 * sv[0]))
+    return EigenDecomposition(lam, V, bool(np.isfinite(_condition(sv))))
 
 
 def bauer_fike(e: EigenDecomposition) -> float:
@@ -63,8 +68,14 @@ def bauer_fike(e: EigenDecomposition) -> float:
     """
     if not e.is_diagonalizable:
         raise ValueError("non-diagonalizable: eigenvector matrix is singular")
-    _, sv = _unit_columns(e.eigenvectors)
-    return float(sv[0] / sv[-1])
+    return float(eigenvector_condition(e.eigenvectors))
+
+
+def eigenvector_condition(V: np.ndarray) -> np.ndarray:
+    """2-norm condition number of ``V`` with its columns scaled to unit
+    norm, inf where that matrix is numerically singular; of each member of
+    a stack (m, n, n)."""
+    return _condition(_unit_columns(V)[1])
 
 
 def _unit_columns(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,6 +83,15 @@ def _unit_columns(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a stack (m, n, n) is scaled and decomposed member by member."""
     V = V / np.linalg.norm(V, axis=-2, keepdims=True)
     return V, np.linalg.svd(V, compute_uv=False)
+
+
+def _condition(sv: np.ndarray) -> np.ndarray:
+    """Largest over smallest of descending singular values (last axis), inf
+    where the smallest is at most 1e-10 of the largest: the diagonalizability
+    verdict of an eigenvector matrix."""
+    regular = sv[..., -1] > 1e-10 * sv[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(regular, sv[..., 0] / sv[..., -1], np.inf)
 
 
 def _brent(f, a, b, fa, fb, f_tol, max_iter=200):

@@ -176,13 +176,10 @@ def _spectral_stats(M: np.ndarray):
     """Spectral radius, 2-norm and eigenvector condition number (inf where
     the eigenvector matrix is numerically singular) of each member of a
     stack of matrices."""
-    rho = np.abs(np.linalg.eigvals(M)).max(axis=-1)
+    lam, V = np.linalg.eig(M)
+    rho = np.abs(lam).max(axis=-1)
     nrm = np.linalg.svd(M, compute_uv=False)[:, 0]
-    _, sv = numerics._unit_columns(np.linalg.eig(M)[1])
-    bf = np.full(len(M), np.inf)
-    regular = sv[:, -1] > 1e-10 * sv[:, 0]
-    bf[regular] = sv[regular, 0] / sv[regular, -1]
-    return rho, nrm, bf
+    return rho, nrm, numerics.eigenvector_condition(V)
 
 
 def spectral_survey(ss: StateSpace, bounds: BoundsReport, count: int,

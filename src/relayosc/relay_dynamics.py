@@ -97,6 +97,30 @@ def _powers(v: np.ndarray, P: np.ndarray, count: int) -> np.ndarray:
     return rows
 
 
+def _exp_powers(D: np.ndarray, count: int) -> np.ndarray:
+    """E^j - I for j = 0..count-1 from D = E - I, built by doubling on
+    (I + D)(I + D') = I + (D + D' + D D').  A power of E near the identity
+    computed as such loses about one roundoff per factor; its difference
+    from the identity, computed this way, keeps working accuracy.  Entry j
+    does not depend on ``count``."""
+    rows = np.empty((count,) + D.shape)
+    rows[0] = 0.0
+    filled = 1
+    while filled < count:
+        m = min(filled, count - filled)
+        rows[filled:filled + m] = rows[:m] + D + rows[:m] @ D
+        filled += m
+        D = D + D + D @ D
+    return rows
+
+
+def _all(mask: np.ndarray) -> bool:
+    """Whether every entry of ``mask`` is true, by a count: on the one- or
+    few-entry masks of a one-row exit this costs a fraction of the ufunc
+    reduction ``mask.all()``."""
+    return np.count_nonzero(mask) == mask.size
+
+
 def _taylor_degree(theta: float) -> int:
     """Degree whose Taylor remainder for e^{M d}, ||M d|| <= theta, is below
     half the unit roundoff: theta^(K+1) / (K+1)! * e^theta."""
@@ -116,6 +140,11 @@ class _AffineFlow:
     IEEE TAC 1978).  e^{M t} z comes from ``numerics.expm`` at given times,
     from powers of e^{M h} on evenly spaced grids, and from a Taylor
     polynomial within one node interval of a known state (``_Paths``).
+    The march of a block of starts runs on the grid j h: the rows
+    [C 0] e^{M j h} give a block of its output values at once, and the leap
+    e^{BLOCK M h} moves to the next block.  ``grid_exp`` gives e^{M K h} at
+    any grid point, to the accuracy of ``numerics.expm``, from tables of
+    e^{M j h} - I.
     """
 
     #: Samples per march block.
@@ -145,7 +174,6 @@ class _AffineFlow:
             terms.append(terms[-1] @ self.M / k)
         self._taylor = np.stack(terms)            # M^k / k!
         self._powers = k = np.arange(len(terms))
-        self._taylor_rows = self._taylor.reshape(-1, n + 1)
         self._taylor_A = self._taylor[:, :n, :n].reshape(len(terms), n * n)
         # coefficients in d of [C 0] e^{M d} and of its first two derivatives
         ck = self._taylor.transpose(0, 2, 1) @ self._c
@@ -153,7 +181,33 @@ class _AffineFlow:
         dk[:-1] = ck[1:] * k[1:, None]
         d2k = np.zeros_like(ck)
         d2k[:-2] = ck[2:] * (k[2:] * (k[2:] - 1))[:, None]
-        self._output_rows = np.vstack((ck, dk, d2k))
+        # one table for the coefficients of e^{M d} z, of [C 0] e^{M d} z
+        # and of its first two derivatives
+        self._expansion = np.vstack((self._taylor.reshape(-1, n + 1), ck, dk, d2k))
+        # grid exponentials less the identity, level i holding
+        # e^{M d BLOCK^i h} - I for d = 0..BLOCK (levels added on demand),
+        # from e^{M h} - I: the Taylor sum over one node interval, or, when
+        # ||M h|| > 1 leaves nothing to cancel, e^{M h} less the identity
+        if nodes == 1:
+            D = np.tensordot(step ** k[1:], self._taylor[1:], axes=1)
+        else:
+            D = E - np.eye(n + 1)
+        self._grid = [_exp_powers(D, self.BLOCK + 1)]
+
+    def grid_exp(self, K: np.ndarray) -> np.ndarray:
+        """e^{M K h} for the grid indices K: the product over the base-BLOCK
+        digits d_i of K of e^{M d_i BLOCK^i h}, from the tables."""
+        K, d = np.divmod(K, self.BLOCK)
+        D = self._grid[0][d]
+        level = 1
+        while np.count_nonzero(K):
+            if level == len(self._grid):
+                self._grid.append(_exp_powers(self._grid[-1][-1], self.BLOCK + 1))
+            K, d = np.divmod(K, self.BLOCK)
+            Dl = self._grid[level][d]
+            D = D + Dl + D @ Dl
+            level += 1
+        return np.eye(self.n + 1) + D
 
     def lift(self, xi: np.ndarray, s: int) -> np.ndarray:
         """Augmented state [s xi; 1], of each row for a block of states."""
@@ -191,39 +245,40 @@ class _Paths:
 
         e^{M t} z_i = e^{M t0_i} sum_k (M^k / k!) (t - t0_i)^k z_i
 
-    about a node t0_i of its own, a multiple of the node step.  The nodes'
-    exponentials come from one stacked ``numerics.expm`` call, and a row
-    gets a new node only when its time leaves the node interval.
+    about a node t0_i of its own, a multiple of the node step, from the
+    node's exponential e^{M t0_i} (the rows of ``node``).  A row gets a new
+    node only when its time leaves the node interval, and its exponential
+    from ``numerics.expm``.
     """
 
-    def __init__(self, flow: _AffineFlow, Z: np.ndarray, t0: np.ndarray):
+    def __init__(self, flow: _AffineFlow, Z: np.ndarray, t0: np.ndarray,
+                 node: np.ndarray):
         self.flow = flow
         self.Z = Z
         self.t0 = np.array(t0, dtype=float)
-        self.node, self.zk, self.yd = self._expand(Z, self.t0)
+        self.node = node
+        self.zk, self.yd = self._expand(node, Z)
 
-    def _expand(self, Z: np.ndarray, t0: np.ndarray):
-        """The exponentials e^{M t0} of the node times t0, and the Taylor
-        coefficients about them of s x, and of s C x and its first two
-        derivatives."""
+    def _expand(self, node: np.ndarray, Z: np.ndarray):
+        """The Taylor coefficients of s x, and of s C x and its first two
+        derivatives, about the nodes' states e^{M t0} z."""
         flow = self.flow
-        node = numerics.expm(flow.M, t0)         # the identity, exactly, at t0 = 0
-        Z = (node @ Z[:, :, None])[:, :, 0]
+        coef = flow._expansion @ (node @ Z[:, :, None])
         K = len(flow._powers)
-        zk = (flow._taylor_rows @ Z[:, :, None]).reshape(len(t0), K, flow.n + 1)
-        yd = (flow._output_rows @ Z[:, :, None]).reshape(len(t0), 3, K)
-        return node, zk, yd
+        split = K * (flow.n + 1)
+        return (coef[:, :split].reshape(len(Z), K, flow.n + 1),
+                coef[:, split:].reshape(len(Z), 3, K))
 
     def follow(self, t: np.ndarray) -> None:
         """Move the rows whose times t left their node intervals to the
         nodes of those times."""
         h = self.flow.node_step
         off = np.abs(t - self.t0 - 0.5 * h) > 0.625 * h
-        if off.any():
+        if np.count_nonzero(off):
             away = off.nonzero()[0]
             self.t0[away] = np.floor(t[away] / h + 1e-6) * h
-            self.node[away], self.zk[away], self.yd[away] = \
-                self._expand(self.Z[away], self.t0[away])
+            self.node[away] = numerics.expm(self.flow.M, self.t0[away])
+            self.zk[away], self.yd[away] = self._expand(self.node[away], self.Z[away])
 
     def _offsets(self, t: np.ndarray) -> np.ndarray:
         """Powers (t - t0)^k of the node offsets."""
@@ -268,10 +323,10 @@ class Exits:
     exit times without a further exponential.
     """
 
-    def __init__(self, sign, horizon, y0, status, rows, paths, tau, x, speed):
+    def __init__(self, sign, horizon, f0, status, rows, paths, tau, x, speed):
         self.sign = sign
         self.horizon = horizon
-        self.y0 = y0
+        self._f0 = f0                              # s C xi
         self.status = status
         self.tau, self.x, self.speed = tau, x, speed
         if len(tau) < len(status):
@@ -286,33 +341,32 @@ class Exits:
     def error(self, i: int) -> Exception | None:
         """The error a one-row call raises for row ``i``; None if it exits."""
         if self.status[i] == WRONG_SIDE:
-            return InvalidStartError(f"start output {self.y0[i]:g} is on the wrong "
-                                     f"side for sign {self.sign:+d}")
+            return InvalidStartError(f"start output {self.sign * self._f0[i]:g} is on "
+                                     f"the wrong side for sign {self.sign:+d}")
         if self.status[i] == QUIESCENT:
             return NoCrossingError(
                 f"quiescent: output does not cross zero within {self.horizon:g} "
                 "time units (plant is not restless from this state)")
         return None
 
-    def expAt(self, tau) -> np.ndarray:
+    def expAt(self, tau: np.ndarray) -> np.ndarray:
         """e^{A tau} per row for times near the exits, (m, n, n) with nan
-        rows where there is no exit; a scalar ``tau`` on a one-row block
-        gives the matrix."""
-        tau = np.asarray(tau, dtype=float)
+        rows where there is no exit."""
         n = self.x.shape[1]
         out = np.full((len(self.status), n, n), np.nan)
-        out[self._rows] = self._paths.expAt(np.broadcast_to(tau, self.tau.shape)[self._rows])
-        return out[0] if tau.ndim == 0 else out
+        out[self._rows] = self._paths.expAt(np.asarray(tau, dtype=float)[self._rows])
+        return out
 
 
 class RelaySystem:
     """Relay feedback loop around a realized plant.
 
     Precomputes the affine-flow machinery once (augmented matrix, march
-    rows for ``step_hint``, Taylor tables), so that a block of exits costs
-    one stacked matrix exponential: the march runs on powers of e^{M h},
-    and the Newton refinement and the landing states use Taylor expansions
-    about the brackets' left ends.
+    rows for ``step_hint``, grid exponential and Taylor tables), so that a
+    block of exits needs no matrix exponential of its own: the march runs
+    on powers of e^{M h}, and the Newton refinement and the landing states
+    use Taylor expansions about the brackets' left ends, whose exponentials
+    come from the tables.
 
     Parameters
     ----------
@@ -362,8 +416,10 @@ class RelaySystem:
         if s not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
         flow = self.flow
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if not np.isfinite(X).all():
+        X = np.asarray(X, dtype=float)
+        if X.ndim < 2:
+            X = X.reshape(1, -1)
+        if not _all(np.isfinite(X)):
             raise ValueError("non-finite function value at t_start")
         horizon = float(t_max) if t_max is not None else self.t_max
         Z = flow.lift(X, s)
@@ -371,25 +427,27 @@ class RelaySystem:
         scale = 1.0 + np.sqrt(np.add.reduce(X * X, axis=1))
         march = f0 > PLANE_TOL * scale
         wrong = None
-        if not march.all():
+        if not _all(march):
             # a start past the plane by less than 1e-3 (1 + |xi|) marches
             # too; one on it marches unless its flow leaves the sign region
             # transversally, when it exits at once
             wrong = f0 < -1e-3 * scale
             march |= ~wrong & ((f0 < -PLANE_TOL * scale)
                                | (s * flow.output_speed(X, s) >= -GRAZE_TOL))
-        K, f_lo, f_hi = self._brackets(Z, f0, march, horizon)
-        status = np.where(np.isnan(f_hi), QUIESCENT, EXITED)
+        K, f_lo, found = self._brackets(Z, f0, march, horizon)
+        status = np.where(found, EXITED, QUIESCENT)
         if wrong is not None:
             status[wrong] = WRONG_SIDE
+        rows = slice(None)
         exited = status == EXITED
-        rows = slice(None) if exited.all() else exited.nonzero()[0]
-        Z, K, f_lo = Z[rows], K[rows], f_lo[rows]
+        if not _all(exited):
+            rows = exited.nonzero()[0]
+            Z, K, f_lo = Z[rows], K[rows], f_lo[rows]
         lo = self.step_hint * K
         hi = self.step_hint * (K + 1)
-        paths = _Paths(flow, Z, lo)                # nodes at the brackets' left ends
+        paths = _Paths(flow, Z, lo, flow.grid_exp(K))   # nodes at the brackets' left ends
         cross = f_lo > 0.0
-        if not cross.all():
+        if not _all(cross):
             # a start that exits at once, and a bracket that is none (a start
             # within F_TOL of the plane dropping below -F_TOL at once), keep
             # to their node intervals
@@ -397,21 +455,21 @@ class RelaySystem:
             hi = np.where(cross, hi, paths.t0 + 1.125 * flow.node_step)
         t = self._refine(paths, lo, hi)
         x = s * paths.state(t)
-        return Exits(s, horizon, s * f0, status, rows, paths, t, x, flow.output_speed(x, s))
+        return Exits(s, horizon, f0, status, rows, paths, t, x, flow.output_speed(x, s))
 
     def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray,
                   horizon: float):
         """First brackets [K h, (K + 1) h] of a zero of [C 0] e^{M t} z on
         the grid t = j h, j = 1, 2, ..., for the rows z of Z marked
-        ``march``, from their values f0 at t = 0: (K, f(K h), f((K + 1) h)),
-        with f((K + 1) h) nan where no crossing comes before the horizon, and
-        K = 0, f = (f0, 0) on the unmarked rows."""
-        m = len(f0)
-        K = np.zeros(m, dtype=int)
-        f_lo, f_hi = f0.copy(), np.zeros(m)
+        ``march``, from their values f0 at t = 0: (K, f(K h), found), where
+        ``found`` is false on the rows without a crossing before the
+        horizon, and K = 0, f = f0 on the unmarked rows."""
+        K = np.zeros(len(f0), dtype=int)
+        f_lo = f0.copy()
+        found = ~march
         rows = march.nonzero()[0]          # the rows still marching
         if not rows.size:
-            return K, f_lo, f_hi
+            return K, f_lo, found
         if horizon <= 0.0:
             raise ValueError("t_max must exceed t_start")
         h = self.step_hint
@@ -425,35 +483,34 @@ class RelaySystem:
             last += 1
         while last > 0 and h * last > horizon:
             last -= 1
-        f_hi[rows] = np.nan
         Zt = Z[rows].T
         armed = prev > F_TOL
+        lifting = not _all(armed)
         at_once = prev >= -F_TOL
-        lifting = not armed.all()
         j = 0
         while j < last:
             count = min(flow.BLOCK, last - j)
             vals = flow._rows[:count] @ Zt
-            if lifting or not vals.min() > 0.0:
-                if not np.isfinite(vals).all():
+            # the block's least value, or its first nan
+            if lifting or not vals.flat[vals.argmin()] > 0.0:
+                if not _all(np.isfinite(vals)):
                     raise ValueError("non-finite function value during marching")
                 if lifting:
                     up = np.logical_or.accumulate(vals > F_TOL, axis=0) | armed
                     hit = np.where(np.concatenate((armed[None], up[:-1])), vals <= 0.0,
                                    at_once & (vals < -F_TOL))
                     armed = up[-1]
-                    lifting = not armed.all()
+                    lifting = not _all(armed)
                 else:
                     hit = vals <= 0.0
                 got = hit.any(axis=0)
-                if got.any():
-                    cols = got.nonzero()[0]
+                cols = got.nonzero()[0]
+                if cols.size:
                     k = hit[:, cols].argmax(axis=0)
                     r = rows[cols]
                     K[r] = j + k
-                    both = np.concatenate((prev[None], vals))
-                    f_lo[r] = both[k, cols]
-                    f_hi[r] = both[k + 1, cols]
+                    f_lo[r] = np.concatenate((prev[None], vals))[k, cols]
+                    found[r] = True
                     if len(cols) == len(rows):
                         break
                     keep = ~got
@@ -462,7 +519,7 @@ class RelaySystem:
             prev = vals[-1]
             j += count
             Zt = flow._leap @ Zt
-        return K, f_lo, f_hi
+        return K, f_lo, found
 
     def _refine(self, paths: _Paths, lo: np.ndarray, hi: np.ndarray,
                 max_iter: int = 100) -> np.ndarray:
@@ -479,14 +536,13 @@ class RelaySystem:
         times from node to node."""
         follow = self.flow.node_step < self.step_hint
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = paths.yd[:, 0]
-            w = -y[:, 0] / y[:, 1]
-            a2 = y[:, 2] / y[:, 1]
-            t = paths.t0 + w * (1.0 + w * (w * (2.0 * a2 * a2 - y[:, 3] / y[:, 1]) - a2))
+            q = paths.yd[:, 0, :4] / paths.yd[:, 0, 1:2]   # y_k / y_1
+            w, a2 = -q[:, 0], q[:, 2]
+            t = paths.t0 + w * (1.0 + w * (w * (2.0 * a2 * a2 - q[:, 3]) - a2))
             t = np.fmax(lo, np.fmin(t, hi))
             tol = 1e-12 * np.maximum(1.0, hi)
             floor = (2.0 * _EPS) * hi + 0.5e-15
-            move = np.ones(len(t), dtype=bool)
+            stop = np.zeros(len(t), dtype=bool)    # the rows past their last step
             for _ in range(max_iter):
                 if follow:
                     paths.follow(t)
@@ -499,11 +555,11 @@ class RelaySystem:
                 size = np.abs(step)
                 last = (size <= tol) | (np.abs(d2f * step) * size <= floor * np.abs(df))
                 inside = (nxt >= lo) & (nxt <= hi)
-                if not inside.all():
+                if not _all(inside):
                     nxt = np.where(inside | last, np.clip(nxt, lo, hi), 0.5 * (lo + hi))
-                t = np.where(move, nxt, t)
-                move &= ~last
-                if not move.any():
+                t = np.where(stop, t, nxt)
+                stop |= last
+                if _all(stop):
                     break
         if follow:
             paths.follow(t)
@@ -529,21 +585,15 @@ class RelaySystem:
         return exits
 
     def exit_event(self, xi: np.ndarray, sign: int = +1,
-                   t_max: float | None = None, *, with_path: bool = False):
+                   t_max: float | None = None):
         """Exit time, landing state, and the corresponding SwitchEvent: the
-        one-row call of ``exit_events``.
-
-        ``with_path=True`` appends the one-row ``Exits``, whose
-        ``expAt(tau)`` gives e^{A tau} without a further exponential.
-        """
+        one-row call of ``exit_events``."""
         exits = self._exit(xi, sign, t_max)
         tau = float(exits.tau[0])
         x_land = exits.x[0]
         speed = float(exits.speed[0])
         event = SwitchEvent(t=tau, x=x_land, incoming_sign=exits.sign,
                             transversal_speed=speed, grazing_flag=abs(speed) <= GRAZE_TOL)
-        if with_path:
-            return tau, x_land, event, exits
         return tau, x_land, event
 
     def exit_map(self, xi: np.ndarray, sign: int = +1) -> np.ndarray:

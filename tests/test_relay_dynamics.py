@@ -348,9 +348,10 @@ class TestOneKernel:
         x[-1] = sign * 1e-3
         starts.append(x)
         for x in starts:
-            tau, _, _, path = sys_.exit_event(x, sign, with_path=True)
+            exits = sys_.exit_events(x[None], sign)
+            tau = exits.tau[0]
             ref = scipy.linalg.expm(ss.A * tau)
-            assert np.linalg.norm(path.expAt(tau) - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.linalg.norm(exits.expAt(exits.tau)[0] - ref) <= 1e-13 * np.linalg.norm(ref)
         assert 0.0 < tau < sys_.flow.node_step
 
     @pytest.mark.parametrize("name", PLANTS)
@@ -405,8 +406,24 @@ def _starts(ss, sign, count, seed):
 
 class TestBatchedExits:
     """RelaySystem.exit_events on blocks of starts: the batched march,
-    stacked node exponentials and Newton refinement against an independent
-    propagation and against the one-row calls, and the per-row outcomes."""
+    node exponentials from the grid tables and Newton refinement against an
+    independent propagation and against the one-row calls, and the per-row
+    outcomes."""
+
+    @pytest.mark.parametrize("step_hint", [None, 0.7])
+    def test_grid_exponentials(self, second_order, step_hint):
+        # e^{M K h} across base-64 digit levels, with one node interval per
+        # march step and with several (h = 0.7)
+        _, ss = second_order
+        sys_ = RelaySystem(ss, step_hint=step_hint)
+        flow = sys_.flow
+        assert (flow.node_step < sys_.step_hint) == (step_hint is not None)
+        K = np.array([0, 1, 63, 64, 65, 4095, 4096, 262_145])
+        got = flow.grid_exp(K)
+        assert np.array_equal(got[0], np.eye(ss.n + 1))
+        for k, E in zip(K, got):
+            ref = scipy.linalg.expm(flow.M * (k * sys_.step_hint))
+            assert np.abs(E - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", TestOneKernel.PLANTS)
     @pytest.mark.parametrize("sign", [+1, -1])
