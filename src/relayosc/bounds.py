@@ -74,26 +74,48 @@ class AnchorRegion:
         )
 
 
-#: Powers of e^{Ah} whose 2-norms one SVD call takes at once.
+#: Powers of e^{Ah} whose 2-norms one batched product and one eigvalsh call take.
 _NORM_BLOCK = 512
+
+#: Entries of the low table E^r, r < _LOW; the high table holds (E^_LOW)^q.
+_LOW = 64
+
+
+def _sequential_powers(M: np.ndarray, count: int) -> np.ndarray:
+    """M^0, ..., M^(count-1) by the sequential product M^j = M M^(j-1)."""
+    out = np.empty((count,) + M.shape, dtype=M.dtype)
+    out[0] = np.eye(M.shape[0])
+    for j in range(1, count):
+        out[j] = M @ out[j - 1]
+    return out
 
 
 def _power_norms(E: np.ndarray, count: int) -> np.ndarray:
-    """2-norms of E^k, k = 1..count.
+    """2-norms of E^k, k = 1..count, from two-level power tables.
 
-    The powers are built by the sequential product E^k = E E^{k-1}; their
-    largest singular values are taken in blocks of at most ``_NORM_BLOCK``
-    matrices, one batched SVD (the LAPACK routine of ``norm(., 2)``) each.
+    With k = 64 q + r, ``low[r] = E^r`` (r < 64) and ``high[q] = (E^64)^q``
+    (q <= count // 64) are built by sequential products; each block of at
+    most ``_NORM_BLOCK`` powers is one batched product ``high[q] @ low[r]``,
+    and its 2-norms are the square roots of the largest eigenvalues of the
+    Gram matrices P^T P, taken with one ``eigvalsh`` call.
+
+    The tables are accumulated in ``np.longdouble`` and rounded to double
+    once per entry.  Accumulated in double, the rounding error of E^64
+    recurs in every factor of (E^64)^q and adds up coherently: 1.4e-11
+    relative at k = 4000 on a non-normal n = 10 plant, against 7e-16 with
+    extended tables.  Where ``longdouble`` is double, the former holds.
     """
-    buf = np.empty((min(count, _NORM_BLOCK),) + E.shape)
+    ext = E.astype(np.longdouble)
+    low = _sequential_powers(ext, _LOW)
+    high = _sequential_powers(ext @ low[-1], count // _LOW + 1)
+    low, high = low.astype(float), high.astype(float)
+    k = np.arange(1, count + 1)
     norms = np.empty(count)
-    P = np.eye(E.shape[0])
     for start in range(0, count, _NORM_BLOCK):
-        m = min(_NORM_BLOCK, count - start)
-        for i in range(m):
-            P = E @ P
-            buf[i] = P
-        norms[start:start + m] = np.linalg.svd(buf[:m], compute_uv=False)[:, 0]
+        kb = k[start:start + _NORM_BLOCK]
+        P = high[kb // _LOW] @ low[kb % _LOW]
+        gram = np.swapaxes(P, 1, 2) @ P
+        norms[start:start + len(kb)] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
     return norms
 
 
@@ -103,8 +125,9 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
 
     ||e^{At}|| e^{sigma t} is maximized on a grid of ``grid_points`` steps
     over 40 / sigma and checked on a grid of twice as many over 20 / sigma;
-    on each grid the norms of e^{At} come from powers of one step
-    exponential, taken in blocks of sequential powers.
+    on each grid the norms of e^{At} are those of the powers of one step
+    exponential, formed from two-level power tables and taken as the largest
+    Gram eigenvalues (``_power_norms``).
 
     Parameters
     ----------
@@ -114,13 +137,23 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
         Margin subtracted from the spectral abscissa magnitude; defaults to
         1e-3 * min |Re eigenvalue| so the envelope stays valid across time
         scales.
+    grid_points : int
+        Steps of the maximization grid, at least 1.
+    safety : float
+        Finite, positive factor applied to the grid maximum.
 
     Raises
     ------
     ValueError
-        If A is not Hurwitz, or the computed envelope fails its a-posteriori
-        verification (defective extreme cases).
+        If A is not Hurwitz, epsilon is outside (0, min |Re eigenvalue|),
+        grid_points < 1, safety is not finite and positive, or the computed
+        envelope fails its a-posteriori verification (defective extreme
+        cases).
     """
+    if grid_points < 1:
+        raise ValueError("grid_points must be >= 1")
+    if not (math.isfinite(safety) and safety > 0):
+        raise ValueError("safety must be finite and > 0")
     A = np.asarray(A, dtype=float)
     lam = np.linalg.eigvals(A)
     decay = -lam.real.max()
@@ -128,21 +161,21 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
         raise ValueError("matrix is not Hurwitz; no decay envelope exists")
     if epsilon is None:
         epsilon = 1e-3 * decay
-    if epsilon <= 0 or epsilon >= decay:
+    if not 0 < epsilon < decay:
         raise ValueError("epsilon must lie in (0, min |Re eigenvalue|)")
     sigma = decay - epsilon
 
     horizon = 40.0 / sigma
     h = horizon / grid_points
     norms = _power_norms(numerics.expm(A, h), grid_points)
-    growth = np.array([math.exp(sigma * k * h) for k in range(1, grid_points + 1)])
+    growth = np.exp(sigma * np.arange(1, grid_points + 1) * h)
     m_initial = safety * max(1.0, float((norms * growth).max()))  # 1.0: t = 0
 
     # a-posteriori check on a finer, shorter grid
     fine = np.linspace(0.0, 20.0 / sigma, 2 * grid_points + 1)
     norms = np.concatenate(([1.0], _power_norms(numerics.expm(A, fine[1] - fine[0]),
                                                 2 * grid_points)))
-    limit = m_initial * np.array([math.exp(-sigma * t) for t in fine]) * (1 + 1e-9)
+    limit = m_initial * np.exp(-sigma * fine) * (1 + 1e-9)
     failed = norms > limit
     if failed.any():
         raise ValueError(
@@ -194,20 +227,24 @@ def sample_anchor_region(region: AnchorRegion, count: int, seed: int = 0,
                          *, return_stats: bool = False):
     """Draw uniform samples from the region (deterministic under ``seed``).
 
-    The last coordinate is pinned to zero; the remaining n-1 coordinates are
-    drawn uniformly in the ball of the region's radius by rejection from the
-    bounding cube, then rejected again while the (n-1)-th coordinate is
-    below the strip halfwidth.  With ``return_stats=True`` also returns
-    ``{"n_ball": ..., "n_kept": ...}`` (in-ball draws and strip survivors),
-    whose ratio estimates the cap-volume fraction of the strip cut.
+    The last coordinate is pinned to zero; the remaining d = n-1 coordinates
+    are drawn uniformly in the ball of the region's radius as a Gaussian
+    direction times R U^{1/d} (U uniform on [0, 1]), then rejected while the
+    (n-1)-th coordinate is below the strip halfwidth.  With
+    ``return_stats=True`` also returns ``{"n_ball": ..., "n_kept": ...}``
+    (ball draws and strip survivors), whose ratio estimates the cap-volume
+    fraction of the strip cut.
 
     Raises
     ------
     ValueError
-        count < 1, or an empty region (strip at least as wide as the ball).
+        count < 1, n < 2 (no on-plane coordinate to cut), or an empty
+        region (strip at least as wide as the ball).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if region.n < 2:
+        raise ValueError("the anchor region needs a plant of order n >= 2")
     if region.strip_halfwidth >= region.radius:
         raise ValueError("empty region: strip halfwidth >= ball radius")
     d = region.n - 1
@@ -218,12 +255,12 @@ def sample_anchor_region(region: AnchorRegion, count: int, seed: int = 0,
     n_kept = 0
     while got < count:
         batch = max(count - got, 64)
-        pts = rng.uniform(-region.radius, region.radius, size=(batch, d))
-        in_ball = np.linalg.norm(pts, axis=1) <= region.radius
-        keep = in_ball & (pts[:, -1] >= region.strip_halfwidth)
-        n_ball += int(np.sum(in_ball))
-        n_kept += int(np.sum(keep))
-        pts = pts[keep]
+        pts = rng.standard_normal((batch, d))
+        radii = region.radius * rng.random(batch) ** (1.0 / d)
+        pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
+        pts = pts[pts[:, -1] >= region.strip_halfwidth]
+        n_ball += batch
+        n_kept += len(pts)
         take = min(len(pts), count - got)
         out[got:got + take, :d] = pts[:take]
         got += take

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import make_brl_plant, named_plant
 from relayosc import bounds as bm
@@ -40,9 +42,34 @@ class TestDecayEnvelope:
         env = bm.decay_envelope(ss.A)
         assert env.epsilon_margin == pytest.approx(1e-3 * 2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("name", ["brl6", "brl10"])
+    def test_envelope_holds_off_grid_at_high_order(self, name, request):
+        A = named_plant(name, request).A
+        env = bm.decay_envelope(A)
+        rng = np.random.default_rng(3)
+        for t in rng.uniform(0.0, 40.0 / env.sigma_slowest, 200):
+            nrm = np.linalg.norm(scipy.linalg.expm(A * t), 2)
+            assert nrm <= env.m_initial * math.exp(-env.sigma_slowest * t) * (1 + 1e-9)
+
     def test_non_hurwitz_rejected(self):
         with pytest.raises(ValueError, match="Hurwitz"):
             bm.decay_envelope(np.array([[1.0]]))
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -0.1, 2.0])
+    def test_bad_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must lie"):
+            bm.decay_envelope(np.diag([-1.0, -3.0]), epsilon=epsilon)
+
+    def test_bad_grid_points_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid_points"):
+                bm.decay_envelope(np.diag([-1.0, -3.0]), grid_points=0)
+
+    @pytest.mark.parametrize("safety", [math.nan, math.inf, 0.0, -1.05])
+    def test_bad_safety_rejected(self, safety):
+        with pytest.raises(ValueError, match="safety"):
+            bm.decay_envelope(np.diag([-1.0, -3.0]), safety=safety)
 
 
 def _envelope_per_power(A, grid_points=4000, safety=1.05):
@@ -70,20 +97,69 @@ def _envelope_per_power(A, grid_points=4000, safety=1.05):
     return float(m_initial), float(sigma)
 
 
-class TestBlockedNorms:
-    """The block-batched envelope against one 2-norm per power."""
+def _reference_power_norms(E, ks):
+    """2-norms of E^k (E as stored, in double) for each k of ``ks``, in
+    40-digit arithmetic."""
+    import mpmath
 
-    @pytest.mark.parametrize("name", ["second_order", "third_order_brl", "brl6", "brl10"])
+    with mpmath.workdps(40):
+        M = mpmath.matrix(E.tolist())
+        out = []
+        for k in ks:
+            P, S, j = mpmath.eye(len(E)), M, k
+            while j:
+                if j & 1:
+                    P = S * P
+                S, j = S * S, j >> 1
+            out.append(float(max(mpmath.svd_r(P, compute_uv=False))))
+    return np.array(out)
+
+
+PLANTS = ["second_order", "third_order_brl", "brl6", "brl10"]
+
+
+class TestBlockedNorms:
+    """The two-level power tables against one 2-norm per power."""
+
+    @pytest.mark.parametrize("name", PLANTS)
     def test_bit_identical_to_per_power_loop(self, name, request):
+        # sigma is bit-identical; m_initial moves by the rounding of the
+        # products, far below the 5 % safety factor
         A = named_plant(name, request).A
         env = bm.decay_envelope(A)
-        assert (env.m_initial, env.sigma_slowest) == _envelope_per_power(A)
+        m_ref, sigma_ref = _envelope_per_power(A)
+        assert env.sigma_slowest == sigma_ref
+        assert env.m_initial == pytest.approx(m_ref, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("grid_points", [777, 1000])
     def test_grid_not_a_multiple_of_the_block(self, grid_points, third_order):
         A = third_order[1].A
         env = bm.decay_envelope(A, grid_points=grid_points)
-        assert (env.m_initial, env.sigma_slowest) == _envelope_per_power(A, grid_points)
+        m_ref, sigma_ref = _envelope_per_power(A, grid_points)
+        assert env.sigma_slowest == sigma_ref
+        assert env.m_initial == pytest.approx(m_ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("name", PLANTS)
+    def test_norms_match_high_precision(self, name, request):
+        # table seams (63/64/65), block seams (511/512/513), the maximizer
+        # and the last power; the per-power loop must meet the same bound
+        A = named_plant(name, request).A
+        env = bm.decay_envelope(A)
+        count = 4000
+        h = 40.0 / env.sigma_slowest / count
+        E = numerics.expm(A, h)
+        norms = bm._power_norms(E, count)
+        growth = np.exp(env.sigma_slowest * np.arange(1, count + 1) * h)
+        ks = sorted({1, 63, 64, 65, 511, 512, 513, int(np.argmax(norms * growth)) + 1, count})
+        ref = _reference_power_norms(E, ks)
+        P = np.eye(len(A))
+        loop = {}
+        for k in range(1, count + 1):
+            P = E @ P
+            loop[k] = np.linalg.norm(P, 2)
+        for k, r in zip(ks, ref):
+            assert abs(norms[k - 1] - r) <= 3e-11 * r, k
+            assert abs(loop[k] - r) <= 3e-11 * r, k
 
     @pytest.mark.parametrize("A, grid_points, safety", [
         (np.diag([-1.0, -3.0]), 4000, 0.5),                   # fails at t = 0
@@ -97,7 +173,7 @@ class TestBlockedNorms:
         assert str(got.value) == str(ref.value)
 
     def test_work_counts(self, third_order, monkeypatch):
-        calls = {"expm": 0, "svd": 0}
+        calls = {"expm": 0, "eigvalsh": 0, "svd": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -106,10 +182,12 @@ class TestBlockedNorms:
             return wrapper
 
         monkeypatch.setattr(numerics, "expm", counted("expm", numerics.expm))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         bm.decay_envelope(third_order[1].A)
         assert calls["expm"] == 2
-        assert 0 < calls["svd"] <= 32
+        assert 0 < calls["eigvalsh"] <= 32
+        assert calls["svd"] == 0
 
 
 class TestBoundsReport:
@@ -203,9 +281,22 @@ class TestAnchorRegion:
         sigma = math.sqrt(p * (1 - p) / stats["n_ball"])
         assert abs(p_hat - p) <= 3 * sigma
 
+    def test_draws_bounded_at_high_dimension(self):
+        # a cube-rejection sampler keeps 8.9e-8 of its draws at n = 20
+        region = bm.AnchorRegion(radius=2.0, strip_halfwidth=0.1, n=20)
+        pts, stats = bm.sample_anchor_region(region, 1000, seed=4, return_stats=True)
+        assert stats["n_ball"] <= 4 * 1000
+        assert stats["n_kept"] >= 1000
+        assert all(region.contains(p) for p in pts)
+
     def test_empty_region_rejected(self):
         region = bm.AnchorRegion(radius=0.5, strip_halfwidth=1.0, n=2)
         with pytest.raises(ValueError, match="empty"):
+            bm.sample_anchor_region(region, 10)
+
+    def test_first_order_rejected(self):
+        region = bm.AnchorRegion(radius=2.0, strip_halfwidth=0.5, n=1)
+        with pytest.raises(ValueError, match="n >= 2"):
             bm.sample_anchor_region(region, 10)
 
     def test_bad_count_rejected(self, second_order, second_order_bounds):

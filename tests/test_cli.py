@@ -142,6 +142,13 @@ class TestExitCodes:
         payload = json.loads(res.stderr)
         assert payload["schema_version"] == 1 and "gamma_max" in payload["error"]
 
+    def test_nan_epsilon_exits_3(self, runner):
+        res = invoke(runner, ["bounds", "--num", "1,-1", "--den", "6,5,1",
+                              "--epsilon", "nan"])
+        assert res.exit_code == 3
+        payload = json.loads(res.stderr)
+        assert payload["error"] == "epsilon must lie in (0, min |Re eigenvalue|)"
+
     def test_wrong_x0_length_exits_2(self, runner):
         res = invoke(runner, ["sfs-sim", "--num", "1,-1", "--den", "6,5,1",
                               "--gamma", "10", "--x0", "0.4", "--t-end", "1"])
