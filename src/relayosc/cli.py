@@ -66,14 +66,14 @@ def _json_dumps(payload) -> str:
 
 
 def exit_codes(fn):
-    """Exit 2 on an invalid plant and 3 on an analysis error, with the
-    message as JSON on stderr."""
+    """Exit 2 on an invalid plant and 3 on an analysis error (including a
+    matrix exponential that overflows), with the message as JSON on stderr."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (RelayOscError, ValueError) as exc:
+        except (RelayOscError, ValueError, OverflowError) as exc:
             sys.stderr.write(_json_dumps({"schema_version": 1, "error": str(exc)}) + "\n")
             sys.exit(2 if isinstance(exc, PlantError) else 3)
 

@@ -1,18 +1,20 @@
 """Symmetric unimodal orbits of the relay loop and their linear stability.
 
-A symmetric unimodal orbit is determined by a half-period tau* > 0 at which
+A symmetric unimodal orbit is determined by a half-period tau* > 0 of the
+positive-sign flow.  With [E F] the top n rows of e^{M tau}, M = [[A, -B],
+[0, 0]] (the augmented matrix of the relay kernel), the state after tau
+from x is E x + F, so the symmetry x(tau) = -x reads (E + I) x = -F.  Its
+solution X(tau) is the candidate, and the half-periods are the positive
+roots of
 
-    g(tau) = C (e^{A tau} + I)^{-1} (e^{A tau} - I) A^{-1} B
+    g(tau) = C X(tau) ;
 
-vanishes; the on-plane anchor state is then
-
-    x_hat = (e^{A tau*} + I)^{-1} (e^{A tau*} - I) A^{-1} B ,
-
-and the candidate is valid when the output stays nonnegative over the half
-period.  Stability is quantified by the monodromy matrix of the orbit,
-composed from the half-period flow and the switch-jump (saltation) factor at
-each crossing, or integrated directly for the smooth tanh approximation of
-the relay at a finite gain.
+the on-plane anchor state is X(tau*).  No formula needs A^{-1}, so plants
+with a pole at the origin are covered.  The candidate is valid when the
+output stays nonnegative over the half period.  Stability is quantified by
+the monodromy matrix of the orbit, composed from the half-period flow and
+the switch-jump (saltation) factor at each crossing, or integrated directly
+for the smooth tanh approximation of the relay at a finite gain.
 
 Note on the jump factor: the boundary-layer integral of the smooth system's
 linearization coefficient across one switch is
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import numerics
 from .errors import DegenerateOrbitError, NoOrbitError, ShootingError
@@ -79,20 +82,22 @@ class MonodromyReport:
 
 
 def _orbit_function(ss: StateSpace):
-    """g(tau) whose positive roots are symmetric-orbit half-periods."""
-    A, B, C = ss.A, ss.B, ss.C
-    AinvB = np.linalg.solve(A, B)
+    """g(tau), whose positive roots are symmetric-orbit half-periods, and the
+    candidate X(tau) it is the output of; both take a scalar tau, or an
+    array of tau for one value or row per entry."""
+    M = system_for(ss).flow.M
     n = ss.n
     I = np.eye(n)
 
+    def X(tau):
+        EF = numerics.expm(M, tau)[..., :n, :]
+        return np.linalg.solve(EF[..., :n] + I, -EF[..., n:])[..., 0]
+
     def g(tau):
-        """g at a scalar tau, or one value per entry of an array tau."""
-        E = numerics.expm(A, tau)
-        X = np.linalg.solve(E + I, ((E - I) @ AinvB)[..., None])[..., 0]
-        y = X @ C
+        y = X(tau) @ ss.C
         return float(y) if np.ndim(y) == 0 else y
 
-    return g, AinvB
+    return g, X
 
 
 def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None = None,
@@ -101,23 +106,28 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
     """Locate symmetric unimodal orbit candidates by scanning g(tau).
 
     Scans a log-spaced grid over ``tau_range`` for sign changes of g, refines
-    each root by Brent to 1e-12, reconstructs the anchor, and checks the
-    output-sign condition on a dense grid.  The returned orbit is the valid
-    candidate with the smallest half-period; ``return_all=True`` instead
-    yields every root as a candidate with its validity flag.
+    each root by ``scipy.optimize.brentq`` (``xtol=1e-13``), takes the
+    anchor from the same solve as g, and checks the output-sign condition on
+    a dense grid.  The returned orbit is the valid candidate with the
+    smallest half-period; ``return_all=True`` instead yields every root as a
+    candidate with its validity flag.  The default ``tau_range`` spans
+    1e-4 / sigma to 100 / sigma, sigma the slowest decay rate of the poles
+    off the origin.
 
     Raises
     ------
+    ValueError
+        Default ``tau_range`` on a plant with no pole off the origin or with
+        a pole off the origin that is not stable.
     NoOrbitError
         No root of g, or no root passing the sign condition.
     """
-    lam = np.linalg.eigvals(ss.A)
-    if np.abs(lam).min() < 1e-12 * max(1.0, np.abs(lam).max()):
-        raise ValueError("A must be invertible (no pole at the origin)")
-    g, AinvB = _orbit_function(ss)
     if tau_range is None:
-        if lam.real.max() >= 0:
-            raise ValueError("default tau_range requires a stable plant")
+        lam = np.linalg.eigvals(ss.A)
+        lam = lam[np.abs(lam) >= 1e-12 * max(1.0, np.abs(lam).max())]
+        if lam.size == 0 or lam.real.max() >= 0:
+            raise ValueError("default tau_range requires a pole off the origin "
+                             "and every pole off the origin stable")
         sigma = -lam.real.max()
         lo = 1e-4 / sigma
         hi = 100.0 / sigma
@@ -125,6 +135,7 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         lo, hi = tau_range
         if lo <= 0:
             lo = 1e-12 + hi * 1e-10
+    g, X = _orbit_function(ss)
     taus = np.geomspace(lo, hi, grid_points)
     vals = g(taus)
 
@@ -133,7 +144,7 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         if vals[i] == 0.0:
             roots.append(float(taus[i]))
         elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(numerics.brent_root(g, float(taus[i]), float(taus[i + 1])))
+            roots.append(brentq(g, float(taus[i]), float(taus[i + 1]), xtol=1e-13))
     if vals[-1] == 0.0:
         roots.append(float(taus[-1]))
     if not roots:
@@ -142,13 +153,10 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
 
     candidates = []
     A, B, C = ss.A, ss.B, ss.C
-    I = np.eye(ss.n)
     sys_ = system_for(ss)
     for tau in roots:
-        E = numerics.expm(A, tau)
-        anchor = np.linalg.solve(E + I, (E - I) @ AinvB)
-        anchor = anchor.copy()
-        anchor[-1] = 0.0  # C anchor = 0 holds exactly by construction of g
+        anchor = X(tau)
+        anchor[-1] = 0.0  # C anchor = g(tau) = 0 at the root
         # output along the positive half on an evenly spaced grid
         ys = sys_.flow.grid(anchor, +1, tau / (sign_grid - 1), sign_grid) @ C
         valid = bool(np.min(ys) >= SIGN_CONDITION_SLACK)
@@ -192,6 +200,25 @@ def _jump_factor(ss: StateSpace, mu: float) -> np.ndarray:
     return np.eye(ss.n) - BC * theta
 
 
+def _report(ss: StateSpace, Phi: np.ndarray, T: float, jump_total: float,
+            extras: dict) -> MonodromyReport:
+    """Floquet data of the monodromy ``Phi`` over the period ``T``, with the
+    determinant limit exp(-a_{n-1} T - C B * jump_total), ``jump_total`` the
+    sum of the jump integrals (the trace integral for the smooth loop)."""
+    mults = np.linalg.eigvals(Phi)
+    a_tail = float(-ss.A[-1, -1])  # a_{n-1} from the companion structure
+    b_tail = float(ss.B[-1])
+    return MonodromyReport(
+        matrix=Phi,
+        floquet_multipliers=tuple(mults),
+        det=float(np.linalg.det(Phi)),
+        det_limit_formula=math.exp(-a_tail * T - b_tail * jump_total),
+        trivial_multiplier_error=float(np.min(np.abs(mults - 1.0))),
+        period=T,
+        extras=extras,
+    )
+
+
 def monodromy_exact(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
     """Monodromy of the relay orbit from its closed-form ingredients.
 
@@ -201,11 +228,8 @@ def monodromy_exact(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
     exp(-a_{n-1} T - C B * sum of jump integrals), which the construction
     satisfies as an algebraic identity.
     """
-    A = ss.A
-    tau = orbit.half_period
-    T = orbit.period
     b_tail = float(ss.B[-1])
-    E = numerics.expm(A, tau)
+    E = numerics.expm(ss.A, orbit.half_period)
 
     Phi = np.eye(ss.n)
     mus = []
@@ -213,21 +237,7 @@ def monodromy_exact(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
         mu = _switch_jump_integral(rho_b, rho_a, b_tail)
         mus.append(mu)
         Phi = _jump_factor(ss, mu) @ E @ Phi
-
-    mults = np.linalg.eigvals(Phi)
-    det = float(np.linalg.det(Phi))
-    a_tail = float(-A[-1, -1])  # a_{n-1} from the companion structure
-    det_limit = math.exp(-a_tail * T - b_tail * sum(mus))
-    trivial_err = float(np.min(np.abs(mults - 1.0)))
-    return MonodromyReport(
-        matrix=Phi,
-        floquet_multipliers=tuple(mults),
-        det=det,
-        det_limit_formula=det_limit,
-        trivial_multiplier_error=trivial_err,
-        period=T,
-        extras={"jump_integrals": mus},
-    )
+    return _report(ss, Phi, orbit.period, sum(mus), {"jump_integrals": mus})
 
 
 def monodromy_sinusoid(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
@@ -238,26 +248,10 @@ def monodromy_sinusoid(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport
     T / (pi * peak output).  Useful as a back-of-envelope check; accuracy
     degrades as the waveform departs from a sinusoid.
     """
-    tau = orbit.half_period
     T = orbit.period
     mu = T / (math.pi * orbit.peak_output)
-    E = numerics.expm(ss.A, tau)
-    W = _jump_factor(ss, mu) @ E
-    Phi = W @ W
-    mults = np.linalg.eigvals(Phi)
-    det = float(np.linalg.det(Phi))
-    a_tail = float(-ss.A[-1, -1])
-    b_tail = float(ss.B[-1])
-    det_limit = math.exp(-a_tail * T - b_tail * 2.0 * mu)
-    return MonodromyReport(
-        matrix=Phi,
-        floquet_multipliers=tuple(mults),
-        det=det,
-        det_limit_formula=det_limit,
-        trivial_multiplier_error=float(np.min(np.abs(mults - 1.0))),
-        period=T,
-        extras={"jump_integrals": [mu, mu]},
-    )
+    W = _jump_factor(ss, mu) @ numerics.expm(ss.A, orbit.half_period)
+    return _report(ss, W @ W, T, mu + mu, {"jump_integrals": [mu, mu]})
 
 
 def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float,
@@ -364,24 +358,10 @@ def monodromy_floquet(ss: StateSpace, gamma: float, orbit_hint: OrbitCandidate,
     w_end = sol.y[:, -1]
     Phi = w_end[n:n + n * n].reshape(n, n)
     trace_integral = float(w_end[-1])
-
-    mults = np.linalg.eigvals(Phi)
-    det = float(np.linalg.det(Phi))
-    a_tail = float(-A[-1, -1])
-    b_tail = float(B[-1])
-    liouville_det = math.exp(-a_tail * T - b_tail * trace_integral)
-    return MonodromyReport(
-        matrix=Phi,
-        floquet_multipliers=tuple(mults),
-        det=det,
-        det_limit_formula=liouville_det,
-        trivial_multiplier_error=float(np.min(np.abs(mults - 1.0))),
-        period=T,
-        extras={
-            "gamma": gamma,
-            "anchor": z,
-            "half_period": tau,
-            "trace_integral": trace_integral,
-            "orbit_closure_residual": float(np.linalg.norm(sol.y[:n, -1] - z)),
-        },
-    )
+    return _report(ss, Phi, T, trace_integral, {
+        "gamma": gamma,
+        "anchor": z,
+        "half_period": tau,
+        "trace_integral": trace_integral,
+        "orbit_closure_residual": float(np.linalg.norm(sol.y[:n, -1] - z)),
+    })

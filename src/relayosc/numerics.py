@@ -1,9 +1,8 @@
 """Shared numerical kernels.
 
 Dense matrix exponential, eigendecomposition with a diagonalizability
-contract, eigenvector condition numbers, Brent refinement of a root
-bracket, and adaptive ODE integration.  The design envelope is small dense
-systems (n <= 20).
+contract, eigenvector condition numbers, and adaptive ODE integration.
+The design envelope is small dense systems (n <= 20).
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from .errors import StiffnessError
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -92,71 +89,6 @@ def _condition(sv: np.ndarray) -> np.ndarray:
     regular = sv[..., -1] > 1e-10 * sv[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(regular, sv[..., 0] / sv[..., -1], np.inf)
-
-
-def _brent(f, a, b, fa, fb, f_tol, max_iter=200):
-    """Classic safeguarded Brent iteration on a sign-change bracket.
-
-    Runs until the bracket width drops below 1e-12 * max(1, |root|) and the
-    residual below ``f_tol`` (or the width reaches the machine floor, where
-    no further progress is possible in double precision).
-    """
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol_act = 2.0 * _EPS * abs(b) + 0.5e-15
-        m = 0.5 * (c - b)
-        width_tol = 1e-12 * max(1.0, abs(b))
-        if fb == 0.0 or (abs(m) <= width_tol and abs(fb) <= f_tol):
-            return b
-        if abs(m) <= tol_act:
-            return b  # machine floor reached
-        if abs(e) < tol_act or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol_act * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b = b + (d if abs(d) > tol_act else np.copysign(tol_act, m))
-        fb = f(b)
-        if not np.isfinite(fb):
-            raise ValueError("non-finite function value during root refinement")
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
-            d = e = b - a
-    return b
-
-
-def brent_root(f: Callable[[float], float], lo: float, hi: float,
-               *, f_tol: float = 1e-12) -> float:
-    """Refine a sign-change bracket [lo, hi] to a root with Brent's method."""
-    f_lo, f_hi = float(f(lo)), float(f(hi))
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise ValueError("not a sign-change bracket")
-    return float(_brent(f, lo, hi, f_lo, f_hi, f_tol))
 
 
 def integrate_adaptive(

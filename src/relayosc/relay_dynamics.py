@@ -222,11 +222,6 @@ class _AffineFlow:
         z = numerics.expm(self.M, t) @ self.lift(xi, s)
         return s * z[..., : self.n]
 
-    def output(self, xi: np.ndarray, s: int, t):
-        """C x(t); accepts scalar or array t."""
-        y = s * (numerics.expm(self.M, t) @ self.lift(xi, s) @ self._c)
-        return float(y) if np.ndim(y) == 0 else y
-
     def grid(self, xi: np.ndarray, s: int, dt: float, count: int) -> np.ndarray:
         """States at t = j dt, j = 0..count-1, from powers of e^{M dt}."""
         z = _powers(self.lift(xi, s), numerics.expm(self.M, dt).T, count)

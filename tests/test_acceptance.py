@@ -215,9 +215,9 @@ def test_criterion_8_sfs_rfs_agreement(third_order):
     grid = np.linspace(0.0, T, 4001)
     y_relay = np.where(
         grid <= orbit.half_period,
-        relay.flow.output(orbit.anchor, +1, np.minimum(grid, orbit.half_period)),
-        -relay.flow.output(orbit.anchor, +1,
-                           np.maximum(grid - orbit.half_period, 0.0)))
+        relay.flow.state(orbit.anchor, +1, np.minimum(grid, orbit.half_period)) @ ss.C,
+        -relay.flow.state(orbit.anchor, +1,
+                          np.maximum(grid - orbit.half_period, 0.0)) @ ss.C)
     y_sfs = ss.C @ sol.sol(t_cross + grid)
     sup = float(np.max(np.abs(y_sfs - y_relay)))
     assert sup < 1e-2

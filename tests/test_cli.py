@@ -149,6 +149,13 @@ class TestExitCodes:
         payload = json.loads(res.stderr)
         assert payload["error"] == "epsilon must lie in (0, min |Re eigenvalue|)"
 
+    def test_expm_overflow_exits_3(self, runner):
+        res = invoke(runner, ["find-orbit", "--num", "1", "--den", "-1,1",
+                              "--tau-min", "1", "--tau-max", "1000"])
+        assert res.exit_code == 3
+        payload = json.loads(res.stderr)
+        assert payload["schema_version"] == 1 and "overflow" in payload["error"]
+
     def test_wrong_x0_length_exits_2(self, runner):
         res = invoke(runner, ["sfs-sim", "--num", "1,-1", "--den", "6,5,1",
                               "--gamma", "10", "--x0", "0.4", "--t-end", "1"])
@@ -173,6 +180,16 @@ class TestDeterminism:
         b = invoke(runner, ["fixed-point", "--num", "1,-1", "--den", "6,5,1",
                             "--seed", "3"]).output
         assert a == b
+
+
+    @pytest.mark.parametrize("cmd", ["find-orbit", "monodromy"])
+    def test_integrating_plant_byte_identical(self, runner, cmd):
+        # (1-s)/(s(s+2)): a pole at the origin
+        args = [cmd, "--num", "1,-1", "--den", "0,2,1"]
+        a, b = invoke(runner, args), invoke(runner, args)
+        assert a.exit_code == 0 and b.exit_code == 0
+        assert json.loads(a.output)["half_period"] == pytest.approx(2.98470, abs=1e-5)
+        assert a.stdout_bytes == b.stdout_bytes
 
 
 class TestHelp:

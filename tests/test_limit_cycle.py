@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import named_plant
 from relayosc import limit_cycle as lc
 from relayosc import numerics
 from relayosc import poincare as pc
 from relayosc.errors import NoOrbitError
-from relayosc.plant import StateSpace
+from relayosc.plant import StateSpace, parse_plant, realize
 from relayosc.relay_dynamics import RelaySystem
 
 
@@ -69,7 +70,7 @@ class TestFindSymmetricOrbit:
         _, ss = second_order
         sys_ = RelaySystem(ss)
         ts = np.linspace(0, orbit2.half_period, 40_000)
-        ys = sys_.flow.output(orbit2.anchor, +1, ts)
+        ys = sys_.flow.state(orbit2.anchor, +1, ts) @ ss.C
         assert orbit2.peak_output == pytest.approx(np.max(np.abs(ys)), abs=1e-6)
 
     def test_return_all_lists_candidates(self, second_order):
@@ -106,7 +107,65 @@ class TestFindSymmetricOrbit:
         monkeypatch.setattr(numerics, "expm", counted)
         lc.find_symmetric_orbit(ss)
         assert ndims.count(1) == 1
-        assert ndims.count(0) < 100  # Brent, the anchors, one RelaySystem
+        assert ndims.count(0) < 100  # brentq, the anchors, one RelaySystem
+
+
+#: Half-periods found by the A^{-1} B form of g with a scalar Brent
+#: refinement, which the augmented-exponential form must reproduce.
+REFERENCE_HALF_PERIODS = {
+    "second_order": 1.2484861258633189,
+    "third_order": 1.9067724405894493,
+    "third_order_brl": 1.56679923697241,
+    "brl6": 1.748308907303145,
+    "brl10": 1.7209643868161808,
+}
+
+#: Plants with a pole at the origin, (num, den) ascending without the
+#: leading denominator coefficient.
+INTEGRATING = {
+    "(1-s)/(s(s+2))": ([1, -1], [0, 2]),
+    "(1-s)/(s(s+1)^2)": ([1, -1], [0, 1, 2]),
+    "1/(s(s+1)^2)": ([1], [0, 1, 2]),
+}
+
+
+class TestAugmentedOrbitFunction:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_HALF_PERIODS))
+    def test_half_periods_match_reference(self, name, request):
+        orbit = lc.find_symmetric_orbit(named_plant(name, request))
+        assert orbit.half_period == pytest.approx(REFERENCE_HALF_PERIODS[name],
+                                                  rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["third_order", "brl6"])
+    def test_anchor_matches_invertible_form(self, name, request):
+        # with A invertible, -F = (E - I) A^{-1} B
+        ss = named_plant(name, request)
+        orbit = lc.find_symmetric_orbit(ss)
+        E = numerics.expm(ss.A, orbit.half_period)
+        I = np.eye(ss.n)
+        ref = np.linalg.solve(E + I, (E - I) @ np.linalg.solve(ss.A, ss.B))
+        assert np.abs(orbit.anchor - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("num, den", INTEGRATING.values(), ids=list(INTEGRATING))
+    def test_integrating_plant_matches_simulation(self, num, den):
+        ss = realize(parse_plant(num, den))
+        orbit = lc.find_symmetric_orbit(ss)
+        assert orbit.is_symmetric_unimodal
+        traj, _ = RelaySystem(ss).simulate(1.05 * orbit.anchor, 1e6, max_switches=400)
+        ts = [ev.t for ev in traj.events]
+        assert len(ts) == 400
+        assert ts[-1] - ts[-2] == pytest.approx(orbit.half_period, rel=1e-9)
+        assert lc.monodromy_exact(ss, orbit).trivial_multiplier_error < 1e-8
+
+    def test_chattering_integrator_has_no_orbit(self):
+        # 1/(s(s+1)) chatters: g(tau) has no root
+        with pytest.raises(NoOrbitError):
+            lc.find_symmetric_orbit(realize(parse_plant([1], [0, 1])))
+
+    @pytest.mark.parametrize("den", [[0], [-1]], ids=["1/s", "1/(s-1)"])
+    def test_default_range_names_its_requirement(self, den):
+        with pytest.raises(ValueError, match="pole off the origin"):
+            lc.find_symmetric_orbit(realize(parse_plant([1], den)))
 
 
 class TestMonodromyExact:

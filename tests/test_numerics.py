@@ -95,16 +95,6 @@ class TestStackedEigen:
         assert type(numerics.bauer_fike(e)) is float
 
 
-class TestBrentRoot:
-    def test_simple(self):
-        assert numerics.brent_root(np.cos, 1.0, 2.0) == pytest.approx(
-            np.pi / 2, abs=1e-12)
-
-    def test_not_a_bracket(self):
-        with pytest.raises(ValueError):
-            numerics.brent_root(np.cos, 0.1, 0.2)
-
-
 class TestIntegrateAdaptive:
     def test_exponential_decay(self):
         sol = numerics.integrate_adaptive(lambda t, x: -x, [1.0], (0.0, 1.0),
