@@ -9,6 +9,7 @@ Library layout:
 - ``poincare``       return-map jacobians, spectral surveys, fixed points
 - ``limit_cycle``    symmetric orbits, monodromy matrices, Floquet data
 - ``sfs``            smooth tanh loop: root locus, Hopf, hyperbolicity
+- ``artifacts``      the CSV and JSON artifact formats
 - ``cli``            command-line toolkit over all of the above
 """
 

@@ -16,13 +16,12 @@ spectrum they share.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
+from .artifacts import write_csv
 from .bounds import BoundsReport, anchor_region, sample_anchor_region
 from .errors import DivergenceError, NonTransversalError, NoCrossingError
 from .plant import StateSpace
@@ -227,19 +226,12 @@ def spectral_survey(ss: StateSpace, bounds: BoundsReport, count: int,
 def survey_to_csv(samples: list[SpectralSample], dest, *, version: str = "") -> None:
     """Write survey samples in the plot-ready CSV schema to a path or a
     text stream."""
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", newline="") as fh:
-            survey_to_csv(samples, fh, version=version)
-        return
-    dest.write(f"# relayosc {version}; dimensionless spectral statistics\n")
-    w = csv.writer(dest)
-    w.writerow(["point_id", "rho_astrom", "rho_exact", "norm_astrom",
-                "norm_exact", "bf_astrom", "bf_exact", "schur_stable"])
-    for i, s in enumerate(samples):
-        w.writerow([i, repr(s.rho_astrom), repr(s.rho_exact),
-                    repr(s.norm_astrom), repr(s.norm_exact),
-                    repr(s.bauer_fike_astrom), repr(s.bauer_fike_exact),
-                    int(s.schur_stable)])
+    write_csv(dest, version, "dimensionless spectral statistics",
+              ["point_id", "rho_astrom", "rho_exact", "norm_astrom", "norm_exact",
+               "bf_astrom", "bf_exact", "schur_stable"],
+              ((i, s.rho_astrom, s.rho_exact, s.norm_astrom, s.norm_exact,
+                s.bauer_fike_astrom, s.bauer_fike_exact, int(s.schur_stable))
+               for i, s in enumerate(samples)))
 
 
 def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,

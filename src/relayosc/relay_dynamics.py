@@ -14,9 +14,7 @@ identities  tau_-(x) = tau_+(-x)  and  psi_-(x) = -psi_+(-x).
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from . import numerics
+from .artifacts import json_artifact, write_csv
 from .errors import InvalidStartError, NoCrossingError, SlidingError
 from .plant import StateSpace
 
@@ -786,20 +785,15 @@ def trajectory_to_csv(traj: Trajectory, path, *, version: str = "") -> None:
     # a switch instant ends one segment's samples and starts the next's, at
     # exactly the event time
     is_switch = np.isin(traj.times, [ev.t for ev in traj.events])
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# relayosc {version}; units: t in seconds, x dimensionless\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x_{i+1}" for i in range(n)] + ["u", "is_switch"])
-        for t, xrow, u, flag in zip(traj.times, traj.states, traj.relay_signs, is_switch):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in xrow]
-                            + [repr(float(u)), int(flag)])
+    rows = ((t, *x, u, int(flag)) for t, x, u, flag in zip(
+        traj.times.tolist(), traj.states.tolist(), traj.relay_signs.tolist(), is_switch))
+    write_csv(path, version, "units: t in seconds, x dimensionless",
+              ["t"] + [f"x_{i+1}" for i in range(n)] + ["u", "is_switch"], rows)
 
 
 def events_to_json(traj: Trajectory, sliding: SlidingReport, *, version: str = "") -> str:
     """Serialize the switch-event log (and sliding report) to JSON."""
-    payload = {
-        "schema_version": 1,
-        "toolkit_version": version,
+    return json_artifact({
         "certified": traj.certified,
         "events": [
             {
@@ -817,5 +811,4 @@ def events_to_json(traj: Trajectory, sliding: SlidingReport, *, version: str = "
             "entry_state": None if sliding.entry_state is None
             else [float(v) for v in sliding.entry_state],
         },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    }, version)
