@@ -50,6 +50,12 @@ SIGN_CONDITION_SLACK = -1e-9
 
 OUTPUT_SPEED_TOL = 1e-8
 
+#: |g| within this multiple of |X| at every scanned tau is g = 0 to
+#: roundoff, a continuum of orbits: on 1/s^2 the ratio stays below 1.4e-13
+#: for tau up to 1000, and seeded random stable plants of order 10 to 20
+#: reach 6e-11 or more somewhere in their default scan.
+DEGENERATE_TOL = 4096 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class OrbitCandidate:
@@ -120,7 +126,11 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         Default ``tau_range`` on a plant with no pole off the origin or with
         a pole off the origin that is not stable.
     NoOrbitError
-        No root of g, or no root passing the sign condition.
+        No root of g, no root passing the sign condition, or g overflowing
+        in the scanned range (an unstable plant).
+    DegenerateOrbitError
+        g zero to roundoff at every scanned tau (``DEGENERATE_TOL``), as
+        on the double integrator, whose symmetric orbits form a continuum.
     """
     if tau_range is None:
         lam = np.linalg.eigvals(ss.A)
@@ -137,7 +147,14 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
             lo = 1e-12 + hi * 1e-10
     g, X = _orbit_function(ss)
     taus = np.geomspace(lo, hi, grid_points)
-    vals = g(taus)
+    try:
+        Xs = X(taus)
+    except OverflowError as exc:
+        raise NoOrbitError(f"g(tau) overflows in the scanned range: {exc}") from exc
+    vals = Xs @ ss.C
+    if np.all(np.abs(vals) <= DEGENERATE_TOL * np.linalg.norm(Xs, axis=1)):
+        raise DegenerateOrbitError("g(tau) is zero to roundoff over the scanned range: "
+                                   "the symmetric orbits form a continuum")
 
     roots: list[float] = []
     for i in range(len(taus) - 1):

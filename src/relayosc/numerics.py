@@ -1,13 +1,12 @@
 """Shared numerical kernels.
 
-Dense matrix exponential, eigendecomposition with a diagonalizability
-contract, eigenvector condition numbers, and adaptive ODE integration.
+Dense matrix exponential, eigenvector condition numbers, and adaptive ODE
+integration.
 The design envelope is small dense systems (n <= 20).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -15,16 +14,6 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from .errors import StiffnessError
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues/eigenvectors of a square matrix with a diagonalizability
-    verdict (smallest singular value of V above 1e-10 of the largest)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    is_diagonalizable: bool
 
 
 def expm(M: np.ndarray, t=1.0) -> np.ndarray:
@@ -50,42 +39,12 @@ def expm(M: np.ndarray, t=1.0) -> np.ndarray:
     return out.reshape(Mt.shape)
 
 
-def eigendecompose(M: np.ndarray) -> EigenDecomposition:
-    """Dense nonsymmetric eigendecomposition with unit-normalized columns."""
-    lam, V = np.linalg.eig(np.asarray(M, dtype=float))
-    V, sv = _unit_columns(V)
-    return EigenDecomposition(lam, V, bool(np.isfinite(_condition(sv))))
-
-
-def bauer_fike(e: EigenDecomposition) -> float:
-    """2-norm condition number of the (unit-column) eigenvector matrix.
-
-    This bounds the sensitivity of the computed eigenvalues; it is >= 1 and
-    equals 1 exactly for normal matrices.
-    """
-    if not e.is_diagonalizable:
-        raise ValueError("non-diagonalizable: eigenvector matrix is singular")
-    return float(eigenvector_condition(e.eigenvectors))
-
-
 def eigenvector_condition(V: np.ndarray) -> np.ndarray:
     """2-norm condition number of ``V`` with its columns scaled to unit
-    norm, inf where that matrix is numerically singular; of each member of
-    a stack (m, n, n)."""
-    return _condition(_unit_columns(V)[1])
-
-
-def _unit_columns(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``V`` with its columns scaled to unit 2-norm, and its singular values;
-    a stack (m, n, n) is scaled and decomposed member by member."""
-    V = V / np.linalg.norm(V, axis=-2, keepdims=True)
-    return V, np.linalg.svd(V, compute_uv=False)
-
-
-def _condition(sv: np.ndarray) -> np.ndarray:
-    """Largest over smallest of descending singular values (last axis), inf
-    where the smallest is at most 1e-10 of the largest: the diagonalizability
-    verdict of an eigenvector matrix."""
+    norm, of each member of a stack (m, n, n); inf where the smallest
+    singular value of that matrix is at most 1e-10 of the largest, the
+    verdict that an eigenvector matrix ``V`` is numerically singular."""
+    sv = np.linalg.svd(V / np.linalg.norm(V, axis=-2, keepdims=True), compute_uv=False)
     regular = sv[..., -1] > 1e-10 * sv[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(regular, sv[..., 0] / sv[..., -1], np.inf)

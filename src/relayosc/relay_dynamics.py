@@ -83,31 +83,19 @@ class SlidingReport:
     entry_state: np.ndarray | None = None
 
 
-def _powers(v: np.ndarray, P: np.ndarray, count: int) -> np.ndarray:
-    """Rows v P^j for j = 0..count-1, built by doubling."""
-    rows = np.empty((count, len(v)))
-    rows[0] = v
-    filled = 1
-    while filled < count:
-        m = min(filled, count - filled)
-        rows[filled:filled + m] = rows[:m] @ P
-        filled += m
-        P = P @ P
-    return rows
-
-
-def _exp_powers(D: np.ndarray, count: int) -> np.ndarray:
-    """E^j - I for j = 0..count-1 from D = E - I, built by doubling on
-    (I + D)(I + D') = I + (D + D' + D D').  A power of E near the identity
-    computed as such loses about one roundoff per factor; its difference
-    from the identity, computed this way, keeps working accuracy.  Entry j
-    does not depend on ``count``."""
-    rows = np.empty((count,) + D.shape)
+def _exp_powers(V: np.ndarray, D: np.ndarray, count: int) -> np.ndarray:
+    """V (E^j - I) for j = 0..count-1 from D = E - I, for a row vector V or
+    a matrix (the identity gives the differences E^j - I), built by doubling
+    on (I + D)(I + D') = I + (D + D' + D D').  A power of E near the
+    identity computed as such loses about one roundoff per factor; its
+    difference from the identity, computed this way, keeps working accuracy.
+    Entry j does not depend on ``count``."""
+    rows = np.empty((count,) + V.shape)
     rows[0] = 0.0
     filled = 1
     while filled < count:
         m = min(filled, count - filled)
-        rows[filled:filled + m] = rows[:m] + D + rows[:m] @ D
+        rows[filled:filled + m] = rows[:m] + V @ D + rows[:m] @ D
         filled += m
         D = D + D + D @ D
     return rows
@@ -137,13 +125,13 @@ class _AffineFlow:
     symmetry: x(t; xi, -1) = -x(t; -xi, +1)); no formula needs A^{-1} or
     eigenvectors, so a pole at the origin is no special case (Van Loan,
     IEEE TAC 1978).  e^{M t} z comes from ``numerics.expm`` at given times,
-    from powers of e^{M h} on evenly spaced grids, and from a Taylor
-    polynomial within one node interval of a known state (``_Paths``).
-    The march of a block of starts runs on the grid j h: the rows
-    [C 0] e^{M j h} give a block of its output values at once, and the leap
-    e^{BLOCK M h} moves to the next block.  ``grid_exp`` gives e^{M K h} at
-    any grid point, to the accuracy of ``numerics.expm``, from tables of
-    e^{M j h} - I.
+    from the differences e^{M j dt} - I (``_exp_powers``) on evenly spaced
+    grids, and from a Taylor polynomial within one node interval of a known
+    state (``_Paths``).  The march of a block of starts runs on the grid
+    j h: the rows [C 0] e^{M j h} give a block of its output values at once,
+    and the leap e^{BLOCK M h} moves to the next block.  ``grid_exp`` gives
+    e^{M K h} at any grid point, to the accuracy of ``numerics.expm``, from
+    tables of e^{M j h} - I.
     """
 
     #: Samples per march block.
@@ -159,10 +147,6 @@ class _AffineFlow:
         self.M[:n, n] = -self.B
         self._c = np.append(self.C, 0.0)
         self._CA, self._CB = self.C @ self.A, float(self.C @ self.B)
-        # march: rows [C 0] e^{M j h}, j = 1..BLOCK, and the leap e^{BLOCK M h}
-        E = numerics.expm(self.M, step)
-        self._rows = _powers(self._c, E, self.BLOCK + 1)[1:]
-        self._leap = np.linalg.matrix_power(E, self.BLOCK)
         # Taylor nodes: ||M d|| <= 1 in the balanced norm on each interval
         Mb, _ = scipy.linalg.matrix_balance(self.M, permute=False, separate=True)
         theta = float(np.linalg.norm(Mb, 1)) * step
@@ -184,14 +168,20 @@ class _AffineFlow:
         # and of its first two derivatives
         self._expansion = np.vstack((self._taylor.reshape(-1, n + 1), ck, dk, d2k))
         # grid exponentials less the identity, level i holding
-        # e^{M d BLOCK^i h} - I for d = 0..BLOCK (levels added on demand),
-        # from e^{M h} - I: the Taylor sum over one node interval, or, when
-        # ||M h|| > 1 leaves nothing to cancel, e^{M h} less the identity
-        if nodes == 1:
-            D = np.tensordot(step ** k[1:], self._taylor[1:], axes=1)
-        else:
-            D = E - np.eye(n + 1)
-        self._grid = [_exp_powers(D, self.BLOCK + 1)]
+        # e^{M d BLOCK^i h} - I for d = 0..BLOCK (levels added on demand)
+        self._grid = [_exp_powers(np.eye(n + 1), self._less_identity(step), self.BLOCK + 1)]
+        # march: rows [C 0] e^{M j h}, j = 1..BLOCK, and the leap e^{BLOCK M h}
+        self._rows = self._c + self._c @ self._grid[0][1:]
+        self._leap = np.eye(n + 1) + self._grid[0][self.BLOCK]
+
+    def _less_identity(self, dt: float) -> np.ndarray:
+        """e^{M dt} - I: the Taylor sum within one node interval, where
+        subtracting the identity from e^{M dt} would cancel digits, and
+        ``numerics.expm`` less the identity beyond it, where ||M dt|| > 1
+        leaves nothing to cancel."""
+        if dt <= self.node_step:
+            return np.tensordot(dt ** self._powers[1:], self._taylor[1:], axes=1)
+        return numerics.expm(self.M, dt) - np.eye(self.n + 1)
 
     def grid_exp(self, K: np.ndarray) -> np.ndarray:
         """e^{M K h} for the grid indices K: the product over the base-BLOCK
@@ -201,7 +191,8 @@ class _AffineFlow:
         level = 1
         while np.count_nonzero(K):
             if level == len(self._grid):
-                self._grid.append(_exp_powers(self._grid[-1][-1], self.BLOCK + 1))
+                self._grid.append(_exp_powers(np.eye(self.n + 1), self._grid[-1][-1],
+                                              self.BLOCK + 1))
             K, d = np.divmod(K, self.BLOCK)
             Dl = self._grid[level][d]
             D = D + Dl + D @ Dl
@@ -222,8 +213,10 @@ class _AffineFlow:
         return s * z[..., : self.n]
 
     def grid(self, xi: np.ndarray, s: int, dt: float, count: int) -> np.ndarray:
-        """States at t = j dt, j = 0..count-1, from powers of e^{M dt}."""
-        z = _powers(self.lift(xi, s), numerics.expm(self.M, dt).T, count)
+        """States at t = j dt, j = 0..count-1, from the differences
+        e^{M j dt} - I."""
+        z = self.lift(xi, s)
+        z = z + _exp_powers(z, self._less_identity(dt).T, count)
         return s * z[:, : self.n]
 
     def output_speed(self, x: np.ndarray, s: int):
@@ -367,9 +360,10 @@ class RelaySystem:
     ss : StateSpace
         Observer-canonical realization of the plant.
     step_hint : float, optional
-        Marching step for crossing detection.  Pass a quarter of the
-        minimum inter-switch bound when one is available; the default is
-        t_max / 1e4.
+        Marching step for crossing detection; the default is t_max / 1e4.
+        For a relative-degree-one plant the minimum inter-switch bound of
+        ``bounds.bounds_report`` would be a valid march step, but no caller
+        passes it yet.
     t_max : float, optional
         Default search horizon for exit times; defaults to 50 slow time
         constants (50 / min |Re eigenvalue|) for a stable plant, which the

@@ -201,3 +201,46 @@ class TestHelp:
         res = invoke(runner, [cmd, "--help"])
         assert res.exit_code == 0
         assert "--help" in res.output or "Usage" in res.output
+        for option in ("--num", "--den", "--plant-file", "--descending"):
+            assert option in res.output
+
+
+PLANT = ["--num", "1,-1", "--den", "6,5,1"]
+
+
+class TestArtifactHeaders:
+    @pytest.mark.parametrize("args, header", [
+        (["simulate", *PLANT, "--x0", "0.4,0.2", "--t-end", "3", "--out", "{}"],
+         "t,x_1,x_2,u,is_switch"),
+        (["poincare-survey", *PLANT, "--count", "5", "--out", "{}"],
+         "point_id,rho_astrom,rho_exact,norm_astrom,norm_exact,bf_astrom,bf_exact,"
+         "schur_stable"),
+        (["find-orbit", *PLANT, "--orbit-csv", "{}"], "t,x_1,x_2,u,y"),
+        (["root-locus", *PLANT, "--gamma-max", "10", "--out", "{}"],
+         "gamma,re_1,re_2,im_1,im_2"),
+        (["sfs-sim", *PLANT, "--gamma", "10", "--x0", "0.1,0.1", "--t-end", "1",
+          "--out", "{}"], "t,x_1,x_2,u,y"),
+    ], ids=["simulate", "poincare-survey", "find-orbit", "root-locus", "sfs-sim"])
+    def test_csv_header(self, runner, tmp_path, args, header):
+        out = tmp_path / "artifact.csv"
+        res = invoke(runner, [str(out) if a == "{}" else a for a in args])
+        assert res.exit_code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# relayosc 0.1.0;")
+        assert lines[1] == header
+
+    @pytest.mark.parametrize("args", [
+        ["classify", *PLANT],
+        ["simulate", *PLANT, "--x0", "0.4,0.2", "--t-end", "3"],
+        ["bounds", *PLANT],
+        ["fixed-point", *PLANT],
+        ["find-orbit", *PLANT],
+        ["monodromy", *PLANT],
+        ["root-locus", *PLANT, "--gamma-max", "10"],
+    ], ids=lambda args: args[0])
+    def test_json_header(self, runner, args):
+        res = invoke(runner, args)
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert payload["schema_version"] == 1
+        assert payload["toolkit_version"] == "0.1.0"

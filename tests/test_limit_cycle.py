@@ -8,7 +8,7 @@ from conftest import named_plant
 from relayosc import limit_cycle as lc
 from relayosc import numerics
 from relayosc import poincare as pc
-from relayosc.errors import NoOrbitError
+from relayosc.errors import DegenerateOrbitError, NoOrbitError
 from relayosc.plant import StateSpace, parse_plant, realize
 from relayosc.relay_dynamics import RelaySystem
 
@@ -128,6 +128,13 @@ INTEGRATING = {
     "1/(s(s+1)^2)": ([1], [0, 1, 2]),
 }
 
+#: Their half-periods when the double-integrator check came in.
+INTEGRATING_HALF_PERIODS = {
+    "(1-s)/(s(s+2))": 2.9847045853578935,
+    "(1-s)/(s(s+1)^2)": 5.828377241640092,
+    "1/(s(s+1)^2)": 3.212230597605534,
+}
+
 
 class TestAugmentedOrbitFunction:
     @pytest.mark.parametrize("name", sorted(REFERENCE_HALF_PERIODS))
@@ -156,6 +163,23 @@ class TestAugmentedOrbitFunction:
         assert len(ts) == 400
         assert ts[-1] - ts[-2] == pytest.approx(orbit.half_period, rel=1e-9)
         assert lc.monodromy_exact(ss, orbit).trivial_multiplier_error < 1e-8
+
+    @pytest.mark.parametrize("name", sorted(INTEGRATING))
+    def test_integrating_half_periods_kept(self, name):
+        orbit = lc.find_symmetric_orbit(realize(parse_plant(*INTEGRATING[name])))
+        assert orbit.half_period == pytest.approx(INTEGRATING_HALF_PERIODS[name],
+                                                  rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("tau_range", [(0.1, 10.0), (1e-4, 100.0)])
+    def test_double_integrator_is_degenerate(self, tau_range):
+        # every orbit of x'' = -sign x is periodic: g vanishes identically,
+        # and its roundoff changed sign about 200 times in the scan
+        with pytest.raises(DegenerateOrbitError, match="continuum"):
+            lc.find_symmetric_orbit(realize(parse_plant([1], [0, 0])), tau_range)
+
+    def test_unstable_plant_overflow_is_no_orbit(self):
+        with pytest.raises(NoOrbitError, match="overflow"):
+            lc.find_symmetric_orbit(realize(parse_plant([1], [-1])), (1.0, 1000.0))
 
     def test_chattering_integrator_has_no_orbit(self):
         # 1/(s(s+1)) chatters: g(tau) has no root

@@ -368,6 +368,25 @@ class TestOneKernel:
             refs = np.array([_ref_state(ss, s, x, 0.25 * j) for j in range(13)])
             assert np.abs(grid - refs).max() <= 1e-12 * (1 + np.abs(refs).max())
 
+    def test_grid_matches_high_precision(self, request):
+        # 2,000 steps within one node interval each: plain powers of
+        # e^{M dt} drifted to 2e-12 here
+        import mpmath
+
+        ss = named_plant("brl10", request)
+        flow = RelaySystem(ss).flow
+        x = np.random.default_rng(3).standard_normal(ss.n)
+        dt, count = 0.01, 2001
+        assert dt <= flow.node_step
+        got = flow.grid(x, +1, dt, count)
+        with mpmath.workdps(40):
+            M = mpmath.matrix(flow.M.tolist())
+            z = mpmath.matrix(x.tolist() + [1.0])
+            for j in (1, 7, 667, count - 1):
+                ref = mpmath.expm(M * (j * mpmath.mpf(dt))) * z
+                ref = np.array([float(v) for v in ref[: ss.n]])
+                assert np.abs(got[j] - ref).max() <= 1e-14 * (1 + np.abs(ref).max())
+
 
 def _ref_exits(ss, s, X, dt, t_end):
     """First zero of s C x(t) from each row of X, on a grid of step dt up to

@@ -24,9 +24,9 @@ def per_gain_hyperbolicity(ss, gamma_max, samples):
     def at(kappa):
         nonlocal count
         count += 1
-        e = numerics.eigendecompose(ss.A - kappa * np.outer(ss.B, ss.C))
-        lip = numerics.bauer_fike(e) * norm_B if e.is_diagonalizable else math.inf
-        return -float(e.eigenvalues.real.max()), lip, e.eigenvalues
+        lam, V = np.linalg.eig(ss.A - kappa * np.outer(ss.B, ss.C))
+        lip = float(numerics.eigenvector_condition(V)) * norm_B   # inf if defective
+        return -float(lam.real.max()), lip, lam
 
     kappas = np.linspace(0.0, gamma_max, samples + 1)
     vals = [at(float(k)) for k in kappas]
