@@ -239,9 +239,10 @@ def cmd_find_orbit(tf, ss, tau_min, tau_max, out, orbit_csv):
         ts = np.linspace(0.0, orbit.period, 2001)
         # the second half repeats the first with the sign flipped
         half = relay_dynamics.system_for(ss).flow.grid(orbit.anchor, +1, ts[1], 1001)
-        rows = ((t, *x, u, ss.C @ x) for t, x, u in (
-            (t, half[j], 1.0) if t <= orbit.half_period else (t, -half[j - 1000], -1.0)
-            for j, t in enumerate(ts)))
+        rows = []
+        for j, t in enumerate(ts):
+            x, u = (half[j], 1.0) if t <= orbit.half_period else (-half[j - 1000], -1.0)
+            rows.append((t, *x, u, ss.C @ x))
         write_csv(orbit_csv, __version__, "units: t in seconds",
                   ["t"] + [f"x_{i+1}" for i in range(ss.n)] + ["u", "y"], rows)
 

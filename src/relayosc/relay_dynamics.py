@@ -95,7 +95,9 @@ def _exp_powers(V: np.ndarray, D: np.ndarray, count: int) -> np.ndarray:
     filled = 1
     while filled < count:
         m = min(filled, count - filled)
-        rows[filled:filled + m] = rows[:m] + V @ D + rows[:m] @ D
+        head = rows[:m] + V @ D
+        np.matmul(rows[:m], D, out=rows[filled:filled + m])
+        rows[filled:filled + m] += head
         filled += m
         D = D + D + D @ D
     return rows
@@ -216,8 +218,9 @@ class _AffineFlow:
         """States at t = j dt, j = 0..count-1, from the differences
         e^{M j dt} - I."""
         z = self.lift(xi, s)
-        z = z + _exp_powers(z, self._less_identity(dt).T, count)
-        return s * z[:, : self.n]
+        Z = _exp_powers(z, self._less_identity(dt).T, count)
+        Z += z
+        return s * Z[:, : self.n]
 
     def output_speed(self, x: np.ndarray, s: int):
         """Output derivative C (A x - s B) under relay sign s, of a state or
