@@ -783,7 +783,7 @@ def trajectory_to_csv(traj: Trajectory, path, *, version: str = "") -> None:
     # exactly the event time
     is_switch = np.isin(traj.times, [ev.t for ev in traj.events])
     rows = ((t, *x, u, int(flag)) for t, x, u, flag in zip(
-        traj.times.tolist(), traj.states.tolist(), traj.relay_signs.tolist(), is_switch))
+        traj.times, traj.states, traj.relay_signs, is_switch))
     write_csv(path, version, "units: t in seconds, x dimensionless",
               ["t"] + [f"x_{i+1}" for i in range(n)] + ["u", "is_switch"], rows)
 
