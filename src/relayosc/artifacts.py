@@ -2,7 +2,8 @@
 
 A CSV artifact starts with a comment line naming the toolkit version and
 the units, then a header row; a Python ``int`` cell is written as an
-integer and every other cell as the repr of a float, which round-trips.
+integer and every other cell as the repr of a float, which round-trips;
+every line ends in "\n".
 A JSON artifact carries ``schema_version`` 1 and the toolkit version, and
 is indented with its keys sorted.
 """
@@ -22,7 +23,7 @@ def write_csv(dest, version: str, units: str, header: list[str], rows) -> None:
             write_csv(fh, version, units, header, rows)
         return
     dest.write(f"# relayosc {version}; {units}\n")
-    w = csv.writer(dest)
+    w = csv.writer(dest, lineterminator="\n")
     w.writerow(header)
     w.writerows([c if type(c) is int else repr(float(c)) for c in row] for row in rows)
 

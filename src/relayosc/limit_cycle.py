@@ -13,8 +13,8 @@ the on-plane anchor state is X(tau*).  No formula needs A^{-1}, so plants
 with a pole at the origin are covered.  The candidate is valid when the
 output stays nonnegative over the half period.  Stability is quantified by
 the monodromy matrix of the orbit, composed from the half-period flow and
-the switch-jump (saltation) factor at each crossing, or integrated directly
-for the smooth tanh approximation of the relay at a finite gain.
+the switch-jump (saltation) factor at each crossing, or, for the smooth
+tanh loop at a finite gain, squared from its half-period variational matrix.
 
 Note on the jump factor: the boundary-layer integral of the smooth system's
 linearization coefficient across one switch is
@@ -42,7 +42,6 @@ from . import numerics
 from .errors import DegenerateOrbitError, NoOrbitError, ShootingError
 from .plant import StateSpace
 from .relay_dynamics import system_for
-from .sfs import sfs_field
 
 #: Output-sign condition tolerance: tiny negative slack absorbs roundoff at
 #: the endpoints where the output is exactly zero.
@@ -272,53 +271,65 @@ def monodromy_sinusoid(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport
 
 
 def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float,
-                       rel_tol: float, abs_tol: float,
-                       max_newton: int = 40) -> tuple[np.ndarray, float]:
+                       rel_tol: float, abs_tol: float, max_newton: int = 40):
     """Newton shooting for the smooth system's symmetric orbit.
 
     Unknowns are the n-1 on-plane coordinates of the start point and the
     half-period; the residual demands z(tau) = -z(0) (odd symmetry of the
-    field makes the full period the double).
+    field makes the full period the double).  Each residual integrates the
+    variational equations along, so the Newton jacobian is exact:
+    [Phi[:, :n-1] + I[:, :n-1], f(z(tau))].  Returns the start point, the
+    half-period, Phi and the trace integral over the half period, and the
+    residual norm.
     """
-    rhs = sfs_field(ss, gamma)
+    A, B, C = ss.A, ss.B, ss.C
+    BC = np.outer(B, C)
     n = ss.n
+    I = np.eye(n)
+
+    def rhs(t, w):  # [z; Phi; integral of c], Df = A - c B C
+        arg = gamma * float(C @ w[:n])
+        c = gamma / math.cosh(arg) ** 2 if abs(arg) < 350.0 else 0.0
+        dPhi = (A - c * BC) @ w[n:-1].reshape(n, n)
+        return np.concatenate([A @ w[:n] - B * math.tanh(arg), dPhi.ravel(), [c]])
 
     def half(zfree, tau):
         z_init = np.append(zfree, 0.0)
-        sol = numerics.integrate_adaptive(rhs, z_init, (0.0, tau),
-                                          rel_tol, abs_tol, dense_output=False)
-        return sol.y[:, -1] + z_init
+        w = numerics.integrate_adaptive(rhs, np.concatenate([z_init, I.ravel(), [0.0]]),
+                                        (0.0, tau), rel_tol, abs_tol,
+                                        dense_output=False).y[:, -1]
+        return w[:n] + z_init, w
 
     zfree = np.asarray(z0, dtype=float)[:-1].copy()
     tau = float(tau0)
-    r = half(zfree, tau)
+    r, w = half(zfree, tau)
     for _ in range(max_newton):
-        if np.linalg.norm(r) < 1e-11:
-            return np.append(zfree, 0.0), tau
-        J = np.empty((n, n))
-        d = 1e-7
-        for j in range(n - 1):
-            zp = zfree.copy()
-            zp[j] += d
-            J[:, j] = (half(zp, tau) - r) / d
-        J[:, n - 1] = (half(zfree, tau + d) - r) / d
+        J = np.column_stack([w[n:-1].reshape(n, n)[:, :n - 1] + I[:, :n - 1], rhs(tau, w)[:n]])
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
             raise ShootingError("singular shooting jacobian") from exc
+        # once converged, one full step more is kept if it lowers the residual
+        # (amplified by gamma in the trivial multiplier)
+        converged = np.linalg.norm(r) < 1e-11
         alpha = 1.0
         while alpha >= 2.0 ** -12:
             z_try = zfree + alpha * step[: n - 1]
             tau_try = tau + alpha * step[n - 1]
             if tau_try > 0:
-                r_try = half(z_try, tau_try)
+                r_try, w_try = half(z_try, tau_try)
                 if np.linalg.norm(r_try) < np.linalg.norm(r):
-                    zfree, tau, r = z_try, tau_try, r_try
+                    zfree, tau, r, w = z_try, tau_try, r_try, w_try
                     break
+            if converged:
+                break
             alpha *= 0.5
         else:
             raise ShootingError(
                 f"shooting stalled at residual {np.linalg.norm(r):.3e}")
+        if converged:
+            return (np.append(zfree, 0.0), tau, w[n:-1].reshape(n, n), float(w[-1]),
+                    float(np.linalg.norm(r)))
     raise ShootingError("shooting did not converge within the iteration budget")
 
 
@@ -328,11 +339,14 @@ def monodromy_floquet(ss: StateSpace, gamma: float, orbit_hint: OrbitCandidate,
     """Monodromy of the smooth (tanh) loop's orbit at a finite gain.
 
     Locates the smooth system's symmetric periodic orbit by Newton shooting
-    (continuing upward in gain by decade steps from ``continuation_start``,
-    reusing each converged orbit as the next hint), then integrates the
-    time-varying linearization over one period together with the trace
-    integral, so the report carries both the matrix determinant and its
-    Liouville value.
+    on the variational equations (Seydel 2010), continuing upward in gain by
+    decade steps from ``continuation_start`` and reusing each converged
+    orbit as the next hint.  The field is odd, so its linearization along
+    the orbit repeats every half period: the monodromy is Phi_h @ Phi_h and
+    the trace integral twice its half-period value, both from the last
+    shooting solve.  The report carries the matrix determinant and its
+    Liouville value, and ``extras["half_period_residual"]`` the converged
+    norm of z(tau) + z(0).
 
     Raises
     ------
@@ -342,43 +356,17 @@ def monodromy_floquet(ss: StateSpace, gamma: float, orbit_hint: OrbitCandidate,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    n = ss.n
     z = orbit_hint.anchor.copy()
     tau = orbit_hint.half_period
 
-    gammas: list[float] = []
-    gcur = min(continuation_start, gamma)
-    while gcur < gamma:
-        gammas.append(gcur)
-        gcur *= 10.0
-    gammas.append(gamma)
-    for g in gammas:
-        z, tau = _shoot_half_period(ss, g, z, tau, rel_tol, abs_tol)
+    g = min(continuation_start, gamma)
+    while True:
+        z, tau, Phi_h, trace_h, residual = _shoot_half_period(ss, g, z, tau, rel_tol, abs_tol)
+        if g == gamma:
+            break
+        g = min(10.0 * g, gamma)
 
-    A, B, C = ss.A, ss.B, ss.C
-    BC = np.outer(B, C)
-    T = 2.0 * tau
-
-    def aug_rhs(t, w):
-        zz = w[:n]
-        Phi = w[n:n + n * n].reshape(n, n)
-        y = float(C @ zz)
-        arg = gamma * y
-        c = gamma / math.cosh(arg) ** 2 if abs(arg) < 350.0 else 0.0
-        M = A - c * BC
-        dz = A @ zz - B * math.tanh(arg)
-        return np.concatenate([dz, (M @ Phi).ravel(), [c]])
-
-    w0 = np.concatenate([z, np.eye(n).ravel(), [0.0]])
-    sol = numerics.integrate_adaptive(aug_rhs, w0, (0.0, T), rel_tol, abs_tol,
-                                      dense_output=False)
-    w_end = sol.y[:, -1]
-    Phi = w_end[n:n + n * n].reshape(n, n)
-    trace_integral = float(w_end[-1])
-    return _report(ss, Phi, T, trace_integral, {
-        "gamma": gamma,
-        "anchor": z,
-        "half_period": tau,
-        "trace_integral": trace_integral,
-        "orbit_closure_residual": float(np.linalg.norm(sol.y[:n, -1] - z)),
-    })
+    trace_integral = 2.0 * trace_h
+    return _report(ss, Phi_h @ Phi_h, 2.0 * tau, trace_integral, {
+        "gamma": gamma, "anchor": z, "half_period": tau,
+        "trace_integral": trace_integral, "half_period_residual": residual})

@@ -60,15 +60,10 @@ def integrate_adaptive(
     method: str = "DOP853",
     max_step: float = np.inf,
     dense_output: bool = True,
-    t_eval: np.ndarray | None = None,
 ):
     """Adaptive embedded Runge-Kutta integration with dense output.
 
     Thin contract wrapper around scipy's solve_ivp (RK45/DOP853 pairs).
-    With ``t_eval`` the states at those times are returned in ``y``; with
-    ``dense_output=False`` as well, DOP853 builds its interpolant only on
-    the steps that hold one of them, and saves the three right-hand-side
-    evaluations it costs on every other step.
     Raises StiffnessError when the step controller gives up, which for the
     smooth relay approximation usually means the gain is too large for the
     requested tolerance.
@@ -83,7 +78,6 @@ def integrate_adaptive(
         rtol=rel_tol,
         atol=abs_tol,
         dense_output=dense_output,
-        t_eval=t_eval,
         max_step=max_step,
     )
     if not sol.success and sol.status == -1:

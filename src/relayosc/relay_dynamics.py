@@ -132,8 +132,8 @@ class _AffineFlow:
     state (``_Paths``).  The march of a block of starts runs on the grid
     j h: the rows [C 0] e^{M j h} give a block of its output values at once,
     and the leap e^{BLOCK M h} moves to the next block.  ``grid_exp`` gives
-    e^{M K h} at any grid point, to the accuracy of ``numerics.expm``, from
-    tables of e^{M j h} - I.
+    e^{M K h} at any grid point from tables of e^{M j h} - I, which keep
+    working accuracy.
     """
 
     #: Samples per march block.
@@ -177,13 +177,14 @@ class _AffineFlow:
         self._leap = np.eye(n + 1) + self._grid[0][self.BLOCK]
 
     def _less_identity(self, dt: float) -> np.ndarray:
-        """e^{M dt} - I: the Taylor sum within one node interval, where
-        subtracting the identity from e^{M dt} would cancel digits, and
-        ``numerics.expm`` less the identity beyond it, where ||M dt|| > 1
-        leaves nothing to cancel."""
-        if dt <= self.node_step:
-            return np.tensordot(dt ** self._powers[1:], self._taylor[1:], axes=1)
-        return numerics.expm(self.M, dt) - np.eye(self.n + 1)
+        """e^{M dt} - I, never by subtracting the identity from an
+        exponential: the Taylor sum at dt / 2^s, within one node interval,
+        doubled s times on (I + D)^2 = I + (2 D + D D)."""
+        s = math.ceil(math.log2(dt / self.node_step)) if dt > self.node_step else 0
+        D = np.tensordot((dt / 2**s) ** self._powers[1:], self._taylor[1:], axes=1)
+        for _ in range(s):
+            D = D + D + D @ D
+        return D
 
     def grid_exp(self, K: np.ndarray) -> np.ndarray:
         """e^{M K h} for the grid indices K: the product over the base-BLOCK

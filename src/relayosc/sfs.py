@@ -7,10 +7,10 @@ linearization A - gamma B C is again a companion matrix, with closed-loop
 characteristic polynomial  den(s) + gamma num(s).  This module computes the
 imaginary-axis crossings of its roots exactly (Sturm sequences in rational
 arithmetic on the float coefficients, which are dyadic rationals), scans
-the eigenvalue root locus over gamma, classifies the resulting bifurcations
-empirically, evaluates the second-harmonic describing-function locus at a
-crossing, and proves hyperbolicity of the whole family by zero exclusion
-when no crossing exists.
+the eigenvalue root locus over gamma, decides the criticality of the first
+Hopf point from the linearization there, evaluates the second-harmonic
+describing-function locus at a crossing, and proves hyperbolicity of the
+whole family by zero exclusion when no crossing exists.
 """
 
 from __future__ import annotations
@@ -62,8 +62,10 @@ class RootLocusScan:
 class HopfReport:
     gamma0: float
     omega0: float
-    kind: str  # "supercritical" | "subcritical" | "undetermined"
+    kind: str  # "supercritical" (l1 < 0) | "subcritical" (l1 > 0)
     pitchfork_gammas: tuple[float, ...]
+    l1: float  # first Lyapunov coefficient at (gamma0, omega0)
+    unstable_count: int | None  # open-RHP roots at gamma0 besides +-j omega0
     evidence: dict = field(default_factory=dict)
 
 
@@ -99,15 +101,14 @@ def sfs_field(ss: StateSpace, gamma: float):
     return rhs
 
 
-def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float,
-                 *, dense_output: bool = True):
+def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float):
     """Integrate the smooth loop adaptively; returns the solver result with
     dense output.  Raises StiffnessError past the step-underflow budget."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     return numerics.integrate_adaptive(
         sfs_field(ss, cfg.gamma), np.asarray(x0, dtype=float),
-        (0.0, t_end), cfg.rel_tol, cfg.abs_tol, dense_output=dense_output)
+        (0.0, t_end), cfg.rel_tol, cfg.abs_tol)
 
 
 def closed_loop_matrix(ss: StateSpace, gamma) -> np.ndarray:
@@ -190,17 +191,20 @@ def _variations(seq: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     return at(lo) - at(hi)
 
 
-def _is_hurwitz(coeffs: list[Fraction]) -> bool:
-    """Exact Routh test of an ascending coefficient list with positive
-    leading coefficient: every first-column entry must be positive."""
+def _unstable_count(coeffs: list[Fraction]) -> int | None:
+    """Roots in the open right half plane of an ascending coefficient list
+    with positive leading coefficient, by the exact Routh array: the sign
+    changes down its first column; None at a zero pivot."""
     desc = coeffs[::-1]
     row, nxt = desc[0::2], desc[1::2]
+    changes = 0
     while nxt:
-        if nxt[0] <= 0:
-            return False
+        if nxt[0] == 0:
+            return None
+        changes += (nxt[0] < 0) != (row[0] < 0)
         c = row[0] / nxt[0]
         row, nxt = nxt, [a - c * b for a, b in zip_longest(row[1:], nxt[1:], fillvalue=0)]
-    return True
+    return changes
 
 
 def _check_gamma_max(gamma_max: float, gamma_min: float = 0.0) -> None:
@@ -303,77 +307,70 @@ def root_locus(ss: StateSpace, gamma_max: float = 1e3, points: int = 400,
     return RootLocusScan(gamma_grid=grid, eigen_tracks=tracks, crossings=crossings)
 
 
-def _tail_amplitude(ys: np.ndarray):
-    """Output amplitude statistics of samples over the trailing window."""
-    crossings = int(np.sum(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0))
-    return float(np.max(np.abs(ys))), float(np.mean(ys)), crossings
-
-
 def hopf_classify(ss: StateSpace, scan: RootLocusScan,
-                  deltas: tuple[float, ...] = (0.02, 0.05, 0.1),
-                  *, init_norm: float = 1e-3, amp_small: float = 1.0) -> HopfReport:
-    """Classify the first oscillatory crossing by post-critical simulation.
+                  deltas: tuple[float, ...] = (0.02, 0.05, 0.1)) -> HopfReport:
+    """Criticality of the first oscillatory crossing, from the linearization.
 
-    For each relative offset delta the smooth loop is run just past the
-    critical gain from a small initial state.  A bounded small-amplitude
-    steady oscillation is supercritical evidence; settling on a nonzero
-    equilibrium or a large/unbounded response is subcritical evidence;
-    anything else stays undetermined.  The real-axis crossing is reported
-    alongside: the closed-loop constant coefficient a0 + gamma b0 vanishes
-    at gamma = -a0 / b0, kept when positive.
+    tanh is odd, so z' = (A - gamma B C) z + (gamma^3 / 3) B (C z)^3 + ...
+    has no quadratic term, and the first Lyapunov coefficient (Kuznetsov
+    2004, section 3.5) is l1 = (gamma0^3 / omega0) |C q|^2 Re[(p B)(C q)]
+    = -(gamma0^3 / omega0) |C q|^2 Re lambda'(gamma0), q and p the right and
+    left eigenvectors of A - gamma0 B C at j omega0, |q| = 1, p q = 1.  Its sign
+    is minus the exact crossing direction: "supercritical" when the pair
+    enters the right half plane as gamma grows, "subcritical" otherwise.
+    ``unstable_count`` (open right half plane at gamma0, +-j omega0 left
+    out) is an exact Routh count below every crossing plus the signed
+    crossings below gamma0; None at a zero Routh pivot.  ``evidence`` holds,
+    per relative offset delta, gamma = gamma0 (1 + delta) and the
+    normal-form output amplitude 2 sqrt((gamma - gamma0) / gamma0^3) of the
+    cycle there.  The real-axis crossing gamma = -a0 / b0, where the
+    closed-loop constant coefficient vanishes, is kept when positive.
 
     Raises
     ------
+    ValueError
+        A negative delta.
     RelayOscError
         The scan contains no oscillatory crossing.
     """
+    if min(deltas, default=0.0) < 0:
+        raise ValueError("deltas must be nonnegative: the cycle is born above gamma0")
     hopfs = [c for c in scan.crossings if c.kind == "hopf" and c.omega0 > 0]
     if not hopfs:
         raise RelayOscError("no oscillatory imaginary-axis crossing in scan")
     first = min(hopfs, key=lambda c: c.gamma0)
+    g0, w0 = first.gamma0, first.omega0
 
     a0 = float(-ss.A[0, -1])
     b0 = float(ss.B[0])
     g_real = -a0 / b0 if b0 != 0.0 else 0.0
     pitchforks = (g_real,) if g_real > 0 else ()
 
-    votes: list[str] = []
-    evidence = {}
-    rng = np.random.Generator(np.random.Philox(12345))
-    x0 = rng.standard_normal(ss.n)
-    x0 *= init_norm / np.linalg.norm(x0)
-    for delta in deltas:
-        gamma = first.gamma0 * (1.0 + delta)
-        growth = float(closed_loop_eigenvalues(ss, gamma).real.max())
-        growth = max(growth, 1e-4)
-        # time for ||z|| to grow from init_norm to order one, with margin
-        t_end = min(max(100.0, 4.0 * math.log(1.0 / init_norm) / growth), 2e4)
-        # sampled on the trailing fifth only: no dense output elsewhere
-        tail = np.linspace(t_end - 0.2 * t_end, t_end, 2000)
-        sol = numerics.integrate_adaptive(sfs_field(ss, gamma), x0, (0.0, t_end),
-                                          1e-9, 1e-12, dense_output=False, t_eval=tail)
-        amp, mean, ncross = _tail_amplitude(ss.C @ sol.y)
-        if not np.isfinite(amp) or amp > 1e6:
-            votes.append("subcritical")
-        elif ncross >= 4 and amp < amp_small:
-            votes.append("supercritical")
-        elif ncross < 4 and abs(mean) > 10 * init_norm:
-            votes.append("subcritical")  # escaped to a nonzero equilibrium
-        elif amp >= amp_small:
-            votes.append("subcritical")
-        else:
-            votes.append("undetermined")
-        evidence[f"delta={delta}"] = {"gamma": gamma, "tail_amplitude": amp,
-                                      "tail_mean": mean, "tail_crossings": ncross}
+    J = closed_loop_matrix(ss, g0)
+    lam, V = np.linalg.eig(J)
+    q = V[:, np.argmin(np.abs(lam - 1j * w0))]
+    lam, U = np.linalg.eig(J.T)
+    p = U[:, np.argmin(np.abs(lam - 1j * w0))]
+    Cq = ss.C @ q
+    l1 = g0**3 / w0 * abs(Cq) ** 2 * float((p @ ss.B * Cq / (p @ q)).real)
 
-    if votes and all(v == "supercritical" for v in votes):
-        kind = "supercritical"
-    elif votes.count("subcritical") >= 2:
-        kind = "subcritical"
-    else:
-        kind = "undetermined"
-    return HopfReport(gamma0=first.gamma0, omega0=first.omega0, kind=kind,
-                      pitchfork_gammas=pitchforks, evidence=evidence)
+    below = [c for c in _axis_crossings(ss, g0) if c.gamma0 < g0]
+    g_r = Fraction(min([c.gamma0 for c in below], default=g0)) / 2
+    count = _unstable_count([Fraction(float(d)) + g_r * Fraction(float(b)) for d, b in
+                             zip_longest(ss.den_coeffs, ss.num_coeffs, fillvalue=0)] + [1])
+    if count is not None:  # a pair that leaves at gamma0 was counted below it
+        count += sum(c.direction * (2 if c.kind == "hopf" else 1) for c in below)
+        count -= 2 * (first.direction < 0)
+
+    evidence = {}
+    for delta in deltas:
+        gamma = g0 * (1.0 + delta)
+        evidence[f"delta={delta}"] = {
+            "gamma": gamma, "predicted_amplitude": 2.0 * math.sqrt((gamma - g0) / g0**3)}
+    return HopfReport(gamma0=g0, omega0=w0,
+                      kind="supercritical" if first.direction > 0 else "subcritical",
+                      pitchfork_gammas=pitchforks, l1=l1, unstable_count=count,
+                      evidence=evidence)
 
 
 def describing_locus(ss: StateSpace, omega: float, gamma: float,
@@ -427,7 +424,7 @@ def hyperbolicity_check(ss: StateSpace, gamma_max: float = 1e3,
     accepted for call compatibility and unused.
     """
     _check_gamma_max(gamma_max)
-    if not _is_hurwitz([Fraction(float(c)) for c in ss.den_coeffs] + [Fraction(1)]):
+    if _unstable_count([Fraction(float(c)) for c in ss.den_coeffs] + [Fraction(1)]) != 0:
         return HyperbolicityResult(False, 0.0, tuple(closed_loop_eigenvalues(ss, 0.0)))
     crossings = _axis_crossings(ss, gamma_max)
     if not crossings:

@@ -225,6 +225,7 @@ class TestArtifactHeaders:
         out = tmp_path / "artifact.csv"
         res = invoke(runner, [str(out) if a == "{}" else a for a in args])
         assert res.exit_code == 0
+        assert b"\r" not in out.read_bytes()  # every line ends in "\n"
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# relayosc 0.1.0;")
         assert lines[1] == header

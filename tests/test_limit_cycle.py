@@ -270,6 +270,26 @@ class TestMonodromyFloquet:
         flo = lc.monodromy_floquet(ss, 1e4, orbit2)
         assert flo.period == pytest.approx(orbit2.period, rel=1e-3)
 
+    def test_matrix_matches_full_period_integration(self, third_order, orbit3):
+        # the half-period square against [z; Phi] integrated over the whole
+        # period from the converged orbit
+        _, ss = third_order
+        gamma, n = 1e3, ss.n
+        flo = lc.monodromy_floquet(ss, gamma, orbit3)
+        BC = np.outer(ss.B, ss.C)
+
+        def rhs(t, w):
+            th = np.tanh(gamma * float(ss.C @ w[:n]))
+            Df = ss.A - gamma * (1.0 - th * th) * BC
+            return np.concatenate([ss.A @ w[:n] - ss.B * th,
+                                   (Df @ w[n:].reshape(n, n)).ravel()])
+
+        w0 = np.concatenate([flo.extras["anchor"], np.eye(n).ravel()])
+        sol = solve_ivp(rhs, (0.0, flo.period), w0, method="DOP853", rtol=1e-12, atol=1e-14)
+        Phi = sol.y[n:, -1].reshape(n, n)
+        assert np.abs(flo.matrix - Phi).max() <= 1e-8 * np.abs(Phi).max()
+        assert flo.extras["half_period_residual"] < 1e-11
+
     def test_bad_gamma_rejected(self, second_order, orbit2):
         _, ss = second_order
         with pytest.raises(ValueError):

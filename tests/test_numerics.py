@@ -105,15 +105,3 @@ class TestIntegrateAdaptive:
     def test_bad_tolerances(self):
         with pytest.raises(ValueError):
             numerics.integrate_adaptive(lambda t, x: -x, [1.0], (0.0, 1.0), -1e-9, 1e-12)
-
-    def test_t_eval_without_dense_output(self):
-        rhs = lambda t, z: np.array([z[1], -z[0]])
-        ts = np.linspace(15.0, 20.0, 200)
-        dense = numerics.integrate_adaptive(rhs, [1.0, 0.0], (0.0, 20.0), 1e-9, 1e-12)
-        sampled = numerics.integrate_adaptive(rhs, [1.0, 0.0], (0.0, 20.0), 1e-9, 1e-12,
-                                              dense_output=False, t_eval=ts)
-        assert sampled.sol is None
-        assert np.array_equal(sampled.t, ts)
-        assert np.abs(sampled.y - dense.sol(ts)).max() <= 1e-14
-        assert np.abs(sampled.y[0] - np.cos(ts)).max() < 1e-7
-        assert sampled.nfev < dense.nfev

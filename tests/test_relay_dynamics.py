@@ -387,6 +387,23 @@ class TestOneKernel:
                 ref = np.array([float(v) for v in ref[: ss.n]])
                 assert np.abs(got[j] - ref).max() <= 1e-14 * (1 + np.abs(ref).max())
 
+    @pytest.mark.parametrize("dt, j", [(0.3, 300), (1.0, 100)])
+    def test_grid_beyond_node_interval_matches_high_precision(self, request, dt, j):
+        # steps of several node intervals: e^{M dt} - I taken as expm less
+        # the identity drifted to 3.7e-13 (dt = 0.3) and 1.1e-12 (dt = 1)
+        import mpmath
+
+        ss = named_plant("brl10", request)
+        flow = RelaySystem(ss).flow
+        x = np.random.default_rng(3).standard_normal(ss.n)
+        assert dt > 2 * flow.node_step
+        got = flow.grid(x, +1, dt, j + 1)[j]
+        with mpmath.workdps(40):
+            ref = mpmath.expm(mpmath.matrix(flow.M.tolist()) * (j * mpmath.mpf(dt))) \
+                * mpmath.matrix(x.tolist() + [1.0])
+            ref = np.array([float(v) for v in ref[: ss.n]])
+        assert np.abs(got - ref).max() <= 1e-14 * (1 + np.abs(ref).max())
+
 
 def _ref_exits(ss, s, X, dt, t_end):
     """First zero of s C x(t) from each row of X, on a grid of step dt up to

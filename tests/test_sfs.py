@@ -258,6 +258,40 @@ class TestRootLocus:
         assert scan.crossings[1].gamma0 == pytest.approx(g_hopf, rel=1e-6)
 
 
+def _unstable_besides_pair(ss, gamma0, omega0):
+    """Eigenvalues of A - gamma0 B C in the open right half plane, leaving
+    out the two nearest +-j omega0, and the smallest |Re| among the rest."""
+    lam = sfs.closed_loop_eigenvalues(ss, gamma0)
+    rest = np.delete(lam, [np.argmin(np.abs(lam - 1j * omega0)),
+                           np.argmin(np.abs(lam + 1j * omega0))])
+    return int(np.count_nonzero(rest.real > 0)), float(np.abs(rest.real).min(initial=np.inf))
+
+
+def _l1_identity(ss, gamma0, omega0):
+    """-(gamma0^3 / omega0) |C q|^2 Re lambda'(gamma0) with |q| = 1, lambda'
+    by central differences of the closed-loop eigenvalues."""
+    lam, V = np.linalg.eig(sfs.closed_loop_matrix(ss, gamma0))
+    Cq = ss.C @ V[:, np.argmin(np.abs(lam - 1j * omega0))]
+    h = 1e-5 * gamma0
+    up, down = (sfs.closed_loop_eigenvalues(ss, g) for g in (gamma0 + h, gamma0 - h))
+    dlam = (up[np.argmin(np.abs(up - 1j * omega0))]
+            - down[np.argmin(np.abs(down - 1j * omega0))]) / (2 * h)
+    return -gamma0**3 / omega0 * abs(Cq) ** 2 * dlam.real
+
+
+def _sim_amplitude_ratio(ss, ev):
+    """Simulated steady output amplitude at ev["gamma"], from a small start,
+    over the normal-form prediction."""
+    gamma = ev["gamma"]
+    growth = float(sfs.closed_loop_eigenvalues(ss, gamma).real.max())
+    x0 = np.random.default_rng(0).standard_normal(ss.n)
+    x0 *= 1e-3 / np.linalg.norm(x0)
+    t_end = max(100.0, 4.0 * math.log(1e3) / growth)  # growth to order one, with margin
+    sol = sfs.simulate_sfs(ss, sfs.SfsConfig(gamma=gamma), x0, t_end)
+    ys = ss.C @ sol.sol(np.linspace(0.8 * t_end, t_end, 2000))
+    return float(np.abs(ys).max()) / ev["predicted_amplitude"]
+
+
 class TestHopfClassify:
     def test_supercritical_second_order(self, second_order):
         _, ss = second_order
@@ -265,18 +299,25 @@ class TestHopfClassify:
         rep = sfs.hopf_classify(ss, scan)
         assert rep.kind == "supercritical"
         assert rep.gamma0 == pytest.approx(5.0, rel=1e-6)
+        assert rep.l1 == pytest.approx(-1.5704, abs=1e-4)
+        assert rep.unstable_count == 0
         assert rep.pitchfork_gammas == ()
-        amps = [v["tail_amplitude"] for v in rep.evidence.values()]
+        amps = [v["predicted_amplitude"] for v in rep.evidence.values()]
         assert all(a < 0.5 for a in amps)
         assert amps == sorted(amps)  # amplitude grows with the offset
 
-    def test_pitchfork_then_subcritical(self):
+    def test_hopf_past_unstable_real_root(self):
+        # a real root crosses into the right half plane at gamma = 3, before
+        # the Hopf point at 6.49: the origin is already unstable there, yet
+        # the Hopf point itself is supercritical (l1 < 0)
         ss = realize(parse_plant([-2, 0.5, -1], [6, 11, 6]))
         scan = sfs.root_locus(ss, 1e3, 400)
         rep = sfs.hopf_classify(ss, scan)
         assert rep.pitchfork_gammas[0] == pytest.approx(3.0, rel=1e-9)
-        assert rep.kind in ("subcritical", "undetermined")
-        assert rep.kind == "subcritical"
+        assert rep.kind == "supercritical"
+        assert rep.l1 == pytest.approx(-1.652, abs=1e-3)
+        assert rep.unstable_count == 1
+        assert rep.unstable_count == _unstable_besides_pair(ss, rep.gamma0, rep.omega0)[0]
 
     def test_pole_at_origin_positive_dc_numerator(self):
         # (1 - s) / (s (s + 1) (s + 2)): a0 = 0, b0 = 1, so the closed-form
@@ -288,25 +329,65 @@ class TestHopfClassify:
         assert rep.gamma0 == pytest.approx(1.5, rel=1e-6)
         assert rep.omega0 == pytest.approx(1 / np.sqrt(2), rel=1e-6)
         assert rep.kind == "supercritical"
+        assert rep.l1 == pytest.approx(-0.0670, abs=1e-4)
+        assert rep.unstable_count == 0
         assert rep.pitchfork_gammas == ()
 
-    def test_tail_samples_match_dense_output(self, second_order):
-        # the run samples its trailing window through t_eval; a dense run
-        # interpolated at the same times gives the same statistics
+    @pytest.mark.parametrize("plant", [([1, -1], [6, 5]), ([1, -1], [0, 2, 3])],
+                             ids=["second_order", "pole_at_origin"])
+    def test_predicted_amplitude_matches_simulation(self, plant):
+        # the simulated cycle's amplitude tends to the normal-form
+        # prediction as delta -> 0 (0.984 and 0.926 of it here)
+        ss = realize(parse_plant(*plant))
+        rep = sfs.hopf_classify(ss, sfs.root_locus(ss, 1e3, 400), (0.02, 0.1))
+        near, far = (_sim_amplitude_ratio(ss, rep.evidence[f"delta={d}"]) for d in (0.02, 0.1))
+        assert abs(near - 1.0) <= 0.03
+        assert abs(near - 1.0) < abs(far - 1.0)
+
+    def test_evidence_gain_and_amplitude(self, second_order):
         _, ss = second_order
-        scan = sfs.root_locus(ss, 1e3, 400)
-        rep = sfs.hopf_classify(ss, scan, (0.2,))
-        ev = rep.evidence["delta=0.2"]
-        cfg = sfs.SfsConfig(gamma=ev["gamma"])
-        x0 = np.random.Generator(np.random.Philox(12345)).standard_normal(ss.n)
-        x0 *= 1e-3 / np.linalg.norm(x0)
-        growth = max(float(sfs.closed_loop_eigenvalues(ss, ev["gamma"]).real.max()), 1e-4)
-        t_end = min(max(100.0, 4.0 * np.log(1e3) / growth), 2e4)
-        sol = sfs.simulate_sfs(ss, cfg, x0, t_end)
-        ys = ss.C @ sol.sol(np.linspace(t_end - 0.2 * t_end, t_end, 2000))
-        assert ev["tail_amplitude"] == float(np.max(np.abs(ys)))
-        assert ev["tail_crossings"] == int(np.sum(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0))
-        assert ev["tail_mean"] == pytest.approx(float(np.mean(ys)), rel=1e-9, abs=1e-15)
+        rep = sfs.hopf_classify(ss, sfs.root_locus(ss, 1e3, 400), (0.2, 0.3))
+        for delta in (0.2, 0.3):
+            ev = rep.evidence[f"delta={delta}"]
+            assert ev["gamma"] == rep.gamma0 * (1 + delta)
+            assert ev["predicted_amplitude"] == pytest.approx(
+                2 * math.sqrt(delta / rep.gamma0**2), rel=1e-12)
+
+    def test_l1_matches_eigenvalue_derivative(self):
+        # sign(l1) = -direction, and l1 equals the eigenvalue-derivative
+        # identity, on the first Hopf point of seeded random plants
+        rng = np.random.default_rng(0)
+        checked = 0
+        for k in range(40):
+            ss = realize(make_stable_plant(rng, 2 + k % 4))
+            scan = sfs.root_locus(ss, 1e3, 400)
+            if not any(c.kind == "hopf" for c in scan.crossings):
+                continue
+            rep = sfs.hopf_classify(ss, scan)
+            first = min((c for c in scan.crossings if c.kind == "hopf"), key=lambda c: c.gamma0)
+            assert np.sign(rep.l1) == -first.direction
+            assert rep.l1 == pytest.approx(_l1_identity(ss, rep.gamma0, rep.omega0), rel=1e-6)
+            count, margin = _unstable_besides_pair(ss, rep.gamma0, rep.omega0)
+            if margin > 1e-8:
+                assert rep.unstable_count == count
+            checked += 1
+        assert checked >= 10
+
+    def test_subcritical_where_pair_leaves(self):
+        # WINDOW_PLANT is unstable on (10.5, 11.5) only; from gamma = 11 on,
+        # the first crossing is the pair leaving the right half plane
+        ss = realize(parse_plant(*WINDOW_PLANT))
+        rep = sfs.hopf_classify(ss, sfs.root_locus(ss, 1e3, 400, gamma_min=11.0))
+        assert rep.gamma0 == pytest.approx(11.5, rel=1e-12)
+        assert rep.kind == "subcritical"
+        assert rep.l1 > 0
+        assert rep.l1 == pytest.approx(_l1_identity(ss, rep.gamma0, rep.omega0), rel=1e-6)
+        assert rep.unstable_count == 0 == _unstable_besides_pair(ss, rep.gamma0, rep.omega0)[0]
+
+    def test_negative_delta_rejected(self, second_order):
+        _, ss = second_order
+        with pytest.raises(ValueError, match="nonnegative"):
+            sfs.hopf_classify(ss, sfs.root_locus(ss, 1e3, 400), (0.1, -0.1))
 
     def test_no_crossing_is_error(self):
         ss = realize(parse_plant([1], [1, 2]))
