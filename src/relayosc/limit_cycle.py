@@ -2,10 +2,10 @@
 
 A symmetric unimodal orbit is determined by a half-period tau* > 0 of the
 positive-sign flow.  With [E F] the top n rows of e^{M tau}, M = [[A, -B],
-[0, 0]] (the augmented matrix of the relay kernel), the state after tau
-from x is E x + F, so the symmetry x(tau) = -x reads (E + I) x = -F.  Its
-solution X(tau) is the candidate, and the half-periods are the positive
-roots of
+[0, 0]] (the augmented matrix of the relay kernel, whose ``exp`` makes
+every exponential here), the state after tau from x is E x + F, so the
+symmetry x(tau) = -x reads (E + I) x = -F.  Its solution X(tau) is the
+candidate, and the half-periods are the positive roots of
 
     g(tau) = C X(tau) ;
 
@@ -89,13 +89,14 @@ class MonodromyReport:
 def _orbit_function(ss: StateSpace):
     """g(tau), whose positive roots are symmetric-orbit half-periods, and the
     candidate X(tau) it is the output of; both take a scalar tau, or an
-    array of tau for one value or row per entry."""
-    M = system_for(ss).flow.M
+    array of tau for one value or row per entry (equal to the scalar calls
+    bit for bit), from the relay flow's ``exp``."""
+    flow = system_for(ss).flow
     n = ss.n
     I = np.eye(n)
 
     def X(tau):
-        EF = numerics.expm(M, tau)[..., :n, :]
+        EF = flow.exp(tau)[..., :n, :]
         return np.linalg.solve(EF[..., :n] + I, -EF[..., n:])[..., 0]
 
     def g(tau):
@@ -113,7 +114,8 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
     Scans a log-spaced grid over ``tau_range`` for sign changes of g, refines
     each root by ``scipy.optimize.brentq`` (``xtol=1e-13``), takes the
     anchor from the same solve as g, and checks the output-sign condition on
-    a dense grid.  The returned orbit is the valid candidate with the
+    a dense grid.  The relay flow's exponential keeps F's error relative as
+    tau -> 0, where g is O(tau^r) at relative degree r: no roundoff roots.  The returned orbit is the valid candidate with the
     smallest half-period; ``return_all=True`` instead yields every root as a
     candidate with its validity flag.  The default ``tau_range`` spans
     1e-4 / sigma to 100 / sigma, sigma the slowest decay rate of the poles
@@ -238,14 +240,15 @@ def _report(ss: StateSpace, Phi: np.ndarray, T: float, jump_total: float,
 def monodromy_exact(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
     """Monodromy of the relay orbit from its closed-form ingredients.
 
-    Composes, over the two half-periods, the flow e^{A tau*} with the
-    switch-jump factor built from the one-sided output speeds.  The
+    Composes, over the two half-periods, the flow e^{A tau*} (the leading
+    block of the exponential the anchor came from) with the switch-jump
+    factor built from the one-sided output speeds.  The
     determinant is cross-checked against the closed-form limit
     exp(-a_{n-1} T - C B * sum of jump integrals), which the construction
     satisfies as an algebraic identity.
     """
     b_tail = float(ss.B[-1])
-    E = numerics.expm(ss.A, orbit.half_period)
+    E = system_for(ss).flow.exp(orbit.half_period)[:ss.n, :ss.n]
 
     Phi = np.eye(ss.n)
     mus = []
@@ -254,20 +257,6 @@ def monodromy_exact(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
         mus.append(mu)
         Phi = _jump_factor(ss, mu) @ E @ Phi
     return _report(ss, Phi, orbit.period, sum(mus), {"jump_integrals": mus})
-
-
-def monodromy_sinusoid(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
-    """Monodromy with the pure-sinusoid approximation of the jump integral.
-
-    For plants of relative degree two or more the orbit output is close to a
-    sinusoid, and the jump integral per switch is approximately
-    T / (pi * peak output).  Useful as a back-of-envelope check; accuracy
-    degrades as the waveform departs from a sinusoid.
-    """
-    T = orbit.period
-    mu = T / (math.pi * orbit.peak_output)
-    W = _jump_factor(ss, mu) @ numerics.expm(ss.A, orbit.half_period)
-    return _report(ss, W @ W, T, mu + mu, {"jump_integrals": [mu, mu]})
 
 
 def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float,

@@ -16,27 +16,24 @@ from scipy.integrate import solve_ivp
 from .errors import StiffnessError
 
 
-def expm(M: np.ndarray, t=1.0) -> np.ndarray:
-    """Evaluate e^{M t} by scaling-and-squaring (Pade), via scipy.
-
-    An array ``t`` gives the stack of exponentials, one per time.  Raises
-    OverflowError when M t or the result overflows double precision, and
-    ValueError on non-finite input.
+def expm(M: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Evaluate e^{M t} for a scalar t by scaling-and-squaring (Pade), via
+    scipy.  The relay flow makes its exponentials from its own Taylor
+    tables (``relay_dynamics._AffineFlow.exp``).  Raises OverflowError when
+    M t or the result overflows double precision, and ValueError on
+    non-finite input.
     """
     M = np.asarray(M, dtype=float)
-    t = np.asarray(t, dtype=float)
-    Mt = M * t[..., None, None]
-    if np.count_nonzero(np.isfinite(Mt)) < Mt.size:
-        if not (np.isfinite(M).all() and np.isfinite(t).all()):
+    Mt = M * float(t)
+    if not np.isfinite(Mt).all():
+        if not (np.isfinite(M).all() and np.isfinite(t)):
             raise ValueError("expm requires finite entries")
         raise OverflowError("matrix exponential overflow: ||M t|| too large")
     with np.errstate(over="ignore", invalid="ignore"):
-        # scipy exponentiates a stack member by member in a Python loop, so
-        # a stack of one goes in as its matrix
-        out = scipy.linalg.expm(Mt[0] if t.shape == (1,) else Mt)
-    if np.count_nonzero(np.isfinite(out)) < out.size:
+        out = scipy.linalg.expm(Mt)
+    if not np.isfinite(out).all():
         raise OverflowError("matrix exponential overflow: ||M t|| too large")
-    return out.reshape(Mt.shape)
+    return out
 
 
 def eigenvector_condition(V: np.ndarray) -> np.ndarray:

@@ -92,7 +92,8 @@ def _return_jacobians(ss: StateSpace, sys_: RelaySystem, X: np.ndarray, s: int):
     U, Cu = U[ok], Cu[ok]
     V = (ss.A @ X[ok][:, :, None])[:, :, 0] - s * ss.B       # fields at the starts
     I = np.eye(ss.n)
-    astrom = (I - U[:, :, None] * ss.C / Cu[:, None, None]) @ exits.expAt(exits.tau)[ok]
+    E = sys_.flow.exp(exits.tau[ok])[:, :ss.n, :ss.n]
+    astrom = (I - U[:, :, None] * ss.C / Cu[:, None, None]) @ E
     exact = astrom @ (I - V[:, :, None] * V[:, None, :]
                       / np.einsum("ij,ij->i", V, V)[:, None, None])
     pairs = JacobianPair(astrom=astrom, exact=exact, field_at_exit=U, field_at_start=V,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import numerics
 from .artifacts import json_artifact, write_csv
 from .errors import InvalidStartError, NoCrossingError, SlidingError
 from .plant import StateSpace
@@ -126,14 +125,14 @@ class _AffineFlow:
     z = [s x; 1] evolves under M = [[A, -B], [0, 0]] for either sign (odd
     symmetry: x(t; xi, -1) = -x(t; -xi, +1)); no formula needs A^{-1} or
     eigenvectors, so a pole at the origin is no special case (Van Loan,
-    IEEE TAC 1978).  e^{M t} z comes from ``numerics.expm`` at given times,
-    from the differences e^{M j dt} - I (``_exp_powers``) on evenly spaced
-    grids, and from a Taylor polynomial within one node interval of a known
-    state (``_Paths``).  The march of a block of starts runs on the grid
-    j h: the rows [C 0] e^{M j h} give a block of its output values at once,
-    and the leap e^{BLOCK M h} moves to the next block.  ``grid_exp`` gives
-    e^{M K h} at any grid point from tables of e^{M j h} - I, which keep
-    working accuracy.
+    IEEE TAC 1978).  Every e^{M t} is made from one Taylor table of M^k / k!
+    within a node interval: ``exp`` at given times, the differences
+    e^{M j dt} - I (``_exp_powers``) on evenly spaced grids, and a Taylor
+    polynomial within one node interval of a known state (``_Paths``).  The
+    march of a block of starts runs on the grid j h: the rows [C 0] e^{M j h}
+    give a block of its output values at once, and the leap e^{BLOCK M h}
+    moves to the next block.  ``grid_exp`` gives e^{M K h} at any grid point
+    from tables of e^{M j h} - I, which keep working accuracy.
     """
 
     #: Samples per march block.
@@ -153,13 +152,13 @@ class _AffineFlow:
         Mb, _ = scipy.linalg.matrix_balance(self.M, permute=False, separate=True)
         theta = float(np.linalg.norm(Mb, 1)) * step
         nodes = max(1, math.ceil(theta))
-        self.node_step = step / nodes
+        self.step, self.node_step = step, step / nodes
+        self._halvings = math.ceil(math.log2(nodes))    # from h to a node interval
         terms = [np.eye(n + 1)]
         for k in range(1, max(3, _taylor_degree(1.125 * theta / nodes)) + 1):
             terms.append(terms[-1] @ self.M / k)
         self._taylor = np.stack(terms)            # M^k / k!
         self._powers = k = np.arange(len(terms))
-        self._taylor_A = self._taylor[:, :n, :n].reshape(len(terms), n * n)
         # coefficients in d of [C 0] e^{M d} and of its first two derivatives
         ck = self._taylor.transpose(0, 2, 1) @ self._c
         dk = np.zeros_like(ck)
@@ -176,15 +175,41 @@ class _AffineFlow:
         self._rows = self._c + self._c @ self._grid[0][1:]
         self._leap = np.eye(n + 1) + self._grid[0][self.BLOCK]
 
-    def _less_identity(self, dt: float) -> np.ndarray:
-        """e^{M dt} - I, never by subtracting the identity from an
-        exponential: the Taylor sum at dt / 2^s, within one node interval,
-        doubled s times on (I + D)^2 = I + (2 D + D D)."""
-        s = math.ceil(math.log2(dt / self.node_step)) if dt > self.node_step else 0
-        D = np.tensordot((dt / 2**s) ** self._powers[1:], self._taylor[1:], axes=1)
-        for _ in range(s):
+    def _less_identity(self, dt, halvings: int | None = None) -> np.ndarray:
+        """e^{M dt} - I for a scalar dt, or one per entry of an array dt (each
+        entry's Taylor sum one row-times-table product, bit for bit its scalar
+        call), never by subtracting the identity from an exponential: the
+        Taylor sum at dt / 2^s, within one node interval, doubled s times on
+        (I + D)^2 = I + (2 D + D D); s is ``halvings`` when given, else the
+        least that brings dt within a node interval."""
+        if halvings is None:
+            halvings = math.ceil(math.log2(dt / self.node_step)) if dt > self.node_step else 0
+        d = np.asarray(dt, dtype=float)[..., None, None] / 2**halvings
+        D = (d ** self._powers[1:]) @ self._taylor[1:].reshape(len(self._powers) - 1, -1)
+        D = D.reshape(np.shape(dt) + (self.n + 1,) * 2)
+        for _ in range(halvings):
             D = D + D + D @ D
         return D
+
+    def exp(self, t) -> np.ndarray:
+        """e^{M t} for a scalar t >= 0, or one per entry of an array t: the
+        grid exponential e^{M K h} of K = floor(t / h) times e^{M (t - K h)}
+        from the Taylor sum at the march step's fixed number of halvings, so
+        an entry of an array t equals its scalar call bit for bit.  A t
+        below 0 by less than a node interval (an exit at t = 0, landed to
+        roundoff) takes K = 0.  Raises OverflowError when the result
+        overflows double precision, and ValueError on any other t."""
+        t = np.asarray(t, dtype=float)
+        K = np.fmax(np.floor(t / self.step), 0.0)
+        if not _all((t >= -self.node_step) & (K < 2.0**53)):
+            raise ValueError("exp needs a finite t >= 0 below 2^53 march steps")
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = self.grid_exp(K.astype(int))
+            D = self._less_identity(t - K * self.step, self._halvings)
+            E = E + E @ D
+            if not _all(np.isfinite(E)):
+                raise OverflowError("matrix exponential overflow: ||M t|| too large")
+        return E
 
     def grid_exp(self, K: np.ndarray) -> np.ndarray:
         """e^{M K h} for the grid indices K: the product over the base-BLOCK
@@ -212,7 +237,7 @@ class _AffineFlow:
 
     def state(self, xi: np.ndarray, s: int, t) -> np.ndarray:
         """x(t) for scalar t, or one row per time for array t."""
-        z = numerics.expm(self.M, t) @ self.lift(xi, s)
+        z = self.exp(t) @ self.lift(xi, s)
         return s * z[..., : self.n]
 
     def grid(self, xi: np.ndarray, s: int, dt: float, count: int) -> np.ndarray:
@@ -237,9 +262,9 @@ class _Paths:
         e^{M t} z_i = e^{M t0_i} sum_k (M^k / k!) (t - t0_i)^k z_i
 
     about a node t0_i of its own, a multiple of the node step, from the
-    node's exponential e^{M t0_i} (the rows of ``node``).  A row gets a new
-    node only when its time leaves the node interval, and its exponential
-    from ``numerics.expm``.
+    node's exponential e^{M t0_i} (``node``).  A row gets a new node only
+    when its time leaves the node interval, and its exponential from
+    ``_AffineFlow.exp``.
     """
 
     def __init__(self, flow: _AffineFlow, Z: np.ndarray, t0: np.ndarray,
@@ -247,7 +272,6 @@ class _Paths:
         self.flow = flow
         self.Z = Z
         self.t0 = np.array(t0, dtype=float)
-        self.node = node
         self.zk, self.yd = self._expand(node, Z)
 
     def _expand(self, node: np.ndarray, Z: np.ndarray):
@@ -268,8 +292,8 @@ class _Paths:
         if np.count_nonzero(off):
             away = off.nonzero()[0]
             self.t0[away] = np.floor(t[away] / h + 1e-6) * h
-            self.node[away] = numerics.expm(self.flow.M, self.t0[away])
-            self.zk[away], self.yd[away] = self._expand(self.node[away], self.Z[away])
+            self.zk[away], self.yd[away] = self._expand(self.flow.exp(self.t0[away]),
+                                                        self.Z[away])
 
     def _offsets(self, t: np.ndarray) -> np.ndarray:
         """Powers (t - t0)^k of the node offsets."""
@@ -284,14 +308,6 @@ class _Paths:
     def state(self, t: np.ndarray) -> np.ndarray:
         """s x(t), for times within the rows' node intervals."""
         return (self._offsets(t)[:, None, :] @ self.zk)[:, 0, : self.flow.n]
-
-    def expAt(self, t: np.ndarray) -> np.ndarray:
-        """e^{A t}, the leading block of the expansion about each row's
-        node."""
-        self.follow(t)
-        n = self.flow.n
-        taylor = (self._offsets(t)[:, None, :] @ self.flow._taylor_A).reshape(-1, n, n)
-        return self.node[:, :n, :n] @ taylor
 
 
 #: Outcome of one row of ``RelaySystem.exit_events``: the output crossed
@@ -310,11 +326,11 @@ class Exits:
     ``tau``, ``x`` and ``speed`` hold the exit time, the landing state on the
     plane and the transversal speed C (A x - s B) there, and are nan on the
     rows whose ``status`` is not EXITED.  ``error(i)`` is the exception a
-    one-row call raises for row i, and ``expAt(tau)`` gives e^{A tau} at the
-    exit times without a further exponential.
+    one-row call raises for row i.  The flow at the exit times is
+    ``RelaySystem.flow.exp(tau)``.
     """
 
-    def __init__(self, sign, horizon, f0, status, rows, paths, tau, x, speed):
+    def __init__(self, sign, horizon, f0, status, rows, tau, x, speed):
         self.sign = sign
         self.horizon = horizon
         self._f0 = f0                              # s C xi
@@ -326,8 +342,6 @@ class Exits:
             self.x = np.full((m, x.shape[1]), np.nan)
             self.speed = np.full(m, np.nan)
             self.tau[rows], self.x[rows], self.speed[rows] = tau, x, speed
-        self._rows = rows
-        self._paths = paths
 
     def error(self, i: int) -> Exception | None:
         """The error a one-row call raises for row ``i``; None if it exits."""
@@ -339,14 +353,6 @@ class Exits:
                 f"quiescent: output does not cross zero within {self.horizon:g} "
                 "time units (plant is not restless from this state)")
         return None
-
-    def expAt(self, tau: np.ndarray) -> np.ndarray:
-        """e^{A tau} per row for times near the exits, (m, n, n) with nan
-        rows where there is no exit."""
-        n = self.x.shape[1]
-        out = np.full((len(self.status), n, n), np.nan)
-        out[self._rows] = self._paths.expAt(np.asarray(tau, dtype=float)[self._rows])
-        return out
 
 
 class RelaySystem:
@@ -383,7 +389,6 @@ class RelaySystem:
         self.t_max = float(t_max)
         self.step_hint = float(step_hint) if step_hint is not None else self.t_max / 1e4
         self.flow = _AffineFlow(ss, self.step_hint)
-        self.b_tail = float(ss.B[-1])  # C B, the output-derivative jump half
 
     # -- exit computations ---------------------------------------------------
     def exit_events(self, X: np.ndarray, sign: int = +1,
@@ -447,7 +452,7 @@ class RelaySystem:
             hi = np.where(cross, hi, paths.t0 + 1.125 * flow.node_step)
         t = self._refine(paths, lo, hi)
         x = s * paths.state(t)
-        return Exits(s, horizon, f0, status, rows, paths, t, x, flow.output_speed(x, s))
+        return Exits(s, horizon, f0, status, rows, t, x, flow.output_speed(x, s))
 
     def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray,
                   horizon: float):
@@ -621,21 +626,14 @@ class RelaySystem:
     def _select_sign_on_plane(self, x: np.ndarray):
         """Non-sliding relay output at an on-plane state.
 
-        Returns (sign, both_depart) or raises SlidingError when both fields
-        aim at the plane (possible only when C B > 0).  When both fields
-        depart (the repelling strip |x_{n-1}| < |C B|), +1 is chosen
-        deterministically.
+        Returns the sign, or raises SlidingError when both fields aim at the
+        plane (possible only when C B > 0).  When both fields depart (the
+        repelling strip |x_{n-1}| < |C B|), +1 is chosen deterministically.
         """
-        d_plus = self.flow.output_speed(x, +1)   # y' under relay output +1
-        d_minus = self.flow.output_speed(x, -1)  # y' under relay output -1
-        plus_departs = d_plus >= 0.0
-        minus_departs = d_minus <= 0.0
-        if plus_departs and minus_departs:
-            return +1, True
-        if plus_departs:
-            return +1, False
-        if minus_departs:
-            return -1, False
+        if self.flow.output_speed(x, +1) >= 0.0:     # y' under relay output +1
+            return +1
+        if self.flow.output_speed(x, -1) <= 0.0:     # y' under relay output -1
+            return -1
         raise SlidingError("sliding set reached: both vector fields point "
                            "at the switching plane")
 
@@ -671,7 +669,7 @@ class RelaySystem:
         departing = abs(y0) <= PLANE_TOL * scale
         if departing:
             try:
-                sign, _ = self._select_sign_on_plane(x)
+                sign = self._select_sign_on_plane(x)
             except SlidingError:
                 return traj, SlidingReport(True, 0.0, x)
         else:
@@ -709,11 +707,10 @@ class RelaySystem:
             if ev.grazing_flag:
                 traj.certified = False
             try:
-                new_sign, _ = self._select_sign_on_plane(x)
+                sign = self._select_sign_on_plane(x)
             except SlidingError:
                 sliding = SlidingReport(True, t, x)
                 break
-            sign = new_sign
             departing = True
             if len(traj.events) >= max_switches:
                 traj.final_state = RelayState(x, sign, t)

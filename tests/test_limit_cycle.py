@@ -95,19 +95,42 @@ class TestFindSymmetricOrbit:
         taus = np.geomspace(1e-4, 100.0, 400)
         assert np.array_equal(g(taus), [g(t) for t in taus])
 
-    def test_scan_is_one_batched_expm(self, third_order, monkeypatch):
-        _, ss = third_order
-        ndims = []
-        expm = numerics.expm
+    def test_relative_degree_six_has_no_roundoff_roots(self):
+        # near tau = 0, g is of order tau^6 here: Pade's absolute roundoff
+        # made ten spurious roots below 0.005, the first of them returned
+        ss = realize(parse_plant([0.7110631752133565], [
+            829.182283548366, 1663.5501878396944, 1371.454713731981,
+            596.381916581404, 144.76859966071333, 18.658443720502593]))
+        orbit = lc.find_symmetric_orbit(ss)
+        assert orbit.half_period == pytest.approx(1.78786005463380, rel=1e-12, abs=0.0)
+        assert min(c.half_period for c in lc.find_symmetric_orbit(ss, return_all=True)) >= 0.5
 
-        def counted(M, t=1.0):
-            ndims.append(np.ndim(t))
-            return expm(M, t)
 
-        monkeypatch.setattr(numerics, "expm", counted)
-        lc.find_symmetric_orbit(ss)
-        assert ndims.count(1) == 1
-        assert ndims.count(0) < 100  # brentq, the anchors, one RelaySystem
+def test_relay_and_orbit_layers_make_no_pade_exponential(
+        second_order, second_order_bounds, monkeypatch):
+    # the relay flow's own exponential serves exits, states, grids, orbit
+    # scans, jacobians and the monodromy; numerics.expm is left to bounds
+    from relayosc import relay_dynamics as rd
+
+    _, ss = second_order
+    _, rep = second_order_bounds
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numerics.expm called")
+
+    monkeypatch.setattr(numerics, "expm", refuse)
+    orbit = lc.find_symmetric_orbit(ss)
+    lc.monodromy_exact(ss, orbit)
+    samples, _ = pc.spectral_survey(ss, rep, 50, k=2, seed=3)
+    pc.chained_jacobians(ss, samples[0].point, 2)
+    traj, _ = rd.simulate(ss, 1.1 * orbit.anchor, 10.0, dense_dt=0.05)
+    assert traj.events and traj.states is not None
+    # several node intervals per march step: the refinement moves nodes
+    sys_ = RelaySystem(ss, step_hint=0.7)
+    assert sys_.flow.node_step < sys_.step_hint
+    X = np.random.default_rng(5).standard_normal((20, ss.n))
+    X[:, -1] = 0.1 + np.abs(X[:, -1])
+    assert np.all(sys_.exit_events(X, +1).status == rd.EXITED)
 
 
 #: Half-periods found by the A^{-1} B form of g with a scalar Brent
@@ -294,27 +317,6 @@ class TestMonodromyFloquet:
         _, ss = second_order
         with pytest.raises(ValueError):
             lc.monodromy_floquet(ss, -5.0, orbit2)
-
-
-class TestMonodromySinusoid:
-    def test_dominant_multiplier_close_for_relative_degree_two(
-            self, third_order, orbit3):
-        # the approximation smears the trivial multiplier but reproduces the
-        # dominant nontrivial one (the stability verdict) closely: compare
-        # the second-largest magnitudes
-        _, ss = third_order
-        sin_rep = lc.monodromy_sinusoid(ss, orbit3)
-        flo = lc.monodromy_floquet(ss, 1e4, orbit3)
-        a = np.sort(np.abs(np.array(sin_rep.floquet_multipliers)))[-2]
-        b = np.sort(np.abs(np.array(flo.floquet_multipliers)))[-2]
-        assert a == pytest.approx(b, rel=0.10)
-
-    def test_jump_integral_matches_speed_form(self, third_order, orbit3):
-        # with C B = 0 the sinusoid integral T/(pi M) approximates 2/|rho|
-        _, ss = third_order
-        mu_sin = orbit3.period / (math.pi * orbit3.peak_output)
-        rho = abs(orbit3.output_speeds[0][0])
-        assert mu_sin == pytest.approx(2.0 / rho, rel=0.25)
 
 
 class TestAgainstLongSimulation:

@@ -115,28 +115,6 @@ class TestJacobians:
         assert len(la) == len(le)
         assert np.allclose(la, le, rtol=1e-6)
 
-    def test_no_exponential_beyond_the_exit(self, third_order_brl, monkeypatch):
-        from relayosc.bounds import bounds_report, decay_envelope
-
-        _, ss = third_order_brl
-        rep = bounds_report(ss, decay_envelope(ss.A))
-        sys_ = RelaySystem(ss)
-        calls = [0]
-        expm = numerics.expm
-
-        def counted(*args):
-            calls[0] += 1
-            return expm(*args)
-
-        monkeypatch.setattr(numerics, "expm", counted)
-        for p in sample_anchor_region(anchor_region(ss, rep), 20, seed=6):
-            calls[0] = 0
-            sys_.exit_event(p, +1)
-            exit_calls = calls[0]
-            calls[0] = 0
-            pc.jacobians(ss, p, system=sys_)
-            assert calls[0] == exit_calls
-
 
 class TestChainedJacobians:
     def test_chain_matches_finite_difference_k2(self, second_order):
@@ -313,8 +291,8 @@ class TestBatchedSurvey:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_work_counts(self, second_order, second_order_bounds, monkeypatch, k):
-        # the survey batches its exits: k stacked exponentials for 200
-        # points and no one-row exit; a chained_jacobians call makes k
+        # the survey batches its exits and makes no one-row exit, and
+        # neither it nor chained_jacobians takes a Pade exponential
         from relayosc import relay_dynamics
 
         _, ss = second_order
@@ -333,7 +311,6 @@ class TestBatchedSurvey:
                             counted("exit_event", RelaySystem.exit_event))
         samples, _ = pc.spectral_survey(ss, rep, 200, k=k, seed=1)
         assert len(samples) == 200
-        assert calls["expm"] <= k and calls["exit_event"] == 0
-        calls["expm"] = 0
+        assert calls["expm"] == 0 and calls["exit_event"] == 0
         pc.chained_jacobians(ss, samples[0].point, k)
-        assert calls["expm"] <= k and calls["exit_event"] == 0
+        assert calls["expm"] == 0 and calls["exit_event"] == 0

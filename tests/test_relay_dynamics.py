@@ -341,7 +341,7 @@ class TestOneKernel:
         for x in starts:
             x[-1] = sign * (0.1 + abs(x[-1]))
         # just off the plane and heading back: the exit lies in the first
-        # node interval, where the node exponential is the identity
+        # node interval, where the grid exponential is the identity
         w = ss.A.T @ ss.C
         w[-1] = 0.0
         x = -sign * (abs(float(ss.C @ ss.B)) + 1.0) / float(ss.C @ ss.A @ w) * w
@@ -351,7 +351,8 @@ class TestOneKernel:
             exits = sys_.exit_events(x[None], sign)
             tau = exits.tau[0]
             ref = scipy.linalg.expm(ss.A * tau)
-            assert np.linalg.norm(exits.expAt(exits.tau)[0] - ref) <= 1e-13 * np.linalg.norm(ref)
+            got = sys_.flow.exp(tau)[: ss.n, : ss.n]
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
         assert 0.0 < tau < sys_.flow.node_step
 
     @pytest.mark.parametrize("name", PLANTS)
@@ -403,6 +404,30 @@ class TestOneKernel:
                 * mpmath.matrix(x.tolist() + [1.0])
             ref = np.array([float(v) for v in ref[: ss.n]])
         assert np.abs(got - ref).max() <= 1e-14 * (1 + np.abs(ref).max())
+
+    @pytest.mark.parametrize("name", ["second_order", "brl10"])
+    @pytest.mark.parametrize("step_hint", [None, 0.7])
+    def test_exp_matches_high_precision(self, name, step_hint, request):
+        # e^{M t} at t = 0, within the first node interval, and past grid
+        # points K h whose base-64 digits reach the first three table
+        # levels; h = 0.7 spans several node intervals
+        import mpmath
+
+        ss = named_plant(name, request)
+        flow = RelaySystem(ss, step_hint=step_hint).flow
+        ts = [0.0, 0.3 * flow.node_step] + [
+            (K + 0.37) * flow.step for K in (1, 63, 64, 4097, 262_145)]
+        got = flow.exp(np.array(ts))
+        assert np.array_equal(got[0], np.eye(ss.n + 1))
+        with mpmath.workdps(40):
+            M = mpmath.matrix(flow.M.tolist())
+            for t, E in zip(ts, got):
+                ref = np.array(mpmath.expm(M * mpmath.mpf(t)).tolist(), dtype=float)
+                assert np.abs(E - ref).max() <= 1e-14 * (1 + np.abs(ref).max())
+                assert np.array_equal(flow.exp(t), E)
+        for bad in (np.nan, np.inf, -1.0):     # would loop in grid_exp
+            with pytest.raises(ValueError):
+                flow.exp(bad)
 
 
 def _ref_exits(ss, s, X, dt, t_end):
@@ -528,11 +553,10 @@ class TestBatchedExits:
         if probes:
             ref = _ref_exits(ss, sign, block[probes], h / 4, ex.tau[probes].max() + h)
             assert np.abs(ex.tau[probes] - ref).max() <= 1e-13 * max(1.0, ref.max())
-        E = ex.expAt(ex.tau)
-        assert np.isnan(E[-1]).all()
-        for i in ok:
+        E = sys_.flow.exp(ex.tau[ok])[:, : ss.n, : ss.n]
+        for i, Ei in zip(ok, E):
             want = scipy.linalg.expm(ss.A * ex.tau[i])
-            assert np.linalg.norm(E[i] - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.linalg.norm(Ei - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_first_order_closed_form(self, first_order):
         # y(t) = (y0 + 1) e^{-t} - 1 under y' = -y - 1
