@@ -95,6 +95,28 @@ class TestFindSymmetricOrbit:
         taus = np.geomspace(1e-4, 100.0, 400)
         assert np.array_equal(g(taus), [g(t) for t in taus])
 
+    def test_scan_is_one_batched_expm(self, third_order, monkeypatch):
+        # the scan takes the relay flow's exponential once over the whole
+        # tau grid, and numerics.expm not at all
+        from relayosc import relay_dynamics as rd
+
+        _, ss = third_order
+        ndims = []
+        exp = rd._AffineFlow.exp
+
+        def counted(self, t):
+            ndims.append(np.ndim(t))
+            return exp(self, t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numerics.expm called")
+
+        monkeypatch.setattr(rd._AffineFlow, "exp", counted)
+        monkeypatch.setattr(numerics, "expm", refuse)
+        lc.find_symmetric_orbit(ss)
+        assert ndims.count(1) == 1
+        assert ndims.count(0) < 100  # brentq and the anchors
+
     def test_relative_degree_six_has_no_roundoff_roots(self):
         # near tau = 0, g is of order tau^6 here: Pade's absolute roundoff
         # made ten spurious roots below 0.005, the first of them returned

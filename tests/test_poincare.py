@@ -115,6 +115,37 @@ class TestJacobians:
         assert len(la) == len(le)
         assert np.allclose(la, le, rtol=1e-6)
 
+    def test_no_exponential_beyond_the_exit(self, third_order_brl, monkeypatch):
+        # the jacobians take no Pade exponential, as the exit takes none, and
+        # of the relay flow's exponential only e^{A tau} at the exit time
+        from relayosc import relay_dynamics as rd
+        from relayosc.bounds import bounds_report, decay_envelope
+
+        _, ss = third_order_brl
+        rep = bounds_report(ss, decay_envelope(ss.A))
+        sys_ = RelaySystem(ss)
+        calls = {"expm": 0, "flow": 0}
+        expm, flow_exp = numerics.expm, rd._AffineFlow.exp
+
+        def counted_expm(*args):
+            calls["expm"] += 1
+            return expm(*args)
+
+        def counted_flow(self, t):
+            calls["flow"] += 1
+            return flow_exp(self, t)
+
+        monkeypatch.setattr(numerics, "expm", counted_expm)
+        monkeypatch.setattr(rd._AffineFlow, "exp", counted_flow)
+        for p in sample_anchor_region(anchor_region(ss, rep), 20, seed=6):
+            calls.update(expm=0, flow=0)
+            sys_.exit_event(p, +1)
+            exit_calls = dict(calls)
+            calls.update(expm=0, flow=0)
+            pc.jacobians(ss, p, system=sys_)
+            assert calls["expm"] == exit_calls["expm"] == 0
+            assert calls["flow"] == exit_calls["flow"] + 1
+
 
 class TestChainedJacobians:
     def test_chain_matches_finite_difference_k2(self, second_order):
