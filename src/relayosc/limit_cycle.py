@@ -43,8 +43,9 @@ from .errors import DegenerateOrbitError, NoOrbitError, ShootingError
 from .plant import StateSpace
 from .relay_dynamics import system_for
 
-#: Output-sign condition tolerance: tiny negative slack absorbs roundoff at
-#: the endpoints where the output is exactly zero.
+#: Output-sign condition tolerance, relative to the orbit's peak output: tiny
+#: negative slack absorbs roundoff at the endpoints where the output is
+#: exactly zero, and the verdict does not change with the plant's gain.
 SIGN_CONDITION_SLACK = -1e-9
 
 OUTPUT_SPEED_TOL = 1e-8
@@ -177,8 +178,8 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         anchor[-1] = 0.0  # C anchor = g(tau) = 0 at the root
         # output along the positive half on an evenly spaced grid
         ys = sys_.flow.grid(anchor, +1, tau / (sign_grid - 1), sign_grid) @ C
-        valid = bool(np.min(ys) >= SIGN_CONDITION_SLACK)
         peak = float(np.max(np.abs(ys)))
+        valid = bool(np.min(ys) >= SIGN_CONDITION_SLACK * peak)
         # one-sided output speeds at the two switches (t = tau at -anchor
         # with incoming sign +1, and t = 2 tau at +anchor with incoming -1)
         sw1 = -anchor
@@ -267,9 +268,10 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
     half-period; the residual demands z(tau) = -z(0) (odd symmetry of the
     field makes the full period the double).  Each residual integrates the
     variational equations along, so the Newton jacobian is exact:
-    [Phi[:, :n-1] + I[:, :n-1], f(z(tau))].  Returns the start point, the
-    half-period, Phi and the trace integral over the half period, and the
-    residual norm.
+    [Phi[:, :n-1] + I[:, :n-1], f(z(tau))].  The residual counts as
+    converged below 1e-11 max(1, |z(0)|), so the test stays above roundoff
+    for large orbits.  Returns the start point, the half-period, Phi and
+    the trace integral over the half period, and the residual norm.
     """
     A, B, C = ss.A, ss.B, ss.C
     BC = np.outer(B, C)
@@ -300,7 +302,7 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
             raise ShootingError("singular shooting jacobian") from exc
         # once converged, one full step more is kept if it lowers the residual
         # (amplified by gamma in the trivial multiplier)
-        converged = np.linalg.norm(r) < 1e-11
+        converged = np.linalg.norm(r) < 1e-11 * max(1.0, float(np.linalg.norm(zfree)))
         alpha = 1.0
         while alpha >= 2.0 ** -12:
             z_try = zfree + alpha * step[: n - 1]
@@ -323,38 +325,30 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
 
 
 def monodromy_floquet(ss: StateSpace, gamma: float, orbit_hint: OrbitCandidate,
-                      *, rel_tol: float = 1e-11, abs_tol: float = 1e-13,
-                      continuation_start: float = 100.0) -> MonodromyReport:
+                      *, rel_tol: float = 1e-11, abs_tol: float = 1e-13) -> MonodromyReport:
     """Monodromy of the smooth (tanh) loop's orbit at a finite gain.
 
-    Locates the smooth system's symmetric periodic orbit by Newton shooting
-    on the variational equations (Seydel 2010), continuing upward in gain by
-    decade steps from ``continuation_start`` and reusing each converged
-    orbit as the next hint.  The field is odd, so its linearization along
-    the orbit repeats every half period: the monodromy is Phi_h @ Phi_h and
-    the trace integral twice its half-period value, both from the last
-    shooting solve.  The report carries the matrix determinant and its
-    Liouville value, and ``extras["half_period_residual"]`` the converged
-    norm of z(tau) + z(0).
+    Locates the smooth system's symmetric periodic orbit by one Newton
+    shooting solve on the variational equations (Seydel 2010) at ``gamma``,
+    started from the relay orbit ``orbit_hint``, the gamma -> infinity limit
+    of the smooth orbit.  The field is odd, so its linearization along the
+    orbit repeats every half period: the monodromy is Phi_h @ Phi_h and the
+    trace integral twice its half-period value.  The report carries the
+    matrix determinant and its Liouville value, and
+    ``extras["half_period_residual"]`` the converged norm of z(tau) + z(0).
 
     Raises
     ------
+    ValueError
+        ``gamma`` not in (0, inf).
     ShootingError / StiffnessError
         Shooting divergence, or integration beyond the stiffness budget
         (reduce the gain or loosen tolerances).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    z = orbit_hint.anchor.copy()
-    tau = orbit_hint.half_period
-
-    g = min(continuation_start, gamma)
-    while True:
-        z, tau, Phi_h, trace_h, residual = _shoot_half_period(ss, g, z, tau, rel_tol, abs_tol)
-        if g == gamma:
-            break
-        g = min(10.0 * g, gamma)
-
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    z, tau, Phi_h, trace_h, residual = _shoot_half_period(
+        ss, gamma, orbit_hint.anchor, orbit_hint.half_period, rel_tol, abs_tol)
     trace_integral = 2.0 * trace_h
     return _report(ss, Phi_h @ Phi_h, 2.0 * tau, trace_integral, {
         "gamma": gamma, "anchor": z, "half_period": tau,

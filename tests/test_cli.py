@@ -149,6 +149,12 @@ class TestExitCodes:
         payload = json.loads(res.stderr)
         assert payload["error"] == "epsilon must lie in (0, min |Re eigenvalue|)"
 
+    def test_nan_gamma_exits_3(self, runner):
+        res = invoke(runner, ["monodromy", "--num", "1,-1", "--den", "6,5,1",
+                              "--gamma", "nan"])
+        assert res.exit_code == 3
+        assert "gamma" in json.loads(res.stderr)["error"]
+
     def test_expm_overflow_exits_3(self, runner):
         res = invoke(runner, ["find-orbit", "--num", "1", "--den", "-1,1",
                               "--tau-min", "1", "--tau-max", "1000"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import named_plant
+from conftest import make_stable_plant, named_plant
 from relayosc import limit_cycle as lc
 from relayosc import numerics
 from relayosc import poincare as pc
@@ -126,6 +126,23 @@ class TestFindSymmetricOrbit:
         orbit = lc.find_symmetric_orbit(ss)
         assert orbit.half_period == pytest.approx(1.78786005463380, rel=1e-12, abs=0.0)
         assert min(c.half_period for c in lc.find_symmetric_orbit(ss, return_all=True)) >= 0.5
+
+    def test_verdicts_invariant_under_gain_scaling(self, second_order):
+        # the orbit scales with the numerator and tau* does not; the paper's
+        # plant at x 1e7 has an endpoint roundoff of -1.4e-9 in its output
+        rng = np.random.default_rng(3)
+        plants = [second_order[0]] + [make_stable_plant(rng, n)
+                                      for n in (3, 4, 5, 6) for _ in range(3)]
+        for tf in plants:
+            ref = lc.find_symmetric_orbit(realize(tf), return_all=True)
+            for k in (1e-8, 1e7):
+                got = lc.find_symmetric_orbit(realize(parse_plant(
+                    [k * b for b in tf.num_coeffs], list(tf.den_coeffs))), return_all=True)
+                assert ([c.is_symmetric_unimodal for c in got]
+                        == [c.is_symmetric_unimodal for c in ref])
+                for c, r in zip(got, ref):
+                    assert c.half_period == pytest.approx(r.half_period, rel=1e-12, abs=0.0)
+                    assert np.abs(c.anchor - k * r.anchor).max() <= 1e-12 * k * np.abs(r.anchor).max()
 
 
 def test_relay_and_orbit_layers_make_no_pade_exponential(
@@ -289,31 +306,74 @@ class TestMonodromyExact:
 
 
 class TestMonodromyFloquet:
-    def test_det_agreement_gamma_1e4(self, second_order, orbit2):
+    @pytest.fixture(scope="class")
+    def flo4(self, second_order, orbit2):
+        return lc.monodromy_floquet(second_order[1], 1e4, orbit2)
+
+    def test_det_agreement_gamma_1e4(self, second_order, orbit2, flo4):
         _, ss = second_order
         exact = lc.monodromy_exact(ss, orbit2)
-        flo = lc.monodromy_floquet(ss, 1e4, orbit2)
-        assert flo.det == pytest.approx(exact.det, rel=0.02)
+        assert flo4.det == pytest.approx(exact.det, rel=0.02)
 
-    def test_trivial_multiplier_and_liouville(self, second_order, orbit2):
-        _, ss = second_order
-        flo = lc.monodromy_floquet(ss, 1e4, orbit2)
-        assert flo.trivial_multiplier_error < 1e-6
+    def test_trivial_multiplier_and_liouville(self, flo4):
+        assert flo4.trivial_multiplier_error < 1e-6
         # Liouville: matrix determinant equals the trace-integral exponential
-        assert flo.det == pytest.approx(flo.det_limit_formula, rel=1e-8)
+        assert flo4.det == pytest.approx(flo4.det_limit_formula, rel=1e-8)
 
-    def test_multipliers_continuous_in_gamma(self, second_order, orbit2):
+    def test_multipliers_continuous_in_gamma(self, second_order, orbit2, flo4):
         _, ss = second_order
         f3 = lc.monodromy_floquet(ss, 1e3, orbit2)
-        f4 = lc.monodromy_floquet(ss, 1e4, orbit2)
         m3 = np.sort(np.abs(np.array(f3.floquet_multipliers)))
-        m4 = np.sort(np.abs(np.array(f4.floquet_multipliers)))
+        m4 = np.sort(np.abs(np.array(flo4.floquet_multipliers)))
         assert np.all(np.abs(m3 - m4) / np.maximum(m4, 1e-12) < 0.05)
 
-    def test_period_approaches_relay_period(self, second_order, orbit2):
-        _, ss = second_order
-        flo = lc.monodromy_floquet(ss, 1e4, orbit2)
-        assert flo.period == pytest.approx(orbit2.period, rel=1e-3)
+    def test_period_approaches_relay_period(self, orbit2, flo4):
+        assert flo4.period == pytest.approx(orbit2.period, rel=1e-3)
+
+    @pytest.mark.parametrize("gamma", [1e3, 1e4])
+    def test_one_shooting_solve_from_the_relay_orbit(self, third_order, orbit3, gamma,
+                                                     monkeypatch):
+        # one solve at the requested gain: 5 and 4 integrations here
+        shots, integrations = [], []
+        shoot, integrate = lc._shoot_half_period, numerics.integrate_adaptive
+
+        def counted_shoot(ss, g, z0, tau0, *args, **kwargs):
+            shots.append((g, tau0))
+            return shoot(ss, g, z0, tau0, *args, **kwargs)
+
+        def counted_integrate(*args, **kwargs):
+            integrations.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(lc, "_shoot_half_period", counted_shoot)
+        monkeypatch.setattr(numerics, "integrate_adaptive", counted_integrate)
+        lc.monodromy_floquet(third_order[1], gamma, orbit3)
+        assert shots == [(gamma, orbit3.half_period)]
+        assert len(integrations) <= 6
+
+    def test_agrees_with_decade_continuation(self, third_order, orbit3):
+        # the relay orbit is the gamma -> infinity limit, as good a start as
+        # the orbits of a continuation 100 -> 1e3 -> 1e4
+        _, ss = third_order
+        z, tau = orbit3.anchor, orbit3.half_period
+        for gamma in (100.0, 1e3, 1e4):
+            z, tau, Phi_h, _, _ = lc._shoot_half_period(ss, gamma, z, tau, 1e-11, 1e-13)
+        flo = lc.monodromy_floquet(ss, 1e4, orbit3)
+        Phi = Phi_h @ Phi_h
+        assert np.abs(flo.matrix - Phi).max() <= 1e-9 * np.abs(Phi).max()
+        assert flo.extras["half_period"] == pytest.approx(tau, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [1e3, 1e4])
+    def test_large_orbit_converges(self, gamma):
+        # the paper's plant with its numerator x 1e5 has |anchor| = 1.27e5,
+        # so its converged residual cannot reach an absolute 1e-11
+        ss = realize(parse_plant([1e5, -1e5], [6, 5]))
+        orbit = lc.find_symmetric_orbit(ss)
+        flo = lc.monodromy_floquet(ss, gamma, orbit)
+        assert flo.extras["half_period_residual"] < 1e-11 * np.linalg.norm(orbit.anchor)
+        assert flo.period == pytest.approx(orbit.period, rel=1e-6)
+        assert flo.det == pytest.approx(flo.det_limit_formula, rel=1e-8)
+        assert flo.det == pytest.approx(lc.monodromy_exact(ss, orbit).det, rel=1e-4)
 
     def test_matrix_matches_full_period_integration(self, third_order, orbit3):
         # the half-period square against [z; Phi] integrated over the whole
@@ -339,6 +399,14 @@ class TestMonodromyFloquet:
         _, ss = second_order
         with pytest.raises(ValueError):
             lc.monodromy_floquet(ss, -5.0, orbit2)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0])
+    def test_non_finite_or_zero_gamma_rejected(self, second_order, orbit2, gamma):
+        # rejected before any integration, which would end in a stiffness
+        # failure at nan or inf
+        _, ss = second_order
+        with pytest.raises(ValueError, match="gamma"):
+            lc.monodromy_floquet(ss, gamma, orbit2)
 
 
 class TestAgainstLongSimulation:
