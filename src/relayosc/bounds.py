@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from . import numerics
 from .plant import StateSpace
@@ -74,7 +75,9 @@ class AnchorRegion:
         )
 
 
-#: Powers of e^{Ah} whose 2-norms one batched product and one eigvalsh call take.
+#: Powers of e^{Ah} per batched product: the Frobenius pass streams the
+#: powers in blocks of this many, and the exact 2-norms are taken over
+#: batches of at most this many Gram matrices per ``eigvalsh`` call.
 _NORM_BLOCK = 512
 
 #: Entries of the low table E^r, r < _LOW; the high table holds (E^_LOW)^q.
@@ -90,14 +93,12 @@ def _sequential_powers(M: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _power_norms(E: np.ndarray, count: int) -> np.ndarray:
-    """2-norms of E^k, k = 1..count, from two-level power tables.
+def _power_tables(E: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-level power tables ``(low, high)`` for the powers E^k, k <= count.
 
-    With k = 64 q + r, ``low[r] = E^r`` (r < 64) and ``high[q] = (E^64)^q``
-    (q <= count // 64) are built by sequential products; each block of at
-    most ``_NORM_BLOCK`` powers is one batched product ``high[q] @ low[r]``,
-    and its 2-norms are the square roots of the largest eigenvalues of the
-    Gram matrices P^T P, taken with one ``eigvalsh`` call.
+    With k = 64 q + r, E^k is the product ``high[q] @ low[r]`` of
+    ``low[r] = E^r`` (r < 64) and ``high[q] = (E^64)^q`` (q <= count // 64),
+    both built by sequential products.
 
     The tables are accumulated in ``np.longdouble`` and rounded to double
     once per entry.  Accumulated in double, the rounding error of E^64
@@ -108,15 +109,48 @@ def _power_norms(E: np.ndarray, count: int) -> np.ndarray:
     ext = E.astype(np.longdouble)
     low = _sequential_powers(ext, _LOW)
     high = _sequential_powers(ext @ low[-1], count // _LOW + 1)
-    low, high = low.astype(float), high.astype(float)
-    k = np.arange(1, count + 1)
-    norms = np.empty(count)
-    for start in range(0, count, _NORM_BLOCK):
-        kb = k[start:start + _NORM_BLOCK]
-        P = high[kb // _LOW] @ low[kb % _LOW]
+    return low.astype(float), high.astype(float)
+
+
+def _products(tables, ks: np.ndarray):
+    """Yield ``(start, P)`` with P the stack of E^k, k in ks[start:start + _NORM_BLOCK]."""
+    low, high = tables
+    for start in range(0, len(ks), _NORM_BLOCK):
+        kb = ks[start:start + _NORM_BLOCK]
+        yield start, high[kb // _LOW] @ low[kb % _LOW]
+
+
+def _exact_norms(tables, ks: np.ndarray) -> np.ndarray:
+    """2-norms of E^k for the powers ``ks``: the square roots of the largest
+    eigenvalues of the Gram matrices P^T P, one ``eigvalsh`` call per batch.
+
+    Each matrix of a batch is multiplied and decomposed on its own, so a
+    power's norm does not depend on which other powers share its batch.
+    """
+    norms = np.empty(len(ks))
+    for start, P in _products(tables, ks):
         gram = np.swapaxes(P, 1, 2) @ P
-        norms[start:start + len(kb)] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+        norms[start:start + len(P)] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
     return norms
+
+
+def _norm_bounds(tables, count: int) -> np.ndarray:
+    """Upper bounds on ``_exact_norms`` at k = 1..count: ||E^k||_F (1 + slack).
+
+    ||P||_2 <= ||P||_F (Golub & Van Loan, Matrix Computations, 2.3).  Both
+    norms are taken of the same computed product P, so only their rounding
+    separates them: the computed Frobenius sum of n^2 squares is at least
+    ||P||_F (1 - n^2 eps), and the Gram matrix and ``eigvalsh`` err by a
+    small multiple of n eps ||P||_F^2, so the computed 2-norm is at most
+    ||P||_F (1 + c n eps).  The slack 20 n^2 eps covers both.  Norms small
+    enough for these squares to underflow lie far below every maximum and
+    limit they are compared with.
+    """
+    n = tables[0].shape[1]
+    norms = np.empty(count)
+    for start, P in _products(tables, np.arange(1, count + 1)):
+        norms[start:start + len(P)] = np.sqrt(np.einsum("kij,kij->k", P, P))
+    return norms * (1.0 + 20 * n * n * np.finfo(float).eps)
 
 
 def decay_envelope(A: np.ndarray, epsilon: float | None = None,
@@ -126,13 +160,24 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
     ||e^{At}|| e^{sigma t} is maximized on a grid of ``grid_points`` steps
     over 40 / sigma and checked on a grid of twice as many over 20 / sigma;
     on each grid the norms of e^{At} are those of the powers of one step
-    exponential, formed from two-level power tables and taken as the largest
-    Gram eigenvalues (``_power_norms``).
+    exponential, formed from two-level power tables (``_power_tables``).
+
+    Exact 2-norms (``_exact_norms``) are taken only where a Frobenius upper
+    bound (``_norm_bounds``) cannot decide.  The maximization takes the exact
+    value L at the power with the largest bound, then exact values at the
+    powers whose bound reaches max(L, 1); every other power is provably below
+    the maximum.  The check passes every power whose bound is within its
+    limit and takes exact values at the rest.  The exact values are those an
+    exhaustive pass would take, and a maximum and a comparison do not round,
+    so ``m_initial``, the verdict and the first failing t equal the
+    exhaustive pass's bit for bit.  Where the bounds cannot prune (two equal
+    singular values, as for a normal complex pair), every power is taken
+    exactly, at the extra cost of the Frobenius pass only.
 
     Parameters
     ----------
     A : ndarray
-        Hurwitz matrix.
+        Hurwitz matrix: finite, square, non-empty and 2-D.
     epsilon : float, optional
         Margin subtracted from the spectral abscissa magnitude; defaults to
         1e-3 * min |Re eigenvalue| so the envelope stays valid across time
@@ -145,16 +190,20 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
     Raises
     ------
     ValueError
-        If A is not Hurwitz, epsilon is outside (0, min |Re eigenvalue|),
+        If A is not a finite, square, non-empty 2-D array or is not
+        Hurwitz, epsilon is outside (0, min |Re eigenvalue|),
         grid_points < 1, safety is not finite and positive, or the computed
         envelope fails its a-posteriori verification (defective extreme
         cases).
     """
+    A = np.asarray(A, dtype=float)
+    if not (A.ndim == 2 and A.shape[0] == A.shape[1] > 0 and np.isfinite(A).all()):
+        raise ValueError("A must be a finite, square, non-empty 2-D array; got shape %s"
+                         % (A.shape,))
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
     if not (math.isfinite(safety) and safety > 0):
         raise ValueError("safety must be finite and > 0")
-    A = np.asarray(A, dtype=float)
     lam = np.linalg.eigvals(A)
     decay = -lam.real.max()
     if decay <= 0:
@@ -167,16 +216,21 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
 
     horizon = 40.0 / sigma
     h = horizon / grid_points
-    norms = _power_norms(numerics.expm(A, h), grid_points)
+    tables = _power_tables(numerics.expm(A, h), grid_points)
     growth = np.exp(sigma * np.arange(1, grid_points + 1) * h)
-    m_initial = safety * max(1.0, float((norms * growth).max()))  # 1.0: t = 0
+    upper = _norm_bounds(tables, grid_points) * growth
+    k = int(upper.argmax()) + 1
+    best = max(1.0, float(_exact_norms(tables, np.array([k]))[0] * growth[k - 1]))  # 1.0: t = 0
+    ks = np.flatnonzero(upper >= best) + 1
+    m_initial = safety * float(np.max(_exact_norms(tables, ks) * growth[ks - 1], initial=best))
 
     # a-posteriori check on a finer, shorter grid
     fine = np.linspace(0.0, 20.0 / sigma, 2 * grid_points + 1)
-    norms = np.concatenate(([1.0], _power_norms(numerics.expm(A, fine[1] - fine[0]),
-                                                2 * grid_points)))
+    tables = _power_tables(numerics.expm(A, fine[1] - fine[0]), 2 * grid_points)
     limit = m_initial * np.exp(-sigma * fine) * (1 + 1e-9)
-    failed = norms > limit
+    failed = np.concatenate(([1.0], _norm_bounds(tables, 2 * grid_points))) > limit
+    ks = np.flatnonzero(failed[1:]) + 1
+    failed[ks] = _exact_norms(tables, ks) > limit[ks]
     if failed.any():
         raise ValueError(
             "decay envelope verification failed at t=%g; the eigenvector "
@@ -223,6 +277,22 @@ def anchor_region(ss: StateSpace, report: BoundsReport) -> AnchorRegion:
                         n=ss.n)
 
 
+#: Expected ball draws ``sample_anchor_region`` may make for one call.  At
+#: one sample, batches of 64 draws take about 4 s at this budget (n = 3); the
+#: callers in the package and its tests need at most 4.4e4.
+_DRAW_BUDGET = 10_000_000
+
+
+def _cap_fraction(region: AnchorRegion) -> float:
+    """Share of the (n-1)-ball of the region's radius whose last coordinate
+    is at least the strip halfwidth: 0.5 I_{1-a^2}(d/2 + 1/2, 1/2), with
+    a = strip / radius, d = n - 1 and I the regularized incomplete beta
+    function."""
+    d = region.n - 1
+    a = region.strip_halfwidth / region.radius
+    return float(0.5 * scipy.special.betainc((d + 1) / 2, 0.5, 1.0 - a * a))
+
+
 def sample_anchor_region(region: AnchorRegion, count: int, seed: int = 0,
                          *, return_stats: bool = False):
     """Draw uniform samples from the region (deterministic under ``seed``).
@@ -233,13 +303,14 @@ def sample_anchor_region(region: AnchorRegion, count: int, seed: int = 0,
     (n-1)-th coordinate is below the strip halfwidth.  With
     ``return_stats=True`` also returns ``{"n_ball": ..., "n_kept": ...}``
     (ball draws and strip survivors), whose ratio estimates the cap-volume
-    fraction of the strip cut.
+    fraction of the strip cut (``_cap_fraction``).
 
     Raises
     ------
     ValueError
-        count < 1, n < 2 (no on-plane coordinate to cut), or an empty
-        region (strip at least as wide as the ball).
+        count < 1, n < 2 (no on-plane coordinate to cut), an empty region
+        (strip at least as wide as the ball), or a cap so thin that
+        ``count / _cap_fraction`` expected draws exceed ``_DRAW_BUDGET``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -247,6 +318,12 @@ def sample_anchor_region(region: AnchorRegion, count: int, seed: int = 0,
         raise ValueError("the anchor region needs a plant of order n >= 2")
     if region.strip_halfwidth >= region.radius:
         raise ValueError("empty region: strip halfwidth >= ball radius")
+    fraction = _cap_fraction(region)
+    draws = count / fraction if fraction > 0 else math.inf
+    if draws > _DRAW_BUDGET:
+        raise ValueError(
+            "anchor region too thin to sample: its cap holds %.3g of the ball, so %d "
+            "samples need about %.3g draws (budget %d)" % (fraction, count, draws, _DRAW_BUDGET))
     d = region.n - 1
     rng = np.random.Generator(np.random.Philox(seed))
     out = np.empty((count, region.n))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_brl_plant, named_plant
+from conftest import make_brl_plant, make_stable_plant, named_plant
 from relayosc import bounds as bm
 from relayosc import numerics
 from relayosc import relay_dynamics as rd
@@ -71,6 +71,17 @@ class TestDecayEnvelope:
         with pytest.raises(ValueError, match="safety"):
             bm.decay_envelope(np.diag([-1.0, -3.0]), safety=safety)
 
+    @pytest.mark.parametrize("A", [
+        np.array([[-1.0, math.nan], [0.0, -2.0]]),
+        np.array([[-1.0, 0.0], [math.inf, -2.0]]),
+        np.ones((2, 3)),
+        np.array([-1.0, -2.0]),
+        np.zeros((0, 0)),
+    ], ids=["nan", "inf", "non-square", "1-D", "0x0"])
+    def test_bad_matrix_rejected(self, A):
+        with pytest.raises(ValueError, match="A must be a finite, square, non-empty 2-D array"):
+            bm.decay_envelope(A)
+
 
 def _envelope_per_power(A, grid_points=4000, safety=1.05):
     """decay_envelope as one 2-norm per power of e^{Ah}: (m_initial, sigma);
@@ -95,6 +106,47 @@ def _envelope_per_power(A, grid_points=4000, safety=1.05):
             raise ValueError("decay envelope verification failed at t=%g; the eigenvector "
                               "basis may be too ill-conditioned for a grid estimate" % t)
     return float(m_initial), float(sigma)
+
+
+def _envelope_exhaustive(A, grid_points=4000, safety=1.05):
+    """decay_envelope with an exact 2-norm at every power, from the same
+    tables and blocks: (m_initial, sigma), or the text of its ValueError."""
+    decay = -np.linalg.eigvals(A).real.max()
+    sigma = decay - 1e-3 * decay
+    h = 40.0 / sigma / grid_points
+    ks = np.arange(1, grid_points + 1)
+    norms = bm._exact_norms(bm._power_tables(numerics.expm(A, h), grid_points), ks)
+    m_initial = safety * max(1.0, float((norms * np.exp(sigma * ks * h)).max()))
+    fine = np.linspace(0.0, 20.0 / sigma, 2 * grid_points + 1)
+    tables = bm._power_tables(numerics.expm(A, fine[1] - fine[0]), 2 * grid_points)
+    norms = np.concatenate(([1.0], bm._exact_norms(tables, np.arange(1, 2 * grid_points + 1))))
+    failed = norms > m_initial * np.exp(-sigma * fine) * (1 + 1e-9)
+    if failed.any():
+        return ("decay envelope verification failed at t=%g; the eigenvector basis may "
+                "be too ill-conditioned for a grid estimate" % fine[failed.argmax()])
+    return float(m_initial), float(sigma)
+
+
+def _envelope_or_error(A):
+    try:
+        env = bm.decay_envelope(A)
+    except ValueError as exc:
+        return str(exc)
+    return env.m_initial, env.sigma_slowest
+
+
+def _counting_grams(monkeypatch):
+    """Count eigvalsh calls and the Gram matrices passed to them."""
+    calls = {"eigvalsh": 0, "grams": 0}
+    eigvalsh = np.linalg.eigvalsh
+
+    def wrapper(a, *args, **kwargs):
+        calls["eigvalsh"] += 1
+        calls["grams"] += len(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", wrapper)
+    return calls
 
 
 def _reference_power_norms(E, ks):
@@ -148,7 +200,7 @@ class TestBlockedNorms:
         count = 4000
         h = 40.0 / env.sigma_slowest / count
         E = numerics.expm(A, h)
-        norms = bm._power_norms(E, count)
+        norms = bm._exact_norms(bm._power_tables(E, count), np.arange(1, count + 1))
         growth = np.exp(env.sigma_slowest * np.arange(1, count + 1) * h)
         ks = sorted({1, 63, 64, 65, 511, 512, 513, int(np.argmax(norms * growth)) + 1, count})
         ref = _reference_power_norms(E, ks)
@@ -173,7 +225,7 @@ class TestBlockedNorms:
         assert str(got.value) == str(ref.value)
 
     def test_work_counts(self, third_order, monkeypatch):
-        calls = {"expm": 0, "eigvalsh": 0, "svd": 0}
+        calls = {"expm": 0, "svd": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -182,12 +234,39 @@ class TestBlockedNorms:
             return wrapper
 
         monkeypatch.setattr(numerics, "expm", counted("expm", numerics.expm))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        grams = _counting_grams(monkeypatch)
         bm.decay_envelope(third_order[1].A)
         assert calls["expm"] == 2
-        assert 0 < calls["eigvalsh"] <= 32
+        assert 0 < grams["eigvalsh"] <= 32
+        assert 0 < grams["grams"] <= 64      # of the 12,000 powers
         assert calls["svd"] == 0
+
+    def test_pruned_equals_exhaustive_on_draws(self):
+        # n = 2..20, relative degree one and general stable plants (complex
+        # poles included); a failed verification must fail at the same t
+        for i in range(60):
+            rng = np.random.default_rng(500 + i)
+            n = 2 + i % 19
+            tf = make_brl_plant(rng, n) if i % 2 else make_stable_plant(rng, n)
+            A = realize(tf).A
+            assert _envelope_or_error(A) == _envelope_exhaustive(A), (i, n)
+
+    @pytest.mark.parametrize("A, min_grams", [
+        # the largest term is not at the largest bound: power 101 of 759
+        # candidates (n = 2), and one power before it, its bound only 5e-4
+        # above the first exact value (n = 10)
+        (np.array([[-1.0, 0.5], [0.0, -5.0]]), 3),
+        (realize(make_stable_plant(np.random.default_rng(2044), 10)).A, 3),
+        # a normal complex pair: both singular values of every power are
+        # equal, ||P||_F = sqrt(2) ||P||_2, and no bound decides anything
+        (np.array([[-1.0, 5.0], [-5.0, -1.0]]), 12_000),
+    ], ids=["non-normal2", "stable10", "complex-pair"])
+    def test_candidates_beyond_the_largest_bound(self, A, min_grams, monkeypatch):
+        expected = _envelope_exhaustive(A)
+        grams = _counting_grams(monkeypatch)
+        assert _envelope_or_error(A) == expected
+        assert grams["grams"] >= min_grams
 
 
 class TestBoundsReport:
@@ -280,6 +359,24 @@ class TestAnchorRegion:
         p_hat = stats["n_kept"] / stats["n_ball"]
         sigma = math.sqrt(p * (1 - p) / stats["n_ball"])
         assert abs(p_hat - p) <= 3 * sigma
+
+    def test_cap_fraction_closed_form(self, second_order, second_order_bounds):
+        # n = 2: the segment statistic (R - w) / (2R); n = 3: the disk cap
+        # at a = w / R = 0.5
+        _, ss = second_order
+        _, rep = second_order_bounds
+        region = bm.anchor_region(ss, rep)
+        R, w = region.radius, region.strip_halfwidth
+        assert bm._cap_fraction(region) == pytest.approx((R - w) / (2 * R), rel=1e-13)
+        disk = bm._cap_fraction(bm.AnchorRegion(radius=2.0, strip_halfwidth=1.0, n=3))
+        assert disk == pytest.approx((math.pi / 3 - math.sqrt(3) / 4) / math.pi, rel=1e-13)
+        assert round(disk, 5) == 0.19550
+
+    def test_thin_cap_rejected_at_once(self):
+        # the cap holds 3.9e-10 of the ball: about 1.3e10 draws for 5 samples
+        region = bm.AnchorRegion(radius=1.0, strip_halfwidth=0.99, n=10)
+        with pytest.raises(ValueError, match="too thin"):
+            bm.sample_anchor_region(region, 5, 0)
 
     def test_draws_bounded_at_high_dimension(self):
         # a cube-rejection sampler keeps 8.9e-8 of its draws at n = 20
