@@ -3,7 +3,7 @@
 Library layout:
 
 - ``plant``          parsing, classification, companion-form realization
-- ``numerics``       matrix exponential, eigenvector condition, ODE
+- ``numerics``       eigenvector condition, adaptive ODE integration
 - ``relay_dynamics`` exact event-driven simulation, exit times and maps
 - ``bounds``         decay envelopes, ultimate ball, inter-switch bounds
 - ``poincare``       return-map jacobians, spectral surveys, fixed points

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
+import scipy.linalg
 
-from . import numerics
 from .plant import StateSpace
 
 
@@ -153,6 +152,15 @@ def _norm_bounds(tables, count: int) -> np.ndarray:
     return norms * (1.0 + 20 * n * n * np.finfo(float).eps)
 
 
+def _step_exp(A: np.ndarray, h: float) -> np.ndarray:
+    """e^{A h} by scipy's Pade ``expm``; OverflowError if it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = scipy.linalg.expm(A * h)
+    if not np.isfinite(E).all():
+        raise OverflowError("matrix exponential overflow: ||A h|| too large")
+    return E
+
+
 def decay_envelope(A: np.ndarray, epsilon: float | None = None,
                    *, grid_points: int = 4000, safety: float = 1.05) -> DecayEnvelope:
     """Estimate a verified exponential decay envelope for e^{At}.
@@ -216,7 +224,7 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
 
     horizon = 40.0 / sigma
     h = horizon / grid_points
-    tables = _power_tables(numerics.expm(A, h), grid_points)
+    tables = _power_tables(_step_exp(A, h), grid_points)
     growth = np.exp(sigma * np.arange(1, grid_points + 1) * h)
     upper = _norm_bounds(tables, grid_points) * growth
     k = int(upper.argmax()) + 1
@@ -226,7 +234,7 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
 
     # a-posteriori check on a finer, shorter grid
     fine = np.linspace(0.0, 20.0 / sigma, 2 * grid_points + 1)
-    tables = _power_tables(numerics.expm(A, fine[1] - fine[0]), 2 * grid_points)
+    tables = _power_tables(_step_exp(A, fine[1] - fine[0]), 2 * grid_points)
     limit = m_initial * np.exp(-sigma * fine) * (1 + 1e-9)
     failed = np.concatenate(([1.0], _norm_bounds(tables, 2 * grid_points))) > limit
     ks = np.flatnonzero(failed[1:]) + 1
@@ -288,6 +296,8 @@ def _cap_fraction(region: AnchorRegion) -> float:
     is at least the strip halfwidth: 0.5 I_{1-a^2}(d/2 + 1/2, 1/2), with
     a = strip / radius, d = n - 1 and I the regularized incomplete beta
     function."""
+    import scipy.special
+
     d = region.n - 1
     a = region.strip_halfwidth / region.radius
     return float(0.5 * scipy.special.betainc((d + 1) / 2, 0.5, 1.0 - a * a))

@@ -38,8 +38,7 @@ def _load_plant(num, den, plant_file, descending):
     if plant_file is not None:
         with open(plant_file) as fh:
             payload = json.load(fh)
-        num_c = [float(v) for v in payload["num"]]
-        den_c = [float(v) for v in payload["den"]]
+        num_c, den_c = payload["num"], payload["den"]
     else:
         if num is None or den is None:
             raise PlantError("provide --num and --den, or --plant-file")
@@ -112,17 +111,7 @@ def plant_command(name: str):
 @click.option("--out", default=None, type=click.Path())
 def cmd_classify(tf, ss, out):
     """Classify a plant (stability, DC gain, relative degree, class flags)."""
-    pc = classify(tf)
-    payload = {
-        "is_stable": pc.is_stable,
-        "dc_gain": pc.dc_gain,
-        "relative_degree": pc.relative_degree,
-        "n_positive_real_zeros": pc.n_positive_real_zeros,
-        "is_brl_urf": pc.is_brl_urf,
-        "poles": [[z.real, z.imag] for z in pc.poles],
-        "zeros": [[z.real, z.imag] for z in pc.zeros],
-    }
-    _emit(json_artifact(payload, __version__), out)
+    _emit(json_artifact(vars(classify(tf)), __version__), out)
 
 
 @plant_command("simulate")
@@ -150,21 +139,7 @@ def cmd_bounds(tf, ss, epsilon, out):
     """Decay envelope and all closed-form bound constants."""
     env = bounds_mod.decay_envelope(ss.A, epsilon)
     rep = bounds_mod.bounds_report(ss, env)
-    payload = {
-        "m_initial": env.m_initial,
-        "sigma_slowest": env.sigma_slowest,
-        "epsilon_margin": env.epsilon_margin,
-        "m_loose": rep.m_loose,
-        "ball_radius": rep.ball_radius,
-        "t_excursions_over": rep.t_excursions_over,
-        "m_excursion": rep.m_excursion,
-        "t_min_inter_switch": rep.t_min_inter_switch,
-        "k_iterations": rep.k_iterations,
-        "norm_A": rep.norm_A,
-        "norm_B": rep.norm_B,
-        "note": rep.note,
-    }
-    _emit(json_artifact(payload, __version__), out)
+    _emit(json_artifact({**vars(env), **vars(rep)}, __version__), out)
 
 
 @plant_command("poincare-survey")
@@ -200,12 +175,12 @@ def cmd_fixed_point(tf, ss, k, seed, tol, max_iter, out):
     x0 = bounds_mod.sample_anchor_region(region, 1, seed)[0]
     res = poincare.fixed_point_search(ss, rep, k, x0, max_iter, tol)
     payload = {
-        "x_hat": [float(v) for v in res.x_hat],
+        "x_hat": res.x_hat,
         "k": res.k,
         "residual": res.residual,
         "iterations_used": res.iterations_used,
         "converged": res.converged,
-        "start": [float(v) for v in x0],
+        "start": x0,
     }
     _emit(json_artifact(payload, __version__), out)
 
@@ -222,14 +197,9 @@ def cmd_find_orbit(tf, ss, tau_min, tau_max, out, orbit_csv):
     orbit = limit_cycle.find_symmetric_orbit(ss, rng)
     report = limit_cycle.monodromy_exact(ss, orbit)
     payload = {
-        "half_period": orbit.half_period,
-        "period": orbit.period,
-        "anchor": [float(v) for v in orbit.anchor],
-        "is_symmetric_unimodal": orbit.is_symmetric_unimodal,
-        "peak_output": orbit.peak_output,
-        "output_speeds": [[a, b] for a, b in orbit.output_speeds],
-        "monodromy": [[float(v) for v in row] for row in report.matrix],
-        "floquet_multipliers": [[m.real, m.imag] for m in report.floquet_multipliers],
+        **vars(orbit),
+        "monodromy": report.matrix,
+        "floquet_multipliers": report.floquet_multipliers,
         "det": report.det,
         "det_limit_formula": report.det_limit_formula,
         "trivial_multiplier_error": report.trivial_multiplier_error,
@@ -239,12 +209,12 @@ def cmd_find_orbit(tf, ss, tau_min, tau_max, out, orbit_csv):
         ts = np.linspace(0.0, orbit.period, 2001)
         # the second half repeats the first with the sign flipped
         half = relay_dynamics.system_for(ss).flow.grid(orbit.anchor, +1, ts[1], 1001)
-        rows = []
-        for j, t in enumerate(ts):
-            x, u = (half[j], 1.0) if t <= orbit.half_period else (-half[j - 1000], -1.0)
-            rows.append((t, *x, u, ss.C @ x))
+        first = ts <= orbit.half_period
+        j = np.arange(2001)
+        xs = np.where(first[:, None], half[np.minimum(j, 1000)], -half[j - 1000])
         write_csv(orbit_csv, __version__, "units: t in seconds",
-                  ["t"] + [f"x_{i+1}" for i in range(ss.n)] + ["u", "y"], rows)
+                  ["t"] + [f"x_{i+1}" for i in range(ss.n)] + ["u", "y"],
+                  [ts, *xs.T, np.where(first, 1.0, -1.0), xs @ ss.C])
 
 
 @plant_command("monodromy")
@@ -261,7 +231,7 @@ def cmd_monodromy(tf, ss, gamma, out):
         "exact": {
             "det": exact.det,
             "det_limit_formula": exact.det_limit_formula,
-            "floquet_multipliers": [[m.real, m.imag] for m in exact.floquet_multipliers],
+            "floquet_multipliers": exact.floquet_multipliers,
             "trivial_multiplier_error": exact.trivial_multiplier_error,
         },
     }
@@ -271,7 +241,7 @@ def cmd_monodromy(tf, ss, gamma, out):
             "gamma": gamma,
             "det": flo.det,
             "liouville_det": flo.det_limit_formula,
-            "floquet_multipliers": [[m.real, m.imag] for m in flo.floquet_multipliers],
+            "floquet_multipliers": flo.floquet_multipliers,
             "trivial_multiplier_error": flo.trivial_multiplier_error,
             "period": flo.period,
         }
@@ -291,16 +261,9 @@ def cmd_root_locus(tf, ss, gamma_max, points, out, crossings_out):
         write_csv(out, __version__, "gamma dimensionless, eigenvalues in 1/seconds",
                   ["gamma"] + [f"re_{i+1}" for i in range(ss.n)]
                   + [f"im_{i+1}" for i in range(ss.n)],
-                  ((g, *lam.real, *lam.imag)
-                   for g, lam in zip(scan.gamma_grid, scan.eigen_tracks)))
-    payload = {
-        "crossings": [
-            {"gamma0": c.gamma0, "omega0": c.omega0, "direction": c.direction,
-             "multiplicity_parity": c.multiplicity_parity, "kind": c.kind}
-            for c in scan.crossings
-        ],
-    }
-    _emit(json_artifact(payload, __version__), crossings_out)
+                  [scan.gamma_grid, *scan.eigen_tracks.real.T, *scan.eigen_tracks.imag.T])
+    _emit(json_artifact({"crossings": [vars(c) for c in scan.crossings]}, __version__),
+          crossings_out)
 
 
 @plant_command("sfs-sim")
@@ -317,12 +280,12 @@ def cmd_sfs_sim(tf, ss, gamma, x0, t_end, dense_dt, rel_tol, abs_tol, out):
     sol = sfs.simulate_sfs(ss, cfg, _parse_x0(x0, ss.n), t_end)
     ts = np.arange(0.0, t_end + dense_dt / 2, dense_dt)
     ts[-1] = min(ts[-1], t_end)
-    xs = sol.sol(ts).T
-    ys = [float(ss.C @ x) for x in xs]
+    xs = sol.sol(ts)
+    ys = ss.C @ xs
     # u is the relay output; the loop feeds back -u
-    rows = ((t, *x, np.tanh(gamma * y), y) for t, x, y in zip(ts, xs, ys))
     write_csv(sys.stdout if out is None else out, __version__, "units: t in seconds",
-              ["t"] + [f"x_{i+1}" for i in range(ss.n)] + ["u", "y"], rows)
+              ["t"] + [f"x_{i+1}" for i in range(ss.n)] + ["u", "y"],
+              [ts, *xs, np.tanh(gamma * ys), ys])
 
 
 if __name__ == "__main__":

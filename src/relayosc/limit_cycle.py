@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import numerics
 from .errors import DegenerateOrbitError, NoOrbitError, ShootingError
@@ -134,6 +133,8 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         g zero to roundoff at every scanned tau (``DEGENERATE_TOL``), as
         on the double integrator, whose symmetric orbits form a continuum.
     """
+    from scipy.optimize import brentq
+
     if tau_range is None:
         lam = np.linalg.eigvals(ss.A)
         lam = lam[np.abs(lam) >= 1e-12 * max(1.0, np.abs(lam).max())]
@@ -229,7 +230,7 @@ def _report(ss: StateSpace, Phi: np.ndarray, T: float, jump_total: float,
     b_tail = float(ss.B[-1])
     return MonodromyReport(
         matrix=Phi,
-        floquet_multipliers=tuple(mults),
+        floquet_multipliers=tuple(mults.astype(complex).tolist()),
         det=float(np.linalg.det(Phi)),
         det_limit_formula=math.exp(-a_tail * T - b_tail * jump_total),
         trivial_multiplier_error=float(np.min(np.abs(mults - 1.0))),

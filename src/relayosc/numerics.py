@@ -1,7 +1,6 @@
 """Shared numerical kernels.
 
-Dense matrix exponential, eigenvector condition numbers, and adaptive ODE
-integration.
+Eigenvector condition numbers and adaptive ODE integration.
 The design envelope is small dense systems (n <= 20).
 """
 
@@ -10,30 +9,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .errors import StiffnessError
-
-
-def expm(M: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Evaluate e^{M t} for a scalar t by scaling-and-squaring (Pade), via
-    scipy.  The relay flow makes its exponentials from its own Taylor
-    tables (``relay_dynamics._AffineFlow.exp``).  Raises OverflowError when
-    M t or the result overflows double precision, and ValueError on
-    non-finite input.
-    """
-    M = np.asarray(M, dtype=float)
-    Mt = M * float(t)
-    if not np.isfinite(Mt).all():
-        if not (np.isfinite(M).all() and np.isfinite(t)):
-            raise ValueError("expm requires finite entries")
-        raise OverflowError("matrix exponential overflow: ||M t|| too large")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(Mt)
-    if not np.isfinite(out).all():
-        raise OverflowError("matrix exponential overflow: ||M t|| too large")
-    return out
 
 
 def eigenvector_condition(V: np.ndarray) -> np.ndarray:
@@ -65,6 +42,8 @@ def integrate_adaptive(
     smooth relay approximation usually means the gain is too large for the
     requested tolerance.
     """
+    from scipy.integrate import solve_ivp
+
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be positive")
     sol = solve_ivp(

@@ -167,7 +167,7 @@ def realize(tf: TransferFunction) -> StateSpace:
 
 def _companion_roots(coeffs_ascending: list[float]) -> np.ndarray:
     """Roots of a monic polynomial given its non-leading ascending coeffs,
-    computed as eigenvalues of the companion matrix."""
+    computed as eigenvalues of the companion matrix, as a complex array."""
     n = len(coeffs_ascending)
     if n == 0:
         return np.array([], dtype=complex)
@@ -175,7 +175,7 @@ def _companion_roots(coeffs_ascending: list[float]) -> np.ndarray:
     for i in range(1, n):
         M[i, i - 1] = 1.0
     M[:, -1] = [-c for c in coeffs_ascending]
-    return np.linalg.eigvals(M)
+    return np.linalg.eigvals(M).astype(complex)
 
 
 def classify(tf: TransferFunction, *, stability_margin: float = STABILITY_MARGIN) -> PlantClass:
@@ -236,6 +236,6 @@ def classify(tf: TransferFunction, *, stability_margin: float = STABILITY_MARGIN
         relative_degree=relative_degree,
         n_positive_real_zeros=n_pos_real,
         is_brl_urf=bool(is_brl_urf),
-        zeros=tuple(sorted(zeros, key=lambda z: (z.real, z.imag))),
-        poles=tuple(sorted(poles, key=lambda z: (z.real, z.imag))),
+        zeros=tuple(sorted(zeros.tolist(), key=lambda z: (z.real, z.imag))),
+        poles=tuple(sorted(poles.tolist(), key=lambda z: (z.real, z.imag))),
     )

@@ -227,12 +227,11 @@ def spectral_survey(ss: StateSpace, bounds: BoundsReport, count: int,
 def survey_to_csv(samples: list[SpectralSample], dest, *, version: str = "") -> None:
     """Write survey samples in the plot-ready CSV schema to a path or a
     text stream."""
+    fields = ["rho_astrom", "rho_exact", "norm_astrom", "norm_exact",
+              "bauer_fike_astrom", "bauer_fike_exact", "schur_stable"]
     write_csv(dest, version, "dimensionless spectral statistics",
-              ["point_id", "rho_astrom", "rho_exact", "norm_astrom", "norm_exact",
-               "bf_astrom", "bf_exact", "schur_stable"],
-              ((i, s.rho_astrom, s.rho_exact, s.norm_astrom, s.norm_exact,
-                s.bauer_fike_astrom, s.bauer_fike_exact, int(s.schur_stable))
-               for i, s in enumerate(samples)))
+              ["point_id"] + [f.replace("bauer_fike", "bf") for f in fields],
+              [range(len(samples))] + [[getattr(s, f) for s in samples] for f in fields])
 
 
 def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,

@@ -776,34 +776,16 @@ def trajectory_to_csv(traj: Trajectory, path, *, version: str = "") -> None:
     """Write the dense samples as CSV: t, x_1..x_n, u, is_switch."""
     if traj.times is None:
         raise ValueError("trajectory has no dense samples; simulate with dense_dt")
-    n = traj.states.shape[1]
     # a switch instant ends one segment's samples and starts the next's, at
     # exactly the event time
     is_switch = np.isin(traj.times, [ev.t for ev in traj.events])
-    rows = ((t, *x, u, int(flag)) for t, x, u, flag in zip(
-        traj.times, traj.states, traj.relay_signs, is_switch))
     write_csv(path, version, "units: t in seconds, x dimensionless",
-              ["t"] + [f"x_{i+1}" for i in range(n)] + ["u", "is_switch"], rows)
+              ["t"] + [f"x_{i+1}" for i in range(traj.states.shape[1])] + ["u", "is_switch"],
+              [traj.times, *traj.states.T, traj.relay_signs, is_switch])
 
 
 def events_to_json(traj: Trajectory, sliding: SlidingReport, *, version: str = "") -> str:
     """Serialize the switch-event log (and sliding report) to JSON."""
-    return json_artifact({
-        "certified": traj.certified,
-        "events": [
-            {
-                "t": ev.t,
-                "x": [float(v) for v in ev.x],
-                "incoming_sign": ev.incoming_sign,
-                "transversal_speed": ev.transversal_speed,
-                "grazing_flag": ev.grazing_flag,
-            }
-            for ev in traj.events
-        ],
-        "sliding": {
-            "entered_sliding": sliding.entered_sliding,
-            "entry_time": sliding.entry_time,
-            "entry_state": None if sliding.entry_state is None
-            else [float(v) for v in sliding.entry_state],
-        },
-    }, version)
+    return json_artifact({"certified": traj.certified,
+                          "events": [vars(ev) for ev in traj.events],
+                          "sliding": vars(sliding)}, version)

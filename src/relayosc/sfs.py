@@ -126,12 +126,17 @@ def closed_loop_eigenvalues(ss: StateSpace, gamma) -> np.ndarray:
 
 def _pair_tracks(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Greedy nearest-neighbor pairing of eigenvalue sets between grid
-    points, to keep per-track continuity."""
-    new = list(new)
+    points, to keep per-track continuity: each entry of ``prev`` in turn
+    takes the nearest entry of ``new`` not yet taken.  The distances are
+    ``hypot`` of the differences, as the scalar ``abs`` rounds them (the
+    array ``abs`` of a complex array can differ in the last bit)."""
+    d = prev[:, None] - new
+    dist = np.hypot(d.real, d.imag)
     out = np.empty(len(prev), dtype=complex)
-    for i, p in enumerate(prev):
-        j = int(np.argmin([abs(p - q) for q in new]))
-        out[i] = new.pop(j)
+    for i, row in enumerate(dist):
+        j = row.argmin()
+        out[i] = new[j]
+        dist[:, j] = np.inf
     return out
 
 

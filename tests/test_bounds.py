@@ -7,7 +7,6 @@ import scipy.linalg
 
 from conftest import make_brl_plant, make_stable_plant, named_plant
 from relayosc import bounds as bm
-from relayosc import numerics
 from relayosc import relay_dynamics as rd
 from relayosc.plant import StateSpace, realize
 
@@ -34,7 +33,7 @@ class TestDecayEnvelope:
         env = bm.decay_envelope(ss.A)
         rng = np.random.default_rng(1)
         for t in rng.uniform(0.0, 30.0 / env.sigma_slowest, 500):
-            nrm = np.linalg.norm(numerics.expm(ss.A, t), 2)
+            nrm = np.linalg.norm(scipy.linalg.expm(ss.A * t), 2)
             assert nrm <= env.m_initial * math.exp(-env.sigma_slowest * t) * (1 + 1e-9)
 
     def test_default_epsilon_relative(self, second_order):
@@ -50,6 +49,13 @@ class TestDecayEnvelope:
         for t in rng.uniform(0.0, 40.0 / env.sigma_slowest, 200):
             nrm = np.linalg.norm(scipy.linalg.expm(A * t), 2)
             assert nrm <= env.m_initial * math.exp(-env.sigma_slowest * t) * (1 + 1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A", [[[-1.0, 1e307], [0.0, -1.0]],      # A h overflows
+                                   [[-1e-3, 1e300], [0.0, -2e-3]]])  # e^{A h} overflows
+    def test_overflowing_step_raises_without_warning(self, A):
+        with pytest.raises(OverflowError, match="overflow"):
+            bm.decay_envelope(np.array(A), grid_points=1)
 
     def test_non_hurwitz_rejected(self):
         with pytest.raises(ValueError, match="Hurwitz"):
@@ -89,7 +95,7 @@ def _envelope_per_power(A, grid_points=4000, safety=1.05):
     decay = -np.linalg.eigvals(A).real.max()
     sigma = decay - 1e-3 * decay
     h = 40.0 / sigma / grid_points
-    Eh = numerics.expm(A, h)
+    Eh = scipy.linalg.expm(A * h)
     m_grid = 1.0
     Ek = np.eye(A.shape[0])
     for k in range(1, grid_points + 1):
@@ -97,7 +103,7 @@ def _envelope_per_power(A, grid_points=4000, safety=1.05):
         m_grid = max(m_grid, np.linalg.norm(Ek, 2) * math.exp(sigma * k * h))
     m_initial = safety * m_grid
     fine = np.linspace(0.0, 20.0 / sigma, 2 * grid_points + 1)
-    Ehf = numerics.expm(A, fine[1] - fine[0])
+    Ehf = scipy.linalg.expm(A * (fine[1] - fine[0]))
     Ek = np.eye(A.shape[0])
     for k, t in enumerate(fine):
         if k > 0:
@@ -115,10 +121,10 @@ def _envelope_exhaustive(A, grid_points=4000, safety=1.05):
     sigma = decay - 1e-3 * decay
     h = 40.0 / sigma / grid_points
     ks = np.arange(1, grid_points + 1)
-    norms = bm._exact_norms(bm._power_tables(numerics.expm(A, h), grid_points), ks)
+    norms = bm._exact_norms(bm._power_tables(scipy.linalg.expm(A * h), grid_points), ks)
     m_initial = safety * max(1.0, float((norms * np.exp(sigma * ks * h)).max()))
     fine = np.linspace(0.0, 20.0 / sigma, 2 * grid_points + 1)
-    tables = bm._power_tables(numerics.expm(A, fine[1] - fine[0]), 2 * grid_points)
+    tables = bm._power_tables(scipy.linalg.expm(A * (fine[1] - fine[0])), 2 * grid_points)
     norms = np.concatenate(([1.0], bm._exact_norms(tables, np.arange(1, 2 * grid_points + 1))))
     failed = norms > m_initial * np.exp(-sigma * fine) * (1 + 1e-9)
     if failed.any():
@@ -199,7 +205,7 @@ class TestBlockedNorms:
         env = bm.decay_envelope(A)
         count = 4000
         h = 40.0 / env.sigma_slowest / count
-        E = numerics.expm(A, h)
+        E = scipy.linalg.expm(A * h)
         norms = bm._exact_norms(bm._power_tables(E, count), np.arange(1, count + 1))
         growth = np.exp(env.sigma_slowest * np.arange(1, count + 1) * h)
         ks = sorted({1, 63, 64, 65, 511, 512, 513, int(np.argmax(norms * growth)) + 1, count})
@@ -233,7 +239,7 @@ class TestBlockedNorms:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(numerics, "expm", counted("expm", numerics.expm))
+        monkeypatch.setattr(scipy.linalg, "expm", counted("expm", scipy.linalg.expm))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         grams = _counting_grams(monkeypatch)
         bm.decay_envelope(third_order[1].A)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import relayosc
 from relayosc.cli import main
 
 
@@ -47,6 +51,37 @@ class TestClassify:
         f.write_text(json.dumps({"num": [1, -1], "den": [6, 5, 1]}))
         res = invoke(runner, ["classify", "--plant-file", str(f)])
         assert json.loads(res.output)["is_brl_urf"] is True
+
+
+PLANT = ["--num", "1,-1", "--den", "6,5,1"]
+
+
+class TestEncoding:
+    """Real spectra as [re, 0.0] pairs, integer CSV columns as integers."""
+
+    @pytest.mark.parametrize("args, keys", [
+        (["classify"], [("poles",), ("zeros",)]),
+        (["find-orbit"], [("floquet_multipliers",)]),
+        (["monodromy"], [("exact", "floquet_multipliers")]),
+    ])
+    def test_real_spectrum_as_pairs(self, runner, args, keys):
+        payload = json.loads(invoke(runner, args + PLANT).output)
+        for path in keys:
+            values = payload
+            for key in path:
+                values = values[key]
+            assert values and all(len(v) == 2 and v[1] == 0.0 for v in values)
+
+    def test_integer_columns(self, runner, tmp_path):
+        out = tmp_path / "traj.csv"
+        invoke(runner, ["simulate", *PLANT, "--x0", "0.4,0.2", "--t-end", "10",
+                        "--out", str(out)])
+        flags = [r.split(",")[-1] for r in out.read_text().splitlines()[2:]]
+        assert set(flags) == {"0", "1"}
+        rows = [r.split(",") for r in invoke(runner, [
+            "poincare-survey", *PLANT, "--count", "20"]).output.splitlines()[2:]]
+        assert [r[0] for r in rows] == [str(i) for i in range(len(rows))]
+        assert {r[-1] for r in rows} <= {"0", "1"} and len(rows) > 0
 
 
 class TestArtifacts:
@@ -211,9 +246,6 @@ class TestHelp:
             assert option in res.output
 
 
-PLANT = ["--num", "1,-1", "--den", "6,5,1"]
-
-
 class TestArtifactHeaders:
     @pytest.mark.parametrize("args, header", [
         (["simulate", *PLANT, "--x0", "0.4,0.2", "--t-end", "3", "--out", "{}"],
@@ -251,3 +283,13 @@ class TestArtifactHeaders:
         payload = json.loads(res.output)
         assert payload["schema_version"] == 1
         assert payload["toolkit_version"] == "0.1.0"
+
+
+def test_import_defers_scipy_solvers():
+    # integrate, optimize and special load on first use, not with the CLI
+    code = ("import sys, relayosc.cli; print([m for m in sys.modules if m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.special')])")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relayosc.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout.strip() == "[]"

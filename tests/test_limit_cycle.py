@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from conftest import make_stable_plant, named_plant
@@ -97,7 +98,7 @@ class TestFindSymmetricOrbit:
 
     def test_scan_is_one_batched_expm(self, third_order, monkeypatch):
         # the scan takes the relay flow's exponential once over the whole
-        # tau grid, and numerics.expm not at all
+        # tau grid, and scipy's Pade expm not at all
         from relayosc import relay_dynamics as rd
 
         _, ss = third_order
@@ -109,10 +110,10 @@ class TestFindSymmetricOrbit:
             return exp(self, t)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("numerics.expm called")
+            raise AssertionError("scipy.linalg.expm called")
 
         monkeypatch.setattr(rd._AffineFlow, "exp", counted)
-        monkeypatch.setattr(numerics, "expm", refuse)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
         lc.find_symmetric_orbit(ss)
         assert ndims.count(1) == 1
         assert ndims.count(0) < 100  # brentq and the anchors
@@ -148,16 +149,16 @@ class TestFindSymmetricOrbit:
 def test_relay_and_orbit_layers_make_no_pade_exponential(
         second_order, second_order_bounds, monkeypatch):
     # the relay flow's own exponential serves exits, states, grids, orbit
-    # scans, jacobians and the monodromy; numerics.expm is left to bounds
+    # scans, jacobians and the monodromy; scipy's Pade expm is left to bounds
     from relayosc import relay_dynamics as rd
 
     _, ss = second_order
     _, rep = second_order_bounds
 
     def refuse(*args, **kwargs):
-        raise AssertionError("numerics.expm called")
+        raise AssertionError("scipy.linalg.expm called")
 
-    monkeypatch.setattr(numerics, "expm", refuse)
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
     orbit = lc.find_symmetric_orbit(ss)
     lc.monodromy_exact(ss, orbit)
     samples, _ = pc.spectral_survey(ss, rep, 50, k=2, seed=3)
@@ -210,7 +211,7 @@ class TestAugmentedOrbitFunction:
         # with A invertible, -F = (E - I) A^{-1} B
         ss = named_plant(name, request)
         orbit = lc.find_symmetric_orbit(ss)
-        E = numerics.expm(ss.A, orbit.half_period)
+        E = scipy.linalg.expm(ss.A * orbit.half_period)
         I = np.eye(ss.n)
         ref = np.linalg.solve(E + I, (E - I) @ np.linalg.solve(ss.A, ss.B))
         assert np.abs(orbit.anchor - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -286,6 +287,13 @@ class TestMonodromyExact:
         nontrivial = np.sort(np.abs(mults[np.abs(mults - 1.0) > 1e-6]))
         assert len(nontrivial) == len(lam_ret)
         assert np.allclose(nontrivial, lam_ret, rtol=1e-4)
+
+    def test_multipliers_are_python_complex(self, second_order, orbit2):
+        # the second-order monodromy has a real spectrum
+        _, ss = second_order
+        rep = lc.monodromy_exact(ss, orbit2)
+        assert not np.iscomplexobj(np.linalg.eigvals(rep.matrix))
+        assert all(type(m) is complex for m in rep.floquet_multipliers)
 
     def test_det_decreases_with_extra_damping(self, second_order, orbit2):
         _, ss = second_order

@@ -1,49 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_stable_plant
 from relayosc import numerics
-from relayosc.plant import realize
-
-
-class TestExpm:
-    def test_zero_matrix(self):
-        assert np.array_equal(numerics.expm(np.zeros((3, 3)), 2.7), np.eye(3))
-
-    def test_scalar_exponential(self):
-        out = numerics.expm(np.array([[-1.0]]), np.log(2))
-        assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_against_eigendecomposition_oracle(self):
-        # distinct-eigenvalue matrix: e^{At} = V diag(e^{lambda t}) V^{-1}
-        A = np.array([[0.0, -6.0], [1.0, -5.0]])
-        lam, V = np.linalg.eig(A)
-        for t in (0.3, 1.0, 2.5):
-            ref = (V @ np.diag(np.exp(lam * t)) @ np.linalg.inv(V)).real
-            assert np.abs(numerics.expm(A, t) - ref).max() < 1e-12
-
-    def test_semigroup_property(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            ss = realize(make_stable_plant(rng, n=int(rng.integers(1, 5))))
-            t1, t2 = rng.uniform(0.1, 2.5, 2)
-            lhs = numerics.expm(ss.A, t1) @ numerics.expm(ss.A, t2)
-            rhs = numerics.expm(ss.A, t1 + t2)
-            assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
-
-    @pytest.mark.filterwarnings("error")
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            numerics.expm(np.array([[np.nan]]), 1.0)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(OverflowError):
-            numerics.expm(np.array([[1.0]]), 1e5)
-
-    @pytest.mark.filterwarnings("error")
-    def test_overflow_raises_without_warning(self):
-        with pytest.raises(OverflowError):
-            numerics.expm(np.diag([800.0, 1.0]))
 
 
 def _cond(M):

@@ -111,6 +111,13 @@ class TestClassify:
         assert sorted(z.real for z in pc.poles) == pytest.approx([-3, -2], abs=1e-9)
         assert pc.zeros[0] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("num, den", [([1, -1], [6, 5]), ([2, -1, -1], [6, 11, 6]),
+                                          ([1, -1, 0], [6, 5, 3])])
+    def test_spectra_are_python_complex(self, num, den):
+        # real spectra included: the first two plants have real poles only
+        pc = classify(parse_plant(num, den))
+        assert all(type(z) is complex for z in pc.poles + pc.zeros)
+
     def test_relative_degree_two_not_brl(self):
         pc = classify(parse_plant([1, -1, 0], [6, 5, 3]))
         assert not pc.is_brl_urf

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from relayosc import numerics
 from relayosc import poincare as pc
 from relayosc.bounds import anchor_region, sample_anchor_region
 from relayosc.errors import NonTransversalError
@@ -125,7 +125,7 @@ class TestJacobians:
         rep = bounds_report(ss, decay_envelope(ss.A))
         sys_ = RelaySystem(ss)
         calls = {"expm": 0, "flow": 0}
-        expm, flow_exp = numerics.expm, rd._AffineFlow.exp
+        expm, flow_exp = scipy.linalg.expm, rd._AffineFlow.exp
 
         def counted_expm(*args):
             calls["expm"] += 1
@@ -135,7 +135,7 @@ class TestJacobians:
             calls["flow"] += 1
             return flow_exp(self, t)
 
-        monkeypatch.setattr(numerics, "expm", counted_expm)
+        monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
         monkeypatch.setattr(rd._AffineFlow, "exp", counted_flow)
         for p in sample_anchor_region(anchor_region(ss, rep), 20, seed=6):
             calls.update(expm=0, flow=0)
@@ -337,7 +337,7 @@ class TestBatchedSurvey:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(numerics, "expm", counted("expm", numerics.expm))
+        monkeypatch.setattr(scipy.linalg, "expm", counted("expm", scipy.linalg.expm))
         monkeypatch.setattr(RelaySystem, "exit_event",
                             counted("exit_event", RelaySystem.exit_event))
         samples, _ = pc.spectral_survey(ss, rep, 200, k=k, seed=1)

@@ -156,6 +156,28 @@ class TestRootLocus:
                 resid = z**2 + (5 - g) * z + (6 + g)
                 assert abs(resid) < 1e-8 * max(1.0, abs(z) ** 2)
 
+    def test_pairing_matches_scalar_greedy(self):
+        # the list-popping greedy with scalar abs, on random, permuted,
+        # rounded (tied) and real sets
+        def greedy(prev, new):
+            new = list(new)
+            out = np.empty(len(prev), dtype=complex)
+            for i, p in enumerate(prev):
+                out[i] = new.pop(int(np.argmin([abs(p - q) for q in new])))
+            return out
+
+        rng = np.random.default_rng(5)
+        for trial in range(600):
+            n = int(rng.integers(1, 12))
+            prev = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            new = [prev[rng.permutation(n)] + 1e-3 * rng.standard_normal(n),
+                   np.round(rng.standard_normal(n), 1).astype(complex),
+                   rng.standard_normal(n)][trial % 3]
+            if trial % 3 == 1:
+                prev = np.round(prev, 1)
+            got = sfs._pair_tracks(prev, new)
+            assert np.array_equal(got.view(float), greedy(prev, new).view(float))
+
     @pytest.mark.parametrize("name", ["second_order", "third_order", "third_order_brl",
                                       "brl6", "pitchfork"])
     def test_matches_per_gain_reference(self, name, request, monkeypatch):
