@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -276,6 +277,8 @@ def cmd_root_locus(tf, ss, gamma_max, points, out, crossings_out):
 @click.option("--out", default=None, type=click.Path(), help="CSV output path.")
 def cmd_sfs_sim(tf, ss, gamma, x0, t_end, dense_dt, rel_tol, abs_tol, out):
     """Simulate the smooth tanh approximation of the relay loop."""
+    if not 0.0 < dense_dt < math.inf:
+        raise ValueError(f"dense_dt must be finite and positive, got {dense_dt!r}")
     cfg = sfs.SfsConfig(gamma=gamma, rel_tol=rel_tol, abs_tol=abs_tol)
     sol = sfs.simulate_sfs(ss, cfg, _parse_x0(x0, ss.n), t_end)
     ts = np.arange(0.0, t_end + dense_dt / 2, dense_dt)

@@ -107,19 +107,19 @@ def _orbit_function(ss: StateSpace):
 
 
 def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None = None,
-                         *, grid_points: int = 400, sign_grid: int = 10_000,
-                         return_all: bool = False):
+                         *, return_all: bool = False):
     """Locate symmetric unimodal orbit candidates by scanning g(tau).
 
-    Scans a log-spaced grid over ``tau_range`` for sign changes of g, refines
-    each root by ``scipy.optimize.brentq`` (``xtol=1e-13``), takes the
-    anchor from the same solve as g, and checks the output-sign condition on
-    a dense grid.  The relay flow's exponential keeps F's error relative as
-    tau -> 0, where g is O(tau^r) at relative degree r: no roundoff roots.  The returned orbit is the valid candidate with the
-    smallest half-period; ``return_all=True`` instead yields every root as a
-    candidate with its validity flag.  The default ``tau_range`` spans
-    1e-4 / sigma to 100 / sigma, sigma the slowest decay rate of the poles
-    off the origin.
+    Scans a 400-point log-spaced grid over ``tau_range`` for sign changes of
+    g, refines each root by ``scipy.optimize.brentq`` (``xtol=1e-13``), takes
+    the anchor from the same solve as g, and checks the output-sign
+    condition on 10,000 points of the half period.  The relay flow's
+    exponential keeps F's error relative as tau -> 0, where g is O(tau^r) at
+    relative degree r: no roundoff roots.  The returned orbit is the valid
+    candidate with the smallest half-period; ``return_all=True`` instead
+    yields every root as a candidate with its validity flag.  The default
+    ``tau_range`` spans 1e-4 / sigma to 100 / sigma, sigma the slowest decay
+    rate of the poles off the origin.
 
     Raises
     ------
@@ -149,7 +149,7 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         if lo <= 0:
             lo = 1e-12 + hi * 1e-10
     g, X = _orbit_function(ss)
-    taus = np.geomspace(lo, hi, grid_points)
+    taus = np.geomspace(lo, hi, 400)
     try:
         Xs = X(taus)
     except OverflowError as exc:
@@ -178,7 +178,7 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         anchor = X(tau)
         anchor[-1] = 0.0  # C anchor = g(tau) = 0 at the root
         # output along the positive half on an evenly spaced grid
-        ys = sys_.flow.grid(anchor, +1, tau / (sign_grid - 1), sign_grid) @ C
+        ys = sys_.flow.grid(anchor, +1, tau / 9999, 10_000) @ C
         peak = float(np.max(np.abs(ys)))
         valid = bool(np.min(ys) >= SIGN_CONDITION_SLACK * peak)
         # one-sided output speeds at the two switches (t = tau at -anchor
@@ -261,18 +261,18 @@ def monodromy_exact(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
     return _report(ss, Phi, orbit.period, sum(mus), {"jump_integrals": mus})
 
 
-def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float,
-                       rel_tol: float, abs_tol: float, max_newton: int = 40):
+def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float):
     """Newton shooting for the smooth system's symmetric orbit.
 
     Unknowns are the n-1 on-plane coordinates of the start point and the
     half-period; the residual demands z(tau) = -z(0) (odd symmetry of the
     field makes the full period the double).  Each residual integrates the
-    variational equations along, so the Newton jacobian is exact:
-    [Phi[:, :n-1] + I[:, :n-1], f(z(tau))].  The residual counts as
-    converged below 1e-11 max(1, |z(0)|), so the test stays above roundoff
-    for large orbits.  Returns the start point, the half-period, Phi and
-    the trace integral over the half period, and the residual norm.
+    variational equations along (tolerances 1e-11 relative, 1e-13 absolute),
+    so the Newton jacobian is exact: [Phi[:, :n-1] + I[:, :n-1], f(z(tau))].
+    The residual counts as converged, within 40 steps, below 1e-11 max(1,
+    |z(0)|), so the test stays above roundoff for large orbits.  Returns the
+    start point, the half-period, Phi and the trace integral over the half
+    period, and the residual norm.
     """
     A, B, C = ss.A, ss.B, ss.C
     BC = np.outer(B, C)
@@ -288,14 +288,14 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
     def half(zfree, tau):
         z_init = np.append(zfree, 0.0)
         w = numerics.integrate_adaptive(rhs, np.concatenate([z_init, I.ravel(), [0.0]]),
-                                        (0.0, tau), rel_tol, abs_tol,
+                                        (0.0, tau), 1e-11, 1e-13,
                                         dense_output=False).y[:, -1]
         return w[:n] + z_init, w
 
     zfree = np.asarray(z0, dtype=float)[:-1].copy()
     tau = float(tau0)
     r, w = half(zfree, tau)
-    for _ in range(max_newton):
+    for _ in range(40):
         J = np.column_stack([w[n:-1].reshape(n, n)[:, :n - 1] + I[:, :n - 1], rhs(tau, w)[:n]])
         try:
             step = np.linalg.solve(J, -r)
@@ -325,8 +325,8 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
     raise ShootingError("shooting did not converge within the iteration budget")
 
 
-def monodromy_floquet(ss: StateSpace, gamma: float, orbit_hint: OrbitCandidate,
-                      *, rel_tol: float = 1e-11, abs_tol: float = 1e-13) -> MonodromyReport:
+def monodromy_floquet(ss: StateSpace, gamma: float,
+                      orbit_hint: OrbitCandidate) -> MonodromyReport:
     """Monodromy of the smooth (tanh) loop's orbit at a finite gain.
 
     Locates the smooth system's symmetric periodic orbit by one Newton
@@ -344,12 +344,12 @@ def monodromy_floquet(ss: StateSpace, gamma: float, orbit_hint: OrbitCandidate,
         ``gamma`` not in (0, inf).
     ShootingError / StiffnessError
         Shooting divergence, or integration beyond the stiffness budget
-        (reduce the gain or loosen tolerances).
+        (reduce the gain).
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     z, tau, Phi_h, trace_h, residual = _shoot_half_period(
-        ss, gamma, orbit_hint.anchor, orbit_hint.half_period, rel_tol, abs_tol)
+        ss, gamma, orbit_hint.anchor, orbit_hint.half_period)
     trace_integral = 2.0 * trace_h
     return _report(ss, Phi_h @ Phi_h, 2.0 * tau, trace_integral, {
         "gamma": gamma, "anchor": z, "half_period": tau,

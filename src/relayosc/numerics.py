@@ -31,16 +31,14 @@ def integrate_adaptive(
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-12,
     *,
-    method: str = "DOP853",
-    max_step: float = np.inf,
     dense_output: bool = True,
 ):
     """Adaptive embedded Runge-Kutta integration with dense output.
 
-    Thin contract wrapper around scipy's solve_ivp (RK45/DOP853 pairs).
-    Raises StiffnessError when the step controller gives up, which for the
-    smooth relay approximation usually means the gain is too large for the
-    requested tolerance.
+    Thin contract wrapper around scipy's solve_ivp (DOP853 pair, no step
+    cap).  Raises StiffnessError when the step controller gives up, which for
+    the smooth relay approximation usually means the gain is too large for
+    the requested tolerance.
     """
     from scipy.integrate import solve_ivp
 
@@ -50,11 +48,10 @@ def integrate_adaptive(
         rhs,
         t_span,
         np.asarray(x0, dtype=float),
-        method=method,
+        method="DOP853",
         rtol=rel_tol,
         atol=abs_tol,
         dense_output=dense_output,
-        max_step=max_step,
     )
     if not sol.success and sol.status == -1:
         raise StiffnessError(

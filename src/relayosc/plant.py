@@ -13,6 +13,7 @@ every other module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,11 +121,13 @@ def parse_plant(num, den, *, leading_included: bool = False) -> TransferFunction
     Raises
     ------
     PlantError
-        Empty denominator, zero leading coefficient, or a numerator of
-        degree >= n (not strictly proper).
+        Empty denominator, a coefficient that is not finite, zero leading
+        coefficient, or a numerator of degree >= n (not strictly proper).
     """
     num = [float(x) for x in num]
     den = [float(x) for x in den]
+    if not all(map(math.isfinite, num + den)):
+        raise PlantError("plant coefficients must be finite")
     if not den:
         raise PlantError("denominator must be nonempty")
     if leading_included:
@@ -150,15 +153,20 @@ def parse_plant(num, den, *, leading_included: bool = False) -> TransferFunction
     return TransferFunction(tuple(num), tuple(den))
 
 
+def _companion(coeffs_ascending) -> np.ndarray:
+    """Companion matrix of the monic polynomial with the non-leading
+    ascending coefficients given: ones on the subdiagonal, the negated
+    coefficients in the last column."""
+    M = np.eye(len(coeffs_ascending), k=-1)
+    M[:, -1] = np.negative(coeffs_ascending)
+    return M
+
+
 def realize(tf: TransferFunction) -> StateSpace:
     """Build the observer-canonical (companion-form) state space of ``tf``."""
-    n = tf.n
-    A = np.zeros((n, n))
-    for i in range(1, n):
-        A[i, i - 1] = 1.0
-    A[:, -1] = [-a for a in tf.den_coeffs]
+    A = _companion(tf.den_coeffs)
     B = np.array(tf.num_coeffs, dtype=float)
-    C = np.zeros(n)
+    C = np.zeros(tf.n)
     C[-1] = 1.0
     for m in (A, B, C):
         m.setflags(write=False)
@@ -168,17 +176,12 @@ def realize(tf: TransferFunction) -> StateSpace:
 def _companion_roots(coeffs_ascending: list[float]) -> np.ndarray:
     """Roots of a monic polynomial given its non-leading ascending coeffs,
     computed as eigenvalues of the companion matrix, as a complex array."""
-    n = len(coeffs_ascending)
-    if n == 0:
+    if not coeffs_ascending:
         return np.array([], dtype=complex)
-    M = np.zeros((n, n))
-    for i in range(1, n):
-        M[i, i - 1] = 1.0
-    M[:, -1] = [-c for c in coeffs_ascending]
-    return np.linalg.eigvals(M).astype(complex)
+    return np.linalg.eigvals(_companion(coeffs_ascending)).astype(complex)
 
 
-def classify(tf: TransferFunction, *, stability_margin: float = STABILITY_MARGIN) -> PlantClass:
+def classify(tf: TransferFunction) -> PlantClass:
     """Classify a plant: stability, DC gain, relative degree, RHP real zeros,
     and membership in the bounded-restless (relative degree one) class.
 
@@ -188,17 +191,17 @@ def classify(tf: TransferFunction, *, stability_margin: float = STABILITY_MARGIN
     Raises
     ------
     MarginalPoleError
-        If some pole's real part falls inside ``[-margin, +margin]``; such a
-        plant cannot be meaningfully declared stable or unstable.
+        If some pole's real part is within ``STABILITY_MARGIN`` of zero; such
+        a plant cannot be meaningfully declared stable or unstable.
     """
     n = tf.n
     poles = _companion_roots(list(tf.den_coeffs))
-    if np.any(np.abs(poles.real) <= stability_margin):
+    if np.any(np.abs(poles.real) <= STABILITY_MARGIN):
         raise MarginalPoleError(
             "marginal pole: real part within "
-            f"+/-{stability_margin:g} of the imaginary axis"
+            f"+/-{STABILITY_MARGIN:g} of the imaginary axis"
         )
-    is_stable = bool(np.all(poles.real < -stability_margin))
+    is_stable = bool(np.all(poles.real < -STABILITY_MARGIN))
 
     deg = tf.numerator_degree()
     if deg < 0:

@@ -196,6 +196,8 @@ def spectral_survey(ss: StateSpace, bounds: BoundsReport, count: int,
     Returns the samples plus a counter dict
     ``{"skipped_nontransversal": .., "skipped_degenerate": ..}``.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     region = anchor_region(ss, bounds)
     pts = sample_anchor_region(region, count, seed)
     sys_ = system_for(ss)

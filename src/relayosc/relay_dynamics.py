@@ -363,7 +363,8 @@ class RelaySystem:
     block of exits needs no matrix exponential of its own: the march runs
     on powers of e^{M h}, and the Newton refinement and the landing states
     use Taylor expansions about the brackets' left ends, whose exponentials
-    come from the tables.
+    come from the tables.  Every exit and simulation of the system uses its
+    horizon and march step, each finite and positive (else ValueError).
 
     Parameters
     ----------
@@ -375,9 +376,9 @@ class RelaySystem:
         ``bounds.bounds_report`` would be a valid march step, but no caller
         passes it yet.
     t_max : float, optional
-        Default search horizon for exit times; defaults to 50 slow time
-        constants (50 / min |Re eigenvalue|) for a stable plant, which the
-        finiteness of exit times makes a generous certificate horizon.
+        Search horizon for exit times; defaults to 50 slow time constants
+        (50 / min |Re eigenvalue|) for a stable plant, which the finiteness
+        of exit times makes a generous certificate horizon.
     """
 
     def __init__(self, ss: StateSpace, *, step_hint: float | None = None,
@@ -388,11 +389,13 @@ class RelaySystem:
             t_max = 50.0 / min(abs(lam.real)) if lam.real.max() < 0.0 else 100.0
         self.t_max = float(t_max)
         self.step_hint = float(step_hint) if step_hint is not None else self.t_max / 1e4
+        for name, value in (("t_max", self.t_max), ("step_hint", self.step_hint)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         self.flow = _AffineFlow(ss, self.step_hint)
 
     # -- exit computations ---------------------------------------------------
-    def exit_events(self, X: np.ndarray, sign: int = +1,
-                    t_max: float | None = None) -> Exits:
+    def exit_events(self, X: np.ndarray, sign: int = +1) -> Exits:
         """First exits of the starts in the rows of ``X`` (m, n) under relay
         sign ``sign``, all at once.
 
@@ -401,9 +404,9 @@ class RelaySystem:
         exists, and finite-difference probes of the exit map rely on it).  A
         start on the plane whose flow leaves the sign region transversally
         exits at tau = 0.  Every other row marches on the grid j h
-        (h = ``step_hint``) up to the horizon to its first sign change of
-        s C x(t); a start within ``F_TOL`` of the plane must first rise
-        above it, unless its output drops below -``F_TOL`` at once.  The
+        (h = ``step_hint``) up to the horizon ``t_max`` to its first sign
+        change of s C x(t); a start within ``F_TOL`` of the plane must first
+        rise above it, unless its output drops below -``F_TOL`` at once.  The
         brackets are refined together by safeguarded Newton steps on the
         Taylor polynomials (``_refine``), whose last step leaves the
         residual output at roundoff level rather than at the refinement
@@ -418,7 +421,6 @@ class RelaySystem:
             X = X.reshape(1, -1)
         if not _all(np.isfinite(X)):
             raise ValueError("non-finite function value at t_start")
-        horizon = float(t_max) if t_max is not None else self.t_max
         Z = flow.lift(X, s)
         f0 = Z @ flow._c                           # s C xi
         scale = 1.0 + np.sqrt(np.add.reduce(X * X, axis=1))
@@ -431,7 +433,7 @@ class RelaySystem:
             wrong = f0 < -1e-3 * scale
             march |= ~wrong & ((f0 < -PLANE_TOL * scale)
                                | (s * flow.output_speed(X, s) >= -GRAZE_TOL))
-        K, f_lo, found = self._brackets(Z, f0, march, horizon)
+        K, f_lo, found = self._brackets(Z, f0, march)
         status = np.where(found, EXITED, QUIESCENT)
         if wrong is not None:
             status[wrong] = WRONG_SIDE
@@ -452,10 +454,9 @@ class RelaySystem:
             hi = np.where(cross, hi, paths.t0 + 1.125 * flow.node_step)
         t = self._refine(paths, lo, hi)
         x = s * paths.state(t)
-        return Exits(s, horizon, f0, status, rows, t, x, flow.output_speed(x, s))
+        return Exits(s, self.t_max, f0, status, rows, t, x, flow.output_speed(x, s))
 
-    def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray,
-                  horizon: float):
+    def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray):
         """First brackets [K h, (K + 1) h] of a zero of [C 0] e^{M t} z on
         the grid t = j h, j = 1, 2, ..., for the rows z of Z marked
         ``march``, from their values f0 at t = 0: (K, f(K h), found), where
@@ -467,11 +468,7 @@ class RelaySystem:
         rows = march.nonzero()[0]          # the rows still marching
         if not rows.size:
             return K, f_lo, found
-        if horizon <= 0.0:
-            raise ValueError("t_max must exceed t_start")
-        h = self.step_hint
-        if h <= 0:
-            raise ValueError("step_hint must be positive")
+        h, horizon = self.step_hint, self.t_max
         prev = f0[rows]                    # and their values at grid point j
         flow = self.flow
         # grid points up to the horizon: the last j with j h <= horizon
@@ -562,8 +559,7 @@ class RelaySystem:
             paths.follow(t)
         return t
 
-    def exit_time(self, xi: np.ndarray, sign: int = +1,
-                  t_max: float | None = None) -> float:
+    def exit_time(self, xi: np.ndarray, sign: int = +1) -> float:
         """First time the output crosses zero under fixed relay sign.
 
         The start must satisfy sign * C xi >= 0 (on-plane starts must depart
@@ -571,21 +567,20 @@ class RelaySystem:
         output never crosses before the horizon, which cannot happen for a
         stable plant with positive DC gain.
         """
-        return float(self._exit(xi, sign, t_max).tau[0])
+        return float(self._exit(xi, sign).tau[0])
 
-    def _exit(self, xi, sign, t_max) -> Exits:
+    def _exit(self, xi, sign) -> Exits:
         """The one-row block of ``xi``; raises when it has no exit."""
-        exits = self.exit_events(xi, sign, t_max)
+        exits = self.exit_events(xi, sign)
         error = exits.error(0)
         if error is not None:
             raise error
         return exits
 
-    def exit_event(self, xi: np.ndarray, sign: int = +1,
-                   t_max: float | None = None):
+    def exit_event(self, xi: np.ndarray, sign: int = +1):
         """Exit time, landing state, and the corresponding SwitchEvent: the
         one-row call of ``exit_events``."""
-        exits = self._exit(xi, sign, t_max)
+        exits = self._exit(xi, sign)
         tau = float(exits.tau[0])
         x_land = exits.x[0]
         speed = float(exits.speed[0])
@@ -598,8 +593,7 @@ class RelaySystem:
         _, x_land, _ = self.exit_event(xi, sign)
         return x_land
 
-    def kth_exit_map(self, xi: np.ndarray, k: int,
-                     collect_events: bool = False):
+    def kth_exit_map(self, xi: np.ndarray, k: int) -> np.ndarray:
         """k-fold exit map with alternating sign flips.
 
         psi(x; k) = psi(-psi(x; k-1); 1), evaluated with the positive-sign
@@ -608,18 +602,14 @@ class RelaySystem:
         if k < 1:
             raise ValueError("k must be >= 1")
         x = np.asarray(xi, dtype=float)
-        events: list[SwitchEvent] = []
         for j in range(k):
             try:
-                _, x, ev = self.exit_event(x, +1)
+                _, x, _ = self.exit_event(x, +1)
             except (NoCrossingError, InvalidStartError) as exc:
                 raise NoCrossingError(
                     f"iterate {j + 1} of {k} failed: {exc}") from exc
-            events.append(ev)
             if j < k - 1:
                 x = -x
-        if collect_events:
-            return x, events
         return x
 
     # -- relay sign selection on the plane ------------------------------------
@@ -653,8 +643,10 @@ class RelaySystem:
         stops the trajectory on the plane, non-certified, with
         ``final_state`` set there.
         """
-        if t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < t_end < math.inf:
+            raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
+        if dense_dt is not None and not 0.0 < dense_dt < math.inf:
+            raise ValueError(f"dense_dt must be finite and positive, got {dense_dt!r}")
         x = np.asarray(x0, dtype=float).copy()
         t = 0.0
         traj = Trajectory()
@@ -678,7 +670,7 @@ class RelaySystem:
         while t < t_end and len(traj.events) < max_switches:
             remaining = t_end - t
             try:
-                tau, x_land, ev = self.exit_event(x, sign, t_max=self.t_max)
+                tau, x_land, ev = self.exit_event(x, sign)
             except NoCrossingError:
                 tau, x_land, ev = np.inf, None, None
 
@@ -726,46 +718,39 @@ class RelaySystem:
 # module-level operation wrappers
 
 
-def system_for(ss: StateSpace, step_hint: float | None = None) -> RelaySystem:
-    """The ``RelaySystem`` of a plant with the default horizon, built once
-    per plant content and ``step_hint`` and then shared: construction
+def system_for(ss: StateSpace) -> RelaySystem:
+    """The ``RelaySystem`` of a plant with the default horizon and march
+    step, built once per plant content and then shared: construction
     (march rows, balancing, Taylor tables) costs more than one exit."""
     A, B, C = (np.asarray(v, dtype=float) for v in (ss.A, ss.B, ss.C))
-    return _cached_system(A.tobytes(), B.tobytes(), C.tobytes(), ss.n,
-                          None if step_hint is None else float(step_hint))
+    return _cached_system(A.tobytes(), B.tobytes(), C.tobytes(), ss.n)
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_system(A: bytes, B: bytes, C: bytes, n: int,
-                   step_hint: float | None) -> RelaySystem:
+def _cached_system(A: bytes, B: bytes, C: bytes, n: int) -> RelaySystem:
     ss = StateSpace(np.frombuffer(A).reshape(n, n), np.frombuffer(B), np.frombuffer(C))
-    return RelaySystem(ss, step_hint=step_hint)
+    return RelaySystem(ss)
 
 
-def exit_time(ss: StateSpace, xi, sign: int = +1, t_max: float | None = None,
-              step_hint: float | None = None) -> float:
+def exit_time(ss: StateSpace, xi, sign: int = +1) -> float:
     """First exit time from ``sign`` for the plant ``ss`` started at ``xi``."""
-    return system_for(ss, step_hint).exit_time(xi, sign, t_max)
+    return system_for(ss).exit_time(xi, sign)
 
 
-def exit_map(ss: StateSpace, xi, sign: int = +1,
-             step_hint: float | None = None) -> np.ndarray:
+def exit_map(ss: StateSpace, xi, sign: int = +1) -> np.ndarray:
     """First exit map from ``sign``: the landing state on the plane."""
-    return system_for(ss, step_hint).exit_map(xi, sign)
+    return system_for(ss).exit_map(xi, sign)
 
 
-def kth_exit_map(ss: StateSpace, xi, k: int, collect_events: bool = False,
-                 step_hint: float | None = None):
+def kth_exit_map(ss: StateSpace, xi, k: int) -> np.ndarray:
     """k-th exit map with the alternating sign recursion."""
-    return system_for(ss, step_hint).kth_exit_map(xi, k, collect_events)
+    return system_for(ss).kth_exit_map(xi, k)
 
 
 def simulate(ss: StateSpace, x0, t_end: float, *, dense_dt: float | None = None,
-             step_hint: float | None = None,
              max_switches: int = 1_000_000) -> tuple[Trajectory, SlidingReport]:
     """Event-driven simulation of the relay loop (see RelaySystem.simulate)."""
-    return system_for(ss, step_hint).simulate(
-        x0, t_end, dense_dt=dense_dt, max_switches=max_switches)
+    return system_for(ss).simulate(x0, t_end, dense_dt=dense_dt, max_switches=max_switches)
 
 
 # ---------------------------------------------------------------------------

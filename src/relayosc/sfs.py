@@ -36,8 +36,8 @@ class SfsConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def sfs_field(ss: StateSpace, gamma: float):
 def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float):
     """Integrate the smooth loop adaptively; returns the solver result with
     dense output.  Raises StiffnessError past the step-underflow budget."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     return numerics.integrate_adaptive(
         sfs_field(ss, cfg.gamma), np.asarray(x0, dtype=float),
         (0.0, t_end), cfg.rel_tol, cfg.abs_tol)
@@ -378,15 +378,15 @@ def hopf_classify(ss: StateSpace, scan: RootLocusScan,
                       evidence=evidence)
 
 
-def describing_locus(ss: StateSpace, omega: float, gamma: float,
-                     theta_max: float = 1.0, points: int = 200) -> DescribingLocus:
+def describing_locus(ss: StateSpace, omega: float, gamma: float) -> DescribingLocus:
     """Second-harmonic describing-function locus at a fixed frequency.
 
-    L(theta, omega) = -1 + theta^2 gamma^2 / 4 * G(j omega); the locus
-    leaves -1 along the fixed complex direction gamma^2 G(j omega)/4 as
-    theta^2 grows.  Transversality is judged against the Nyquist tangent of
-    the gain-scaled loop gamma G(j omega): the crossing is flagged
-    tangential when the two directions are numerically parallel.
+    L(theta, omega) = -1 + theta^2 gamma^2 / 4 * G(j omega) at 200 points
+    theta in [0, 1]; the locus leaves -1 along the fixed complex direction
+    gamma^2 G(j omega)/4 as theta^2 grows.  Transversality is judged against
+    the Nyquist tangent of the gain-scaled loop gamma G(j omega): the
+    crossing is flagged tangential when the two directions are numerically
+    parallel.
 
     Raises
     ------
@@ -400,7 +400,7 @@ def describing_locus(ss: StateSpace, omega: float, gamma: float,
     if abs(den) < 1e-12:
         raise RelayOscError(f"plant pole on the imaginary axis at omega={omega:g}")
     G = num / den
-    thetas = np.linspace(0.0, theta_max, points)
+    thetas = np.linspace(0.0, 1.0, 200)
     L = -1.0 + thetas**2 * gamma**2 / 4.0 * G
     direction = gamma**2 * G / 4.0
     # Nyquist tangent of gamma*G at omega by central differencing in omega

@@ -197,6 +197,28 @@ class TestExitCodes:
         payload = json.loads(res.stderr)
         assert payload["schema_version"] == 1 and "overflow" in payload["error"]
 
+    @pytest.mark.parametrize("args, code, key", [
+        (["sfs-sim", "--gamma", "nan", "--x0", "0.4,0.2", "--t-end", "1"], 3, "gamma"),
+        (["sfs-sim", "--gamma", "inf", "--x0", "0.4,0.2", "--t-end", "1"], 3, "gamma"),
+        (["sfs-sim", "--gamma", "10", "--x0", "0.4,0.2", "--t-end", "nan"], 3, "t_end"),
+        (["sfs-sim", "--gamma", "10", "--x0", "0.4,0.2", "--t-end", "1",
+          "--dense-dt", "0"], 3, "dense_dt"),
+        (["sfs-sim", "--gamma", "10", "--x0", "0.4,0.2", "--t-end", "1",
+          "--dense-dt", "-0.5"], 3, "dense_dt"),
+        (["simulate", "--x0", "0.4,0.2", "--t-end", "1", "--dense-dt", "0"], 3, "dense_dt"),
+        (["simulate", "--x0", "0.4,0.2", "--t-end", "nan"], 3, "t_end"),
+        (["simulate", "--x0", "0.4,0.2", "--t-end", "1", "--dense-dt", "inf"], 3, "dense_dt"),
+        (["poincare-survey", "--count", "10", "--k", "0"], 3, "k must be >= 1"),
+        (["classify", "--num", "inf", "--den", "2,1"], 2, "finite"),
+        (["classify", "--num", "1", "--den", "nan,1"], 2, "finite"),
+    ])
+    def test_bad_input_exits_with_json_error(self, runner, args, code, key):
+        plant = [] if "--num" in args else PLANT
+        res = invoke(runner, args[:1] + plant + args[1:])
+        assert res.exit_code == code
+        payload = json.loads(res.stderr)
+        assert payload["schema_version"] == 1 and key in payload["error"]
+
     def test_wrong_x0_length_exits_2(self, runner):
         res = invoke(runner, ["sfs-sim", "--num", "1,-1", "--den", "6,5,1",
                               "--gamma", "10", "--x0", "0.4", "--t-end", "1"])

@@ -365,7 +365,7 @@ class TestMonodromyFloquet:
         _, ss = third_order
         z, tau = orbit3.anchor, orbit3.half_period
         for gamma in (100.0, 1e3, 1e4):
-            z, tau, Phi_h, _, _ = lc._shoot_half_period(ss, gamma, z, tau, 1e-11, 1e-13)
+            z, tau, Phi_h, _, _ = lc._shoot_half_period(ss, gamma, z, tau)
         flo = lc.monodromy_floquet(ss, 1e4, orbit3)
         Phi = Phi_h @ Phi_h
         assert np.abs(flo.matrix - Phi).max() <= 1e-9 * np.abs(Phi).max()

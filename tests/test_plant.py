@@ -118,6 +118,14 @@ class TestClassify:
         pc = classify(parse_plant(num, den))
         assert all(type(z) is complex for z in pc.poles + pc.zeros)
 
+    @pytest.mark.parametrize("num, den", [([1, -1], [6, 5]), ([2, -1, -1], [6, 11, 6]),
+                                          ([1, -1, 0], [6, 5, 3])])
+    def test_poles_of_the_realized_companion(self, num, den):
+        # poles and the state matrix come from one companion layout
+        tf = parse_plant(num, den)
+        poles = np.linalg.eigvals(realize(tf).A).astype(complex).tolist()
+        assert classify(tf).poles == tuple(sorted(poles, key=lambda z: (z.real, z.imag)))
+
     def test_relative_degree_two_not_brl(self):
         pc = classify(parse_plant([1, -1, 0], [6, 5, 3]))
         assert not pc.is_brl_urf

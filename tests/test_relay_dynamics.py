@@ -42,6 +42,14 @@ class TestExitTime:
         tau = rd.exit_time(ss, orbit.anchor, +1)
         assert tau == pytest.approx(orbit.half_period, abs=1e-9)
 
+    @pytest.mark.parametrize("opts", [{"t_max": 0.0}, {"t_max": -1.0}, {"t_max": np.nan},
+                                      {"step_hint": 0.0}, {"step_hint": -0.5},
+                                      {"step_hint": np.inf}])
+    def test_bad_horizon_or_step_rejected(self, second_order, opts):
+        _, ss = second_order
+        with pytest.raises(ValueError, match=next(iter(opts))):
+            RelaySystem(ss, **opts)
+
     def test_quiescent_error(self):
         # negative DC gain: the positive-sign flow settles at y > 0, no crossing
         ss = realize(parse_plant([-1, -1], [6, 5]))
@@ -119,11 +127,13 @@ class TestKthExitMap:
             img = -sys_.kth_exit_map(p, rep.k_iterations)
             assert region.contains(img, plane_tol=1e-8)
 
-    def test_intermediate_events_recorded(self, second_order):
+    def test_four_alternating_exit_maps(self, second_order):
         _, ss = second_order
-        x, events = rd.kth_exit_map(ss, np.array([1.5, 0.0]), 4, collect_events=True)
-        assert len(events) == 4
-        assert all(abs(ev.x[1]) < 1e-9 for ev in events)
+        x = np.array([1.5, 0.0])
+        for j in range(4):
+            x = rd.exit_map(ss, x if j == 0 else -x, +1)
+            assert abs(float(ss.C @ x)) < 1e-9
+        assert np.array_equal(rd.kth_exit_map(ss, np.array([1.5, 0.0]), 4), x)
 
 
 class TestSimulate:
@@ -535,7 +545,8 @@ class TestBatchedExits:
         wrong = X[0].copy()
         wrong[-1] = -sign * 1.0
         block = np.vstack((X, depart, wrong))
-        ex = sys_.exit_events(block, sign, t_max)
+        short = RelaySystem(ss, step_hint=h, t_max=t_max)
+        ex = short.exit_events(block, sign)
         assert list(ex.status) == ([rd.QUIESCENT if q else rd.EXITED for q in late]
                                    + [rd.EXITED, rd.WRONG_SIDE])
         assert np.array_equal(np.isnan(ex.tau), ex.status != rd.EXITED)
@@ -546,7 +557,7 @@ class TestBatchedExits:
         ok = np.flatnonzero(ex.status == rd.EXITED)
         assert np.allclose(ex.tau[ok[:-1]], taus[ok[:-1]], rtol=1e-14, atol=0.0)
         for i in ok:
-            t1, x1, _ = sys_.exit_event(block[i], sign, t_max)
+            t1, x1, _ = short.exit_event(block[i], sign)
             assert t1 == pytest.approx(ex.tau[i], rel=1e-14, abs=1e-15)
             assert np.linalg.norm(x1 - ex.x[i]) <= 1e-14 * (1 + np.linalg.norm(x1))
         probes = [i for i in (6, 7) if not late[i]]
@@ -660,11 +671,9 @@ class TestBatchedExits:
         copy = StateSpace(ss.A.copy(), ss.B.copy(), ss.C.copy())
         rd.exit_time(copy, x)
         assert rd._cached_system.cache_info().misses == 1
-        rd.exit_time(ss, x, step_hint=1e-3)
-        assert rd._cached_system.cache_info().misses == 2
         rd.exit_time(third_order[1], np.array([0.3, 0.2, 0.5]))
-        assert rd._cached_system.cache_info().misses == 3
+        assert rd._cached_system.cache_info().misses == 2
         A = ss.A.copy()
         A[0, -1] *= 1.01        # the same arrays, changed content
         rd.exit_time(StateSpace(A, ss.B, ss.C), x)
-        assert rd._cached_system.cache_info().misses == 4
+        assert rd._cached_system.cache_info().misses == 3
