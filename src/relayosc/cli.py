@@ -37,9 +37,16 @@ def _load_plant(num, den, plant_file, descending):
     leading coefficient; --descending flips both lists first.
     """
     if plant_file is not None:
-        with open(plant_file) as fh:
-            payload = json.load(fh)
-        num_c, den_c = payload["num"], payload["den"]
+        try:
+            with open(plant_file) as fh:
+                payload = json.load(fh)
+            num_c, den_c = payload["num"], payload["den"]
+            if not all(isinstance(c, list) and all(isinstance(v, (int, float)) for v in c)
+                       for c in (num_c, den_c)):
+                raise TypeError("num and den must be lists of numbers")
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise PlantError(f'plant file needs a JSON object {{"num": [...], "den": [...]}} '
+                             f"of numbers ({type(exc).__name__}: {exc})") from exc
     else:
         if num is None or den is None:
             raise PlantError("provide --num and --den, or --plant-file")
@@ -194,7 +201,9 @@ def cmd_fixed_point(tf, ss, k, seed, tol, max_iter, out):
               help="Optional dense orbit CSV (t, x, u, y).")
 def cmd_find_orbit(tf, ss, tau_min, tau_max, out, orbit_csv):
     """Symmetric unimodal orbit: half-period, anchor, monodromy, multipliers."""
-    rng = (tau_min, tau_max) if tau_min is not None and tau_max is not None else None
+    if (tau_min is None) != (tau_max is None):
+        raise ValueError("--tau-min and --tau-max must be given together")
+    rng = (tau_min, tau_max) if tau_min is not None else None
     orbit = limit_cycle.find_symmetric_orbit(ss, rng)
     report = limit_cycle.monodromy_exact(ss, orbit)
     payload = {

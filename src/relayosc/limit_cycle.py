@@ -19,7 +19,7 @@ tanh loop at a finite gain, squared from its half-period variational matrix.
 Note on the jump factor: the boundary-layer integral of the smooth system's
 linearization coefficient across one switch is
 
-    mu = ln(|rho_after| / |rho_before|) / |C B|     (C B != 0)
+    mu = ln(|rho_after| / |rho_before|) / (-C B)    (C B != 0)
     mu = 2 / |rho|                                  (C B  = 0)
 
 because the output speed sweeps continuously between its one-sided limits
@@ -40,14 +40,12 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateOrbitError, NoOrbitError, ShootingError
 from .plant import StateSpace
-from .relay_dynamics import system_for
+from .relay_dynamics import GRAZE_TOL, system_for
 
 #: Output-sign condition tolerance, relative to the orbit's peak output: tiny
 #: negative slack absorbs roundoff at the endpoints where the output is
 #: exactly zero, and the verdict does not change with the plant's gain.
 SIGN_CONDITION_SLACK = -1e-9
-
-OUTPUT_SPEED_TOL = 1e-8
 
 #: |g| within this multiple of |X| at every scanned tau is g = 0 to
 #: roundoff, a continuum of orbits: on 1/s^2 the ratio stays below 1.4e-13
@@ -61,8 +59,9 @@ class OrbitCandidate:
     """A symmetric unimodal orbit candidate.
 
     ``output_speeds`` holds one (before, after) pair of one-sided output
-    derivatives per switch (two switches per period); for a symmetric orbit
-    the two pairs have equal magnitudes.
+    derivatives per switch (two switches per period), from the relay
+    layer's ``output_speed``; by symmetry the second pair is the negation
+    of the first.
     """
 
     half_period: float
@@ -172,24 +171,21 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
                            "root in the scanned range")
 
     candidates = []
-    A, B, C = ss.A, ss.B, ss.C
-    sys_ = system_for(ss)
+    flow = system_for(ss).flow
     for tau in roots:
         anchor = X(tau)
         anchor[-1] = 0.0  # C anchor = g(tau) = 0 at the root
         # output along the positive half on an evenly spaced grid
-        ys = sys_.flow.grid(anchor, +1, tau / 9999, 10_000) @ C
+        ys = flow.grid(anchor, +1, tau / 9999, 10_000) @ ss.C
         peak = float(np.max(np.abs(ys)))
         valid = bool(np.min(ys) >= SIGN_CONDITION_SLACK * peak)
-        # one-sided output speeds at the two switches (t = tau at -anchor
-        # with incoming sign +1, and t = 2 tau at +anchor with incoming -1)
-        sw1 = -anchor
-        rho1 = (float(C @ (A @ sw1 - B)), float(C @ (A @ sw1 + B)))
-        rho2 = (float(C @ (A @ anchor + B)), float(C @ (A @ anchor - B)))
+        # one-sided output speeds at t = tau, at -anchor with incoming sign
+        # +1; the switch at t = 2 tau, at +anchor, has their negation
+        before, after = (float(flow.output_speed(-anchor, s)) for s in (+1, -1))
         candidates.append(OrbitCandidate(
             half_period=float(tau), anchor=anchor,
             is_symmetric_unimodal=valid, period=2.0 * float(tau),
-            peak_output=peak, output_speeds=(rho1, rho2)))
+            peak_output=peak, output_speeds=((before, after), (-before, -after))))
 
     if return_all:
         return candidates
@@ -201,11 +197,12 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
 
 
 def _switch_jump_integral(rho_before: float, rho_after: float, b_tail: float) -> float:
-    """Boundary-layer integral of the linearization coefficient at a switch."""
-    if abs(rho_before) <= OUTPUT_SPEED_TOL or abs(rho_after) <= OUTPUT_SPEED_TOL:
+    """Boundary-layer integral of the linearization coefficient at a switch,
+    so that e^{-C B mu} = rho_after / rho_before."""
+    if abs(rho_before) <= GRAZE_TOL or abs(rho_after) <= GRAZE_TOL:
         raise DegenerateOrbitError("output speed degenerate at switch")
     if b_tail != 0.0:
-        return math.log(abs(rho_after) / abs(rho_before)) / abs(b_tail)
+        return math.log(abs(rho_after) / abs(rho_before)) / -b_tail
     return 2.0 / abs(rho_before)
 
 
@@ -242,23 +239,17 @@ def _report(ss: StateSpace, Phi: np.ndarray, T: float, jump_total: float,
 def monodromy_exact(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
     """Monodromy of the relay orbit from its closed-form ingredients.
 
-    Composes, over the two half-periods, the flow e^{A tau*} (the leading
-    block of the exponential the anchor came from) with the switch-jump
-    factor built from the one-sided output speeds.  The
+    The half-period map is the flow e^{A tau*} (the leading block of the
+    exponential the anchor came from) followed by the switch-jump factor
+    built from the one-sided output speeds; the second switch's speeds are
+    the negation of the first's, so the monodromy is that map squared.  The
     determinant is cross-checked against the closed-form limit
     exp(-a_{n-1} T - C B * sum of jump integrals), which the construction
     satisfies as an algebraic identity.
     """
-    b_tail = float(ss.B[-1])
-    E = system_for(ss).flow.exp(orbit.half_period)[:ss.n, :ss.n]
-
-    Phi = np.eye(ss.n)
-    mus = []
-    for rho_b, rho_a in orbit.output_speeds:
-        mu = _switch_jump_integral(rho_b, rho_a, b_tail)
-        mus.append(mu)
-        Phi = _jump_factor(ss, mu) @ E @ Phi
-    return _report(ss, Phi, orbit.period, sum(mus), {"jump_integrals": mus})
+    mu = _switch_jump_integral(*orbit.output_speeds[0], float(ss.B[-1]))
+    half = _jump_factor(ss, mu) @ system_for(ss).flow.exp(orbit.half_period)[:ss.n, :ss.n]
+    return _report(ss, half @ half, orbit.period, 2.0 * mu, {"jump_integrals": [mu, mu]})
 
 
 def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float):

@@ -6,6 +6,7 @@ The design envelope is small dense systems (n <= 20).
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -42,8 +43,8 @@ def integrate_adaptive(
     """
     from scipy.integrate import solve_ivp
 
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
+        raise ValueError(f"tolerances must be finite and positive: {rel_tol!r}, {abs_tol!r}")
     sol = solve_ivp(
         rhs,
         t_span,

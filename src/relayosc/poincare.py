@@ -25,9 +25,7 @@ from .artifacts import write_csv
 from .bounds import BoundsReport, anchor_region, sample_anchor_region
 from .errors import DivergenceError, NonTransversalError, NoCrossingError
 from .plant import StateSpace
-from .relay_dynamics import RelaySystem, system_for
-
-TRANSVERSALITY_TOL = 1e-8
+from .relay_dynamics import GRAZE_TOL, RelaySystem, system_for
 
 #: Points per block of ``spectral_survey``: bounds the exit tables and the
 #: jacobian stacks at n = 20 and 10,000 points.
@@ -83,13 +81,12 @@ def _return_jacobians(ss: StateSpace, sys_: RelaySystem, X: np.ndarray, s: int):
     one-row call raises for each other row, by row index.
     """
     exits = sys_.exit_events(X, s)
-    U = (ss.A @ exits.x[:, :, None])[:, :, 0] - s * ss.B     # fields at the crossings
-    Cu = (U[:, None, :] @ ss.C[:, None])[:, 0, 0]
-    ok = np.abs(Cu) > TRANSVERSALITY_TOL      # nan on the rows without an exit
+    ok = np.abs(exits.speed) > GRAZE_TOL      # nan on the rows without an exit
     errors = {int(i): exits.error(i) or NonTransversalError(
-        f"non-transversal point: |C u| = {abs(Cu[i]):.3e} <= {TRANSVERSALITY_TOL:g}")
+        f"non-transversal point: |C u| = {abs(exits.speed[i]):.3e} <= {GRAZE_TOL:g}")
         for i in np.flatnonzero(~ok)}
-    U, Cu = U[ok], Cu[ok]
+    U = (ss.A @ exits.x[ok][:, :, None])[:, :, 0] - s * ss.B  # fields at the crossings
+    Cu = exits.speed[ok]                                      # their output speeds C u
     V = (ss.A @ X[ok][:, :, None])[:, :, 0] - s * ss.B       # fields at the starts
     I = np.eye(ss.n)
     E = sys_.flow.exp(exits.tau[ok])[:, :ss.n, :ss.n]
@@ -250,9 +247,13 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
 
     Raises
     ------
+    ValueError
+        ``tol`` not finite and positive.
     DivergenceError
         Iterates blew up; carries the escaping iterate.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     region = anchor_region(ss, bounds)
     sys_ = system_for(ss)
     x = np.asarray(x0, dtype=float).copy()

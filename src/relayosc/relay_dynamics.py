@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,8 @@ from .plant import StateSpace
 #: |C x| below PLANE_TOL * (1 + ||x||) counts as "on the switching plane".
 PLANE_TOL = 1e-10
 
-#: Output-speed magnitudes below this raise the grazing flag.
+#: Output-speed magnitudes at or below this count as zero: a grazing exit,
+#: a non-transversal return-map point, a degenerate orbit switch.
 GRAZE_TOL = 1e-8
 
 _EPS = np.finfo(float).eps
@@ -693,9 +694,7 @@ class RelaySystem:
 
             t += tau
             x = x_land
-            traj.events.append(SwitchEvent(t=t, x=x, incoming_sign=ev.incoming_sign,
-                                           transversal_speed=ev.transversal_speed,
-                                           grazing_flag=ev.grazing_flag))
+            traj.events.append(replace(ev, t=t))
             if ev.grazing_flag:
                 traj.certified = False
             try:

@@ -211,9 +211,28 @@ class TestExitCodes:
         (["poincare-survey", "--count", "10", "--k", "0"], 3, "k must be >= 1"),
         (["classify", "--num", "inf", "--den", "2,1"], 2, "finite"),
         (["classify", "--num", "1", "--den", "nan,1"], 2, "finite"),
+        (["fixed-point", "--tol", "-1"], 3, "tol must be finite and positive"),
+        (["fixed-point", "--tol", "nan"], 3, "tol must be finite and positive"),
+        (["sfs-sim", "--gamma", "10", "--x0", "0.4,0.2", "--t-end", "1",
+          "--rel-tol", "nan"], 3, "tolerances must be finite"),
+        (["sfs-sim", "--gamma", "10", "--x0", "0.4,0.2", "--t-end", "1",
+          "--abs-tol", "nan"], 3, "tolerances must be finite"),
+        (["sfs-sim", "--gamma", "10", "--x0", "0.4,0.2", "--t-end", "1",
+          "--rel-tol", "inf"], 3, "tolerances must be finite"),
+        (["find-orbit", "--tau-min", "0.5"], 3, "--tau-min and --tau-max"),
+        # the argument after --plant-file is the file's content
+        (["classify", "--plant-file", '{"num": [1, -1]}'], 2, "plant file"),
+        (["classify", "--plant-file", "[1, -1]"], 2, "plant file"),
+        (["classify", "--plant-file", '{"num": [1, -1], "den": [6, 5'], 2, "plant file"),
+        (["classify", "--plant-file", '{"num": "1,-1", "den": [6, 5, 1]}'], 2, "plant file"),
     ])
-    def test_bad_input_exits_with_json_error(self, runner, args, code, key):
-        plant = [] if "--num" in args else PLANT
+    def test_bad_input_exits_with_json_error(self, runner, tmp_path, args, code, key):
+        if "--plant-file" in args:
+            i = args.index("--plant-file") + 1
+            path = tmp_path / "plant.json"
+            path.write_text(args[i])
+            args = args[:i] + [str(path)] + args[i + 1:]
+        plant = [] if "--num" in args or "--plant-file" in args else PLANT
         res = invoke(runner, args[:1] + plant + args[1:])
         assert res.exit_code == code
         payload = json.loads(res.stderr)

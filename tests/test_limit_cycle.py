@@ -64,7 +64,10 @@ class TestFindSymmetricOrbit:
         _, ss = second_order
         (r1b, r1a), (r2b, r2a) = orbit2.output_speeds
         assert abs(abs(r1a) - abs(r1b)) == pytest.approx(2.0, abs=1e-9)
-        assert abs(r1b) == pytest.approx(abs(r2b), abs=1e-12)
+        assert (r2b, r2a) == (-r1b, -r1a)  # the second switch mirrors the first
+        flow = RelaySystem(ss).flow
+        assert (r1b, r1a) == (flow.output_speed(-orbit2.anchor, +1),
+                              flow.output_speed(-orbit2.anchor, -1))
         assert r1b * r1a > 0  # same sign on both sides of the crossing
 
     def test_peak_output_matches_dense_scan(self, second_order, orbit2):
@@ -311,6 +314,29 @@ class TestMonodromyExact:
         assert rep.trivial_multiplier_error < 1e-10
         nontrivial = np.sort(mults)[:-1]
         assert np.all(nontrivial < 1.0)  # attracting orbit
+
+    @pytest.mark.parametrize("seed, cb_sign", [
+        (178, 1), (2275, 1), (2358, 1), (2768, 1),
+        (4, -1), (5, -1), (21, -1), (31, -1),
+        (2, 0), (3, 0), (7, 0), (12, 0)])
+    def test_spectrum_for_each_sign_of_cb(self, seed, cb_sign):
+        # the jump factor maps the pre-switch field onto the post-switch one
+        # whatever the sign of C B: trivial multiplier 1, and the others the
+        # nonzero eigenvalues of the full-period map -psi(.; 2)
+        rng = np.random.default_rng(seed)
+        ss = realize(make_stable_plant(rng, int(rng.integers(2, 6))))
+        assert np.sign(ss.C @ ss.B) == cb_sign
+        orbit = lc.find_symmetric_orbit(ss)
+        rep = lc.monodromy_exact(ss, orbit)
+        assert rep.trivial_multiplier_error < 1e-10
+        mults = list(rep.floquet_multipliers)
+        mults.pop(int(np.argmin(np.abs(np.array(mults) - 1.0))))
+        _, J_e, _ = pc.chained_jacobians(ss, orbit.anchor, 2)
+        lam = list(-np.linalg.eigvals(J_e))
+        lam.pop(int(np.argmin(np.abs(lam))))      # the start's field direction
+        for m in mults:
+            j = int(np.argmin(np.abs(np.array(lam) - m)))
+            assert abs(lam.pop(j) - m) < 1e-8
 
 
 class TestMonodromyFloquet:

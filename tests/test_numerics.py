@@ -61,3 +61,9 @@ class TestIntegrateAdaptive:
     def test_bad_tolerances(self):
         with pytest.raises(ValueError):
             numerics.integrate_adaptive(lambda t, x: -x, [1.0], (0.0, 1.0), -1e-9, 1e-12)
+
+    @pytest.mark.parametrize("rel_tol, abs_tol", [
+        (np.nan, 1e-12), (1e-9, np.nan), (np.inf, 1e-12), (1e-9, np.inf)])
+    def test_tolerances_not_finite(self, rel_tol, abs_tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            numerics.integrate_adaptive(lambda t, x: -x, [1.0], (0.0, 1.0), rel_tol, abs_tol)

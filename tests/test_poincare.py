@@ -261,6 +261,50 @@ class TestFixedPointSearch:
             assert res.converged
             assert np.linalg.norm(res.x_hat - anchor) < 1e-12 * np.linalg.norm(anchor)
 
+    def test_newton_step_on_unstable_orbit(self, monkeypatch):
+        # n = 6, orbit multiplier of modulus 1.13: Picard iterates leave the
+        # anchor, so the search switches to Newton steps on the chain
+        from conftest import make_stable_plant
+        from relayosc.bounds import bounds_report, decay_envelope
+        from relayosc.limit_cycle import find_symmetric_orbit
+        from relayosc.plant import realize
+
+        rng = np.random.default_rng(52)
+        ss = realize(make_stable_plant(rng, int(rng.integers(2, 7))))
+        rep = bounds_report(ss, decay_envelope(ss.A))
+        anchor = find_symmetric_orbit(ss).anchor
+        calls = []
+        chained = pc.chained_jacobians
+        monkeypatch.setattr(pc, "chained_jacobians",
+                            lambda *a, **kw: calls.append(a) or chained(*a, **kw))
+        res = pc.fixed_point_search(ss, rep, 1, anchor * (1 + 1e-3))
+        assert ss.n == 6 and calls
+        assert res.converged
+        assert np.linalg.norm(res.x_hat - anchor) < 1e-12 * np.linalg.norm(anchor)
+
+    def test_escape_raises_divergence(self, second_order, second_order_bounds):
+        import dataclasses
+
+        from relayosc.errors import DivergenceError
+        from relayosc.relay_dynamics import kth_exit_map
+
+        _, ss = second_order
+        _, rep = second_order_bounds
+        tiny = dataclasses.replace(rep, m_excursion=1e-6, m_loose=1e-6)
+        x0 = sample_anchor_region(anchor_region(ss, rep), 1, seed=5)[0]
+        with pytest.raises(DivergenceError) as info:
+            pc.fixed_point_search(ss, tiny, 1, x0)
+        assert info.value.iteration == 1
+        assert np.array_equal(info.value.iterate, -kth_exit_map(ss, x0, 1))
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_tolerance_not_finite_positive(self, second_order, second_order_bounds, tol):
+        _, ss = second_order
+        _, rep = second_order_bounds
+        x0 = sample_anchor_region(anchor_region(ss, rep), 1, seed=5)[0]
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            pc.fixed_point_search(ss, rep, 1, x0, tol=tol)
+
 
 def _survey_loop(ss, rep, count, k, seed):
     """spectral_survey as a per-point loop: one chained_jacobians call and
