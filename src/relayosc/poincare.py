@@ -34,15 +34,10 @@ SURVEY_CHUNK = 1024
 
 @dataclass(frozen=True)
 class JacobianPair:
-    """Both return-map derivative formulas at one point, plus the data they
-    were built from."""
+    """Both return-map derivative formulas at one point."""
 
     astrom: np.ndarray
     exact: np.ndarray
-    field_at_exit: np.ndarray
-    field_at_start: np.ndarray
-    tau: float
-    landing: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -72,83 +67,41 @@ class FixedPointResult:
     residual_history: tuple[float, ...] = ()
 
 
-def _return_jacobians(ss: StateSpace, sys_: RelaySystem, X: np.ndarray, s: int):
-    """One exit of each start in the rows of X under sign ``s``, and both
-    derivative formulas there.
-
-    Returns (pairs, ok, errors): a ``JacobianPair`` of stacks over the rows
-    that exit transversally, the mask of those rows, and the error a
-    one-row call raises for each other row, by row index.
-    """
-    exits = sys_.exit_events(X, s)
-    ok = np.abs(exits.speed) > GRAZE_TOL      # nan on the rows without an exit
-    errors = {int(i): exits.error(i) or NonTransversalError(
-        f"non-transversal point: |C u| = {abs(exits.speed[i]):.3e} <= {GRAZE_TOL:g}")
-        for i in np.flatnonzero(~ok)}
-    U = (ss.A @ exits.x[ok][:, :, None])[:, :, 0] - s * ss.B  # fields at the crossings
-    Cu = exits.speed[ok]                                      # their output speeds C u
-    V = (ss.A @ X[ok][:, :, None])[:, :, 0] - s * ss.B       # fields at the starts
-    I = np.eye(ss.n)
-    E = sys_.flow.exp(exits.tau[ok])[:, :ss.n, :ss.n]
-    astrom = (I - U[:, :, None] * ss.C / Cu[:, None, None]) @ E
-    exact = astrom @ (I - V[:, :, None] * V[:, None, :]
-                      / np.einsum("ij,ij->i", V, V)[:, None, None])
-    pairs = JacobianPair(astrom=astrom, exact=exact, field_at_exit=U, field_at_start=V,
-                         tau=exits.tau[ok], landing=exits.x[ok])
-    return pairs, ok, errors
-
-
-def jacobians(ss: StateSpace, x, sign: int = +1,
-              system: RelaySystem | None = None) -> JacobianPair:
-    """Return-map jacobians at an on-plane point.
-
-    Parameters
-    ----------
-    ss : StateSpace
-    x : array
-        Point on the switching plane (C x = 0).
-    sign : int
-        Relay sign of the departing flow (default +1).
-    system : RelaySystem, optional
-        Reusable precomputed system (the plant's shared one by default).
-
-    Raises
-    ------
-    NonTransversalError
-        When the output speed at the crossing is numerically zero.
-    """
-    sys_ = system if system is not None else system_for(ss)
-    pairs, ok, errors = _return_jacobians(
-        ss, sys_, np.asarray(x, dtype=float)[None], int(sign))
-    if not ok[0]:
-        raise errors[0]
-    return JacobianPair(astrom=pairs.astrom[0], exact=pairs.exact[0],
-                        field_at_exit=pairs.field_at_exit[0],
-                        field_at_start=pairs.field_at_start[0],
-                        tau=float(pairs.tau[0]), landing=pairs.landing[0])
-
-
 def _chain(ss: StateSpace, sys_: RelaySystem, X: np.ndarray, k: int):
     """Chained jacobians of psi(.; k) for each start in the rows of X.
 
-    Returns (rows, J_a, J_e, points, errors): the indices of the rows whose
-    k exits are all transversal, their chained jacobians as stacks, their
-    negated images x_0 .. x_k (one (len(rows), n) array each), and the error
-    a one-row call raises for each other row, by row index.
+    Each of the k steps exits the current block of starts under sign +1 and
+    forms both derivative formulas of that exit.  Returns (rows, J_a, J_e,
+    points, errors): the indices of the rows whose k exits are all
+    transversal, their chained jacobians as stacks, their negated images
+    x_0 .. x_k (one (len(rows), n) array each), and the error a one-row
+    call raises for each other row, by row index.
     """
+    I = np.eye(ss.n)
     rows = np.arange(len(X))
     points = [X]
     errors = {}
     for j in range(k):
-        pairs, ok, errs = _return_jacobians(ss, sys_, points[-1], +1)
-        errors.update((int(rows[i]), e) for i, e in errs.items())
+        exits = sys_.exit_events(points[-1], +1)
+        ok = np.abs(exits.speed) > GRAZE_TOL      # nan on the rows without an exit
+        errors.update((int(rows[i]), exits.error(i) or NonTransversalError(
+            f"non-transversal point: |C u| = {abs(exits.speed[i]):.3e} <= {GRAZE_TOL:g}"))
+            for i in np.flatnonzero(~ok))
         rows = rows[ok]
+        points = [p[ok] for p in points]
+        landing = exits.x[ok]
+        U = (ss.A @ landing[:, :, None])[:, :, 0] - ss.B         # fields at the crossings
+        V = (ss.A @ points[-1][:, :, None])[:, :, 0] - ss.B      # fields at the starts
+        E = sys_.flow.exp(exits.tau[ok])[:, :ss.n, :ss.n]
+        astrom = (I - U[:, :, None] * ss.C / exits.speed[ok][:, None, None]) @ E
+        exact = astrom @ (I - V[:, :, None] * V[:, None, :]
+                          / np.einsum("ij,ij->i", V, V)[:, None, None])
         if j == 0:
-            J_a, J_e = pairs.astrom, pairs.exact
+            J_a, J_e = astrom, exact
         else:
-            J_a = pairs.astrom @ (-J_a[ok])
-            J_e = pairs.exact @ (-J_e[ok])
-        points = [p[ok] for p in points] + [-pairs.landing]
+            J_a = astrom @ (-J_a[ok])
+            J_e = exact @ (-J_e[ok])
+        points.append(-landing)
     return rows, J_a, J_e, points, errors
 
 
@@ -158,7 +111,13 @@ def chained_jacobians(ss: StateSpace, x, k: int,
 
     The recursion psi(x; k) = psi(-psi(x; k-1); 1) makes the derivative an
     alternating product J(x_{k-1}) (-I) ... (-I) J(x_0) where x_j is the
-    negated j-th image.  Returns (astrom_chain, exact_chain, points).
+    negated j-th image; ``jacobians`` is the case k = 1.  Returns
+    (astrom_chain, exact_chain, points).
+
+    Raises
+    ------
+    NonTransversalError
+        When the output speed at a crossing is numerically zero.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -167,6 +126,14 @@ def chained_jacobians(ss: StateSpace, x, k: int,
     if errors:
         raise errors[0]
     return J_a[0], J_e[0], [p[0] for p in points]
+
+
+def jacobians(ss: StateSpace, x, *, system: RelaySystem | None = None) -> JacobianPair:
+    """Return-map jacobians at an on-plane point x (C x = 0) under relay
+    sign +1: the one-switch chain, ``chained_jacobians(ss, x, 1, system)``,
+    with ``system`` the plant's shared ``RelaySystem`` by default."""
+    J_a, J_e, _ = chained_jacobians(ss, x, 1, system)
+    return JacobianPair(astrom=J_a, exact=J_e)
 
 
 def _spectral_stats(M: np.ndarray):
@@ -248,17 +215,18 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
     Raises
     ------
     ValueError
-        ``tol`` not finite and positive.
+        ``tol`` not finite and positive, or ``max_iter`` negative.
     DivergenceError
         Iterates blew up; carries the escaping iterate.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     region = anchor_region(ss, bounds)
     sys_ = system_for(ss)
     x = np.asarray(x0, dtype=float).copy()
     escape_radius = 50.0 * max(bounds.m_excursion, bounds.m_loose)
-    residuals: list[float] = []
 
     def image(p):
         """-psi(p; k) and the residual |p + psi(p; k)|."""
@@ -276,21 +244,17 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
         if within_tol(r):
             break
         if not newton_mode:
-            x_new = x_img
-            x_img, r_new = image(x_new)
-            residuals.append(r_new)
-            # plateau: last few Picard residuals not contracting
-            if len(residuals) >= 5 and residuals[-1] > 0.9 * residuals[-5]:
-                newton_mode = True
-            x, r = x_new, r_new
+            x = x_img
+            x_img, r = image(x)
             history.append(r)
+            # plateau: last few Picard residuals not contracting
+            newton_mode = len(history) >= 6 and history[-1] > 0.9 * history[-5]
         else:
-            J_a, J_e, points = chained_jacobians(ss, x, k, system=sys_)
+            _, J_e, points = chained_jacobians(ss, x, k, system=sys_)
             F = x - points[-1]
-            # derivative of x + psi(x; k)
-            M = np.eye(ss.n) + (J_e if np.all(np.isfinite(J_e)) else J_a)
+            # Newton step on x + psi(x; k), whose derivative is I + J_e
             try:
-                step = np.linalg.solve(M, -F)
+                step = np.linalg.solve(np.eye(ss.n) + J_e, -F)
             except np.linalg.LinAlgError:
                 step = -F
             alpha = 1.0

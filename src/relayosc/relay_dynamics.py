@@ -394,6 +394,13 @@ class RelaySystem:
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         self.flow = _AffineFlow(ss, self.step_hint)
+        # the march's last grid point: the last j with j h <= t_max
+        last = int(self.t_max // self.step_hint)
+        while self.step_hint * (last + 1) <= self.t_max:
+            last += 1
+        while last > 0 and self.step_hint * last > self.t_max:
+            last -= 1
+        self._last = last
 
     # -- exit computations ---------------------------------------------------
     def exit_events(self, X: np.ndarray, sign: int = +1) -> Exits:
@@ -402,7 +409,8 @@ class RelaySystem:
 
         Each row needs sign * C xi >= 0 (a start up to 1e-3 (1 + |xi|) past
         the plane is accepted: the analytic continuation of its crossing time
-        exists, and finite-difference probes of the exit map rely on it).  A
+        exists, and finite-difference probes of the exit map rely on it), and
+        a finite 1 + |xi| (else ValueError, for the whole block).  A
         start on the plane whose flow leaves the sign region transversally
         exits at tau = 0.  Every other row marches on the grid j h
         (h = ``step_hint``) up to the horizon ``t_max`` to its first sign
@@ -420,11 +428,12 @@ class RelaySystem:
         X = np.asarray(X, dtype=float)
         if X.ndim < 2:
             X = X.reshape(1, -1)
-        if not _all(np.isfinite(X)):
-            raise ValueError("non-finite function value at t_start")
+        with np.errstate(over="ignore"):
+            scale = 1.0 + np.sqrt(np.add.reduce(X * X, axis=1))
+        if not _all(np.isfinite(scale)):
+            raise ValueError("start state is not finite, or its norm overflows")
         Z = flow.lift(X, s)
         f0 = Z @ flow._c                           # s C xi
-        scale = 1.0 + np.sqrt(np.add.reduce(X * X, axis=1))
         march = f0 > PLANE_TOL * scale
         wrong = None
         if not _all(march):
@@ -469,15 +478,8 @@ class RelaySystem:
         rows = march.nonzero()[0]          # the rows still marching
         if not rows.size:
             return K, f_lo, found
-        h, horizon = self.step_hint, self.t_max
         prev = f0[rows]                    # and their values at grid point j
-        flow = self.flow
-        # grid points up to the horizon: the last j with j h <= horizon
-        last = int(horizon // h)
-        while h * (last + 1) <= horizon:
-            last += 1
-        while last > 0 and h * last > horizon:
-            last -= 1
+        flow, last = self.flow, self._last
         Zt = Z[rows].T
         armed = prev > F_TOL
         lifting = not _all(armed)
@@ -657,8 +659,11 @@ class RelaySystem:
         dense_x: list[np.ndarray] = []
         dense_u: list[np.ndarray] = []
 
+        with np.errstate(over="ignore"):
+            scale = 1.0 + float(np.linalg.norm(x))
+        if not math.isfinite(scale):
+            raise ValueError("start state is not finite, or its norm overflows")
         y0 = float(self.flow.C @ x)
-        scale = 1.0 + float(np.linalg.norm(x))
         departing = abs(y0) <= PLANE_TOL * scale
         if departing:
             try:

@@ -305,6 +305,14 @@ class TestFixedPointSearch:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             pc.fixed_point_search(ss, rep, 1, x0, tol=tol)
 
+    def test_negative_iteration_budget(self, second_order, second_order_bounds):
+        _, ss = second_order
+        _, rep = second_order_bounds
+        x0 = sample_anchor_region(anchor_region(ss, rep), 1, seed=5)[0]
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            pc.fixed_point_search(ss, rep, 1, x0, max_iter=-3)
+        assert pc.fixed_point_search(ss, rep, 1, x0, max_iter=0).iterations_used == 0
+
 
 def _survey_loop(ss, rep, count, k, seed):
     """spectral_survey as a per-point loop: one chained_jacobians call and

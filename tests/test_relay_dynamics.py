@@ -33,6 +33,24 @@ class TestExitTime:
         with pytest.raises(InvalidStartError):
             rd.exit_time(ss, [0.5, -0.3], +1)
 
+    @pytest.mark.parametrize("x", [[1e160, 1e160], [np.nan, 0.0], [-np.inf, 1.0]])
+    def test_non_finite_or_overflowing_start_rejected(self, second_order, x):
+        # past |x| ~ 1.3e154 the plane scale 1 + |x| overflows, and the plane
+        # test would take any start for a point on the plane
+        _, ss = second_order
+        with pytest.raises(ValueError, match="norm overflows"):
+            rd.exit_time(ss, x, +1)
+        with pytest.raises(ValueError, match="norm overflows"):
+            rd.simulate(ss, np.array(x), 1.0)
+
+    def test_large_start_exits(self, second_order):
+        # the output from 1e150 (1, 1) crosses zero at t = ln 2
+        _, ss = second_order
+        x = np.array([1e150, 1e150])
+        assert rd.exit_time(ss, x, +1) == pytest.approx(np.log(2.0), rel=1e-14)
+        traj, _ = rd.simulate(ss, x, 1.0)
+        assert [e.t for e in traj.events] == pytest.approx([np.log(2.0)], rel=1e-14)
+
     def test_matches_orbit_half_period(self, second_order):
         # cross-module consistency with the orbit solver
         from relayosc.limit_cycle import find_symmetric_orbit
