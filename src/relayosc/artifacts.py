@@ -18,18 +18,25 @@ import os
 import numpy as np
 
 
+#: Rows formatted and written at a time.
+_CSV_CHUNK = 256
+
+
 def write_csv(dest, version: str, units: str, header: list[str], columns) -> None:
-    """Write ``columns``, one array per header entry, as a CSV artifact to a
-    path or a text stream."""
+    """Write ``columns``, one numeric array per header entry, as a CSV
+    artifact to a path or a text stream.  The cells are the reprs of the
+    columns' Python values, as ``csv.writer`` writes them, formatted a chunk
+    of rows at a time as one list repr per column."""
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", newline="") as fh:
             write_csv(fh, version, units, header, columns)
         return
-    cells = [(c.astype(int) if c.dtype == bool else c).tolist() for c in map(np.asarray, columns)]
+    columns = [c.astype(int) if c.dtype == bool else c for c in map(np.asarray, columns)]
     dest.write(f"# relayosc {version}; {units}\n")
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(zip(*cells))
+    csv.writer(dest, lineterminator="\n").writerow(header)
+    for start in range(0, min(map(len, columns), default=0), _CSV_CHUNK):
+        cells = [repr(c[start:start + _CSV_CHUNK].tolist())[1:-1].split(", ") for c in columns]
+        dest.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _encode(obj):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -131,13 +131,16 @@ class _AffineFlow:
     e^{M j dt} - I (``_exp_powers``) on evenly spaced grids, and a Taylor
     polynomial within one node interval of a known state (``_Paths``).  The
     march of a block of starts runs on the grid j h: the rows [C 0] e^{M j h}
-    give a block of its output values at once, and the leap e^{BLOCK M h}
-    moves to the next block.  ``grid_exp`` gives e^{M K h} at any grid point
-    from tables of e^{M j h} - I, which keep working accuracy.
+    give ``march_steps(r)`` output values of each of its r columns at once,
+    and the leap e^{M march_steps(r) h} moves to the next block.
+    ``grid_exp`` gives e^{M K h} at any grid point from tables of
+    e^{M j h} - I, which keep working accuracy.
     """
 
-    #: Samples per march block.
+    #: Base of the grid tables, and the fewest steps in a march block.
     BLOCK = 64
+    #: Output values per march block, shared among the columns still marching.
+    MARCH_WORK = 2048
 
     def __init__(self, ss: StateSpace, step: float):
         self.A = np.asarray(ss.A, dtype=float)
@@ -169,12 +172,22 @@ class _AffineFlow:
         # one table for the coefficients of e^{M d} z, of [C 0] e^{M d} z
         # and of its first two derivatives
         self._expansion = np.vstack((self._taylor.reshape(-1, n + 1), ck, dk, d2k))
-        # grid exponentials less the identity, level i holding
+        self._eye = np.eye(n + 1)
+        # e^{M j h} - I for j = 0..4 BLOCK; its first BLOCK + 1 entries are
+        # level 0 of the grid exponentials, level i holding
         # e^{M d BLOCK^i h} - I for d = 0..BLOCK (levels added on demand)
-        self._grid = [_exp_powers(np.eye(n + 1), self._less_identity(step), self.BLOCK + 1)]
-        # march: rows [C 0] e^{M j h}, j = 1..BLOCK, and the leap e^{BLOCK M h}
-        self._rows = self._c + self._c @ self._grid[0][1:]
-        self._leap = np.eye(n + 1) + self._grid[0][self.BLOCK]
+        steps = _exp_powers(self._eye, self._less_identity(step), 4 * self.BLOCK + 1)
+        self._grid = [steps[: self.BLOCK + 1].copy()]
+        # march: rows [C 0] e^{M j h}, j = 1..4 BLOCK, and the leaps
+        # e^{M j h} of the block lengths j that march_steps gives
+        self._rows = self._c + self._c @ steps[1:]
+        self._leaps = {j: self._eye + steps[j] for j in
+                       map(self.march_steps, range(1, self.MARCH_WORK // self.BLOCK + 1))}
+
+    def march_steps(self, columns: int) -> int:
+        """Grid steps of a march block of ``columns`` starts: MARCH_WORK
+        values shared among them, between BLOCK and 4 BLOCK steps."""
+        return min(max(self.MARCH_WORK // columns, self.BLOCK), 4 * self.BLOCK)
 
     def _less_identity(self, dt, halvings: int | None = None) -> np.ndarray:
         """e^{M dt} - I for a scalar dt, or one per entry of an array dt (each
@@ -220,13 +233,12 @@ class _AffineFlow:
         level = 1
         while np.count_nonzero(K):
             if level == len(self._grid):
-                self._grid.append(_exp_powers(np.eye(self.n + 1), self._grid[-1][-1],
-                                              self.BLOCK + 1))
+                self._grid.append(_exp_powers(self._eye, self._grid[-1][-1], self.BLOCK + 1))
             K, d = np.divmod(K, self.BLOCK)
             Dl = self._grid[level][d]
             D = D + Dl + D @ Dl
             level += 1
-        return np.eye(self.n + 1) + D
+        return self._eye + D
 
     def lift(self, xi: np.ndarray, s: int) -> np.ndarray:
         """Augmented state [s xi; 1], of each row for a block of states."""
@@ -444,12 +456,13 @@ class RelaySystem:
             march |= ~wrong & ((f0 < -PLANE_TOL * scale)
                                | (s * flow.output_speed(X, s) >= -GRAZE_TOL))
         K, f_lo, found = self._brackets(Z, f0, march)
-        status = np.where(found, EXITED, QUIESCENT)
-        if wrong is not None:
-            status[wrong] = WRONG_SIDE
+        exited = found if wrong is None else found & ~wrong
+        status = np.zeros(len(f0), dtype=int)      # EXITED
         rows = slice(None)
-        exited = status == EXITED
         if not _all(exited):
+            status[~found] = QUIESCENT
+            if wrong is not None:
+                status[wrong] = WRONG_SIDE
             rows = exited.nonzero()[0]
             Z, K, f_lo = Z[rows], K[rows], f_lo[rows]
         lo = self.step_hint * K
@@ -471,7 +484,11 @@ class RelaySystem:
         the grid t = j h, j = 1, 2, ..., for the rows z of Z marked
         ``march``, from their values f0 at t = 0: (K, f(K h), found), where
         ``found`` is false on the rows without a crossing before the
-        horizon, and K = 0, f = f0 on the unmarked rows."""
+        horizon, and K = 0, f = f0 on the unmarked rows.  Each block takes
+        ``flow.march_steps(r)`` grid steps of the r rows still marching, so
+        a lone row marches 4 BLOCK steps at a time and a block of hundreds
+        BLOCK; K depends only on the signs of the values against 0 and
+        F_TOL, not on the block lengths."""
         K = np.zeros(len(f0), dtype=int)
         f_lo = f0.copy()
         found = ~march
@@ -486,7 +503,7 @@ class RelaySystem:
         at_once = prev >= -F_TOL
         j = 0
         while j < last:
-            count = min(flow.BLOCK, last - j)
+            count = min(flow.march_steps(len(rows)), last - j)
             vals = flow._rows[:count] @ Zt
             # the block's least value, or its first nan
             if lifting or not vals.flat[vals.argmin()] > 0.0:
@@ -515,7 +532,8 @@ class RelaySystem:
                     armed, at_once = armed[keep], at_once[keep]
             prev = vals[-1]
             j += count
-            Zt = flow._leap @ Zt
+            if j < last:
+                Zt = flow._leaps[count] @ Zt
         return K, f_lo, found
 
     def _refine(self, paths: _Paths, lo: np.ndarray, hi: np.ndarray,
@@ -623,9 +641,10 @@ class RelaySystem:
         plane (possible only when C B > 0).  When both fields depart (the
         repelling strip |x_{n-1}| < |C B|), +1 is chosen deterministically.
         """
-        if self.flow.output_speed(x, +1) >= 0.0:     # y' under relay output +1
+        cax = self.flow.output_speed(x, 0)           # C A x
+        if cax - self.flow._CB >= 0.0:               # y' under relay output +1
             return +1
-        if self.flow.output_speed(x, -1) <= 0.0:     # y' under relay output -1
+        if cax + self.flow._CB <= 0.0:               # y' under relay output -1
             return -1
         raise SlidingError("sliding set reached: both vector fields point "
                            "at the switching plane")
@@ -675,10 +694,10 @@ class RelaySystem:
 
         while t < t_end and len(traj.events) < max_switches:
             remaining = t_end - t
-            try:
-                tau, x_land, ev = self.exit_event(x, sign)
-            except NoCrossingError:
-                tau, x_land, ev = np.inf, None, None
+            exits = self.exit_events(x, sign)
+            if exits.status[0] == WRONG_SIDE:
+                raise exits.error(0)
+            tau = float(exits.tau[0]) if exits.status[0] == EXITED else math.inf
 
             if departing and tau < min(self.step_hint, remaining):
                 traj.certified = False
@@ -698,9 +717,10 @@ class RelaySystem:
                 break
 
             t += tau
-            x = x_land
-            traj.events.append(replace(ev, t=t))
-            if ev.grazing_flag:
+            x = exits.x[0]
+            speed = float(exits.speed[0])
+            traj.events.append(SwitchEvent(t, x, sign, speed, abs(speed) <= GRAZE_TOL))
+            if traj.events[-1].grazing_flag:
                 traj.certified = False
             try:
                 sign = self._select_sign_on_plane(x)

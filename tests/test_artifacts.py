@@ -1,9 +1,11 @@
+import csv
 import io
 import json
 
 import numpy as np
 import pytest
 
+from relayosc import artifacts
 from relayosc.artifacts import dumps, write_csv
 
 
@@ -26,6 +28,29 @@ class TestWriteCsv:
 
     def test_empty_columns_write_the_header_only(self):
         assert _csv(["a", "b"], [[], np.array([], dtype=int)]) == "# relayosc t; units\na,b\n"
+
+    @staticmethod
+    def _oracle(header, columns):
+        """The artifact as csv.writer writes the columns' Python values."""
+        buf = io.StringIO()
+        buf.write("# relayosc t; units\n")
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(zip(*((c.astype(int) if c.dtype == bool else c).tolist()
+                          for c in map(np.asarray, columns))))
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("rows", [0, 1, 3, artifacts._CSV_CHUNK, 2 * artifacts._CSV_CHUNK + 5])
+    def test_bytes_match_csv_writer(self, rows):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -1e300]
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+        floats[: len(special)] = special[:rows]
+        columns = [range(rows), floats, rng.random(rows) < 0.5,
+                   rng.integers(-10**12, 10**12, rows), np.full(rows, -1.0),
+                   [float(v) for v in floats[::-1]]]
+        header = ["i", "x, quoted", "flag", "n", "u", "y"]
+        assert _csv(header, columns) == self._oracle(header, columns)
 
 
 class TestDumps:

@@ -136,6 +136,19 @@ class TestArtifacts:
         lines = out.read_text().splitlines()
         assert lines[1] == "t,x_1,x_2,u,y"
 
+    @pytest.mark.parametrize("t_end, dense_dt, rows", [
+        (1.0, 0.3, 5), (1.0, 5.0, 2), (0.9, 0.3, 4), (1.0, 0.25, 5), (1.2, 0.25, 6)])
+    def test_sfs_sim_ends_at_t_end(self, runner, t_end, dense_dt, rows):
+        # t_end less than dense_dt / 2 past a grid point, or a roundoff
+        # short of one (3 * 0.3 < 0.9), or past one by more
+        res = invoke(runner, ["sfs-sim", "--num", "1,-1", "--den", "6,5,1",
+                              "--gamma", "1e3", "--x0", "0.1,0.1", "--t-end", str(t_end),
+                              "--dense-dt", str(dense_dt)])
+        assert res.exit_code == 0
+        t = [float(line.split(",")[0]) for line in res.output.splitlines()[2:]]
+        assert len(t) == rows and t[0] == 0.0 and t[-1] == t_end
+        assert all(b - a >= 0.1 * dense_dt for a, b in zip(t, t[1:]))
+
     def test_monodromy(self, runner):
         res = invoke(runner, ["monodromy", "--num", "1,-1", "--den", "6,5,1",
                               "--gamma", "100"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -259,6 +260,38 @@ class TestSimulate:
         fs = traj.final_state
         assert fs.t == traj.events[-1].t and np.array_equal(fs.x, traj.events[-1].x)
         assert fs.t == pytest.approx(13.671, abs=1e-3)
+
+    @pytest.mark.parametrize("name, x0", [
+        ("second_order", [0.4, 0.2]), ("third_order", [0.1, -0.3, -0.2]),
+        ("third_order_brl", [0.3, 0.1, 0.2]), ("origin", [0.2, 0.1, 0.05]),
+        ("sliding", [-1.0, 3.0])])
+    def test_events_are_the_exit_event_chain(self, name, x0, request):
+        # each event is the exit_event of the previous landing state, at its
+        # absolute time, under the sign both fields' output speeds select
+        ss = (realize(parse_plant([1, 1], [6, 5])) if name == "sliding"
+              else named_plant(name, request))
+        sys_ = RelaySystem(ss)
+        traj, sliding = sys_.simulate(np.array(x0), 1e6, max_switches=40)
+        x, t = np.array(x0), 0.0
+        sign = +1 if ss.C @ x > 0 else -1
+        for ev in traj.events:
+            tau, x, want = sys_.exit_event(x, sign)
+            t += tau
+            assert (ev.t, ev.incoming_sign, ev.transversal_speed, ev.grazing_flag) == (
+                t, sign, want.transversal_speed, want.grazing_flag)
+            assert np.array_equal(ev.x, x)
+            if sys_.flow.output_speed(x, +1) >= 0.0:
+                sign = +1
+            elif sys_.flow.output_speed(x, -1) <= 0.0:
+                sign = -1
+            else:
+                sign = None             # both fields aim at the plane
+        assert -1 in {ev.incoming_sign for ev in traj.events[1:]}   # selected on the plane
+        assert sliding.entered_sliding == (sign is None) == (name == "sliding")
+        if sliding.entered_sliding:
+            assert sliding.entry_time == t and np.array_equal(sliding.entry_state, x)
+        else:
+            assert len(traj.events) == 40
 
     def test_grazing_flag_in_events(self, second_order):
         _, ss = second_order
@@ -527,17 +560,26 @@ class TestBatchedExits:
             assert np.linalg.norm(x_land - want) <= 1e-13 * (1 + np.linalg.norm(want))
 
     def test_block_matches_one_row_calls(self, request):
-        for name in TestOneKernel.PLANTS:
+        # bit for bit, although a one-row call marches longer blocks than a
+        # block of hundreds: seeded starts and negated landing states (on
+        # the plane, exiting at once or lifting off first)
+        for name, sign in itertools.product(TestOneKernel.PLANTS, (+1, -1)):
             ss = named_plant(name, request)
             sys_ = RelaySystem(ss)
-            for sign in (+1, -1):
-                X = _starts(ss, sign, 50, 12)
-                ex = sys_.exit_events(X, sign)
-                for x, tau, x_land, speed in zip(X, ex.tau, ex.x, ex.speed):
+            X = _starts(ss, sign, 175, 12)
+            X = np.vstack((X, -sys_.exit_events(X, sign).x))
+            ex = sys_.exit_events(X, sign)
+            assert np.count_nonzero(ex.status == rd.EXITED) > len(X) // 2
+            for i, x in enumerate(X):
+                one = sys_.exit_events(x, sign)
+                assert one.status[0] == ex.status[i]
+                np.testing.assert_array_equal(one.tau[0], ex.tau[i])
+                np.testing.assert_array_equal(one.x[0], ex.x[i])
+                np.testing.assert_array_equal(one.speed[0], ex.speed[i])
+                if ex.status[i] == rd.EXITED:
                     t1, x1, ev = sys_.exit_event(x, sign)
-                    assert t1 == pytest.approx(tau, rel=1e-14, abs=1e-15)
-                    assert np.linalg.norm(x1 - x_land) <= 1e-14 * (1 + np.linalg.norm(x_land))
-                    assert ev.transversal_speed == pytest.approx(speed, rel=1e-12, abs=1e-14)
+                    assert t1 == ex.tau[i] and ev.transversal_speed == ex.speed[i]
+                    assert np.array_equal(x1, ex.x[i])
 
     @pytest.mark.parametrize("name", TestOneKernel.PLANTS)
     @pytest.mark.parametrize("sign", [+1, -1])
