@@ -40,7 +40,7 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateOrbitError, NoOrbitError, ShootingError
 from .plant import StateSpace
-from .relay_dynamics import GRAZE_TOL, system_for
+from .relay_dynamics import EXITED, GRAZE_TOL, system_for
 
 #: Output-sign condition tolerance, relative to the orbit's peak output: tiny
 #: negative slack absorbs roundoff at the endpoints where the output is
@@ -52,6 +52,16 @@ SIGN_CONDITION_SLACK = -1e-9
 #: for tau up to 1000, and seeded random stable plants of order 10 to 20
 #: reach 6e-11 or more somewhere in their default scan.
 DEGENERATE_TOL = 4096 * np.finfo(float).eps
+
+#: Edge of the smooth loop's tanh layer in the argument gamma C z: the
+#: smallest round value with math.tanh(LAYER_EDGE) == 1.0 (19 gives
+#: 1 - 1.1e-16), so outside the layer the field is the relay's affine field
+#: to roundoff.
+LAYER_EDGE = 20.0
+
+#: Trivial-multiplier error above which ``monodromy_floquet`` refuses its
+#: result, the multiplier 1 being known exactly.
+TRIVIAL_MULTIPLIER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -257,18 +267,34 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
 
     Unknowns are the n-1 on-plane coordinates of the start point and the
     half-period; the residual demands z(tau) = -z(0) (odd symmetry of the
-    field makes the full period the double).  Each residual integrates the
-    variational equations along (tolerances 1e-11 relative, 1e-13 absolute),
-    so the Newton jacobian is exact: [Phi[:, :n-1] + I[:, :n-1], f(z(tau))].
-    The residual counts as converged, within 40 steps, below 1e-11 max(1,
-    |z(0)|), so the test stays above roundoff for large orbits.  Returns the
-    start point, the half-period, Phi and the trace integral over the half
-    period, and the residual norm.
+    field makes the full period the double).  Each residual carries the
+    variational equations along, so the Newton jacobian is exact:
+    [Phi[:, :n-1] + I[:, :n-1], f(z(tau))].  A half period alternates two
+    kinds of segment, starting in the tanh layer |gamma C z| < LAYER_EDGE:
+
+    - in the layer, DOP853 on [z; Phi; integral of c] (tolerances 1e-11
+      relative, 1e-13 absolute) up to a terminal event at the layer's edge;
+    - outside it, where tanh is +-1 to roundoff, the relay's affine flow
+      from the exit kernel, z and Phi <- e^{A dt} Phi from ``flow.exp(dt)``,
+      dt the time back to the edge (``exit_events`` at ``level`` =
+      LAYER_EDGE / gamma) or to tau; c and the trace integral gain below
+      2 e^{-2 LAYER_EDGE} / |y'| per edge there.
+
+    The kind alternates by segment and is never re-tested from |gamma C z|,
+    which the event leaves at the edge to roundoff on either side.  An
+    orbit that never leaves the layer takes one integration, as it did
+    before the split; the work of a crossing does not grow with gamma.  The
+    residual counts as converged, within 40 steps, below 1e-11 max(1,
+    |z(0)|), so the test stays above roundoff for large orbits.  Returns
+    the start point, the half-period, Phi and the trace integral over the
+    half period, and the residual norm.
     """
     A, B, C = ss.A, ss.B, ss.C
     BC = np.outer(B, C)
     n = ss.n
     I = np.eye(n)
+    system = system_for(ss)
+    flow, edge = system.flow, LAYER_EDGE / gamma
 
     def rhs(t, w):  # [z; Phi; integral of c], Df = A - c B C
         arg = gamma * float(C @ w[:n])
@@ -276,11 +302,33 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
         dPhi = (A - c * BC) @ w[n:-1].reshape(n, n)
         return np.concatenate([A @ w[:n] - B * math.tanh(arg), dPhi.ravel(), [c]])
 
+    def leave(t, w):  # zero on the layer's edges, rising on the way out
+        return abs(gamma * float(C @ w[:n])) - LAYER_EDGE
+
+    leave.terminal, leave.direction = True, 1.0
+
     def half(zfree, tau):
         z_init = np.append(zfree, 0.0)
-        w = numerics.integrate_adaptive(rhs, np.concatenate([z_init, I.ravel(), [0.0]]),
-                                        (0.0, tau), 1e-11, 1e-13,
-                                        dense_output=False).y[:, -1]
+        w = np.concatenate([z_init, I.ravel(), [0.0]])
+        t, inside = 0.0, True
+        while t < tau:
+            if inside:
+                sol = numerics.integrate_adaptive(rhs, w, (t, tau), 1e-11, 1e-13,
+                                                  dense_output=False, events=leave)
+                t, w = float(sol.t[-1]), sol.y[:, -1]
+            else:
+                s = 1 if C @ w[:n] > 0.0 else -1
+                exits = system.exit_events(w[:n], s, level=edge)
+                dt = tau - t
+                if exits.status[0] == EXITED and exits.tau[0] < dt:
+                    dt = float(exits.tau[0])
+                    t += dt
+                else:
+                    t = tau
+                E = flow.exp(dt)
+                w = np.concatenate([s * (E[:n] @ flow.lift(w[:n], s)),
+                                    (E[:n, :n] @ w[n:-1].reshape(n, n)).ravel(), w[-1:]])
+            inside = not inside
         return w[:n] + z_init, w
 
     zfree = np.asarray(z0, dtype=float)[:-1].copy()
@@ -323,25 +371,39 @@ def monodromy_floquet(ss: StateSpace, gamma: float,
     Locates the smooth system's symmetric periodic orbit by one Newton
     shooting solve on the variational equations (Seydel 2010) at ``gamma``,
     started from the relay orbit ``orbit_hint``, the gamma -> infinity limit
-    of the smooth orbit.  The field is odd, so its linearization along the
-    orbit repeats every half period: the monodromy is Phi_h @ Phi_h and the
-    trace integral twice its half-period value.  The report carries the
-    matrix determinant and its Liouville value, and
+    of the smooth orbit.  Each half period integrates only the tanh layer
+    and takes the exact affine flow outside it (``_shoot_half_period``), so
+    its cost does not grow with the gain.  The field is odd, so its
+    linearization along the orbit repeats every half period: the monodromy
+    is Phi_h @ Phi_h and the trace integral twice its half-period value.
+    The report carries the matrix determinant and its Liouville value, and
     ``extras["half_period_residual"]`` the converged norm of z(tau) + z(0).
+    The multiplier 1 is known exactly: a result whose
+    ``trivial_multiplier_error`` exceeds TRIVIAL_MULTIPLIER_TOL is refused.
 
     Raises
     ------
     ValueError
         ``gamma`` not in (0, inf).
     ShootingError / StiffnessError
-        Shooting divergence, or integration beyond the stiffness budget
-        (reduce the gain).
+        Shooting divergence, integration beyond the stiffness budget, or a
+        trivial multiplier off by more than TRIVIAL_MULTIPLIER_TOL (the
+        paper's plant from gamma = 1e10, where the converged residual,
+        amplified by about gamma |B| / |f| through the field's slope at the
+        start in the middle of the layer, reaches 3e-4): the gain is too
+        large for the integrator, and ``monodromy_exact`` is the limit.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     z, tau, Phi_h, trace_h, residual = _shoot_half_period(
         ss, gamma, orbit_hint.anchor, orbit_hint.half_period)
     trace_integral = 2.0 * trace_h
-    return _report(ss, Phi_h @ Phi_h, 2.0 * tau, trace_integral, {
+    report = _report(ss, Phi_h @ Phi_h, 2.0 * tau, trace_integral, {
         "gamma": gamma, "anchor": z, "half_period": tau,
         "trace_integral": trace_integral, "half_period_residual": residual})
+    if report.trivial_multiplier_error > TRIVIAL_MULTIPLIER_TOL:
+        raise ShootingError(
+            f"gain {gamma:g} too large for the integrator: trivial multiplier "
+            f"error {report.trivial_multiplier_error:.3g} exceeds "
+            f"{TRIVIAL_MULTIPLIER_TOL:g}; the relay monodromy is the limit")
+    return report

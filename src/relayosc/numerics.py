@@ -33,13 +33,16 @@ def integrate_adaptive(
     abs_tol: float = 1e-12,
     *,
     dense_output: bool = True,
+    events=None,
 ):
     """Adaptive embedded Runge-Kutta integration with dense output.
 
     Thin contract wrapper around scipy's solve_ivp (DOP853 pair, no step
-    cap).  Raises StiffnessError when the step controller gives up, which for
-    the smooth relay approximation usually means the gain is too large for
-    the requested tolerance.
+    cap).  ``events`` passes through to solve_ivp: a terminal event ends the
+    integration at its zero, which is then the solution's last point.
+    Raises StiffnessError when the step controller gives up, which for the
+    smooth relay approximation usually means the gain is too large for the
+    requested tolerance.
     """
     from scipy.integrate import solve_ivp
 
@@ -53,6 +56,7 @@ def integrate_adaptive(
         rtol=rel_tol,
         atol=abs_tol,
         dense_output=dense_output,
+        events=events,
     )
     if not sol.success and sol.status == -1:
         raise StiffnessError(

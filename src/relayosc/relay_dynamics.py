@@ -270,7 +270,7 @@ class _AffineFlow:
 
 class _Paths:
     """Trajectories of x' = A x - s B from the rows of a block of augmented
-    starts Z = [s xi; 1]; row i gives s C x(t) and s x(t) as
+    starts Z = [s xi; 1]; row i gives s C x(t) - ``level`` and s x(t) as
 
         e^{M t} z_i = e^{M t0_i} sum_k (M^k / k!) (t - t0_i)^k z_i
 
@@ -281,19 +281,22 @@ class _Paths:
     """
 
     def __init__(self, flow: _AffineFlow, Z: np.ndarray, t0: np.ndarray,
-                 node: np.ndarray):
+                 node: np.ndarray, level: float):
         self.flow = flow
         self.Z = Z
+        self.level = level
         self.t0 = np.array(t0, dtype=float)
         self.zk, self.yd = self._expand(node, Z)
 
     def _expand(self, node: np.ndarray, Z: np.ndarray):
-        """The Taylor coefficients of s x, and of s C x and its first two
-        derivatives, about the nodes' states e^{M t0} z."""
+        """The Taylor coefficients of s x, and of s C x - level and its first
+        two derivatives, about the nodes' states e^{M t0} z."""
         flow = self.flow
         coef = flow._expansion @ (node @ Z[:, :, None])
         K = len(flow._powers)
         split = K * (flow.n + 1)
+        if self.level:
+            coef[:, split] -= self.level
         return (coef[:, :split].reshape(len(Z), K, flow.n + 1),
                 coef[:, split:].reshape(len(Z), 3, K))
 
@@ -313,8 +316,8 @@ class _Paths:
         return (t - self.t0)[:, None] ** self.flow._powers
 
     def output(self, t: np.ndarray):
-        """s C x(t) and its first two time derivatives, for times within
-        the rows' node intervals."""
+        """s C x(t) - level and its first two time derivatives, for times
+        within the rows' node intervals."""
         fd = self.yd @ self._offsets(t)[:, :, None]
         return fd[:, 0, 0], fd[:, 1, 0], fd[:, 2, 0]
 
@@ -415,9 +418,9 @@ class RelaySystem:
         self._last = last
 
     # -- exit computations ---------------------------------------------------
-    def exit_events(self, X: np.ndarray, sign: int = +1) -> Exits:
+    def exit_events(self, X: np.ndarray, sign: int = +1, *, level: float = 0.0) -> Exits:
         """First exits of the starts in the rows of ``X`` (m, n) under relay
-        sign ``sign``, all at once.
+        sign ``sign``, all at once: the first zeros of s C x(t) - ``level``.
 
         Each row needs sign * C xi >= 0 (a start up to 1e-3 (1 + |xi|) past
         the plane is accepted: the analytic continuation of its crossing time
@@ -432,6 +435,12 @@ class RelaySystem:
         Taylor polynomials (``_refine``), whose last step leaves the
         residual output at roundoff level rather than at the refinement
         tolerance; this prevents drift over thousands of switches.
+
+        A nonzero ``level`` puts the plane at s C x = level, the output row
+        [C, -level] on the augmented state (the edge of the smooth loop's
+        tanh layer, in ``limit_cycle``); every test above then reads s C x -
+        level for s C x.  ``level=0`` runs no extra operation, so the relay
+        exits are unchanged bit for bit.
         """
         s = int(sign)
         if s not in (+1, -1):
@@ -446,6 +455,8 @@ class RelaySystem:
             raise ValueError("start state is not finite, or its norm overflows")
         Z = flow.lift(X, s)
         f0 = Z @ flow._c                           # s C xi
+        if level:
+            f0 = f0 - level
         march = f0 > PLANE_TOL * scale
         wrong = None
         if not _all(march):
@@ -455,7 +466,7 @@ class RelaySystem:
             wrong = f0 < -1e-3 * scale
             march |= ~wrong & ((f0 < -PLANE_TOL * scale)
                                | (s * flow.output_speed(X, s) >= -GRAZE_TOL))
-        K, f_lo, found = self._brackets(Z, f0, march)
+        K, f_lo, found = self._brackets(Z, f0, march, level)
         exited = found if wrong is None else found & ~wrong
         status = np.zeros(len(f0), dtype=int)      # EXITED
         rows = slice(None)
@@ -467,7 +478,8 @@ class RelaySystem:
             Z, K, f_lo = Z[rows], K[rows], f_lo[rows]
         lo = self.step_hint * K
         hi = self.step_hint * (K + 1)
-        paths = _Paths(flow, Z, lo, flow.grid_exp(K))   # nodes at the brackets' left ends
+        # nodes at the brackets' left ends
+        paths = _Paths(flow, Z, lo, flow.grid_exp(K), level)
         cross = f_lo > 0.0
         if not _all(cross):
             # a start that exits at once, and a bracket that is none (a start
@@ -479,9 +491,9 @@ class RelaySystem:
         x = s * paths.state(t)
         return Exits(s, self.t_max, f0, status, rows, t, x, flow.output_speed(x, s))
 
-    def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray):
-        """First brackets [K h, (K + 1) h] of a zero of [C 0] e^{M t} z on
-        the grid t = j h, j = 1, 2, ..., for the rows z of Z marked
+    def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray, level: float):
+        """First brackets [K h, (K + 1) h] of a zero of [C, -level] e^{M t} z
+        on the grid t = j h, j = 1, 2, ..., for the rows z of Z marked
         ``march``, from their values f0 at t = 0: (K, f(K h), found), where
         ``found`` is false on the rows without a crossing before the
         horizon, and K = 0, f = f0 on the unmarked rows.  Each block takes
@@ -505,6 +517,8 @@ class RelaySystem:
         while j < last:
             count = min(flow.march_steps(len(rows)), last - j)
             vals = flow._rows[:count] @ Zt
+            if level:
+                vals -= level
             # the block's least value, or its first nan
             if lifting or not vals.flat[vals.argmin()] > 0.0:
                 if not _all(np.isfinite(vals)):

@@ -203,6 +203,15 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert "gamma" in json.loads(res.stderr)["error"]
 
+    def test_gain_too_large_for_the_integrator_exits_3(self, runner):
+        # the Floquet trivial multiplier came out 0.57 off at this gain
+        res = invoke(runner, ["monodromy", "--num", "1,-1", "--den", "6,5,1",
+                              "--gamma", "1e12"])
+        assert res.exit_code == 3
+        payload = json.loads(res.stderr)
+        assert payload["schema_version"] == 1
+        assert "too large for the integrator" in payload["error"]
+
     def test_expm_overflow_exits_3(self, runner):
         res = invoke(runner, ["find-orbit", "--num", "1", "--den", "-1,1",
                               "--tau-min", "1", "--tau-max", "1000"])

@@ -9,7 +9,7 @@ from conftest import make_stable_plant, named_plant
 from relayosc import limit_cycle as lc
 from relayosc import numerics
 from relayosc import poincare as pc
-from relayosc.errors import DegenerateOrbitError, NoOrbitError
+from relayosc.errors import DegenerateOrbitError, NoOrbitError, ShootingError
 from relayosc.plant import StateSpace, parse_plant, realize
 from relayosc.relay_dynamics import RelaySystem
 
@@ -367,23 +367,66 @@ class TestMonodromyFloquet:
     @pytest.mark.parametrize("gamma", [1e3, 1e4])
     def test_one_shooting_solve_from_the_relay_orbit(self, third_order, orbit3, gamma,
                                                      monkeypatch):
-        # one solve at the requested gain: 5 and 4 integrations here
-        shots, integrations = [], []
+        # one solve at the requested gain: 5 and 4 half-period evaluations
+        # here, each starting one integration at t = 0 and one more per
+        # layer crossing; integrating the whole half period took 5,818 and
+        # 5,288 evaluations of the right-hand side
+        shots, starts, nfev = [], [], []
         shoot, integrate = lc._shoot_half_period, numerics.integrate_adaptive
 
         def counted_shoot(ss, g, z0, tau0, *args, **kwargs):
             shots.append((g, tau0))
             return shoot(ss, g, z0, tau0, *args, **kwargs)
 
-        def counted_integrate(*args, **kwargs):
-            integrations.append(1)
-            return integrate(*args, **kwargs)
+        def counted_integrate(rhs, x0, t_span, *args, **kwargs):
+            starts.append(t_span[0] == 0.0)
+            sol = integrate(rhs, x0, t_span, *args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
 
         monkeypatch.setattr(lc, "_shoot_half_period", counted_shoot)
         monkeypatch.setattr(numerics, "integrate_adaptive", counted_integrate)
         lc.monodromy_floquet(third_order[1], gamma, orbit3)
         assert shots == [(gamma, orbit3.half_period)]
-        assert len(integrations) <= 6
+        assert sum(starts) <= 6
+        assert sum(nfev) <= {1e3: 5000, 1e4: 4000}[gamma]
+
+    def test_integrates_only_the_layer(self, third_order, orbit3, monkeypatch):
+        # outside |gamma C z| < LAYER_EDGE the affine flow is exact: the
+        # integrated spans of each half-period evaluation cover a few
+        # percent of it (2.6 % at gamma = 1e3)
+        evaluations, integrate = [], numerics.integrate_adaptive
+
+        def spans(rhs, x0, t_span, *args, **kwargs):
+            sol = integrate(rhs, x0, t_span, *args, **kwargs)
+            if t_span[0] == 0.0:
+                evaluations.append([t_span[1], 0.0])
+            evaluations[-1][1] += sol.t[-1] - sol.t[0]
+            return sol
+
+        monkeypatch.setattr(numerics, "integrate_adaptive", spans)
+        lc.monodromy_floquet(third_order[1], 1e3, orbit3)
+        assert evaluations
+        for tau, integrated in evaluations:
+            assert integrated < 0.05 * tau
+
+    def test_determinant_approaches_the_relay_value(self, third_order, orbit3):
+        # at gamma = 1e8 the layer is about 4e-7 wide in time; integrating
+        # across it left the determinant 1.8e-11 off the relay value
+        _, ss = third_order
+        exact = lc.monodromy_exact(ss, orbit3)
+        flo = lc.monodromy_floquet(ss, 1e8, orbit3)
+        assert abs(flo.det - exact.det) <= 2e-12 * exact.det
+
+    @pytest.mark.parametrize("plant", [([1, -1], [6, 5]), ([1, -1, 0], [6, 5, 3])])
+    def test_gain_too_large_for_the_integrator_refused(self, plant):
+        # the converged shooting residual, amplified by about gamma through
+        # the field's slope at the start in the middle of the layer, leaves
+        # the trivial multiplier 0.57 and 5.4e-5 off
+        ss = realize(parse_plant(*plant))
+        orbit = lc.find_symmetric_orbit(ss)
+        with pytest.raises(ShootingError, match="too large for the integrator"):
+            lc.monodromy_floquet(ss, 1e12, orbit)
 
     def test_agrees_with_decade_continuation(self, third_order, orbit3):
         # the relay orbit is the gamma -> infinity limit, as good a start as

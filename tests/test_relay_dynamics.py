@@ -524,6 +524,37 @@ def _starts(ss, sign, count, seed):
     return X
 
 
+def _ref_level_exits(ss, s, X, level, dt, t_end):
+    """First zero of s C x(t) - level from each row of X: the first sign
+    change on a grid of step dt up to t_end (powers of scipy's expm of
+    [[A, -s B], [0, 0]] dt), then bisection on [C 0] e^{M t} z - level to
+    roundoff.  A start on the level must first rise above it."""
+    n = ss.n
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = ss.A
+    M[:n, n] = -s * ss.B
+    E = scipy.linalg.expm(M * dt)
+    out = []
+    for x in X:
+        z = np.append(x, 1.0)
+        f = lambda t: s * float(ss.C @ (scipy.linalg.expm(M * t) @ z)[:n]) - level
+        risen, w = f(0.0) > 1e-9, z
+        for j in range(1, int(np.ceil(t_end / dt)) + 1):
+            w = E @ w
+            if s * float(ss.C @ w[:n]) - level > 0.0:
+                risen = True
+            elif risen:
+                break
+        else:
+            raise AssertionError("no reference crossing before t_end")
+        lo, hi = (j - 1) * dt, j * dt
+        while hi - lo > 2 * np.finfo(float).eps * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+        out.append(0.5 * (lo + hi))
+    return np.array(out)
+
+
 class TestBatchedExits:
     """RelaySystem.exit_events on blocks of starts: the batched march,
     node exponentials from the grid tables and Newton refinement against an
@@ -558,6 +589,34 @@ class TestBatchedExits:
         for x, tau, x_land in zip(X, ref, ex.x):
             want = _ref_state(ss, sign, x, tau)
             assert np.linalg.norm(x_land - want) <= 1e-13 * (1 + np.linalg.norm(want))
+
+    @pytest.mark.parametrize("name", TestOneKernel.PLANTS)
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_level_exits_match_reference(self, name, sign, request):
+        # first returns to the plane s C x = level: seeded starts above it,
+        # and starts on it that leave it outward (the tanh layer's edge)
+        ss = named_plant(name, request)
+        sys_ = RelaySystem(ss)
+        level = 0.05
+        X = _starts(ss, sign, 12, 21)
+        on = X.copy()
+        on[:, -1] = sign * level                   # C x = x_n
+        on = on[sign * sys_.flow.output_speed(on, sign) > 0.1]
+        assert len(on) >= 2
+        X = np.vstack((X, on))
+        ex = sys_.exit_events(X, sign, level=level)
+        assert np.all(ex.status == rd.EXITED)
+        ref = _ref_level_exits(ss, sign, X, level, sys_.step_hint / 4,
+                               ex.tau.max() + sys_.step_hint)
+        assert np.abs(ex.tau - ref).max() <= 1e-12 * max(1.0, ref.max())
+        assert np.abs(sign * ex.x @ ss.C - level).max() <= 1e-12
+        for x, tau, x_land in zip(X, ref, ex.x):
+            want = _ref_state(ss, sign, x, tau)
+            assert np.linalg.norm(x_land - want) <= 1e-12 * (1 + np.linalg.norm(want))
+        zero = sys_.exit_events(X, sign, level=0.0)
+        plain = sys_.exit_events(X, sign)
+        for got, want in ((zero.tau, plain.tau), (zero.x, plain.x), (zero.status, plain.status)):
+            np.testing.assert_array_equal(got, want)
 
     def test_block_matches_one_row_calls(self, request):
         # bit for bit, although a one-row call marches longer blocks than a
