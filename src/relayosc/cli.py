@@ -218,7 +218,7 @@ def cmd_find_orbit(tf, ss, tau_min, tau_max, out, orbit_csv):
     if orbit_csv is not None:
         ts = np.linspace(0.0, orbit.period, 2001)
         # the second half repeats the first with the sign flipped
-        half = relay_dynamics.system_for(ss).flow.grid(orbit.anchor, +1, ts[1], 1001)
+        half = relay_dynamics.system_for(ss).grid(orbit.anchor, +1, ts[1], 1001)
         first = ts <= orbit.half_period
         j = np.arange(2001)
         xs = np.where(first[:, None], half[np.minimum(j, 1000)], -half[j - 1000])

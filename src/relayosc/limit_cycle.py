@@ -99,13 +99,13 @@ def _orbit_function(ss: StateSpace):
     """g(tau), whose positive roots are symmetric-orbit half-periods, and the
     candidate X(tau) it is the output of; both take a scalar tau, or an
     array of tau for one value or row per entry (equal to the scalar calls
-    bit for bit), from the relay flow's ``exp``."""
-    flow = system_for(ss).flow
+    bit for bit), from ``RelaySystem.exp``."""
+    system = system_for(ss)
     n = ss.n
     I = np.eye(n)
 
     def X(tau):
-        EF = flow.exp(tau)[..., :n, :]
+        EF = system.exp(tau)[..., :n, :]
         return np.linalg.solve(EF[..., :n] + I, -EF[..., n:])[..., 0]
 
     def g(tau):
@@ -181,17 +181,17 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
                            "root in the scanned range")
 
     candidates = []
-    flow = system_for(ss).flow
+    system = system_for(ss)
     for tau in roots:
         anchor = X(tau)
         anchor[-1] = 0.0  # C anchor = g(tau) = 0 at the root
         # output along the positive half on an evenly spaced grid
-        ys = flow.grid(anchor, +1, tau / 9999, 10_000) @ ss.C
+        ys = system.grid(anchor, +1, tau / 9999, 10_000) @ ss.C
         peak = float(np.max(np.abs(ys)))
         valid = bool(np.min(ys) >= SIGN_CONDITION_SLACK * peak)
         # one-sided output speeds at t = tau, at -anchor with incoming sign
         # +1; the switch at t = 2 tau, at +anchor, has their negation
-        before, after = (float(flow.output_speed(-anchor, s)) for s in (+1, -1))
+        before, after = (float(system.output_speed(-anchor, s)) for s in (+1, -1))
         candidates.append(OrbitCandidate(
             half_period=float(tau), anchor=anchor,
             is_symmetric_unimodal=valid, period=2.0 * float(tau),
@@ -258,7 +258,7 @@ def monodromy_exact(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
     satisfies as an algebraic identity.
     """
     mu = _switch_jump_integral(*orbit.output_speeds[0], float(ss.B[-1]))
-    half = _jump_factor(ss, mu) @ system_for(ss).flow.exp(orbit.half_period)[:ss.n, :ss.n]
+    half = _jump_factor(ss, mu) @ system_for(ss).exp(orbit.half_period)[:ss.n, :ss.n]
     return _report(ss, half @ half, orbit.period, 2.0 * mu, {"jump_integrals": [mu, mu]})
 
 
@@ -275,10 +275,10 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
     - in the layer, DOP853 on [z; Phi; integral of c] (tolerances 1e-11
       relative, 1e-13 absolute) up to a terminal event at the layer's edge;
     - outside it, where tanh is +-1 to roundoff, the relay's affine flow
-      from the exit kernel, z and Phi <- e^{A dt} Phi from ``flow.exp(dt)``,
-      dt the time back to the edge (``exit_events`` at ``level`` =
-      LAYER_EDGE / gamma) or to tau; c and the trace integral gain below
-      2 e^{-2 LAYER_EDGE} / |y'| per edge there.
+      from the exit kernel, z and Phi <- e^{A dt} Phi from
+      ``RelaySystem.exp(dt)``, dt the time back to the edge (``exit_events``
+      at ``level`` = LAYER_EDGE / gamma) or to tau; c and the trace integral
+      gain below 2 e^{-2 LAYER_EDGE} / |y'| per edge there.
 
     The kind alternates by segment and is never re-tested from |gamma C z|,
     which the event leaves at the edge to roundoff on either side.  An
@@ -294,7 +294,7 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
     n = ss.n
     I = np.eye(n)
     system = system_for(ss)
-    flow, edge = system.flow, LAYER_EDGE / gamma
+    edge = LAYER_EDGE / gamma
 
     def rhs(t, w):  # [z; Phi; integral of c], Df = A - c B C
         arg = gamma * float(C @ w[:n])
@@ -325,8 +325,8 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
                     t += dt
                 else:
                     t = tau
-                E = flow.exp(dt)
-                w = np.concatenate([s * (E[:n] @ flow.lift(w[:n], s)),
+                E = system.exp(dt)
+                w = np.concatenate([s * (E[:n] @ system.lift(w[:n], s)),
                                     (E[:n, :n] @ w[n:-1].reshape(n, n)).ravel(), w[-1:]])
             inside = not inside
         return w[:n] + z_init, w

@@ -35,7 +35,8 @@ def integrate_adaptive(
     dense_output: bool = True,
     events=None,
 ):
-    """Adaptive embedded Runge-Kutta integration with dense output.
+    """Adaptive embedded Runge-Kutta integration, with dense output unless
+    ``dense_output`` is false.
 
     Thin contract wrapper around scipy's solve_ivp (DOP853 pair, no step
     cap).  ``events`` passes through to solve_ivp: a terminal event ends the

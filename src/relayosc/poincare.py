@@ -92,7 +92,7 @@ def _chain(ss: StateSpace, sys_: RelaySystem, X: np.ndarray, k: int):
         landing = exits.x[ok]
         U = (ss.A @ landing[:, :, None])[:, :, 0] - ss.B         # fields at the crossings
         V = (ss.A @ points[-1][:, :, None])[:, :, 0] - ss.B      # fields at the starts
-        E = sys_.flow.exp(exits.tau[ok])[:, :ss.n, :ss.n]
+        E = sys_.exp(exits.tau[ok])[:, :ss.n, :ss.n]
         astrom = (I - U[:, :, None] * ss.C / exits.speed[ok][:, None, None]) @ E
         exact = astrom @ (I - V[:, :, None] * V[:, None, :]
                           / np.einsum("ij,ij->i", V, V)[:, None, None])

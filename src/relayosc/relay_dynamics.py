@@ -120,21 +120,144 @@ def _taylor_degree(theta: float) -> int:
     return k
 
 
-class _AffineFlow:
-    """Closed-form flow of x' = A x - s B through one augmented exponential.
+class _Paths:
+    """Trajectories of x' = A x - s B from the rows of a block of augmented
+    starts Z = [s xi; 1]; row i gives s C x(t) - ``level`` and s x(t) as
+
+        e^{M t} z_i = e^{M t0_i} sum_k (M^k / k!) (t - t0_i)^k z_i
+
+    about a node t0_i of its own, a multiple of the node step, from the
+    node's exponential e^{M t0_i} (``node``).  A row gets a new node only
+    when its time leaves the node interval, and its exponential from
+    ``RelaySystem.exp``.
+    """
+
+    def __init__(self, system: RelaySystem, Z: np.ndarray, t0: np.ndarray,
+                 node: np.ndarray, level: float):
+        self.system = system
+        self.Z = Z
+        self.level = level
+        self.t0 = np.array(t0, dtype=float)
+        self.zk, self.yd = self._expand(node, Z)
+
+    def _expand(self, node: np.ndarray, Z: np.ndarray):
+        """The Taylor coefficients of s x, and of s C x - level and its first
+        two derivatives, about the nodes' states e^{M t0} z."""
+        system = self.system
+        coef = system._expansion @ (node @ Z[:, :, None])
+        K = len(system._powers)
+        split = K * (system.n + 1)
+        if self.level:
+            coef[:, split] -= self.level
+        return (coef[:, :split].reshape(len(Z), K, system.n + 1),
+                coef[:, split:].reshape(len(Z), 3, K))
+
+    def follow(self, t: np.ndarray) -> None:
+        """Move the rows whose times t left their node intervals to the
+        nodes of those times."""
+        h = self.system.node_step
+        off = np.abs(t - self.t0 - 0.5 * h) > 0.625 * h
+        if np.count_nonzero(off):
+            away = off.nonzero()[0]
+            self.t0[away] = np.floor(t[away] / h + 1e-6) * h
+            self.zk[away], self.yd[away] = self._expand(self.system.exp(self.t0[away]),
+                                                        self.Z[away])
+
+    def _offsets(self, t: np.ndarray) -> np.ndarray:
+        """Powers (t - t0)^k of the node offsets."""
+        return (t - self.t0)[:, None] ** self.system._powers
+
+    def output(self, t: np.ndarray):
+        """s C x(t) - level and its first two time derivatives, for times
+        within the rows' node intervals."""
+        fd = self.yd @ self._offsets(t)[:, :, None]
+        return fd[:, 0, 0], fd[:, 1, 0], fd[:, 2, 0]
+
+    def state(self, t: np.ndarray) -> np.ndarray:
+        """s x(t), for times within the rows' node intervals."""
+        return (self._offsets(t)[:, None, :] @ self.zk)[:, 0, : self.system.n]
+
+
+#: Outcome of one row of ``RelaySystem.exit_events``: the output crossed
+#: zero (a start leaving the sign region at once exits at tau = 0), it did
+#: not cross before the horizon, or the start is on the wrong side of the
+#: plane for the relay sign.
+EXITED, QUIESCENT, WRONG_SIDE = 0, 1, 2
+
+#: Output level that a march started within it must first rise above.
+F_TOL = 1e-12
+
+
+class Exits:
+    """First exits of a block of starts under one relay sign, one row each.
+
+    ``tau``, ``x`` and ``speed`` hold the exit time, the landing state on the
+    plane and the transversal speed C (A x - s B) there, and are nan on the
+    rows whose ``status`` is not EXITED.  ``error(i)`` is the exception a
+    one-row call raises for row i.  The flow at the exit times is
+    ``RelaySystem.exp(tau)``.
+    """
+
+    def __init__(self, sign, horizon, f0, status, rows, tau, x, speed):
+        self.sign = sign
+        self.horizon = horizon
+        self._f0 = f0                              # s C xi
+        self.status = status
+        self.tau, self.x, self.speed = tau, x, speed
+        if len(tau) < len(status):
+            m = len(status)
+            self.tau = np.full(m, np.nan)
+            self.x = np.full((m, x.shape[1]), np.nan)
+            self.speed = np.full(m, np.nan)
+            self.tau[rows], self.x[rows], self.speed[rows] = tau, x, speed
+
+    def error(self, i: int) -> Exception | None:
+        """The error a one-row call raises for row ``i``; None if it exits."""
+        if self.status[i] == WRONG_SIDE:
+            return InvalidStartError(f"start output {self.sign * self._f0[i]:g} is on "
+                                     f"the wrong side for sign {self.sign:+d}")
+        if self.status[i] == QUIESCENT:
+            return NoCrossingError(
+                f"quiescent: output does not cross zero within {self.horizon:g} "
+                "time units (plant is not restless from this state)")
+        return None
+
+
+class RelaySystem:
+    """Relay feedback loop around a realized plant: the closed-form flow of
+    x' = A x - s B under either relay sign, and its first exits.
 
     z = [s x; 1] evolves under M = [[A, -B], [0, 0]] for either sign (odd
     symmetry: x(t; xi, -1) = -x(t; -xi, +1)); no formula needs A^{-1} or
     eigenvectors, so a pole at the origin is no special case (Van Loan,
-    IEEE TAC 1978).  Every e^{M t} is made from one Taylor table of M^k / k!
-    within a node interval: ``exp`` at given times, the differences
-    e^{M j dt} - I (``_exp_powers``) on evenly spaced grids, and a Taylor
-    polynomial within one node interval of a known state (``_Paths``).  The
-    march of a block of starts runs on the grid j h: the rows [C 0] e^{M j h}
-    give ``march_steps(r)`` output values of each of its r columns at once,
-    and the leap e^{M march_steps(r) h} moves to the next block.
-    ``grid_exp`` gives e^{M K h} at any grid point from tables of
-    e^{M j h} - I, which keep working accuracy.
+    IEEE TAC 1978).  Construction builds one Taylor table of M^k / k! within
+    a node interval, and every e^{M t} is made from it: ``exp`` at given
+    times, the differences e^{M j dt} - I (``_exp_powers``) on evenly spaced
+    grids, and a Taylor polynomial within one node interval of a known state
+    (``_Paths``).  The march of a block of starts runs on the grid j h,
+    h = ``step_hint``: the rows [C 0] e^{M j h} give ``march_steps(r)``
+    output values of each of its r columns at once, and the leap
+    e^{M march_steps(r) h} moves to the next block.  ``grid_exp`` gives
+    e^{M K h} at any grid point from tables of e^{M j h} - I, which keep
+    working accuracy.  A block of exits thus needs no matrix exponential of
+    its own: the Newton refinement and the landing states use Taylor
+    expansions about the brackets' left ends, whose exponentials come from
+    the tables.  Every exit and simulation of the system uses its horizon
+    and march step, each finite and positive (else ValueError).
+
+    Parameters
+    ----------
+    ss : StateSpace
+        Observer-canonical realization of the plant.
+    step_hint : float, optional
+        Marching step for crossing detection; the default is t_max / 1e4.
+        For a relative-degree-one plant the minimum inter-switch bound of
+        ``bounds.bounds_report`` would be a valid march step, but no caller
+        passes it yet.
+    t_max : float, optional
+        Search horizon for exit times; defaults to 50 slow time constants
+        (50 / min |Re eigenvalue|) for a stable plant, which the finiteness
+        of exit times makes a generous certificate horizon.
     """
 
     #: Base of the grid tables, and the fewest steps in a march block.
@@ -142,21 +265,30 @@ class _AffineFlow:
     #: Output values per march block, shared among the columns still marching.
     MARCH_WORK = 2048
 
-    def __init__(self, ss: StateSpace, step: float):
-        self.A = np.asarray(ss.A, dtype=float)
-        self.B = np.asarray(ss.B, dtype=float)
+    def __init__(self, ss: StateSpace, *, step_hint: float | None = None,
+                 t_max: float | None = None):
+        self.ss = ss
+        if t_max is None:
+            lam = np.linalg.eigvals(ss.A)
+            t_max = 50.0 / min(abs(lam.real)) if lam.real.max() < 0.0 else 100.0
+        self.t_max = float(t_max)
+        self.step_hint = step = float(step_hint) if step_hint is not None else self.t_max / 1e4
+        for name, value in (("t_max", self.t_max), ("step_hint", self.step_hint)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        A, B = (np.asarray(v, dtype=float) for v in (ss.A, ss.B))
         self.C = np.asarray(ss.C, dtype=float)
-        self.n = n = self.A.shape[0]
+        self.n = n = A.shape[0]
         self.M = np.zeros((n + 1, n + 1))
-        self.M[:n, :n] = self.A
-        self.M[:n, n] = -self.B
+        self.M[:n, :n] = A
+        self.M[:n, n] = -B
         self._c = np.append(self.C, 0.0)
-        self._CA, self._CB = self.C @ self.A, float(self.C @ self.B)
+        self._CA, self._CB = self.C @ A, float(self.C @ B)
         # Taylor nodes: ||M d|| <= 1 in the balanced norm on each interval
         Mb, _ = scipy.linalg.matrix_balance(self.M, permute=False, separate=True)
         theta = float(np.linalg.norm(Mb, 1)) * step
         nodes = max(1, math.ceil(theta))
-        self.step, self.node_step = step, step / nodes
+        self.node_step = step / nodes
         self._halvings = math.ceil(math.log2(nodes))    # from h to a node interval
         terms = [np.eye(n + 1)]
         for k in range(1, max(3, _taylor_degree(1.125 * theta / nodes)) + 1):
@@ -183,7 +315,15 @@ class _AffineFlow:
         self._rows = self._c + self._c @ steps[1:]
         self._leaps = {j: self._eye + steps[j] for j in
                        map(self.march_steps, range(1, self.MARCH_WORK // self.BLOCK + 1))}
+        # the march's last grid point: the last j with j h <= t_max
+        last = int(self.t_max // self.step_hint)
+        while self.step_hint * (last + 1) <= self.t_max:
+            last += 1
+        while last > 0 and self.step_hint * last > self.t_max:
+            last -= 1
+        self._last = last
 
+    # -- the flow -------------------------------------------------------------
     def march_steps(self, columns: int) -> int:
         """Grid steps of a march block of ``columns`` starts: MARCH_WORK
         values shared among them, between BLOCK and 4 BLOCK steps."""
@@ -214,12 +354,12 @@ class _AffineFlow:
         roundoff) takes K = 0.  Raises OverflowError when the result
         overflows double precision, and ValueError on any other t."""
         t = np.asarray(t, dtype=float)
-        K = np.fmax(np.floor(t / self.step), 0.0)
+        K = np.fmax(np.floor(t / self.step_hint), 0.0)
         if not _all((t >= -self.node_step) & (K < 2.0**53)):
             raise ValueError("exp needs a finite t >= 0 below 2^53 march steps")
         with np.errstate(over="ignore", invalid="ignore"):
             E = self.grid_exp(K.astype(int))
-            D = self._less_identity(t - K * self.step, self._halvings)
+            D = self._less_identity(t - K * self.step_hint, self._halvings)
             E = E + E @ D
             if not _all(np.isfinite(E)):
                 raise OverflowError("matrix exponential overflow: ||M t|| too large")
@@ -267,156 +407,6 @@ class _AffineFlow:
         x = np.asarray(x, dtype=float)
         return (x[..., None, :] @ self._CA[:, None])[..., 0, 0] - s * self._CB
 
-
-class _Paths:
-    """Trajectories of x' = A x - s B from the rows of a block of augmented
-    starts Z = [s xi; 1]; row i gives s C x(t) - ``level`` and s x(t) as
-
-        e^{M t} z_i = e^{M t0_i} sum_k (M^k / k!) (t - t0_i)^k z_i
-
-    about a node t0_i of its own, a multiple of the node step, from the
-    node's exponential e^{M t0_i} (``node``).  A row gets a new node only
-    when its time leaves the node interval, and its exponential from
-    ``_AffineFlow.exp``.
-    """
-
-    def __init__(self, flow: _AffineFlow, Z: np.ndarray, t0: np.ndarray,
-                 node: np.ndarray, level: float):
-        self.flow = flow
-        self.Z = Z
-        self.level = level
-        self.t0 = np.array(t0, dtype=float)
-        self.zk, self.yd = self._expand(node, Z)
-
-    def _expand(self, node: np.ndarray, Z: np.ndarray):
-        """The Taylor coefficients of s x, and of s C x - level and its first
-        two derivatives, about the nodes' states e^{M t0} z."""
-        flow = self.flow
-        coef = flow._expansion @ (node @ Z[:, :, None])
-        K = len(flow._powers)
-        split = K * (flow.n + 1)
-        if self.level:
-            coef[:, split] -= self.level
-        return (coef[:, :split].reshape(len(Z), K, flow.n + 1),
-                coef[:, split:].reshape(len(Z), 3, K))
-
-    def follow(self, t: np.ndarray) -> None:
-        """Move the rows whose times t left their node intervals to the
-        nodes of those times."""
-        h = self.flow.node_step
-        off = np.abs(t - self.t0 - 0.5 * h) > 0.625 * h
-        if np.count_nonzero(off):
-            away = off.nonzero()[0]
-            self.t0[away] = np.floor(t[away] / h + 1e-6) * h
-            self.zk[away], self.yd[away] = self._expand(self.flow.exp(self.t0[away]),
-                                                        self.Z[away])
-
-    def _offsets(self, t: np.ndarray) -> np.ndarray:
-        """Powers (t - t0)^k of the node offsets."""
-        return (t - self.t0)[:, None] ** self.flow._powers
-
-    def output(self, t: np.ndarray):
-        """s C x(t) - level and its first two time derivatives, for times
-        within the rows' node intervals."""
-        fd = self.yd @ self._offsets(t)[:, :, None]
-        return fd[:, 0, 0], fd[:, 1, 0], fd[:, 2, 0]
-
-    def state(self, t: np.ndarray) -> np.ndarray:
-        """s x(t), for times within the rows' node intervals."""
-        return (self._offsets(t)[:, None, :] @ self.zk)[:, 0, : self.flow.n]
-
-
-#: Outcome of one row of ``RelaySystem.exit_events``: the output crossed
-#: zero (a start leaving the sign region at once exits at tau = 0), it did
-#: not cross before the horizon, or the start is on the wrong side of the
-#: plane for the relay sign.
-EXITED, QUIESCENT, WRONG_SIDE = 0, 1, 2
-
-#: Output level that a march started within it must first rise above.
-F_TOL = 1e-12
-
-
-class Exits:
-    """First exits of a block of starts under one relay sign, one row each.
-
-    ``tau``, ``x`` and ``speed`` hold the exit time, the landing state on the
-    plane and the transversal speed C (A x - s B) there, and are nan on the
-    rows whose ``status`` is not EXITED.  ``error(i)`` is the exception a
-    one-row call raises for row i.  The flow at the exit times is
-    ``RelaySystem.flow.exp(tau)``.
-    """
-
-    def __init__(self, sign, horizon, f0, status, rows, tau, x, speed):
-        self.sign = sign
-        self.horizon = horizon
-        self._f0 = f0                              # s C xi
-        self.status = status
-        self.tau, self.x, self.speed = tau, x, speed
-        if len(tau) < len(status):
-            m = len(status)
-            self.tau = np.full(m, np.nan)
-            self.x = np.full((m, x.shape[1]), np.nan)
-            self.speed = np.full(m, np.nan)
-            self.tau[rows], self.x[rows], self.speed[rows] = tau, x, speed
-
-    def error(self, i: int) -> Exception | None:
-        """The error a one-row call raises for row ``i``; None if it exits."""
-        if self.status[i] == WRONG_SIDE:
-            return InvalidStartError(f"start output {self.sign * self._f0[i]:g} is on "
-                                     f"the wrong side for sign {self.sign:+d}")
-        if self.status[i] == QUIESCENT:
-            return NoCrossingError(
-                f"quiescent: output does not cross zero within {self.horizon:g} "
-                "time units (plant is not restless from this state)")
-        return None
-
-
-class RelaySystem:
-    """Relay feedback loop around a realized plant.
-
-    Precomputes the affine-flow machinery once (augmented matrix, march
-    rows for ``step_hint``, grid exponential and Taylor tables), so that a
-    block of exits needs no matrix exponential of its own: the march runs
-    on powers of e^{M h}, and the Newton refinement and the landing states
-    use Taylor expansions about the brackets' left ends, whose exponentials
-    come from the tables.  Every exit and simulation of the system uses its
-    horizon and march step, each finite and positive (else ValueError).
-
-    Parameters
-    ----------
-    ss : StateSpace
-        Observer-canonical realization of the plant.
-    step_hint : float, optional
-        Marching step for crossing detection; the default is t_max / 1e4.
-        For a relative-degree-one plant the minimum inter-switch bound of
-        ``bounds.bounds_report`` would be a valid march step, but no caller
-        passes it yet.
-    t_max : float, optional
-        Search horizon for exit times; defaults to 50 slow time constants
-        (50 / min |Re eigenvalue|) for a stable plant, which the finiteness
-        of exit times makes a generous certificate horizon.
-    """
-
-    def __init__(self, ss: StateSpace, *, step_hint: float | None = None,
-                 t_max: float | None = None):
-        self.ss = ss
-        if t_max is None:
-            lam = np.linalg.eigvals(ss.A)
-            t_max = 50.0 / min(abs(lam.real)) if lam.real.max() < 0.0 else 100.0
-        self.t_max = float(t_max)
-        self.step_hint = float(step_hint) if step_hint is not None else self.t_max / 1e4
-        for name, value in (("t_max", self.t_max), ("step_hint", self.step_hint)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        self.flow = _AffineFlow(ss, self.step_hint)
-        # the march's last grid point: the last j with j h <= t_max
-        last = int(self.t_max // self.step_hint)
-        while self.step_hint * (last + 1) <= self.t_max:
-            last += 1
-        while last > 0 and self.step_hint * last > self.t_max:
-            last -= 1
-        self._last = last
-
     # -- exit computations ---------------------------------------------------
     def exit_events(self, X: np.ndarray, sign: int = +1, *, level: float = 0.0) -> Exits:
         """First exits of the starts in the rows of ``X`` (m, n) under relay
@@ -445,7 +435,6 @@ class RelaySystem:
         s = int(sign)
         if s not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        flow = self.flow
         X = np.asarray(X, dtype=float)
         if X.ndim < 2:
             X = X.reshape(1, -1)
@@ -453,8 +442,8 @@ class RelaySystem:
             scale = 1.0 + np.sqrt(np.add.reduce(X * X, axis=1))
         if not _all(np.isfinite(scale)):
             raise ValueError("start state is not finite, or its norm overflows")
-        Z = flow.lift(X, s)
-        f0 = Z @ flow._c                           # s C xi
+        Z = self.lift(X, s)
+        f0 = Z @ self._c                           # s C xi
         if level:
             f0 = f0 - level
         march = f0 > PLANE_TOL * scale
@@ -465,7 +454,7 @@ class RelaySystem:
             # transversally, when it exits at once
             wrong = f0 < -1e-3 * scale
             march |= ~wrong & ((f0 < -PLANE_TOL * scale)
-                               | (s * flow.output_speed(X, s) >= -GRAZE_TOL))
+                               | (s * self.output_speed(X, s) >= -GRAZE_TOL))
         K, f_lo, found = self._brackets(Z, f0, march, level)
         exited = found if wrong is None else found & ~wrong
         status = np.zeros(len(f0), dtype=int)      # EXITED
@@ -479,17 +468,17 @@ class RelaySystem:
         lo = self.step_hint * K
         hi = self.step_hint * (K + 1)
         # nodes at the brackets' left ends
-        paths = _Paths(flow, Z, lo, flow.grid_exp(K), level)
+        paths = _Paths(self, Z, lo, self.grid_exp(K), level)
         cross = f_lo > 0.0
         if not _all(cross):
             # a start that exits at once, and a bracket that is none (a start
             # within F_TOL of the plane dropping below -F_TOL at once), keep
             # to their node intervals
-            lo = np.where(cross, lo, paths.t0 - 0.125 * flow.node_step)
-            hi = np.where(cross, hi, paths.t0 + 1.125 * flow.node_step)
+            lo = np.where(cross, lo, paths.t0 - 0.125 * self.node_step)
+            hi = np.where(cross, hi, paths.t0 + 1.125 * self.node_step)
         t = self._refine(paths, lo, hi)
         x = s * paths.state(t)
-        return Exits(s, self.t_max, f0, status, rows, t, x, flow.output_speed(x, s))
+        return Exits(s, self.t_max, f0, status, rows, t, x, self.output_speed(x, s))
 
     def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray, level: float):
         """First brackets [K h, (K + 1) h] of a zero of [C, -level] e^{M t} z
@@ -497,8 +486,8 @@ class RelaySystem:
         ``march``, from their values f0 at t = 0: (K, f(K h), found), where
         ``found`` is false on the rows without a crossing before the
         horizon, and K = 0, f = f0 on the unmarked rows.  Each block takes
-        ``flow.march_steps(r)`` grid steps of the r rows still marching, so
-        a lone row marches 4 BLOCK steps at a time and a block of hundreds
+        ``march_steps(r)`` grid steps of the r rows still marching, so a
+        lone row marches 4 BLOCK steps at a time and a block of hundreds
         BLOCK; K depends only on the signs of the values against 0 and
         F_TOL, not on the block lengths."""
         K = np.zeros(len(f0), dtype=int)
@@ -508,15 +497,15 @@ class RelaySystem:
         if not rows.size:
             return K, f_lo, found
         prev = f0[rows]                    # and their values at grid point j
-        flow, last = self.flow, self._last
+        last = self._last
         Zt = Z[rows].T
         armed = prev > F_TOL
         lifting = not _all(armed)
         at_once = prev >= -F_TOL
         j = 0
         while j < last:
-            count = min(flow.march_steps(len(rows)), last - j)
-            vals = flow._rows[:count] @ Zt
+            count = min(self.march_steps(len(rows)), last - j)
+            vals = self._rows[:count] @ Zt
             if level:
                 vals -= level
             # the block's least value, or its first nan
@@ -547,7 +536,7 @@ class RelaySystem:
             prev = vals[-1]
             j += count
             if j < last:
-                Zt = flow._leaps[count] @ Zt
+                Zt = self._leaps[count] @ Zt
         return K, f_lo, found
 
     def _refine(self, paths: _Paths, lo: np.ndarray, hi: np.ndarray,
@@ -563,7 +552,7 @@ class RelaySystem:
         block.  With one node interval per march step a bracket lies in
         the node interval of its left end; with more, the rows follow their
         times from node to node."""
-        follow = self.flow.node_step < self.step_hint
+        follow = self.node_step < self.step_hint
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = paths.yd[:, 0, :4] / paths.yd[:, 0, 1:2]   # y_k / y_1
             w, a2 = -q[:, 0], q[:, 2]
@@ -655,10 +644,10 @@ class RelaySystem:
         plane (possible only when C B > 0).  When both fields depart (the
         repelling strip |x_{n-1}| < |C B|), +1 is chosen deterministically.
         """
-        cax = self.flow.output_speed(x, 0)           # C A x
-        if cax - self.flow._CB >= 0.0:               # y' under relay output +1
+        cax = self.output_speed(x, 0)           # C A x
+        if cax - self._CB >= 0.0:               # y' under relay output +1
             return +1
-        if cax + self.flow._CB <= 0.0:               # y' under relay output -1
+        if cax + self._CB <= 0.0:               # y' under relay output -1
             return -1
         raise SlidingError("sliding set reached: both vector fields point "
                            "at the switching plane")
@@ -677,12 +666,15 @@ class RelaySystem:
         plane that returns to it within one march step (switches piling up
         faster than ``step_hint`` resolves, as on the way to a Zeno point)
         stops the trajectory on the plane, non-certified, with
-        ``final_state`` set there.
+        ``final_state`` set there.  ``max_switches`` must be at least 1
+        (else ValueError).
         """
         if not 0.0 < t_end < math.inf:
             raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
         if dense_dt is not None and not 0.0 < dense_dt < math.inf:
             raise ValueError(f"dense_dt must be finite and positive, got {dense_dt!r}")
+        if not max_switches >= 1:
+            raise ValueError(f"max_switches must be at least 1, got {max_switches!r}")
         x = np.asarray(x0, dtype=float).copy()
         t = 0.0
         traj = Trajectory()
@@ -696,7 +688,7 @@ class RelaySystem:
             scale = 1.0 + float(np.linalg.norm(x))
         if not math.isfinite(scale):
             raise ValueError("start state is not finite, or its norm overflows")
-        y0 = float(self.flow.C @ x)
+        y0 = float(self.C @ x)
         departing = abs(y0) <= PLANE_TOL * scale
         if departing:
             try:
@@ -721,13 +713,12 @@ class RelaySystem:
             if dense_dt is not None:
                 m = max(int(np.ceil(seg_len / dense_dt)), 1)
                 dense_t.append(t + np.linspace(0.0, seg_len, m + 1))
-                dense_x.append(self.flow.grid(x, sign, seg_len / m, m + 1))
+                dense_x.append(self.grid(x, sign, seg_len / m, m + 1))
                 dense_u.append(np.full(m + 1, sign, dtype=float))
 
             traj.segments.append((x, seg_len, sign))
             if tau >= remaining:
-                traj.final_state = RelayState(self.flow.state(x, sign, remaining),
-                                              sign, t_end)
+                traj.final_state = RelayState(self.state(x, sign, remaining), sign, t_end)
                 break
 
             t += tau
@@ -778,11 +769,6 @@ def exit_time(ss: StateSpace, xi, sign: int = +1) -> float:
 def exit_map(ss: StateSpace, xi, sign: int = +1) -> np.ndarray:
     """First exit map from ``sign``: the landing state on the plane."""
     return system_for(ss).exit_map(xi, sign)
-
-
-def kth_exit_map(ss: StateSpace, xi, k: int) -> np.ndarray:
-    """k-th exit map with the alternating sign recursion."""
-    return system_for(ss).kth_exit_map(xi, k)
 
 
 def simulate(ss: StateSpace, x0, t_end: float, *, dense_dt: float | None = None,

@@ -65,16 +65,16 @@ class TestFindSymmetricOrbit:
         (r1b, r1a), (r2b, r2a) = orbit2.output_speeds
         assert abs(abs(r1a) - abs(r1b)) == pytest.approx(2.0, abs=1e-9)
         assert (r2b, r2a) == (-r1b, -r1a)  # the second switch mirrors the first
-        flow = RelaySystem(ss).flow
-        assert (r1b, r1a) == (flow.output_speed(-orbit2.anchor, +1),
-                              flow.output_speed(-orbit2.anchor, -1))
+        sys_ = RelaySystem(ss)
+        assert (r1b, r1a) == (sys_.output_speed(-orbit2.anchor, +1),
+                              sys_.output_speed(-orbit2.anchor, -1))
         assert r1b * r1a > 0  # same sign on both sides of the crossing
 
     def test_peak_output_matches_dense_scan(self, second_order, orbit2):
         _, ss = second_order
         sys_ = RelaySystem(ss)
         ts = np.linspace(0, orbit2.half_period, 40_000)
-        ys = sys_.flow.state(orbit2.anchor, +1, ts) @ ss.C
+        ys = sys_.state(orbit2.anchor, +1, ts) @ ss.C
         assert orbit2.peak_output == pytest.approx(np.max(np.abs(ys)), abs=1e-6)
 
     def test_return_all_lists_candidates(self, second_order):
@@ -106,7 +106,7 @@ class TestFindSymmetricOrbit:
 
         _, ss = third_order
         ndims = []
-        exp = rd._AffineFlow.exp
+        exp = rd.RelaySystem.exp
 
         def counted(self, t):
             ndims.append(np.ndim(t))
@@ -115,7 +115,7 @@ class TestFindSymmetricOrbit:
         def refuse(*args, **kwargs):
             raise AssertionError("scipy.linalg.expm called")
 
-        monkeypatch.setattr(rd._AffineFlow, "exp", counted)
+        monkeypatch.setattr(rd.RelaySystem, "exp", counted)
         monkeypatch.setattr(scipy.linalg, "expm", refuse)
         lc.find_symmetric_orbit(ss)
         assert ndims.count(1) == 1
@@ -170,7 +170,7 @@ def test_relay_and_orbit_layers_make_no_pade_exponential(
     assert traj.events and traj.states is not None
     # several node intervals per march step: the refinement moves nodes
     sys_ = RelaySystem(ss, step_hint=0.7)
-    assert sys_.flow.node_step < sys_.step_hint
+    assert sys_.node_step < sys_.step_hint
     X = np.random.default_rng(5).standard_normal((20, ss.n))
     X[:, -1] = 0.1 + np.abs(X[:, -1])
     assert np.all(sys_.exit_events(X, +1).status == rd.EXITED)
@@ -236,7 +236,13 @@ class TestAugmentedOrbitFunction:
         assert orbit.half_period == pytest.approx(INTEGRATING_HALF_PERIODS[name],
                                                   rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("tau_range", [(0.1, 10.0), (1e-4, 100.0)])
+    @pytest.mark.parametrize("tau_range", [
+        (0.1, 10.0), (1e-4, 100.0),
+        # |g| / |X| exceeds DEGENERATE_TOL somewhere on this range, and a
+        # root made of roundoff at tau = 1.04e-3 is returned as a valid orbit
+        pytest.param((1e-3, 1e4), marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 4: the sign of g is decided with "
+                                "no error bound"))])
     def test_double_integrator_is_degenerate(self, tau_range):
         # every orbit of x'' = -sign x is periodic: g vanishes identically,
         # and its roundoff changed sign about 200 times in the scan

@@ -125,7 +125,7 @@ class TestJacobians:
         rep = bounds_report(ss, decay_envelope(ss.A))
         sys_ = RelaySystem(ss)
         calls = {"expm": 0, "flow": 0}
-        expm, flow_exp = scipy.linalg.expm, rd._AffineFlow.exp
+        expm, flow_exp = scipy.linalg.expm, rd.RelaySystem.exp
 
         def counted_expm(*args):
             calls["expm"] += 1
@@ -136,7 +136,7 @@ class TestJacobians:
             return flow_exp(self, t)
 
         monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
-        monkeypatch.setattr(rd._AffineFlow, "exp", counted_flow)
+        monkeypatch.setattr(rd.RelaySystem, "exp", counted_flow)
         for p in sample_anchor_region(anchor_region(ss, rep), 20, seed=6):
             calls.update(expm=0, flow=0)
             sys_.exit_event(p, +1)
@@ -286,7 +286,7 @@ class TestFixedPointSearch:
         import dataclasses
 
         from relayosc.errors import DivergenceError
-        from relayosc.relay_dynamics import kth_exit_map
+        from relayosc.relay_dynamics import system_for
 
         _, ss = second_order
         _, rep = second_order_bounds
@@ -295,7 +295,7 @@ class TestFixedPointSearch:
         with pytest.raises(DivergenceError) as info:
             pc.fixed_point_search(ss, tiny, 1, x0)
         assert info.value.iteration == 1
-        assert np.array_equal(info.value.iterate, -kth_exit_map(ss, x0, 1))
+        assert np.array_equal(info.value.iterate, -system_for(ss).kth_exit_map(x0, 1))
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
     def test_tolerance_not_finite_positive(self, second_order, second_order_bounds, tol):
