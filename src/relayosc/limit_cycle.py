@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
+from . import sfs
 from .errors import DegenerateOrbitError, NoOrbitError, ShootingError
 from .plant import StateSpace
-from .relay_dynamics import EXITED, GRAZE_TOL, system_for
+from .relay_dynamics import GRAZE_TOL, system_for
 
 #: Output-sign condition tolerance, relative to the orbit's peak output: tiny
 #: negative slack absorbs roundoff at the endpoints where the output is
@@ -52,12 +52,6 @@ SIGN_CONDITION_SLACK = -1e-9
 #: for tau up to 1000, and seeded random stable plants of order 10 to 20
 #: reach 6e-11 or more somewhere in their default scan.
 DEGENERATE_TOL = 4096 * np.finfo(float).eps
-
-#: Edge of the smooth loop's tanh layer in the argument gamma C z: the
-#: smallest round value with math.tanh(LAYER_EDGE) == 1.0 (19 gives
-#: 1 - 1.1e-16), so outside the layer the field is the relay's affine field
-#: to roundoff.
-LAYER_EDGE = 20.0
 
 #: Trivial-multiplier error above which ``monodromy_floquet`` refuses its
 #: result, the multiplier 1 being known exactly.
@@ -269,99 +263,84 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
     half-period; the residual demands z(tau) = -z(0) (odd symmetry of the
     field makes the full period the double).  Each residual carries the
     variational equations along, so the Newton jacobian is exact:
-    [Phi[:, :n-1] + I[:, :n-1], f(z(tau))].  A half period alternates two
-    kinds of segment, starting in the tanh layer |gamma C z| < LAYER_EDGE:
+    [Phi[:, :n-1] + I[:, :n-1], f(z(tau))].  A half period runs on the
+    smooth loop's layer split (``sfs._layer_flow``), from the start on
+    C z = 0 in the tanh layer: DOP853 on [z; Phi by columns; integral of c]
+    (tolerances 1e-11 relative, 1e-13 absolute) inside |gamma C z| <
+    ``sfs.LAYER_EDGE``, the exact affine flow z, Phi <- e^{A dt} Phi outside
+    it, where c and the trace integral gain below 2 e^{-2 LAYER_EDGE} / |y'|
+    per edge.  With W = [z; Phi^T] the variational right-hand side is one
+    product, W A^T - [tanh; c Phi^T C^T] B^T.
 
-    - in the layer, DOP853 on [z; Phi; integral of c] (tolerances 1e-11
-      relative, 1e-13 absolute) up to a terminal event at the layer's edge;
-    - outside it, where tanh is +-1 to roundoff, the relay's affine flow
-      from the exit kernel, z and Phi <- e^{A dt} Phi from
-      ``RelaySystem.exp(dt)``, dt the time back to the edge (``exit_events``
-      at ``level`` = LAYER_EDGE / gamma) or to tau; c and the trace integral
-      gain below 2 e^{-2 LAYER_EDGE} / |y'| per edge there.
-
-    The kind alternates by segment and is never re-tested from |gamma C z|,
-    which the event leaves at the edge to roundoff on either side.  An
-    orbit that never leaves the layer takes one integration, as it did
-    before the split; the work of a crossing does not grow with gamma.  The
-    residual counts as converged, within 40 steps, below 1e-11 max(1,
-    |z(0)|), so the test stays above roundoff for large orbits.  Returns
-    the start point, the half-period, Phi and the trace integral over the
-    half period, and the residual norm.
+    An orbit that never leaves the layer takes one integration; the work of
+    a crossing does not grow with gamma.  The residual counts as converged,
+    within 40 steps, below 1e-11 max(1, |z(0)|), so the test stays above
+    roundoff for large orbits; one full step more is then kept if it lowers
+    the residual, unless the residual is already at roundoff, 8 eps max(1,
+    |z(0)|).  Returns the start point, the half-period, Phi and the trace
+    integral over the half period, and the residual norm.
     """
     A, B, C = ss.A, ss.B, ss.C
-    BC = np.outer(B, C)
+    AT = A.T
     n = ss.n
     I = np.eye(n)
-    system = system_for(ss)
-    edge = LAYER_EDGE / gamma
+    field = sfs.sfs_field(ss, gamma)
 
-    def rhs(t, w):  # [z; Phi; integral of c], Df = A - c B C
-        arg = gamma * float(C @ w[:n])
+    def rhs(t, w):  # W = [z; Phi^T], then the integral of c; Df = A - c B C
+        W = w[:-1].reshape(n + 1, n)
+        u = W @ C                                   # [C z; Phi^T C^T]
+        arg = gamma * float(u[0])
         c = gamma / math.cosh(arg) ** 2 if abs(arg) < 350.0 else 0.0
-        dPhi = (A - c * BC) @ w[n:-1].reshape(n, n)
-        return np.concatenate([A @ w[:n] - B * math.tanh(arg), dPhi.ravel(), [c]])
-
-    def leave(t, w):  # zero on the layer's edges, rising on the way out
-        return abs(gamma * float(C @ w[:n])) - LAYER_EDGE
-
-    leave.terminal, leave.direction = True, 1.0
+        u *= c
+        u[0] = math.tanh(arg)
+        out = np.empty(len(w))
+        np.subtract(W @ AT, np.multiply.outer(u, B), out=out[:-1].reshape(n + 1, n))
+        out[-1] = c
+        return out
 
     def half(zfree, tau):
         z_init = np.append(zfree, 0.0)
         w = np.concatenate([z_init, I.ravel(), [0.0]])
-        t, inside = 0.0, True
-        while t < tau:
-            if inside:
-                sol = numerics.integrate_adaptive(rhs, w, (t, tau), 1e-11, 1e-13,
-                                                  dense_output=False, events=leave)
-                t, w = float(sol.t[-1]), sol.y[:, -1]
-            else:
-                s = 1 if C @ w[:n] > 0.0 else -1
-                exits = system.exit_events(w[:n], s, level=edge)
-                dt = tau - t
-                if exits.status[0] == EXITED and exits.tau[0] < dt:
-                    dt = float(exits.tau[0])
-                    t += dt
-                else:
-                    t = tau
-                E = system.exp(dt)
-                w = np.concatenate([s * (E[:n] @ system.lift(w[:n], s)),
-                                    (E[:n, :n] @ w[n:-1].reshape(n, n)).ravel(), w[-1:]])
-            inside = not inside
+        w = sfs._layer_flow(ss, gamma, rhs, w, tau, 1e-11, 1e-13, tangents=n)[-1].y[:, -1]
         return w[:n] + z_init, w
 
     zfree = np.asarray(z0, dtype=float)[:-1].copy()
     tau = float(tau0)
     r, w = half(zfree, tau)
     for _ in range(40):
-        J = np.column_stack([w[n:-1].reshape(n, n)[:, :n - 1] + I[:, :n - 1], rhs(tau, w)[:n]])
+        norm_r = np.linalg.norm(r)
+        scale = max(1.0, float(np.linalg.norm(zfree)))
+        if norm_r <= 8 * np.finfo(float).eps * scale:
+            break  # at roundoff: no step can lower the residual
+        Phi = w[n:-1].reshape(n, n).T
+        J = np.column_stack([Phi[:, :n - 1] + I[:, :n - 1], field(tau, w[:n])])
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
             raise ShootingError("singular shooting jacobian") from exc
         # once converged, one full step more is kept if it lowers the residual
         # (amplified by gamma in the trivial multiplier)
-        converged = np.linalg.norm(r) < 1e-11 * max(1.0, float(np.linalg.norm(zfree)))
+        converged = norm_r < 1e-11 * scale
         alpha = 1.0
         while alpha >= 2.0 ** -12:
             z_try = zfree + alpha * step[: n - 1]
             tau_try = tau + alpha * step[n - 1]
             if tau_try > 0:
                 r_try, w_try = half(z_try, tau_try)
-                if np.linalg.norm(r_try) < np.linalg.norm(r):
+                if np.linalg.norm(r_try) < norm_r:
                     zfree, tau, r, w = z_try, tau_try, r_try, w_try
                     break
             if converged:
                 break
             alpha *= 0.5
         else:
-            raise ShootingError(
-                f"shooting stalled at residual {np.linalg.norm(r):.3e}")
+            raise ShootingError(f"shooting stalled at residual {norm_r:.3e}")
         if converged:
-            return (np.append(zfree, 0.0), tau, w[n:-1].reshape(n, n), float(w[-1]),
-                    float(np.linalg.norm(r)))
-    raise ShootingError("shooting did not converge within the iteration budget")
+            break
+    else:
+        raise ShootingError("shooting did not converge within the iteration budget")
+    return (np.append(zfree, 0.0), tau, w[n:-1].reshape(n, n).T, float(w[-1]),
+            float(np.linalg.norm(r)))
 
 
 def monodromy_floquet(ss: StateSpace, gamma: float,

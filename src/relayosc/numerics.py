@@ -34,6 +34,7 @@ def integrate_adaptive(
     *,
     dense_output: bool = True,
     events=None,
+    first_step: float | None = None,
 ):
     """Adaptive embedded Runge-Kutta integration, with dense output unless
     ``dense_output`` is false.
@@ -41,6 +42,7 @@ def integrate_adaptive(
     Thin contract wrapper around scipy's solve_ivp (DOP853 pair, no step
     cap).  ``events`` passes through to solve_ivp: a terminal event ends the
     integration at its zero, which is then the solution's last point.
+    ``first_step`` replaces solve_ivp's initial-step heuristic when given.
     Raises StiffnessError when the step controller gives up, which for the
     smooth relay approximation usually means the gain is too large for the
     requested tolerance.
@@ -58,6 +60,7 @@ def integrate_adaptive(
         atol=abs_tol,
         dense_output=dense_output,
         events=events,
+        first_step=first_step,
     )
     if not sol.success and sol.status == -1:
         raise StiffnessError(

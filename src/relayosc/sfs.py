@@ -11,6 +11,12 @@ the eigenvalue root locus over gamma, decides the criticality of the first
 Hopf point from the linearization there, evaluates the second-harmonic
 describing-function locus at a crossing, and proves hyperbolicity of the
 whole family by zero exclusion when no crossing exists.
+
+Outside the layer |gamma C z| < LAYER_EDGE, tanh is +-1 to roundoff and the
+smooth loop's flow is the relay's affine flow (Fenichel 1979).  One loop,
+``_layer_flow``, integrates only the layer adaptively and takes that exact
+flow elsewhere; ``simulate_sfs`` and the Floquet shooting of
+``limit_cycle`` both run on it.
 """
 
 from __future__ import annotations
@@ -19,12 +25,20 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
+from typing import Callable
 
 import numpy as np
 
 from . import numerics
 from .errors import RelayOscError
 from .plant import StateSpace, TransferFunction
+from .relay_dynamics import EXITED, system_for
+
+#: Edge of the smooth loop's tanh layer in the argument gamma C z: the
+#: smallest round value with math.tanh(LAYER_EDGE) == 1.0 (19 gives
+#: 1 - 1.1e-16), so outside the layer the field is the relay's affine field
+#: to roundoff.
+LAYER_EDGE = 20.0
 
 
 @dataclass(frozen=True)
@@ -83,6 +97,18 @@ class DescribingLocus:
 
 
 @dataclass(frozen=True)
+class SfsRun:
+    """A run of the smooth loop: step times ``t`` (m,) and states ``y``
+    (n, m), the dense output ``sol`` (shape (n,) at a scalar t, (n, k) at k
+    times) and the right-hand-side evaluations ``nfev``."""
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: Callable
+    nfev: int
+
+
+@dataclass(frozen=True)
 class HyperbolicityResult:
     hurwitz_everywhere: bool
     witness_gain: float | None = None
@@ -101,14 +127,115 @@ def sfs_field(ss: StateSpace, gamma: float):
     return rhs
 
 
-def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float):
-    """Integrate the smooth loop adaptively; returns the solver result with
-    dense output.  Raises StiffnessError past the step-underflow budget."""
+def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
+                rel_tol: float, abs_tol: float, *, tangents: int = 0,
+                dense_output: bool = False) -> list:
+    """The smooth loop's flow of w over [0, t_end], segment by segment.
+
+    w holds z, then ``tangents`` rows of n tangent coordinates, then any
+    further entries, which only ``rhs`` moves.  Two kinds of segment
+    alternate, the first chosen by |gamma C z(0)| < LAYER_EDGE:
+
+    - in the tanh layer, DOP853 on ``rhs`` (``numerics.integrate_adaptive``)
+      up to a terminal event at the layer's edge.  Entered from outside, its
+      first step is 1 / (gamma |C z'|), the time in which gamma C z moves
+      by one (solve_ivp's own choice there let a step across the layer's
+      middle pass with 17 times the tolerance, third order at gamma = 1e5);
+    - outside it, the relay's affine flow under s = sign C z: the time back
+      to the edge from ``RelaySystem.exit_events`` at ``level`` =
+      LAYER_EDGE / gamma, then z and each tangent row v <- e^{A dt} v from
+      ``RelaySystem.exp(dt)``.  A search that finds no return within the
+      horizon ``t_max`` advances t_max and searches again.
+
+    The kind alternates by segment and is never re-tested from |gamma C z|,
+    which the event leaves at the edge to roundoff on either side; the last
+    segment ends at t_end.  Returns the segments, each with ``t``, ``y``,
+    ``sol`` and ``nfev``: the solver's result in the layer, an ``SfsRun``
+    of its two ends (nfev 0) on the affine flow.
+    """
+    n, C = ss.n, ss.C
+    rows = (1 + tangents) * n
+
+    def leave(t, w):  # zero on the layer's edges, rising on the way out
+        return abs(gamma * float(C @ w[:n])) - LAYER_EDGE
+
+    leave.terminal, leave.direction = True, 1.0
+    t, inside = 0.0, abs(gamma * float(C @ w[:n])) < LAYER_EDGE
+    first_step, segments = None, []
+    while t < t_end:
+        if inside:
+            part = numerics.integrate_adaptive(rhs, w, (t, t_end), rel_tol, abs_tol,
+                                               dense_output=dense_output, events=leave,
+                                               first_step=first_step)
+            t, w = float(part.t[-1]), part.y[:, -1]
+            inside = False
+        else:
+            system = system_for(ss)
+            s = 1 if C @ w[:n] > 0.0 else -1
+            exits = system.exit_events(w[:n], s, level=LAYER_EDGE / gamma)
+            t0, remaining = t, t_end - t
+            if exits.status[0] == EXITED and exits.tau[0] < remaining:
+                dt, inside = float(exits.tau[0]), True
+                t += dt
+                # the next layer segment's first step: the time in which
+                # gamma C z moves by one at the edge
+                rate = gamma * abs(float(exits.speed[0]))
+                first_step = 1.0 / rate if rate * (t_end - t) > 1.0 else None
+            else:  # no return to the edge within the horizon, or past t_end
+                dt = min(remaining, system.t_max)
+                t = t + dt if dt < remaining else t_end
+            E = system.exp(dt)
+            w0, w = w, w.copy()
+            V = w[:rows].reshape(1 + tangents, n)
+            V[0] = s * (E[:n] @ system.lift(V[0], s))
+            V[1:] = V[1:] @ E[:n, :n].T
+            part = SfsRun(t=np.array([t0, t]), y=np.column_stack([w0, w]), nfev=0,
+                          sol=lambda t, t0=t0, z0=w0[:n], s=s: system.state(z0, s, t - t0).T)
+        segments.append(part)
+    return segments
+
+
+def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float) -> SfsRun:
+    """Integrate the smooth loop from ``x0`` over [0, t_end] on the layer
+    split of ``_layer_flow``: DOP853 at ``cfg``'s tolerances inside the
+    tanh layer, the relay's exact affine flow outside it.
+
+    ``t`` and ``y`` list the solver's steps and the ends of the affine
+    segments, ``nfev`` the right-hand-side evaluations.  ``sol(t)`` takes
+    DOP853's interpolant on a layer segment and the affine flow elsewhere.
+    A run that never leaves the layer is one DOP853 integration.
+
+    Raises
+    ------
+    ValueError
+        ``t_end`` not in (0, inf), or a start whose 1 + |x0| is not finite.
+    StiffnessError
+        Integration past the step-underflow budget.
+    """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
-    return numerics.integrate_adaptive(
-        sfs_field(ss, cfg.gamma), np.asarray(x0, dtype=float),
-        (0.0, t_end), cfg.rel_tol, cfg.abs_tol)
+    x0 = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore"):
+        scale = 1.0 + float(np.linalg.norm(x0))
+    if not math.isfinite(scale):
+        raise ValueError("start state is not finite, or its norm overflows")
+    segments = _layer_flow(ss, cfg.gamma, sfs_field(ss, cfg.gamma), x0, t_end,
+                           cfg.rel_tol, cfg.abs_tol, dense_output=True)
+    starts = np.array([seg.t[0] for seg in segments])
+
+    def sol(t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(segments) - 1)
+        if t.ndim == 0:
+            return segments[k].sol(t)
+        out = np.empty((ss.n,) + t.shape)
+        for j in np.unique(k):
+            out[:, k == j] = segments[j].sol(t[k == j])
+        return out
+
+    return SfsRun(t=np.concatenate([[0.0]] + [seg.t[1:] for seg in segments]),
+                  y=np.concatenate([x0[:, None]] + [seg.y[:, 1:] for seg in segments], axis=1),
+                  sol=sol, nfev=sum(seg.nfev for seg in segments))
 
 
 def closed_loop_matrix(ss: StateSpace, gamma) -> np.ndarray:

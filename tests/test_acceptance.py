@@ -263,6 +263,7 @@ def test_criterion_10_determinism(tmp_path):
         ["root-locus"] + plant + ["--gamma-max", "100"],
         ["monodromy"] + plant,
         ["sfs-sim"] + plant + ["--gamma", "50", "--x0", "0.1,0.1", "--t-end", "3"],
+        ["sfs-sim"] + plant + ["--gamma", "1e5", "--x0", "0.1,0.1", "--t-end", "20"],
     ]
     for args in commands:
         a = runner.invoke(cli_main, args, catch_exceptions=False).output

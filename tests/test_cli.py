@@ -249,6 +249,8 @@ class TestExitCodes:
         (["classify", "--plant-file", '{"num": "1,-1", "den": [6, 5, 1]}'], 2, "plant file"),
         (["fixed-point", "--max-iter", "-3"], 3, "max_iter must be >= 0"),
         (["simulate", "--x0", "1e160,1e160", "--t-end", "1"], 3, "norm overflows"),
+        (["sfs-sim", "--gamma", "1e3", "--x0", "1e200,1e200", "--t-end", "1"], 3,
+         "norm overflows"),
     ])
     def test_bad_input_exits_with_json_error(self, runner, tmp_path, args, code, key):
         if "--plant-file" in args:

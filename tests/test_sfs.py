@@ -5,9 +5,10 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from conftest import make_brl_plant, make_stable_plant, named_plant
-from relayosc import numerics, sfs
+from relayosc import limit_cycle, numerics, sfs
 from relayosc.errors import RelayOscError
 from relayosc.plant import parse_plant, realize
+from relayosc.relay_dynamics import system_for
 
 #: (s^2 + s + 125) / (s^3 + 3 s^2 + 100 s + 179.25): the Routh product
 #: (3 + g)(100 + g) - (179.25 + 125 g) = (g - 10.5)(g - 11.5) is negative on
@@ -106,6 +107,87 @@ class TestSimulateSfs:
             sfs.SfsConfig(gamma=-1.0)
         with pytest.raises(ValueError):
             sfs.simulate_sfs(ss, sfs.SfsConfig(gamma=1.0), [0.0, 0.0], -1.0)
+
+    @pytest.mark.parametrize("x0", [[1e200, 1e200], [np.inf, 0.0], [np.nan, 0.0]])
+    def test_overflowing_start_rejected(self, second_order, x0):
+        # checked once at entry, wherever the start lies against the layer
+        _, ss = second_order
+        with pytest.raises(ValueError, match="norm overflows"):
+            sfs.simulate_sfs(ss, sfs.SfsConfig(gamma=1e3), x0, 1.0)
+
+
+class TestLayerSplit:
+    def test_in_layer_run_is_one_integration(self, second_order):
+        # |gamma y| peaks at 14.3 < LAYER_EDGE: the run is one DOP853 call,
+        # bit for bit
+        _, ss = second_order
+        cfg = sfs.SfsConfig(gamma=50.0)
+        x0 = np.array([0.1, 0.1])
+        run = sfs.simulate_sfs(ss, cfg, x0, 3.0)
+        ref = numerics.integrate_adaptive(sfs.sfs_field(ss, 50.0), x0, (0.0, 3.0),
+                                          cfg.rel_tol, cfg.abs_tol)
+        assert np.abs(50.0 * ss.C @ ref.y).max() < sfs.LAYER_EDGE
+        assert np.array_equal(run.t, ref.t) and np.array_equal(run.y, ref.y)
+        assert run.nfev == ref.nfev
+        ts = np.linspace(0.0, 3.0, 301)
+        assert np.array_equal(run.sol(ts), ref.sol(ts))
+        assert np.array_equal(run.sol(1.234), ref.sol(1.234))
+
+    @pytest.fixture(scope="class")
+    def bench_run(self):
+        """The third-order plant from its relay anchor with y(0) = 1e-3, at
+        gamma = 1e5 over five relay periods: the run starts outside the
+        layer and crosses it ten times."""
+        ss = realize(parse_plant([1, -1, 0], [6, 5, 3]))
+        orbit = limit_cycle.find_symmetric_orbit(ss)
+        x0 = orbit.anchor.copy()
+        x0[-1] = 1e-3
+        cfg = sfs.SfsConfig(1e5, 1e-10, 1e-12)
+        field = sfs.sfs_field(ss, cfg.gamma)
+        t_end = 5 * orbit.period
+        ref = numerics.integrate_adaptive(field, x0, (0.0, t_end), 1e-13, 1e-15)
+        plain = numerics.integrate_adaptive(field, x0, (0.0, t_end), cfg.rel_tol, cfg.abs_tol)
+        return ss, sfs.simulate_sfs(ss, cfg, x0, t_end), plain, ref
+
+    def test_split_ends_closer_to_the_reference(self, bench_run):
+        # 7.1e-11 against 1.5e-9 for DOP853 over the whole span
+        _, run, plain, ref = bench_run
+        assert run.t[-1] == plain.t[-1] == ref.t[-1]
+        err = np.linalg.norm(run.y[:, -1] - ref.y[:, -1])
+        assert err < np.linalg.norm(plain.y[:, -1] - ref.y[:, -1])
+        assert err < 1e-9
+
+    def test_split_needs_fewer_evaluations(self, bench_run):
+        # 2,491 here; DOP853 across every layer took 6,542
+        _, run, plain, _ = bench_run
+        assert run.nfev <= 3000 < plain.nfev
+
+    def test_dense_output_follows_both_kinds(self, bench_run):
+        # affine segments from the relay flow, layer segments from DOP853's
+        # interpolant; shapes as scipy's OdeSolution
+        ss, run, _, ref = bench_run
+        ts = np.linspace(0.0, run.t[-1], 4001)
+        xs = run.sol(ts)
+        assert xs.shape == (ss.n, len(ts)) and run.sol(0.5).shape == (ss.n,)
+        assert np.abs(xs - ref.sol(ts)).max() < 1e-8
+        assert np.array_equal(run.sol(ts[1234]), xs[:, 1234])
+        assert np.array_equal(run.sol(ts[:1]), xs[:, :1])
+        assert run.y.shape == (ss.n, len(run.t)) and np.all(np.diff(run.t) > 0)
+        assert np.array_equal(run.sol(run.t[-1]), run.y[:, -1])
+
+    def test_quiescent_search_advances_one_horizon(self):
+        # 1/(s (s+1)^2) at gamma = 1 from y = 998: the affine flow takes
+        # about 980 time units back to the layer, ten times the exit
+        # horizon t_max = 100 of a plant with a pole at the origin
+        ss = realize(parse_plant([1], [0, 1, 2]))
+        x0 = system_for(ss).state(np.zeros(3), -1, 1000.0)
+        assert ss.C @ x0 == pytest.approx(998.0) and system_for(ss).t_max == 100.0
+        run = sfs.simulate_sfs(ss, sfs.SfsConfig(1.0), x0, 2500.0)
+        ref = numerics.integrate_adaptive(sfs.sfs_field(ss, 1.0), x0, (0.0, 2500.0),
+                                          1e-11, 1e-13)
+        ts = np.array([500.0, 1000.0, 1500.0, 2500.0])
+        assert np.abs(ss.C @ ref.sol(ts[2:])).max() < 1e-9
+        assert np.abs(ss.C @ (run.sol(ts) - ref.sol(ts))).max() < 1e-8
 
 
 class TestRootLocus:
