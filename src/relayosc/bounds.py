@@ -82,6 +82,10 @@ _NORM_BLOCK = 512
 #: Entries of the low table E^r, r < _LOW; the high table holds (E^_LOW)^q.
 _LOW = 64
 
+#: ``decay_envelope``'s steps over 40 / sigma (its check takes twice as many
+#: over 20 / sigma) and the safety factor on the maximum of the grid.
+_GRID_POINTS, _SAFETY = 4000, 1.05
+
 
 def _sequential_powers(M: np.ndarray, count: int) -> np.ndarray:
     """M^0, ..., M^(count-1) by the sequential product M^j = M M^(j-1)."""
@@ -128,7 +132,10 @@ def _exact_norms(tables, ks: np.ndarray) -> np.ndarray:
     """
     norms = np.empty(len(ks))
     for start, P in _products(tables, ks):
-        gram = np.swapaxes(P, 1, 2) @ P
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = np.swapaxes(P, 1, 2) @ P
+        if not np.isfinite(gram).all():
+            raise OverflowError("Gram matrix overflow: the powers of e^{A h} are too large")
         norms[start:start + len(P)] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
     return norms
 
@@ -161,14 +168,14 @@ def _step_exp(A: np.ndarray, h: float) -> np.ndarray:
     return E
 
 
-def decay_envelope(A: np.ndarray, epsilon: float | None = None,
-                   *, grid_points: int = 4000, safety: float = 1.05) -> DecayEnvelope:
+def decay_envelope(A: np.ndarray, epsilon: float | None = None) -> DecayEnvelope:
     """Estimate a verified exponential decay envelope for e^{At}.
 
-    ||e^{At}|| e^{sigma t} is maximized on a grid of ``grid_points`` steps
-    over 40 / sigma and checked on a grid of twice as many over 20 / sigma;
-    on each grid the norms of e^{At} are those of the powers of one step
-    exponential, formed from two-level power tables (``_power_tables``).
+    ||e^{At}|| e^{sigma t} is maximized on a grid of ``_GRID_POINTS`` (4000)
+    steps over 40 / sigma, inflated by ``_SAFETY`` (1.05), and checked on a
+    grid of twice as many over 20 / sigma; on each grid the norms of e^{At}
+    are those of the powers of one step exponential, formed from two-level
+    power tables (``_power_tables``).
 
     Exact 2-norms (``_exact_norms``) are taken only where a Frobenius upper
     bound (``_norm_bounds``) cannot decide.  The maximization takes the exact
@@ -190,28 +197,21 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
         Margin subtracted from the spectral abscissa magnitude; defaults to
         1e-3 * min |Re eigenvalue| so the envelope stays valid across time
         scales.
-    grid_points : int
-        Steps of the maximization grid, at least 1.
-    safety : float
-        Finite, positive factor applied to the grid maximum.
 
     Raises
     ------
     ValueError
         If A is not a finite, square, non-empty 2-D array or is not
-        Hurwitz, epsilon is outside (0, min |Re eigenvalue|),
-        grid_points < 1, safety is not finite and positive, or the computed
-        envelope fails its a-posteriori verification (defective extreme
-        cases).
+        Hurwitz, epsilon is outside (0, min |Re eigenvalue|), or the
+        computed envelope fails its a-posteriori verification (defective
+        extreme cases).
+    OverflowError
+        A step exponential or a Gram matrix of its powers is not finite.
     """
     A = np.asarray(A, dtype=float)
     if not (A.ndim == 2 and A.shape[0] == A.shape[1] > 0 and np.isfinite(A).all()):
         raise ValueError("A must be a finite, square, non-empty 2-D array; got shape %s"
                          % (A.shape,))
-    if grid_points < 1:
-        raise ValueError("grid_points must be >= 1")
-    if not (math.isfinite(safety) and safety > 0):
-        raise ValueError("safety must be finite and > 0")
     lam = np.linalg.eigvals(A)
     decay = -lam.real.max()
     if decay <= 0:
@@ -223,20 +223,20 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None,
     sigma = decay - epsilon
 
     horizon = 40.0 / sigma
-    h = horizon / grid_points
-    tables = _power_tables(_step_exp(A, h), grid_points)
-    growth = np.exp(sigma * np.arange(1, grid_points + 1) * h)
-    upper = _norm_bounds(tables, grid_points) * growth
+    h = horizon / _GRID_POINTS
+    tables = _power_tables(_step_exp(A, h), _GRID_POINTS)
+    growth = np.exp(sigma * np.arange(1, _GRID_POINTS + 1) * h)
+    upper = _norm_bounds(tables, _GRID_POINTS) * growth
     k = int(upper.argmax()) + 1
     best = max(1.0, float(_exact_norms(tables, np.array([k]))[0] * growth[k - 1]))  # 1.0: t = 0
     ks = np.flatnonzero(upper >= best) + 1
-    m_initial = safety * float(np.max(_exact_norms(tables, ks) * growth[ks - 1], initial=best))
+    m_initial = _SAFETY * float(np.max(_exact_norms(tables, ks) * growth[ks - 1], initial=best))
 
     # a-posteriori check on a finer, shorter grid
-    fine = np.linspace(0.0, 20.0 / sigma, 2 * grid_points + 1)
-    tables = _power_tables(_step_exp(A, fine[1] - fine[0]), 2 * grid_points)
+    fine = np.linspace(0.0, 20.0 / sigma, 2 * _GRID_POINTS + 1)
+    tables = _power_tables(_step_exp(A, fine[1] - fine[0]), 2 * _GRID_POINTS)
     limit = m_initial * np.exp(-sigma * fine) * (1 + 1e-9)
-    failed = np.concatenate(([1.0], _norm_bounds(tables, 2 * grid_points))) > limit
+    failed = np.concatenate(([1.0], _norm_bounds(tables, 2 * _GRID_POINTS))) > limit
     ks = np.flatnonzero(failed[1:]) + 1
     failed[ks] = _exact_norms(tables, ks) > limit[ks]
     if failed.any():

@@ -291,9 +291,9 @@ def cmd_sfs_sim(tf, ss, gamma, x0, t_end, dense_dt, rel_tol, abs_tol, out):
     cfg = sfs.SfsConfig(gamma=gamma, rel_tol=rel_tol, abs_tol=abs_tol)
     sol = sfs.simulate_sfs(ss, cfg, _parse_x0(x0, ss.n), t_end)
     ts = np.arange(0.0, t_end + dense_dt / 2, dense_dt)
-    # the grid ends at t_end: its last point moves there from past it or
-    # from within 1e-6 dense_dt short of it (roundoff), else t_end is added
-    if ts[-1] < t_end - 1e-6 * dense_dt:
+    # the grid ends at t_end: its last point, if not the start, moves there from
+    # past it or from within 1e-6 dense_dt short of it (roundoff), else t_end is added
+    if len(ts) == 1 or ts[-1] < t_end - 1e-6 * dense_dt:
         ts = np.append(ts, t_end)
     ts[-1] = t_end
     xs = sol.sol(ts)

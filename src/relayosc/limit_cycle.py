@@ -109,33 +109,9 @@ def _orbit_function(ss: StateSpace):
     return g, X
 
 
-def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None = None,
-                         *, return_all: bool = False):
-    """Locate symmetric unimodal orbit candidates by scanning g(tau).
-
-    Scans a 400-point log-spaced grid over ``tau_range`` for sign changes of
-    g, refines each root by ``scipy.optimize.brentq`` (``xtol=1e-13``), takes
-    the anchor from the same solve as g, and checks the output-sign
-    condition on 10,000 points of the half period.  The relay flow's
-    exponential keeps F's error relative as tau -> 0, where g is O(tau^r) at
-    relative degree r: no roundoff roots.  The returned orbit is the valid
-    candidate with the smallest half-period; ``return_all=True`` instead
-    yields every root as a candidate with its validity flag.  The default
-    ``tau_range`` spans 1e-4 / sigma to 100 / sigma, sigma the slowest decay
-    rate of the poles off the origin.
-
-    Raises
-    ------
-    ValueError
-        Default ``tau_range`` on a plant with no pole off the origin or with
-        a pole off the origin that is not stable.
-    NoOrbitError
-        No root of g, no root passing the sign condition, or g overflowing
-        in the scanned range (an unstable plant).
-    DegenerateOrbitError
-        g zero to roundoff at every scanned tau (``DEGENERATE_TOL``), as
-        on the double integrator, whose symmetric orbits form a continuum.
-    """
+def _candidates(ss: StateSpace, tau_range: tuple[float, float] | None):
+    """One ``OrbitCandidate`` per root of g in the scan, in ascending tau,
+    each refined and checked when reached (see ``find_symmetric_orbit``)."""
     from scipy.optimize import brentq
 
     if tau_range is None:
@@ -149,6 +125,9 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         hi = 100.0 / sigma
     else:
         lo, hi = tau_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > max(lo, 0.0)):
+            raise ValueError(f"tau_range must be finite with tau_max > max(tau_min, 0), "
+                             f"got {tau_range!r}")
         if lo <= 0:
             lo = 1e-12 + hi * 1e-10
     g, X = _orbit_function(ss)
@@ -162,42 +141,63 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
         raise DegenerateOrbitError("g(tau) is zero to roundoff over the scanned range: "
                                    "the symmetric orbits form a continuum")
 
-    roots: list[float] = []
-    for i in range(len(taus) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(taus[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(brentq(g, float(taus[i]), float(taus[i + 1]), xtol=1e-13))
-    if vals[-1] == 0.0:
-        roots.append(float(taus[-1]))
-    if not roots:
-        raise NoOrbitError("no symmetric unimodal candidate: g(tau) has no "
-                           "root in the scanned range")
-
-    candidates = []
     system = system_for(ss)
-    for tau in roots:
+    zero = vals == 0.0
+    change = np.append(vals[:-1] * vals[1:] < 0.0, False)
+    for i in np.flatnonzero(zero | change):
+        tau = float(taus[i]) if zero[i] else brentq(
+            g, float(taus[i]), float(taus[i + 1]), xtol=1e-13)
         anchor = X(tau)
         anchor[-1] = 0.0  # C anchor = g(tau) = 0 at the root
         # output along the positive half on an evenly spaced grid
         ys = system.grid(anchor, +1, tau / 9999, 10_000) @ ss.C
         peak = float(np.max(np.abs(ys)))
-        valid = bool(np.min(ys) >= SIGN_CONDITION_SLACK * peak)
         # one-sided output speeds at t = tau, at -anchor with incoming sign
         # +1; the switch at t = 2 tau, at +anchor, has their negation
         before, after = (float(system.output_speed(-anchor, s)) for s in (+1, -1))
-        candidates.append(OrbitCandidate(
+        yield OrbitCandidate(
             half_period=float(tau), anchor=anchor,
-            is_symmetric_unimodal=valid, period=2.0 * float(tau),
-            peak_output=peak, output_speeds=((before, after), (-before, -after))))
+            is_symmetric_unimodal=bool(np.min(ys) >= SIGN_CONDITION_SLACK * peak),
+            period=2.0 * float(tau), peak_output=peak,
+            output_speeds=((before, after), (-before, -after)))
 
-    if return_all:
-        return candidates
-    valid = [c for c in candidates if c.is_symmetric_unimodal]
-    if not valid:
-        raise NoOrbitError("g(tau) has roots but none passes the output-sign "
-                           "condition (no symmetric unimodal orbit)")
-    return min(valid, key=lambda c: c.half_period)
+
+def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None = None):
+    """The symmetric unimodal orbit of smallest half-period, from a scan of g.
+
+    Walks the sign changes of g on a 400-point log-spaced grid over
+    ``tau_range`` in ascending tau, refines each root it reaches by
+    ``scipy.optimize.brentq`` (``xtol=1e-13``), takes the anchor from the
+    same solve as g, and checks the output-sign condition on 10,000 points
+    of the half period; the first root that passes is returned, and no
+    later root is refined.  The relay flow's exponential keeps F's error
+    relative as tau -> 0, where g is O(tau^r) at relative degree r: no
+    roundoff roots.  The default ``tau_range`` spans 1e-4 / sigma to
+    100 / sigma, sigma the slowest decay rate of the poles off the origin;
+    a ``tau_min <= 0`` starts the scan at 1e-12 + 1e-10 tau_max.
+
+    Raises
+    ------
+    ValueError
+        A ``tau_range`` bound that is not finite, or ``tau_max`` not above
+        max(tau_min, 0); default ``tau_range`` on a plant with no pole off
+        the origin or with a pole off the origin that is not stable.
+    NoOrbitError
+        No root of g, no root passing the sign condition, or g overflowing
+        in the scanned range (an unstable plant).
+    DegenerateOrbitError
+        g zero to roundoff at every scanned tau (``DEGENERATE_TOL``), as
+        on the double integrator, whose symmetric orbits form a continuum.
+    """
+    candidate = None
+    for candidate in _candidates(ss, tau_range):
+        if candidate.is_symmetric_unimodal:
+            return candidate
+    if candidate is None:
+        raise NoOrbitError("no symmetric unimodal candidate: g(tau) has no "
+                           "root in the scanned range")
+    raise NoOrbitError("g(tau) has roots but none passes the output-sign "
+                       "condition (no symmetric unimodal orbit)")
 
 
 def _switch_jump_integral(rho_before: float, rho_after: float, b_tail: float) -> float:

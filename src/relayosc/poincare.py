@@ -105,8 +105,7 @@ def _chain(ss: StateSpace, sys_: RelaySystem, X: np.ndarray, k: int):
     return rows, J_a, J_e, points, errors
 
 
-def chained_jacobians(ss: StateSpace, x, k: int,
-                      system: RelaySystem | None = None):
+def chained_jacobians(ss: StateSpace, x, k: int):
     """Jacobians of the k-switch map psi(.; k), composed by the chain rule.
 
     The recursion psi(x; k) = psi(-psi(x; k-1); 1) makes the derivative an
@@ -121,18 +120,16 @@ def chained_jacobians(ss: StateSpace, x, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sys_ = system if system is not None else system_for(ss)
-    _, J_a, J_e, points, errors = _chain(ss, sys_, np.asarray(x, dtype=float)[None], k)
+    _, J_a, J_e, points, errors = _chain(ss, system_for(ss), np.asarray(x, dtype=float)[None], k)
     if errors:
         raise errors[0]
     return J_a[0], J_e[0], [p[0] for p in points]
 
 
-def jacobians(ss: StateSpace, x, *, system: RelaySystem | None = None) -> JacobianPair:
+def jacobians(ss: StateSpace, x) -> JacobianPair:
     """Return-map jacobians at an on-plane point x (C x = 0) under relay
-    sign +1: the one-switch chain, ``chained_jacobians(ss, x, 1, system)``,
-    with ``system`` the plant's shared ``RelaySystem`` by default."""
-    J_a, J_e, _ = chained_jacobians(ss, x, 1, system)
+    sign +1: the one-switch chain, ``chained_jacobians(ss, x, 1)``."""
+    J_a, J_e, _ = chained_jacobians(ss, x, 1)
     return JacobianPair(astrom=J_a, exact=J_e)
 
 
@@ -250,7 +247,7 @@ def fixed_point_search(ss: StateSpace, bounds: BoundsReport, k: int, x0,
             # plateau: last few Picard residuals not contracting
             newton_mode = len(history) >= 6 and history[-1] > 0.9 * history[-5]
         else:
-            _, J_e, points = chained_jacobians(ss, x, k, system=sys_)
+            _, J_e, points = chained_jacobians(ss, x, k)
             F = x - points[-1]
             # Newton step on x + psi(x; k), whose derivative is I + J_e
             try:

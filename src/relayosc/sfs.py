@@ -40,6 +40,9 @@ from .relay_dynamics import EXITED, system_for
 #: to roundoff.
 LAYER_EDGE = 20.0
 
+#: Smallest gain of ``root_locus``'s grid and of the crossings it reports.
+GAMMA_MIN = 1e-2
+
 
 @dataclass(frozen=True)
 class SfsConfig:
@@ -414,10 +417,9 @@ def _axis_crossings(ss: StateSpace, gamma_max: float) -> list[Crossing]:
     return sorted(out, key=lambda c: (c.gamma0, c.omega0))
 
 
-def root_locus(ss: StateSpace, gamma_max: float = 1e3, points: int = 400,
-               gamma_min: float = 1e-2) -> RootLocusScan:
-    """Closed-loop eigenvalue tracks over a log-spaced gain grid, and the
-    imaginary-axis crossings of the root locus in [gamma_min, gamma_max].
+def root_locus(ss: StateSpace, gamma_max: float = 1e3, points: int = 400) -> RootLocusScan:
+    """Closed-loop eigenvalue tracks over a log-spaced grid of ``points`` gains,
+    and the root locus's imaginary-axis crossings, both in [GAMMA_MIN, gamma_max].
 
     The crossings are computed exactly from the characteristic polynomial
     (see the module docstring), not from the tracks: kind "real" at
@@ -429,13 +431,13 @@ def root_locus(ss: StateSpace, gamma_max: float = 1e3, points: int = 400,
     """
     if points < 10:
         raise ValueError("points must be >= 10")
-    _check_gamma_max(gamma_max, gamma_min)
-    grid = np.geomspace(gamma_min, gamma_max, points)
+    _check_gamma_max(gamma_max, GAMMA_MIN)
+    grid = np.geomspace(GAMMA_MIN, gamma_max, points)
     tracks = closed_loop_eigenvalues(ss, grid).astype(complex)
     for i in range(1, points):
         tracks[i] = _pair_tracks(tracks[i - 1], tracks[i])
     crossings = tuple(c for c in _axis_crossings(ss, gamma_max)
-                      if c.direction and c.gamma0 >= gamma_min)
+                      if c.direction and c.gamma0 >= GAMMA_MIN)
     return RootLocusScan(gamma_grid=grid, eigen_tracks=tracks, crossings=crossings)
 
 

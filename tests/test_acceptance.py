@@ -92,14 +92,14 @@ def test_criterion_4_jacobian_equivalence(second_order, second_order_bounds):
     sys_ = RelaySystem(ss)
 
     for p in pts:
-        pair = pc.jacobians(ss, p, system=sys_)
+        pair = pc.jacobians(ss, p)
         rho_a = max(abs(np.linalg.eigvals(pair.astrom)))
         rho_e = max(abs(np.linalg.eigvals(pair.exact)))
         assert abs(rho_a - rho_e) <= 1e-8 * max(rho_e, 1e-300)
         assert np.linalg.norm(pair.astrom, 2) >= np.linalg.norm(pair.exact, 2) - 1e-12
 
     for p in pts[:100]:
-        pair = pc.jacobians(ss, p, system=sys_)
+        pair = pc.jacobians(ss, p)
         eps = 1e-6 * max(1.0, np.linalg.norm(p))
         cols = []
         for j in range(2):
@@ -270,21 +270,27 @@ def test_criterion_10_determinism(tmp_path):
         b = runner.invoke(cli_main, args, catch_exceptions=False).output
         assert a == b, f"non-deterministic output for {args[0]}"
 
+    # commands that write files: each file of run a equals its twin of run b
+    file_commands = [
+        ["poincare-survey"] + plant + ["--count", "500", "--k", "1", "--seed", "7",
+                                       "--out", "{}/survey.csv"],
+        ["simulate"] + plant + ["--x0", "0.4,0.2", "--t-end", "8", "--out", "{}/traj.csv"],
+        ["find-orbit"] + plant + ["--tau-min", "0.5", "--tau-max", "5",
+                                  "--orbit-csv", "{}/orbit.csv"],
+        ["root-locus"] + plant + ["--out", "{}/locus.csv",
+                                  "--crossings-out", "{}/crossings.json"],
+    ]
     for tag in ("a", "b"):
-        out = tmp_path / f"survey_{tag}.csv"
-        runner.invoke(cli_main, ["poincare-survey"] + plant
-                      + ["--count", "500", "--k", "1", "--seed", "7",
-                         "--out", str(out)], catch_exceptions=False)
-    assert (tmp_path / "survey_a.csv").read_bytes() == \
-        (tmp_path / "survey_b.csv").read_bytes()
-
-    for tag in ("a", "b"):
-        out = tmp_path / f"traj_{tag}.csv"
-        runner.invoke(cli_main, ["simulate"] + plant
-                      + ["--x0", "0.4,0.2", "--t-end", "8", "--out", str(out)],
-                      catch_exceptions=False)
-    assert (tmp_path / "traj_a.csv").read_bytes() == \
-        (tmp_path / "traj_b.csv").read_bytes()
+        (tmp_path / tag).mkdir()
+        for args in file_commands:
+            res = runner.invoke(cli_main, [a.format(tmp_path / tag) for a in args],
+                                catch_exceptions=False)
+            assert res.exit_code == 0, args[0]
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == ["crossings.json", "locus.csv", "orbit.csv", "survey.csv", "traj.csv"]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), \
+            f"non-deterministic {name}"
 
     elapsed = time.monotonic() - t0
     _report(10, "seeded subcommands byte-identical", f"[{elapsed:.1f}s]")

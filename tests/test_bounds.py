@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -51,11 +50,18 @@ class TestDecayEnvelope:
             assert nrm <= env.m_initial * math.exp(-env.sigma_slowest * t) * (1 + 1e-9)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("A", [[[-1.0, 1e307], [0.0, -1.0]],      # A h overflows
-                                   [[-1e-3, 1e300], [0.0, -2e-3]]])  # e^{A h} overflows
-    def test_overflowing_step_raises_without_warning(self, A):
+    @pytest.mark.parametrize("A", [[[-1.0, 1e307], [0.0, -1.0]],     # A h overflows
+                                   [[-1e-3, 1e300], [0.0, -2e-3]],  # e^{A h} overflows
+                                   [[-1.0, 1e200], [0.0, -1.0]]])   # P^T P overflows
+    def test_overflowing_step_raises_without_warning(self, A, monkeypatch):
+        # at the default grid all three overflow in the Gram matrices of the
+        # powers, whose NaN norms used to give m_initial = nan, verified
+        monkeypatch.setattr(bm, "_GRID_POINTS", 1)
         with pytest.raises(OverflowError, match="overflow"):
-            bm.decay_envelope(np.array(A), grid_points=1)
+            bm.decay_envelope(np.array(A))
+        monkeypatch.undo()
+        with pytest.raises(OverflowError, match="Gram matrix overflow"):
+            bm.decay_envelope(np.array(A))
 
     def test_non_hurwitz_rejected(self):
         with pytest.raises(ValueError, match="Hurwitz"):
@@ -65,17 +71,6 @@ class TestDecayEnvelope:
     def test_bad_epsilon_rejected(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must lie"):
             bm.decay_envelope(np.diag([-1.0, -3.0]), epsilon=epsilon)
-
-    def test_bad_grid_points_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="grid_points"):
-                bm.decay_envelope(np.diag([-1.0, -3.0]), grid_points=0)
-
-    @pytest.mark.parametrize("safety", [math.nan, math.inf, 0.0, -1.05])
-    def test_bad_safety_rejected(self, safety):
-        with pytest.raises(ValueError, match="safety"):
-            bm.decay_envelope(np.diag([-1.0, -3.0]), safety=safety)
 
     @pytest.mark.parametrize("A", [
         np.array([[-1.0, math.nan], [0.0, -2.0]]),
@@ -190,9 +185,10 @@ class TestBlockedNorms:
         assert env.m_initial == pytest.approx(m_ref, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("grid_points", [777, 1000])
-    def test_grid_not_a_multiple_of_the_block(self, grid_points, third_order):
+    def test_grid_not_a_multiple_of_the_block(self, grid_points, third_order, monkeypatch):
         A = third_order[1].A
-        env = bm.decay_envelope(A, grid_points=grid_points)
+        monkeypatch.setattr(bm, "_GRID_POINTS", grid_points)
+        env = bm.decay_envelope(A)
         m_ref, sigma_ref = _envelope_per_power(A, grid_points)
         assert env.sigma_slowest == sigma_ref
         assert env.m_initial == pytest.approx(m_ref, rel=1e-10, abs=0.0)
@@ -223,11 +219,13 @@ class TestBlockedNorms:
         (np.diag([-1.0, -3.0]), 4000, 0.5),                   # fails at t = 0
         (np.array([[-1.0, 10.0], [0.0, -3.0]]), 333, 1.0),    # fails on the hump
     ])
-    def test_verification_failure_at_first_time(self, A, grid_points, safety):
+    def test_verification_failure_at_first_time(self, A, grid_points, safety, monkeypatch):
         with pytest.raises(ValueError) as ref:
             _envelope_per_power(A, grid_points, safety)
+        monkeypatch.setattr(bm, "_GRID_POINTS", grid_points)
+        monkeypatch.setattr(bm, "_SAFETY", safety)
         with pytest.raises(ValueError) as got:
-            bm.decay_envelope(A, grid_points=grid_points, safety=safety)
+            bm.decay_envelope(A)
         assert str(got.value) == str(ref.value)
 
     def test_work_counts(self, third_order, monkeypatch):

@@ -149,6 +149,15 @@ class TestArtifacts:
         assert len(t) == rows and t[0] == 0.0 and t[-1] == t_end
         assert all(b - a >= 0.1 * dense_dt for a, b in zip(t, t[1:]))
 
+    def test_sfs_sim_keeps_start_before_tiny_t_end(self, runner):
+        # t_end far below 1e-6 dense_dt: the start row stays and t_end is added
+        res = invoke(runner, ["sfs-sim", "--num", "1,-1", "--den", "6,5,1",
+                              "--gamma", "1e3", "--x0", "0.1,0.1", "--t-end", "4e-9"])
+        assert res.exit_code == 0
+        rows = [line.split(",") for line in res.output.splitlines()[2:]]
+        assert [float(r[0]) for r in rows] == [0.0, 4e-9]
+        assert rows[0][1:3] == ["0.1", "0.1"]
+
     def test_monodromy(self, runner):
         res = invoke(runner, ["monodromy", "--num", "1,-1", "--den", "6,5,1",
                               "--gamma", "100"])
@@ -251,6 +260,10 @@ class TestExitCodes:
         (["simulate", "--x0", "1e160,1e160", "--t-end", "1"], 3, "norm overflows"),
         (["sfs-sim", "--gamma", "1e3", "--x0", "1e200,1e200", "--t-end", "1"], 3,
          "norm overflows"),
+        (["find-orbit", "--tau-min", "5", "--tau-max", "1"], 3, "tau_range must be finite"),
+        (["find-orbit", "--tau-min", "0.5", "--tau-max", "inf"], 3, "tau_range must be finite"),
+        (["find-orbit", "--tau-min", "nan", "--tau-max", "5"], 3, "tau_range must be finite"),
+        (["find-orbit", "--tau-min", "0", "--tau-max", "0"], 3, "tau_range must be finite"),
     ])
     def test_bad_input_exits_with_json_error(self, runner, tmp_path, args, code, key):
         if "--plant-file" in args:

@@ -79,7 +79,7 @@ class TestFindSymmetricOrbit:
 
     def test_return_all_lists_candidates(self, second_order):
         _, ss = second_order
-        cands = lc.find_symmetric_orbit(ss, return_all=True)
+        cands = list(lc._candidates(ss, None))
         assert len(cands) >= 1
         assert any(c.is_symmetric_unimodal for c in cands)
 
@@ -129,7 +129,7 @@ class TestFindSymmetricOrbit:
             596.381916581404, 144.76859966071333, 18.658443720502593]))
         orbit = lc.find_symmetric_orbit(ss)
         assert orbit.half_period == pytest.approx(1.78786005463380, rel=1e-12, abs=0.0)
-        assert min(c.half_period for c in lc.find_symmetric_orbit(ss, return_all=True)) >= 0.5
+        assert min(c.half_period for c in lc._candidates(ss, None)) >= 0.5
 
     def test_verdicts_invariant_under_gain_scaling(self, second_order):
         # the orbit scales with the numerator and tau* does not; the paper's
@@ -138,10 +138,10 @@ class TestFindSymmetricOrbit:
         plants = [second_order[0]] + [make_stable_plant(rng, n)
                                       for n in (3, 4, 5, 6) for _ in range(3)]
         for tf in plants:
-            ref = lc.find_symmetric_orbit(realize(tf), return_all=True)
+            ref = list(lc._candidates(realize(tf), None))
             for k in (1e-8, 1e7):
-                got = lc.find_symmetric_orbit(realize(parse_plant(
-                    [k * b for b in tf.num_coeffs], list(tf.den_coeffs))), return_all=True)
+                got = list(lc._candidates(realize(parse_plant(
+                    [k * b for b in tf.num_coeffs], list(tf.den_coeffs))), None))
                 assert ([c.is_symmetric_unimodal for c in got]
                         == [c.is_symmetric_unimodal for c in ref])
                 for c, r in zip(got, ref):
@@ -262,6 +262,47 @@ class TestAugmentedOrbitFunction:
     def test_default_range_names_its_requirement(self, den):
         with pytest.raises(ValueError, match="pole off the origin"):
             lc.find_symmetric_orbit(realize(parse_plant([1], den)))
+
+    @pytest.mark.parametrize("tau_range", [
+        (5.0, 1.0), (0.0, 0.0), (-2.0, -1.0), (1.0, math.inf), (-math.inf, 1.0),
+        (math.nan, 1.0), (1.0, math.nan)])
+    def test_bad_tau_range_rejected(self, second_order, tau_range):
+        with pytest.raises(ValueError, match="tau_range must be finite"):
+            lc.find_symmetric_orbit(second_order[1], tau_range)
+
+    def test_nonpositive_tau_min_starts_near_zero(self, second_order):
+        _, ss = second_order
+        ref = lc.find_symmetric_orbit(ss, (1e-12 + 1e-10 * 50.0, 50.0))
+        for lo in (0.0, -3.0):
+            got = lc.find_symmetric_orbit(ss, (lo, 50.0))
+            assert got.half_period == ref.half_period
+            assert np.array_equal(got.anchor, ref.anchor)
+
+    def test_walk_stops_at_the_first_valid_root(self, monkeypatch):
+        # g has five roots on the default scan and the first is valid: only
+        # it is refined and gridded (the candidates-then-min search gridded
+        # all five and returned this same orbit)
+        from relayosc import relay_dynamics as rd
+
+        ss = realize(parse_plant([1.5668442817806287, -0.7440559918626528],
+                                 [20.33656198364112, 15.79433632526511, 1.7452492821312822]))
+        assert len(list(lc._candidates(ss, None))) == 5
+        calls = []
+        grid = rd.RelaySystem.grid
+
+        def counted(self, *args):
+            calls.append(args)
+            return grid(self, *args)
+
+        monkeypatch.setattr(rd.RelaySystem, "grid", counted)
+        orbit = lc.find_symmetric_orbit(ss)
+        assert len(calls) == 1
+        assert orbit.is_symmetric_unimodal
+        assert orbit.half_period == 0.8422826283054986
+        assert orbit.anchor.tolist() == [3.4014251040323233, 1.8173937757492626, 0.0]
+        assert orbit.peak_output == 0.5062109786840457
+        speed = 1.8173937757492626
+        assert orbit.output_speeds == ((-speed, -speed), (speed, speed))
 
 
 class TestMonodromyExact:

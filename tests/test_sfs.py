@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -481,7 +482,10 @@ class TestHopfClassify:
         # WINDOW_PLANT is unstable on (10.5, 11.5) only; from gamma = 11 on,
         # the first crossing is the pair leaving the right half plane
         ss = realize(parse_plant(*WINDOW_PLANT))
-        rep = sfs.hopf_classify(ss, sfs.root_locus(ss, 1e3, 400, gamma_min=11.0))
+        scan = sfs.root_locus(ss, 1e3, 400)
+        window = dataclasses.replace(
+            scan, crossings=tuple(c for c in scan.crossings if c.gamma0 >= 11.0))
+        rep = sfs.hopf_classify(ss, window)
         assert rep.gamma0 == pytest.approx(11.5, rel=1e-12)
         assert rep.kind == "subcritical"
         assert rep.l1 > 0
@@ -637,7 +641,7 @@ class TestHyperbolicity:
         with pytest.raises(ValueError, match="gamma_max"):
             sfs.root_locus(ss, 5e-3)
         with pytest.raises(ValueError, match="gamma_max"):
-            sfs.root_locus(ss, 10.0, gamma_min=10.0)
+            sfs.root_locus(ss, sfs.GAMMA_MIN)
 
     def test_gain_zero_endpoint_is_open_loop(self, second_order):
         _, ss = second_order
