@@ -128,6 +128,10 @@ def _candidates(ss: StateSpace, tau_range: tuple[float, float] | None):
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > max(lo, 0.0)):
             raise ValueError(f"tau_range must be finite with tau_max > max(tau_min, 0), "
                              f"got {tau_range!r}")
+        step = system_for(ss).step_hint
+        if not hi / step < 2.0**53:
+            raise ValueError(f"tau_range must end below 2^53 march steps of {step:g}, "
+                             f"got {tau_range!r}")
         if lo <= 0:
             lo = 1e-12 + hi * 1e-10
     g, X = _orbit_function(ss)
@@ -179,9 +183,11 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
     Raises
     ------
     ValueError
-        A ``tau_range`` bound that is not finite, or ``tau_max`` not above
-        max(tau_min, 0); default ``tau_range`` on a plant with no pole off
-        the origin or with a pole off the origin that is not stable.
+        A ``tau_range`` bound that is not finite, ``tau_max`` not above
+        max(tau_min, 0), or ``tau_max`` at or past 2^53 march steps of the
+        plant's ``RelaySystem`` (the longest time its ``exp`` takes);
+        default ``tau_range`` on a plant with no pole off the origin or
+        with a pole off the origin that is not stable.
     NoOrbitError
         No root of g, no root passing the sign condition, or g overflowing
         in the scanned range (an unstable plant).

@@ -104,10 +104,37 @@ def _exp_powers(V: np.ndarray, D: np.ndarray, count: int) -> np.ndarray:
 
 
 def _all(mask: np.ndarray) -> bool:
-    """Whether every entry of ``mask`` is true, by a count: on the one- or
-    few-entry masks of a one-row exit this costs a fraction of the ufunc
-    reduction ``mask.all()``."""
+    """Whether every entry of ``mask`` is true, by a count: on the small
+    masks of a one-row exit (its start's scale, its march blocks) and of
+    ``RelaySystem.exp`` at one time this costs half of the ufunc reduction
+    ``mask.all()`` or less."""
     return np.count_nonzero(mask) == mask.size
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of a 1-d mask; its length if none."""
+    if mask.size:
+        i = int(mask.argmax())
+        if mask[i]:
+            return i
+    return mask.size
+
+
+def _series_start(t0, q0, q2, q3):
+    """First Newton iterate of a zero of the Taylor polynomial sum_k y_k d^k,
+    d = t - t0, from q_k = y_k / y_1: the cubic series reversion t0 + w (1 +
+    w (w (2 a^2 - q3) - a)), w = -q0, a = q2.  For floats or for arrays of
+    rows."""
+    w, a2 = -q0, q2
+    return t0 + w * (1.0 + w * (w * (2.0 * a2 * a2 - q3) - a2))
+
+
+def _last_step(step, d2f, df, tol, floor):
+    """Whether the Newton step f / f' = ``step`` is the last: below ``tol``,
+    or leaving a Newton error estimate |f'' / (2 f')| step^2 below the
+    roundoff ``floor / 2`` of t.  For floats or for arrays of rows."""
+    size = abs(step)
+    return (size <= tol) | (abs(d2f * step) * size <= floor * abs(df))
 
 
 def _taylor_degree(theta: float) -> int:
@@ -152,26 +179,25 @@ class _Paths:
         return (coef[:, :split].reshape(len(Z), K, system.n + 1),
                 coef[:, split:].reshape(len(Z), 3, K))
 
-    def follow(self, t: np.ndarray) -> None:
-        """Move the rows whose times t left their node intervals to the
-        nodes of those times."""
+    def follow(self, t) -> None:
+        """Move the rows whose times t (or the one row's time t) left their
+        node intervals to the nodes of those times."""
         h = self.system.node_step
         off = np.abs(t - self.t0 - 0.5 * h) > 0.625 * h
         if np.count_nonzero(off):
             away = off.nonzero()[0]
-            self.t0[away] = np.floor(t[away] / h + 1e-6) * h
+            self.t0 = np.where(off, np.floor(t / h + 1e-6) * h, self.t0)
             self.zk[away], self.yd[away] = self._expand(self.system.exp(self.t0[away]),
                                                         self.Z[away])
 
-    def _offsets(self, t: np.ndarray) -> np.ndarray:
+    def _offsets(self, t) -> np.ndarray:
         """Powers (t - t0)^k of the node offsets."""
         return (t - self.t0)[:, None] ** self.system._powers
 
-    def output(self, t: np.ndarray):
-        """s C x(t) - level and its first two time derivatives, for times
-        within the rows' node intervals."""
-        fd = self.yd @ self._offsets(t)[:, :, None]
-        return fd[:, 0, 0], fd[:, 1, 0], fd[:, 2, 0]
+    def output(self, t) -> np.ndarray:
+        """s C x(t) - level and its first two time derivatives, one row (m,
+        3) per path, for times within the rows' node intervals."""
+        return (self.yd @ self._offsets(t)[:, :, None])[:, :, 0]
 
     def state(self, t: np.ndarray) -> np.ndarray:
         """s x(t), for times within the rows' node intervals."""
@@ -186,6 +212,9 @@ EXITED, QUIESCENT, WRONG_SIDE = 0, 1, 2
 
 #: Output level that a march started within it must first rise above.
 F_TOL = 1e-12
+
+#: Most Newton steps of an exit's refinement.
+_NEWTON_STEPS = 100
 
 
 class Exits:
@@ -242,8 +271,11 @@ class RelaySystem:
     working accuracy.  A block of exits thus needs no matrix exponential of
     its own: the Newton refinement and the landing states use Taylor
     expansions about the brackets' left ends, whose exponentials come from
-    the tables.  Every exit and simulation of the system uses its horizon
-    and march step, each finite and positive (else ValueError).
+    the tables.  A single start (each switch of ``simulate``) takes the
+    same steps on the same tables in the one-row kernel ``_exit_row``,
+    which does its tests on scalars.  Every exit and simulation of the
+    system uses its horizon and march step, each finite and positive (else
+    ValueError).
 
     Parameters
     ----------
@@ -365,16 +397,17 @@ class RelaySystem:
                 raise OverflowError("matrix exponential overflow: ||M t|| too large")
         return E
 
-    def grid_exp(self, K: np.ndarray) -> np.ndarray:
-        """e^{M K h} for the grid indices K: the product over the base-BLOCK
-        digits d_i of K of e^{M d_i BLOCK^i h}, from the tables."""
-        K, d = np.divmod(K, self.BLOCK)
+    def grid_exp(self, K) -> np.ndarray:
+        """e^{M K h} for the grid indices K (an array, or one int): the
+        product over the base-BLOCK digits d_i of K of e^{M d_i BLOCK^i h},
+        from the tables."""
+        K, d = divmod(K, self.BLOCK)
         D = self._grid[0][d]
         level = 1
         while np.count_nonzero(K):
             if level == len(self._grid):
                 self._grid.append(_exp_powers(self._eye, self._grid[-1][-1], self.BLOCK + 1))
-            K, d = np.divmod(K, self.BLOCK)
+            K, d = divmod(K, self.BLOCK)
             Dl = self._grid[level][d]
             D = D + Dl + D @ Dl
             level += 1
@@ -426,11 +459,16 @@ class RelaySystem:
         residual output at roundoff level rather than at the refinement
         tolerance; this prevents drift over thousands of switches.
 
+        One row (a switch of ``simulate``, ``exit_event`` and the maps built
+        on it) goes to ``_exit_row``, which takes the same steps on the same
+        tables without the block's per-row masks, so its results equal the
+        block's bit for bit; the row count alone selects it.
+
         A nonzero ``level`` puts the plane at s C x = level, the output row
         [C, -level] on the augmented state (the edge of the smooth loop's
-        tanh layer, in ``limit_cycle``); every test above then reads s C x -
-        level for s C x.  ``level=0`` runs no extra operation, so the relay
-        exits are unchanged bit for bit.
+        tanh layer, in ``sfs._layer_flow``); every test above then reads s C
+        x - level for s C x.  ``level=0`` runs no extra operation, so the
+        relay exits are unchanged bit for bit.
         """
         s = int(sign)
         if s not in (+1, -1):
@@ -446,6 +484,8 @@ class RelaySystem:
         f0 = Z @ self._c                           # s C xi
         if level:
             f0 = f0 - level
+        if len(f0) == 1:
+            return self._exit_row(X, Z, f0, s, float(scale[0]), level)
         march = f0 > PLANE_TOL * scale
         wrong = None
         if not _all(march):
@@ -479,6 +519,95 @@ class RelaySystem:
         t = self._refine(paths, lo, hi)
         x = s * paths.state(t)
         return Exits(s, self.t_max, f0, status, rows, t, x, self.output_speed(x, s))
+
+    def _exit_row(self, X: np.ndarray, Z: np.ndarray, f0: np.ndarray, s: int,
+                  scale: float, level: float) -> Exits:
+        """``exit_events`` of the one start X (1, n), lifted to Z with its
+        value f0 = s C xi - level: the block path's steps on its tables
+        (``_march_row`` for ``_brackets``, the node expansion of ``_Paths``,
+        the start and stop rule of ``_refine``) with the tests, the bracket
+        and the Newton iterate on scalars in place of per-row masks."""
+        y0 = float(f0[0])
+        if y0 < -1e-3 * scale:
+            return self._no_exit(f0, s, WRONG_SIDE)
+        if (abs(y0) > PLANE_TOL * scale
+                or s * float(self.output_speed(X, s)[0]) >= -GRAZE_TOL):
+            bracket = self._march_row(Z, y0, level)
+            if bracket is None:
+                return self._no_exit(f0, s, QUIESCENT)
+            K, f_lo = bracket
+        else:
+            K, f_lo = 0, y0                        # leaves the sign region at once
+        lo, hi = self.step_hint * K, self.step_hint * (K + 1)
+        paths = _Paths(self, Z, [lo], self.grid_exp(K), level)
+        if not f_lo > 0.0:
+            lo, hi = lo - 0.125 * self.node_step, lo + 1.125 * self.node_step
+        follow = self.node_step < self.step_hint
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q0, _, q2, q3 = (paths.yd[0, 0, :4] / paths.yd[0, 0, 1]).tolist()
+            t = _series_start(float(paths.t0[0]), q0, q2, q3)
+            if not lo <= t <= hi:                  # np.fmax(lo, np.fmin(t, hi))
+                t = lo if t < lo else hi
+            tol, floor = 1e-12 * max(1.0, hi), (2.0 * _EPS) * hi + 0.5e-15
+            for _ in range(_NEWTON_STEPS):
+                if follow:
+                    paths.follow(t)
+                f, df, d2f = paths.output(t)[0]
+                if f > 0.0:
+                    lo = t
+                else:
+                    hi = t
+                step = f / df
+                nxt = t - step
+                last = _last_step(step, d2f, df, tol, floor)
+                if not lo <= nxt <= hi:
+                    nxt = (lo if nxt < lo else hi) if last else 0.5 * (lo + hi)
+                t = nxt
+                if last:
+                    break
+        if follow:
+            paths.follow(t)
+        x = s * paths.state(t)
+        return Exits(s, self.t_max, f0, np.zeros(1, dtype=int), None, np.array([t]), x,
+                     self.output_speed(x, s))
+
+    def _no_exit(self, f0: np.ndarray, s: int, status: int) -> Exits:
+        """The one-row Exits of a start that does not exit."""
+        return Exits(s, self.t_max, f0, np.array([status]), slice(0), np.empty(0),
+                     np.empty((0, self.n)), np.empty(0))
+
+    def _march_row(self, Z: np.ndarray, prev: float, level: float) -> tuple[int, float] | None:
+        """``_brackets`` of the one row of Z from its value ``prev`` at t = 0:
+        (K, f(K h)) of its first bracket, or None when it does not cross
+        before the horizon.  A start at or below F_TOL must first rise above
+        F_TOL; until it does, only a drop below -F_TOL, from a start at or
+        above -F_TOL, is a hit."""
+        armed, at_once = prev > F_TOL, prev >= -F_TOL
+        Zt, j, last, steps = Z.T, 0, self._last, self.march_steps(1)
+        while j < last:
+            count = min(steps, last - j)
+            vals = self._rows[:count] @ Zt
+            if level:
+                vals -= level
+            v = vals[:, 0]
+            if not (armed and v[v.argmin()] > 0.0):
+                if not _all(np.isfinite(v)):
+                    raise ValueError("non-finite function value during marching")
+                if armed:
+                    k = _first(v <= 0.0)
+                else:
+                    rise = _first(v > F_TOL)
+                    k = _first(v[:rise] < -F_TOL) if at_once else count
+                    if k >= rise and rise < count:
+                        armed = True
+                        k = rise + 1 + _first(v[rise + 1:] <= 0.0)
+                if k < count:
+                    return j + k, (prev if k == 0 else v[k - 1])
+            prev = v[-1]
+            j += count
+            if j < last:
+                Zt = self._leaps[count] @ Zt
+        return None
 
     def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray, level: float):
         """First brackets [K h, (K + 1) h] of a zero of [C, -level] e^{M t} z
@@ -539,8 +668,7 @@ class RelaySystem:
                 Zt = self._leaps[count] @ Zt
         return K, f_lo, found
 
-    def _refine(self, paths: _Paths, lo: np.ndarray, hi: np.ndarray,
-                max_iter: int = 100) -> np.ndarray:
+    def _refine(self, paths: _Paths, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Zeros of s C x on the brackets [lo, hi] by safeguarded Newton
         steps, from the cubic series reversion of each row's Taylor
         polynomial about its node (clipped to the bracket); a step that
@@ -555,23 +683,20 @@ class RelaySystem:
         follow = self.node_step < self.step_hint
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = paths.yd[:, 0, :4] / paths.yd[:, 0, 1:2]   # y_k / y_1
-            w, a2 = -q[:, 0], q[:, 2]
-            t = paths.t0 + w * (1.0 + w * (w * (2.0 * a2 * a2 - q[:, 3]) - a2))
-            t = np.fmax(lo, np.fmin(t, hi))
+            t = np.fmax(lo, np.fmin(_series_start(paths.t0, q[:, 0], q[:, 2], q[:, 3]), hi))
             tol = 1e-12 * np.maximum(1.0, hi)
             floor = (2.0 * _EPS) * hi + 0.5e-15
             stop = np.zeros(len(t), dtype=bool)    # the rows past their last step
-            for _ in range(max_iter):
+            for _ in range(_NEWTON_STEPS):
                 if follow:
                     paths.follow(t)
-                f, df, d2f = paths.output(t)
+                f, df, d2f = paths.output(t).T
                 above = f > 0.0
                 lo = np.where(above, t, lo)
                 hi = np.where(above, hi, t)
                 step = f / df
                 nxt = t - step
-                size = np.abs(step)
-                last = (size <= tol) | (np.abs(d2f * step) * size <= floor * np.abs(df))
+                last = _last_step(step, d2f, df, tol, floor)
                 inside = (nxt >= lo) & (nxt <= hi)
                 if not _all(inside):
                     nxt = np.where(inside | last, np.clip(nxt, lo, hi), 0.5 * (lo + hi))

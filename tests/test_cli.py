@@ -264,6 +264,8 @@ class TestExitCodes:
         (["find-orbit", "--tau-min", "0.5", "--tau-max", "inf"], 3, "tau_range must be finite"),
         (["find-orbit", "--tau-min", "nan", "--tau-max", "5"], 3, "tau_range must be finite"),
         (["find-orbit", "--tau-min", "0", "--tau-max", "0"], 3, "tau_range must be finite"),
+        (["find-orbit", "--tau-min", "1", "--tau-max", "1e18"], 3,
+         "tau_range must end below 2^53 march steps"),
     ])
     def test_bad_input_exits_with_json_error(self, runner, tmp_path, args, code, key):
         if "--plant-file" in args:

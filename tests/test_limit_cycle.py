@@ -270,6 +270,13 @@ class TestAugmentedOrbitFunction:
         with pytest.raises(ValueError, match="tau_range must be finite"):
             lc.find_symmetric_orbit(second_order[1], tau_range)
 
+    @pytest.mark.parametrize("tau_max", [1e18, 1e300])
+    def test_range_past_the_exponential_rejected(self, second_order, tau_max):
+        # RelaySystem.exp steps at most 2^53 march steps; 1e12 still scans
+        _, ss = second_order
+        with pytest.raises(ValueError, match="tau_range must end below 2"):
+            lc.find_symmetric_orbit(ss, (1.0, tau_max))
+
     def test_nonpositive_tau_min_starts_near_zero(self, second_order):
         _, ss = second_order
         ref = lc.find_symmetric_orbit(ss, (1e-12 + 1e-10 * 50.0, 50.0))

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from conftest import named_plant
 from relayosc import relay_dynamics as rd
+from relayosc import sfs
 from relayosc.errors import InvalidStartError, NoCrossingError
 from relayosc.plant import StateSpace, parse_plant, realize
 from relayosc.relay_dynamics import RelaySystem
@@ -633,26 +634,82 @@ class TestBatchedExits:
             np.testing.assert_array_equal(got, want)
 
     def test_block_matches_one_row_calls(self, request):
-        # bit for bit, although a one-row call marches longer blocks than a
-        # block of hundreds: seeded starts and negated landing states (on
-        # the plane, exiting at once or lifting off first)
+        # bit for bit, although a one-row call runs the one-row kernel and
+        # marches longer blocks than a block of hundreds: seeded starts and
+        # negated landing states (on the plane, exiting at once or lifting
+        # off first); returns to the level 0.05 from above it and from on
+        # it; and a march step of several Taylor nodes (h = 0.7), where the
+        # Newton iterates move from node to node and, on brl6 and origin,
+        # some last steps leave their brackets
+        cases = []
         for name, sign in itertools.product(TestOneKernel.PLANTS, (+1, -1)):
             ss = named_plant(name, request)
             sys_ = RelaySystem(ss)
             X = _starts(ss, sign, 175, 12)
-            X = np.vstack((X, -sys_.exit_events(X, sign).x))
-            ex = sys_.exit_events(X, sign)
+            cases.append((sys_, sign, 0.0, np.vstack((X, -sys_.exit_events(X, sign).x))))
+            on = X[:40].copy()
+            on[:, -1] = sign * 0.05                # C x = x_n
+            cases.append((sys_, sign, 0.05, np.vstack((X[40:80], on))))
+        for name, sign in itertools.product(("second_order", "brl6", "origin"), (+1, -1)):
+            ss = named_plant(name, request)
+            coarse = RelaySystem(ss, step_hint=0.7)
+            assert coarse.node_step < coarse.step_hint
+            X = _starts(ss, sign, 175, 14)
+            cases.append((coarse, sign, 0.0, np.vstack((X, -coarse.exit_events(X, sign).x))))
+        for sys_, sign, level, X in cases:
+            ex = sys_.exit_events(X, sign, level=level)
             assert np.count_nonzero(ex.status == rd.EXITED) > len(X) // 2
             for i, x in enumerate(X):
-                one = sys_.exit_events(x, sign)
+                one = sys_.exit_events(x, sign, level=level)
                 assert one.status[0] == ex.status[i]
                 np.testing.assert_array_equal(one.tau[0], ex.tau[i])
                 np.testing.assert_array_equal(one.x[0], ex.x[i])
                 np.testing.assert_array_equal(one.speed[0], ex.speed[i])
-                if ex.status[i] == rd.EXITED:
+                if ex.status[i] == rd.EXITED and not level:
                     t1, x1, ev = sys_.exit_event(x, sign)
                     assert t1 == ex.tau[i] and ev.transversal_speed == ex.speed[i]
                     assert np.array_equal(x1, ex.x[i])
+
+    def test_one_row_calls_never_reach_the_block_path(self, third_order, monkeypatch):
+        # every one-row caller gets its exits from the one-row kernel alone
+        _, ss = third_order
+        start = np.array([0.3, -0.2, 0.4])
+
+        def run():
+            traj, _ = rd.simulate(ss, start, 1e4, max_switches=400)
+            sfs_run = sfs.simulate_sfs(ss, sfs.SfsConfig(gamma=1e3), start, 10.0)
+            return ([(ev.t, ev.x, ev.transversal_speed) for ev in traj.events],
+                    rd.exit_time(ss, start, +1),
+                    RelaySystem(ss).kth_exit_map(-traj.events[0].x, 4),
+                    sfs_run.t, sfs_run.y)
+
+        want = run()
+        assert len(want[0]) == 400
+
+        def block_path(*args):
+            raise AssertionError("a one-row call reached the block path")
+
+        monkeypatch.setattr(RelaySystem, "_brackets", block_path)
+        monkeypatch.setattr(RelaySystem, "_refine", block_path)
+        rows = []
+        kernel = RelaySystem._exit_row
+        monkeypatch.setattr(RelaySystem, "_exit_row",
+                            lambda self, *args: rows.append(1) or kernel(self, *args))
+        got = run()
+        assert len(rows) > 400 + 1 + 4           # and the smooth loop's affine segments
+        np.testing.assert_equal(got, want)
+        with pytest.raises(AssertionError, match="block path"):
+            RelaySystem(ss).exit_events(np.vstack((start, start)), +1)
+
+    def test_non_finite_march_raises_on_both_paths(self):
+        # 1/(s - 1) from x = 5 under sign +1 runs away from the plane; its
+        # march overflows near t = 700, inside the horizon
+        ss = realize(parse_plant([1], [-1]))
+        sys_ = RelaySystem(ss, t_max=1e3)
+        for X in (np.array([5.0]), np.array([[0.3], [5.0]])):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="non-finite function value during marching"):
+                sys_.exit_events(X, +1)
 
     @pytest.mark.parametrize("name", TestOneKernel.PLANTS)
     @pytest.mark.parametrize("sign", [+1, -1])
