@@ -107,17 +107,9 @@ def _all(mask: np.ndarray) -> bool:
     """Whether every entry of ``mask`` is true, by a count: on the small
     masks of a one-row exit (its start's scale, its march blocks) and of
     ``RelaySystem.exp`` at one time this costs half of the ufunc reduction
-    ``mask.all()`` or less."""
-    return np.count_nonzero(mask) == mask.size
-
-
-def _first(mask: np.ndarray) -> int:
-    """Index of the first true entry of a 1-d mask; its length if none."""
-    if mask.size:
-        i = int(mask.argmax())
-        if mask[i]:
-            return i
-    return mask.size
+    ``mask.all()`` or less.  A numpy bool (one start's flag) is its own
+    answer, at a twentieth of the count."""
+    return np.count_nonzero(mask) == mask.size if mask.ndim else bool(mask)
 
 
 def _series_start(t0, q0, q2, q3):
@@ -215,6 +207,29 @@ F_TOL = 1e-12
 
 #: Most Newton steps of an exit's refinement.
 _NEWTON_STEPS = 100
+
+
+def _hit_test(vals, armed, start):
+    """(hit, armed) of a march block: of one start's values (count,), with
+    its flag ``armed`` and numpy float ``start`` (its value at t = 0), or
+    of r columns (count, r) with a flag and a start per column.  The march
+    ends a column at its first hit.  Once a column is armed (its start or
+    a value above F_TOL), its hits are its values at or below 0.  Before
+    that, a start at or above -F_TOL hits only where it drops below -F_TOL
+    (it departs at once); a start further past the plane does not hit.
+    ``armed`` comes back updated; hit is None when every column is armed
+    and every value is above 0, and otherwise a non-finite value raises
+    ValueError."""
+    armed = armed | (start > F_TOL)
+    if _all(armed) and vals.flat[vals.argmin()] > 0.0:     # the least value, or the first nan
+        return None, armed
+    if not _all(np.isfinite(vals)):
+        raise ValueError("non-finite function value during marching")
+    armed = armed | (vals[0] > F_TOL)
+    if _all(armed):
+        return vals <= 0.0, armed
+    up = np.logical_or.accumulate(vals > F_TOL) | armed
+    return (vals <= 0.0) & up | (start >= -F_TOL) & (vals < -F_TOL), up[-1]
 
 
 class Exits:
@@ -445,19 +460,16 @@ class RelaySystem:
         """First exits of the starts in the rows of ``X`` (m, n) under relay
         sign ``sign``, all at once: the first zeros of s C x(t) - ``level``.
 
-        Each row needs sign * C xi >= 0 (a start up to 1e-3 (1 + |xi|) past
-        the plane is accepted: the analytic continuation of its crossing time
-        exists, and finite-difference probes of the exit map rely on it), and
-        a finite 1 + |xi| (else ValueError, for the whole block).  A
-        start on the plane whose flow leaves the sign region transversally
-        exits at tau = 0.  Every other row marches on the grid j h
-        (h = ``step_hint``) up to the horizon ``t_max`` to its first sign
-        change of s C x(t); a start within ``F_TOL`` of the plane must first
-        rise above it, unless its output drops below -``F_TOL`` at once.  The
-        brackets are refined together by safeguarded Newton steps on the
-        Taylor polynomials (``_refine``), whose last step leaves the
-        residual output at roundoff level rather than at the refinement
-        tolerance; this prevents drift over thousands of switches.
+        Each row needs a finite 1 + |xi| (else ValueError, for the whole
+        block); ``_start_classes`` tells the rows on the wrong side of the
+        plane, and those on it that exit at tau = 0.  Every other row
+        marches on the grid j h (h = ``step_hint``) up to the horizon
+        ``t_max`` to its first hit (``_hit_test``), the grid point that ends
+        its bracket.  The brackets are refined together by safeguarded
+        Newton steps on the Taylor polynomials (``_refine``), whose last
+        step leaves the residual output at roundoff level rather than at the
+        refinement tolerance; this prevents drift over thousands of
+        switches.
 
         One row (a switch of ``simulate``, ``exit_event`` and the maps built
         on it) goes to ``_exit_row``, which takes the same steps on the same
@@ -486,23 +498,14 @@ class RelaySystem:
             f0 = f0 - level
         if len(f0) == 1:
             return self._exit_row(X, Z, f0, s, float(scale[0]), level)
-        march = f0 > PLANE_TOL * scale
-        wrong = None
-        if not _all(march):
-            # a start past the plane by less than 1e-3 (1 + |xi|) marches
-            # too; one on it marches unless its flow leaves the sign region
-            # transversally, when it exits at once
-            wrong = f0 < -1e-3 * scale
-            march |= ~wrong & ((f0 < -PLANE_TOL * scale)
-                               | (s * self.output_speed(X, s) >= -GRAZE_TOL))
+        wrong, march = self._start_classes(X, f0, s, scale)
         K, f_lo, found = self._brackets(Z, f0, march, level)
-        exited = found if wrong is None else found & ~wrong
+        exited = found & ~wrong
         status = np.zeros(len(f0), dtype=int)      # EXITED
         rows = slice(None)
         if not _all(exited):
             status[~found] = QUIESCENT
-            if wrong is not None:
-                status[wrong] = WRONG_SIDE
+            status[wrong] = WRONG_SIDE
             rows = exited.nonzero()[0]
             Z, K, f_lo = Z[rows], K[rows], f_lo[rows]
         lo = self.step_hint * K
@@ -511,9 +514,9 @@ class RelaySystem:
         paths = _Paths(self, Z, lo, self.grid_exp(K), level)
         cross = f_lo > 0.0
         if not _all(cross):
-            # a start that exits at once, and a bracket that is none (a start
-            # within F_TOL of the plane dropping below -F_TOL at once), keep
-            # to their node intervals
+            # a start that exits at once, and a bracket that is none (a
+            # departure at once in ``_hit_test``), keep to their node
+            # intervals
             lo = np.where(cross, lo, paths.t0 - 0.125 * self.node_step)
             hi = np.where(cross, hi, paths.t0 + 1.125 * self.node_step)
         t = self._refine(paths, lo, hi)
@@ -524,26 +527,27 @@ class RelaySystem:
                   scale: float, level: float) -> Exits:
         """``exit_events`` of the one start X (1, n), lifted to Z with its
         value f0 = s C xi - level: the block path's steps on its tables
-        (``_march_row`` for ``_brackets``, the node expansion of ``_Paths``,
-        the start and stop rule of ``_refine``) with the tests, the bracket
-        and the Newton iterate on scalars in place of per-row masks."""
-        y0 = float(f0[0])
-        if y0 < -1e-3 * scale:
+        (``_start_classes``, ``_march_row`` for ``_brackets`` with its
+        ``_hit_test``, the node expansion of ``_Paths``, the start and stop
+        rule of ``_refine``) with the bracket and the Newton iterate on
+        scalars in place of per-row masks."""
+        y0 = f0[0]
+        wrong, march = self._start_classes(X[0], y0, s, scale)
+        if wrong:
             return self._no_exit(f0, s, WRONG_SIDE)
-        if (abs(y0) > PLANE_TOL * scale
-                or s * float(self.output_speed(X, s)[0]) >= -GRAZE_TOL):
-            bracket = self._march_row(Z, y0, level)
+        # one errstate over the march (its values and leaps may overflow)
+        # and the Newton steps
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # a start that does not march leaves the sign region at once
+            bracket = self._march_row(Z, y0, level) if march else (0, y0)
             if bracket is None:
                 return self._no_exit(f0, s, QUIESCENT)
             K, f_lo = bracket
-        else:
-            K, f_lo = 0, y0                        # leaves the sign region at once
-        lo, hi = self.step_hint * K, self.step_hint * (K + 1)
-        paths = _Paths(self, Z, [lo], self.grid_exp(K), level)
-        if not f_lo > 0.0:
-            lo, hi = lo - 0.125 * self.node_step, lo + 1.125 * self.node_step
-        follow = self.node_step < self.step_hint
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lo, hi = self.step_hint * K, self.step_hint * (K + 1)
+            paths = _Paths(self, Z, [lo], self.grid_exp(K), level)
+            if not f_lo > 0.0:
+                lo, hi = lo - 0.125 * self.node_step, lo + 1.125 * self.node_step
+            follow = self.node_step < self.step_hint
             q0, _, q2, q3 = (paths.yd[0, 0, :4] / paths.yd[0, 0, 1]).tolist()
             t = _series_start(float(paths.t0[0]), q0, q2, q3)
             if not lo <= t <= hi:                  # np.fmax(lo, np.fmin(t, hi))
@@ -576,13 +580,28 @@ class RelaySystem:
         return Exits(s, self.t_max, f0, np.array([status]), slice(0), np.empty(0),
                      np.empty((0, self.n)), np.empty(0))
 
-    def _march_row(self, Z: np.ndarray, prev: float, level: float) -> tuple[int, float] | None:
-        """``_brackets`` of the one row of Z from its value ``prev`` at t = 0:
-        (K, f(K h)) of its first bracket, or None when it does not cross
-        before the horizon.  A start at or below F_TOL must first rise above
-        F_TOL; until it does, only a drop below -F_TOL, from a start at or
-        above -F_TOL, is a hit."""
-        armed, at_once = prev > F_TOL, prev >= -F_TOL
+    def _start_classes(self, X: np.ndarray, f0, s: int, scale):
+        """(wrong, march) of the starts X (m, n) with values f0 = s C xi -
+        level and scales 1 + |xi|, or of one start X (n,) with a numpy float
+        f0 and a float scale.  A start more than 1e-3 (1 + |xi|) past the
+        plane is on the wrong side; one past it by less marches (the
+        analytic continuation of its crossing time exists, and
+        finite-difference probes of the exit map rely on it).  So does a
+        start off the plane, and one on it (within PLANE_TOL (1 + |xi|))
+        unless its flow leaves the sign region transversally, s y' <
+        -GRAZE_TOL: that one exits at tau = 0."""
+        wrong = f0 < -1e-3 * scale
+        off = abs(f0) > PLANE_TOL * scale
+        if not _all(off):
+            off = off | (s * self.output_speed(X, s) >= -GRAZE_TOL)
+        return wrong, off ^ wrong                  # the wrong side is off the plane
+
+    def _march_row(self, Z: np.ndarray, start, level: float) -> tuple[int, float] | None:
+        """``_brackets`` of the one row of Z from its value ``start`` at
+        t = 0: (K, f(K h)) of its first bracket, or None when it does not
+        cross before the horizon.  ``_exit_row`` runs it under its
+        np.errstate, as its values and leaps may overflow."""
+        prev, armed = start, False
         Zt, j, last, steps = Z.T, 0, self._last, self.march_steps(1)
         while j < last:
             count = min(steps, last - j)
@@ -590,18 +609,10 @@ class RelaySystem:
             if level:
                 vals -= level
             v = vals[:, 0]
-            if not (armed and v[v.argmin()] > 0.0):
-                if not _all(np.isfinite(v)):
-                    raise ValueError("non-finite function value during marching")
-                if armed:
-                    k = _first(v <= 0.0)
-                else:
-                    rise = _first(v > F_TOL)
-                    k = _first(v[:rise] < -F_TOL) if at_once else count
-                    if k >= rise and rise < count:
-                        armed = True
-                        k = rise + 1 + _first(v[rise + 1:] <= 0.0)
-                if k < count:
+            hit, armed = _hit_test(v, armed, start)
+            if hit is not None:
+                k = int(hit.argmax())
+                if hit[k]:
                     return j + k, (prev if k == 0 else v[k - 1])
             prev = v[-1]
             j += count
@@ -617,55 +628,41 @@ class RelaySystem:
         horizon, and K = 0, f = f0 on the unmarked rows.  Each block takes
         ``march_steps(r)`` grid steps of the r rows still marching, so a
         lone row marches 4 BLOCK steps at a time and a block of hundreds
-        BLOCK; K depends only on the signs of the values against 0 and
-        F_TOL, not on the block lengths."""
+        BLOCK; K depends only on the values (``_hit_test``), not on the
+        block lengths."""
         K = np.zeros(len(f0), dtype=int)
         f_lo = f0.copy()
         found = ~march
         rows = march.nonzero()[0]          # the rows still marching
         if not rows.size:
             return K, f_lo, found
-        prev = f0[rows]                    # and their values at grid point j
-        last = self._last
-        Zt = Z[rows].T
-        armed = prev > F_TOL
-        lifting = not _all(armed)
-        at_once = prev >= -F_TOL
-        j = 0
-        while j < last:
-            count = min(self.march_steps(len(rows)), last - j)
-            vals = self._rows[:count] @ Zt
-            if level:
-                vals -= level
-            # the block's least value, or its first nan
-            if lifting or not vals.flat[vals.argmin()] > 0.0:
-                if not _all(np.isfinite(vals)):
-                    raise ValueError("non-finite function value during marching")
-                if lifting:
-                    up = np.logical_or.accumulate(vals > F_TOL, axis=0) | armed
-                    hit = np.where(np.concatenate((armed[None], up[:-1])), vals <= 0.0,
-                                   at_once & (vals < -F_TOL))
-                    armed = up[-1]
-                    lifting = not _all(armed)
-                else:
-                    hit = vals <= 0.0
-                got = hit.any(axis=0)
-                cols = got.nonzero()[0]
-                if cols.size:
-                    k = hit[:, cols].argmax(axis=0)
-                    r = rows[cols]
-                    K[r] = j + k
-                    f_lo[r] = np.concatenate((prev[None], vals))[k, cols]
-                    found[r] = True
-                    if len(cols) == len(rows):
-                        break
-                    keep = ~got
-                    rows, Zt, vals = rows[keep], Zt[:, keep], vals[:, keep]
-                    armed, at_once = armed[keep], at_once[keep]
-            prev = vals[-1]
-            j += count
-            if j < last:
-                Zt = self._leaps[count] @ Zt
+        prev = start = f0[rows]            # their values at t = 0 and at grid point j
+        armed, j, last, Zt = False, 0, self._last, Z[rows].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            while j < last:
+                count = min(self.march_steps(len(rows)), last - j)
+                vals = self._rows[:count] @ Zt
+                if level:
+                    vals -= level
+                hit, armed = _hit_test(vals, armed, start)
+                if hit is not None:
+                    got = hit.any(axis=0)
+                    cols = got.nonzero()[0]
+                    if cols.size:
+                        k = hit[:, cols].argmax(axis=0)
+                        r = rows[cols]
+                        K[r] = j + k
+                        f_lo[r] = np.concatenate((prev[None], vals))[k, cols]
+                        found[r] = True
+                        if len(cols) == len(rows):
+                            break
+                        keep = ~got
+                        rows, Zt, vals = rows[keep], Zt[:, keep], vals[:, keep]
+                        armed, start = armed[keep], start[keep]
+                prev = vals[-1]
+                j += count
+                if j < last:
+                    Zt = self._leaps[count] @ Zt
         return K, f_lo, found
 
     def _refine(self, paths: _Paths, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

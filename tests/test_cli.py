@@ -266,6 +266,10 @@ class TestExitCodes:
         (["find-orbit", "--tau-min", "0", "--tau-max", "0"], 3, "tau_range must be finite"),
         (["find-orbit", "--tau-min", "1", "--tau-max", "1e18"], 3,
          "tau_range must end below 2^53 march steps"),
+        # an exit march of 1/(s - 10) that overflows: stderr is the JSON error
+        # alone, without numpy warnings
+        (["sfs-sim", "--num", "1", "--den=-10,1", "--gamma", "1", "--x0", "100",
+          "--t-end", "1"], 3, "non-finite function value during marching"),
     ])
     def test_bad_input_exits_with_json_error(self, runner, tmp_path, args, code, key):
         if "--plant-file" in args:

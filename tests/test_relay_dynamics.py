@@ -78,6 +78,24 @@ class TestExitTime:
         _, ss = third_order
         assert rd.exit_time(ss, np.array([0.492375, -0.0061617, 1e-6]), +1) < 3.2e-4
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: an on-plane start whose output "
+                                           "rises and falls back within one march step "
+                                           "exits at tau = 0")
+    def test_on_plane_start_rising_within_one_step(self):
+        # 1/(s+1)^3 from the plane with s y'(0) = +7.65: the output rises,
+        # then falls below -F_TOL by the first grid point h = 5e-3; a
+        # 1e-6-step expm reference crosses at 2.4721e-3
+        ss = realize(parse_plant([1], [1, 3, 3]))
+        sys_ = RelaySystem(ss)
+        x = np.array([-6182.02078045, 7.65076815, 0.0])
+        ref = _ref_exits(ss, +1, x[None], 1e-6, 5e-3)[0]
+        assert abs(ref - 2.4721e-3) < 1e-7
+        for X in (x, np.vstack((x, x))):
+            ex = sys_.exit_events(X, +1)
+            assert np.all(ex.status == rd.EXITED)
+            assert np.abs(ex.tau - ref).max() <= 1e-12
+            assert np.all(ex.speed < -rd.GRAZE_TOL)
+
     def test_quiescent_error(self):
         # negative DC gain: the positive-sign flow settles at y > 0, no crossing
         ss = realize(parse_plant([-1, -1], [6, 5]))
@@ -703,13 +721,84 @@ class TestBatchedExits:
 
     def test_non_finite_march_raises_on_both_paths(self):
         # 1/(s - 1) from x = 5 under sign +1 runs away from the plane; its
-        # march overflows near t = 700, inside the horizon
+        # march overflows near t = 700, inside the horizon, without a numpy
+        # warning (the suite turns RuntimeWarning into an error)
         ss = realize(parse_plant([1], [-1]))
         sys_ = RelaySystem(ss, t_max=1e3)
         for X in (np.array([5.0]), np.array([[0.3], [5.0]])):
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(ValueError, match="non-finite function value during marching"):
+            with pytest.raises(ValueError, match="non-finite function value during marching"):
                 sys_.exit_events(X, +1)
+
+    def test_hit_test_equals_both_former_forms(self):
+        # _hit_test on columns and on blocks against the two forms it
+        # replaces: the one-row march's chain of first indices and the
+        # block march's shifted mask; hand-made columns at the F_TOL edges
+        # and seeded blocks that mix the flags
+        F = rd.F_TOL
+
+        def first(mask):
+            return int(mask.argmax()) if mask.any() else mask.size
+
+        def row_form(v, armed, at_once):
+            # first hit index (len(v) if none) and the flag after the block
+            if armed:
+                return first(v <= 0.0), True
+            rise = first(v > F)
+            k = first(v[:rise] < -F) if at_once else len(v)
+            if k >= rise and rise < len(v):
+                return rise + 1 + first(v[rise + 1:] <= 0.0), True
+            return k, False
+
+        def block_form(vals, armed, at_once):
+            up = np.logical_or.accumulate(vals > F, axis=0) | armed
+            hit = np.where(np.concatenate((armed[None], up[:-1])), vals <= 0.0,
+                           at_once & (vals < -F))
+            return hit, up[-1]
+
+        def check(vals, armed, start):
+            hit, armed_out = rd._hit_test(vals, armed, start)
+            hit = np.zeros(vals.shape, dtype=bool) if hit is None else hit
+            ref_armed = armed | (start > F)
+            ref_hit, ref_out = block_form(vals, ref_armed, start >= -F)
+            np.testing.assert_array_equal(hit, ref_hit)
+            np.testing.assert_array_equal(armed_out, ref_out)
+            for i in range(vals.shape[1]):
+                col_hit, col_armed = rd._hit_test(vals[:, i], armed[i], start[i])
+                col_hit = np.zeros(len(vals), dtype=bool) if col_hit is None else col_hit
+                np.testing.assert_array_equal(col_hit, hit[:, i])
+                assert col_armed == armed_out[i]
+                k, row_armed = row_form(vals[:, i], ref_armed[i], start[i] >= -F)
+                assert k == first(hit[:, i])
+                if k == len(vals):
+                    assert row_armed == armed_out[i]
+            return hit, armed_out
+
+        cols = [  # (armed, start, values): first hit, flag after
+            (True, 0.0, [-0.5, 0.2, 0.3, 0.1]),            # 0, armed, crosses at once
+            (False, F / 2, [-F / 2, -F / 4, 2 * F, -0.1]), # 3, after a dip and a rise
+            (False, 0.0, [-F / 2, -3 * F, 0.5, -0.5]),     # 1, a drop below -F_TOL
+            (False, -2 * F, [-3 * F, -1.0, 0.5, -0.5]),    # 3, past the plane: rise first
+            (False, 0.0, [F, 0.0, -F, F / 3]),             # none, never rises
+            (False, -F, [0.0, -F, F / 2, 2 * F]),          # none, rises at the last value
+            (False, 2 * F, [0.0, 0.5, -1.0, 1.0]),         # 0, a start above F_TOL is armed
+        ]
+        armed = np.array([c[0] for c in cols])
+        start = np.array([c[1] for c in cols])
+        vals = np.array([c[2] for c in cols]).T
+        hit, armed_out = check(vals, armed, start)
+        assert [first(h) for h in hit.T] == [0, 3, 1, 3, 4, 4, 0]
+        assert list(armed_out) == [True, True, True, True, False, True, True]
+        # every column armed and every value above 0: no hit
+        assert rd._hit_test(np.abs(vals) + F, armed | True, start)[0] is None
+        rng = np.random.default_rng(26)
+        levels = np.array([-1.0, -2 * F, -F, -F / 2, 0.0, F / 2, F, 2 * F, 1.0])
+        for count, r in ((1, 40), (5, 60), (64, 30)):
+            for _ in range(20):
+                check(rng.choice(levels, (count, r)), rng.random(r) < 0.3,
+                      rng.choice(levels, r))
+        with pytest.raises(ValueError, match="non-finite"):
+            rd._hit_test(np.array([[0.5, 1.0], [np.nan, 1.0]]), np.array([True, False]),
+                         np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("name", TestOneKernel.PLANTS)
     @pytest.mark.parametrize("sign", [+1, -1])
