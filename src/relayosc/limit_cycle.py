@@ -13,19 +13,16 @@ the on-plane anchor state is X(tau*).  No formula needs A^{-1}, so plants
 with a pole at the origin are covered.  The candidate is valid when the
 output stays nonnegative over the half period.  Stability is quantified by
 the monodromy matrix of the orbit, composed from the half-period flow and
-the switch-jump (saltation) factor at each crossing, or, for the smooth
-tanh loop at a finite gain, squared from its half-period variational matrix.
+the saltation matrix at each crossing, or, for the smooth tanh loop at a
+finite gain, squared from its half-period variational matrix.
 
-Note on the jump factor: the boundary-layer integral of the smooth system's
-linearization coefficient across one switch is
+The saltation matrix of a switch whose output speed jumps from rho_before
+to rho_after is
 
-    mu = ln(|rho_after| / |rho_before|) / (-C B)    (C B != 0)
-    mu = 2 / |rho|                                  (C B  = 0)
+    S = I + (2 / rho_before) B C ,    det S = rho_after / rho_before ,
 
-because the output speed sweeps continuously between its one-sided limits
-while the relay input saturates.  The resulting factor I - B C (1 - e^{-C B
-mu}) / (C B) is exactly the classical saltation matrix I + 2 s B C / rho_in,
-which maps the pre-switch field onto the post-switch field, so the composed
+for every sign of C B, zero included (Leine & Nijmeijer 2004; Astrom 1995).
+It maps the field before the switch onto the field after it, so the
 monodromy carries the trivial multiplier 1 by construction and its nonzero
 spectrum matches the chained return-map jacobians.
 """
@@ -206,40 +203,15 @@ def find_symmetric_orbit(ss: StateSpace, tau_range: tuple[float, float] | None =
                        "condition (no symmetric unimodal orbit)")
 
 
-def _switch_jump_integral(rho_before: float, rho_after: float, b_tail: float) -> float:
-    """Boundary-layer integral of the linearization coefficient at a switch,
-    so that e^{-C B mu} = rho_after / rho_before."""
-    if abs(rho_before) <= GRAZE_TOL or abs(rho_after) <= GRAZE_TOL:
-        raise DegenerateOrbitError("output speed degenerate at switch")
-    if b_tail != 0.0:
-        return math.log(abs(rho_after) / abs(rho_before)) / -b_tail
-    return 2.0 / abs(rho_before)
-
-
-def _jump_factor(ss: StateSpace, mu: float) -> np.ndarray:
-    """exp(-B C mu) evaluated in closed form via (B C)^k = (C B)^{k-1} B C."""
-    b_tail = float(ss.B[-1])
-    BC = np.outer(ss.B, ss.C)
-    if b_tail != 0.0:
-        theta = (1.0 - math.exp(-b_tail * mu)) / b_tail
-    else:
-        theta = mu
-    return np.eye(ss.n) - BC * theta
-
-
-def _report(ss: StateSpace, Phi: np.ndarray, T: float, jump_total: float,
-            extras: dict) -> MonodromyReport:
+def _report(Phi: np.ndarray, T: float, det_limit: float, extras: dict) -> MonodromyReport:
     """Floquet data of the monodromy ``Phi`` over the period ``T``, with the
-    determinant limit exp(-a_{n-1} T - C B * jump_total), ``jump_total`` the
-    sum of the jump integrals (the trace integral for the smooth loop)."""
+    closed-form determinant ``det_limit`` of its caller."""
     mults = np.linalg.eigvals(Phi)
-    a_tail = float(-ss.A[-1, -1])  # a_{n-1} from the companion structure
-    b_tail = float(ss.B[-1])
     return MonodromyReport(
         matrix=Phi,
         floquet_multipliers=tuple(mults.astype(complex).tolist()),
         det=float(np.linalg.det(Phi)),
-        det_limit_formula=math.exp(-a_tail * T - b_tail * jump_total),
+        det_limit_formula=det_limit,
         trivial_multiplier_error=float(np.min(np.abs(mults - 1.0))),
         period=T,
         extras=extras,
@@ -250,16 +222,27 @@ def monodromy_exact(ss: StateSpace, orbit: OrbitCandidate) -> MonodromyReport:
     """Monodromy of the relay orbit from its closed-form ingredients.
 
     The half-period map is the flow e^{A tau*} (the leading block of the
-    exponential the anchor came from) followed by the switch-jump factor
-    built from the one-sided output speeds; the second switch's speeds are
+    exponential the anchor came from) followed by the saltation matrix
+    I + (2 / rho_before) B C of the switch; the second switch's speeds are
     the negation of the first's, so the monodromy is that map squared.  The
-    determinant is cross-checked against the closed-form limit
-    exp(-a_{n-1} T - C B * sum of jump integrals), which the construction
+    determinant is cross-checked against the closed form
+    e^{-a_{n-1} T} (rho_after / rho_before)^2, which the construction
     satisfies as an algebraic identity.
+
+    Raises
+    ------
+    DegenerateOrbitError
+        A one-sided output speed at the switch at or below ``GRAZE_TOL`` in
+        magnitude.
     """
-    mu = _switch_jump_integral(*orbit.output_speeds[0], float(ss.B[-1]))
-    half = _jump_factor(ss, mu) @ system_for(ss).exp(orbit.half_period)[:ss.n, :ss.n]
-    return _report(ss, half @ half, orbit.period, 2.0 * mu, {"jump_integrals": [mu, mu]})
+    rho_before, rho_after = orbit.output_speeds[0]
+    if abs(rho_before) <= GRAZE_TOL or abs(rho_after) <= GRAZE_TOL:
+        raise DegenerateOrbitError("output speed degenerate at switch")
+    jump = np.eye(ss.n) + np.outer(ss.B, ss.C) * (2.0 / rho_before)
+    half = jump @ system_for(ss).exp(orbit.half_period)[:ss.n, :ss.n]
+    trace_A = float(ss.A[-1, -1])  # -a_{n-1}, from the companion structure
+    return _report(half @ half, orbit.period,
+                   math.exp(trace_A * orbit.period) * (rho_after / rho_before) ** 2, {})
 
 
 def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float):
@@ -382,8 +365,10 @@ def monodromy_floquet(ss: StateSpace, gamma: float,
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     z, tau, Phi_h, trace_h, residual = _shoot_half_period(
         ss, gamma, orbit_hint.anchor, orbit_hint.half_period)
-    trace_integral = 2.0 * trace_h
-    report = _report(ss, Phi_h @ Phi_h, 2.0 * tau, trace_integral, {
+    T, trace_integral = 2.0 * tau, 2.0 * trace_h
+    # Liouville: the trace of A - c B C is A[-1, -1] - c C B in companion form
+    liouville = math.exp(float(ss.A[-1, -1]) * T - float(ss.B[-1]) * trace_integral)
+    report = _report(Phi_h @ Phi_h, T, liouville, {
         "gamma": gamma, "anchor": z, "half_period": tau,
         "trace_integral": trace_integral, "half_period_residual": residual})
     if report.trivial_multiplier_error > TRIVIAL_MULTIPLIER_TOL:

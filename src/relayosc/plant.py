@@ -139,8 +139,6 @@ def parse_plant(num, den, *, leading_included: bool = False) -> TransferFunction
         den = [a / lead for a in den[:-1]]
         num = [b / lead for b in num]
     n = len(den)
-    if n < 1:
-        raise PlantError("denominator degree must be >= 1")
     # strip trailing zeros before the properness check, then zero-pad
     while len(num) > 1 and num[-1] == 0.0:
         num.pop()

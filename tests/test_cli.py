@@ -112,6 +112,13 @@ class TestArtifacts:
         assert payload["is_symmetric_unimodal"] is True
         assert len(payload["floquet_multipliers"]) == 2
 
+    def test_find_orbit_near_zero_cb(self, runner):
+        # C B = 1e-14, at the edge between relative degrees one and two: the
+        # trivial multiplier stays at roundoff
+        res = invoke(runner, ["find-orbit", "--num", "1,-1,1e-14", "--den", "6,5,3,1"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["trivial_multiplier_error"] < 1e-12
+
     def test_root_locus_crossing(self, runner):
         res = invoke(runner, ["root-locus", "--num", "1,-1,0",
                               "--den", "6,5,3,1", "--gamma-max", "100"])
@@ -270,6 +277,9 @@ class TestExitCodes:
         # alone, without numpy warnings
         (["sfs-sim", "--num", "1", "--den=-10,1", "--gamma", "1", "--x0", "100",
           "--t-end", "1"], 3, "non-finite function value during marching"),
+        (["classify", "--num", "1", "--den", "1"], 2, "degree >= 1"),
+        # s/(s+1)^2: g has roots, but no orbit keeps the output sign
+        (["find-orbit", "--num", "0,1", "--den", "1,2,1"], 3, "none passes"),
     ])
     def test_bad_input_exits_with_json_error(self, runner, tmp_path, args, code, key):
         if "--plant-file" in args:

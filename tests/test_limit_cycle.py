@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,12 @@ class TestFindSymmetricOrbit:
         sol = solve_ivp(rhs, (0.0, orbit2.half_period), orbit2.anchor,
                         rtol=1e-12, atol=1e-14)
         assert np.linalg.norm(sol.y[:, -1] + orbit2.anchor) < 1e-8
+
+    def test_roots_without_a_valid_orbit(self):
+        # s/(s+1)^2: g has roots, but the output changes sign on each
+        ss = realize(parse_plant([0, 1], [1, 2]))
+        with pytest.raises(NoOrbitError, match="none passes"):
+            lc.find_symmetric_orbit(ss)
 
     def test_first_order_has_no_orbit(self, first_order):
         # g(tau) = tanh(tau/2) > 0 for tau > 0: no root exists
@@ -315,7 +322,7 @@ class TestAugmentedOrbitFunction:
 class TestMonodromyExact:
     def test_det_identity(self, second_order, orbit2):
         # algebraic identity between the matrix determinant and the
-        # closed-form limit built from the same jump integrals
+        # closed form built from the same output speeds
         _, ss = second_order
         rep = lc.monodromy_exact(ss, orbit2)
         assert rep.det == pytest.approx(rep.det_limit_formula, rel=1e-8)
@@ -356,10 +363,41 @@ class TestMonodromyExact:
         _, ss = second_order
         rep = lc.monodromy_exact(ss, orbit2)
         a_tail = float(-ss.A[-1, -1])
-        b_tail = float(ss.B[-1])
-        mus = rep.extras["jump_integrals"]
-        more_damped = math.exp(-(a_tail + 1.0) * orbit2.period - b_tail * sum(mus))
+        rho_before, rho_after = orbit2.output_speeds[0]
+        more_damped = (math.exp(-(a_tail + 1.0) * orbit2.period)
+                       * (rho_after / rho_before) ** 2)
         assert more_damped < rep.det_limit_formula
+
+    @pytest.mark.parametrize("num, den", [([1, -1], [6, 5, 3]), ([2, -1], [6, 11, 6])])
+    def test_exact_as_cb_tends_to_zero(self, num, den):
+        # C B = eps: the saltation matrix holds for every sign of C B, so the
+        # monodromy is exact near C B = 0 and continuous there
+        def exact(eps):
+            ss = realize(parse_plant(num + [eps], den))
+            orbit = lc.find_symmetric_orbit(ss)
+            return ss, orbit, lc.monodromy_exact(ss, orbit)
+
+        _, _, ref = exact(0.0)
+        for eps in (1e-14, -1e-14, 1e-12):
+            ss, orbit, rep = exact(eps)
+            assert rep.trivial_multiplier_error < 1e-12
+            mults = list(rep.floquet_multipliers)
+            mults.pop(int(np.argmin(np.abs(np.array(mults) - 1.0))))
+            lam = -np.linalg.eigvals(pc.chained_jacobians(ss, orbit.anchor, 2)[1])
+            assert all(np.min(np.abs(lam - m)) < 1e-12 for m in mults)
+            if abs(eps) == 1e-14:
+                gap = np.linalg.norm(rep.matrix - ref.matrix)
+                assert gap < 1e-12 * np.linalg.norm(ref.matrix)
+
+    @pytest.mark.parametrize("speeds", [(-1e-9, -2.0), (-2.0, 1e-8), (0.0, 0.0)])
+    def test_grazing_switch_is_degenerate(self, second_order, orbit2, speeds):
+        # a one-sided switch speed at or below GRAZE_TOL has no saltation matrix
+        _, ss = second_order
+        before, after = speeds
+        orbit = dataclasses.replace(
+            orbit2, output_speeds=((before, after), (-before, -after)))
+        with pytest.raises(DegenerateOrbitError):
+            lc.monodromy_exact(ss, orbit)
 
     def test_third_order_stable_orbit(self, third_order, orbit3):
         _, ss = third_order
@@ -374,9 +412,9 @@ class TestMonodromyExact:
         (4, -1), (5, -1), (21, -1), (31, -1),
         (2, 0), (3, 0), (7, 0), (12, 0)])
     def test_spectrum_for_each_sign_of_cb(self, seed, cb_sign):
-        # the jump factor maps the pre-switch field onto the post-switch one
-        # whatever the sign of C B: trivial multiplier 1, and the others the
-        # nonzero eigenvalues of the full-period map -psi(.; 2)
+        # the saltation matrix maps the pre-switch field onto the post-switch
+        # one whatever the sign of C B: trivial multiplier 1, and the others
+        # the nonzero eigenvalues of the full-period map -psi(.; 2)
         rng = np.random.default_rng(seed)
         ss = realize(make_stable_plant(rng, int(rng.integers(2, 6))))
         assert np.sign(ss.C @ ss.B) == cb_sign

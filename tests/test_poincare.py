@@ -254,9 +254,10 @@ class TestFixedPointSearch:
             assert res.converged
             assert np.linalg.norm(res.x_hat - anchor) < 1e-12 * np.linalg.norm(anchor)
 
-    def test_newton_step_on_unstable_orbit(self, monkeypatch):
-        # n = 6, orbit multiplier of modulus 1.13: Picard iterates leave the
-        # anchor, so the search switches to Newton steps on the chain
+    @staticmethod
+    def _unstable_orbit():
+        """The seeded n = 6 plant whose orbit has a multiplier of modulus
+        1.13, its bounds and the orbit's anchor."""
         from conftest import make_stable_plant
         from relayosc.bounds import bounds_report, decay_envelope
         from relayosc.limit_cycle import find_symmetric_orbit
@@ -264,8 +265,12 @@ class TestFixedPointSearch:
 
         rng = np.random.default_rng(52)
         ss = realize(make_stable_plant(rng, int(rng.integers(2, 7))))
-        rep = bounds_report(ss, decay_envelope(ss.A))
-        anchor = find_symmetric_orbit(ss).anchor
+        return ss, bounds_report(ss, decay_envelope(ss.A)), find_symmetric_orbit(ss).anchor
+
+    def test_newton_step_on_unstable_orbit(self, monkeypatch):
+        # Picard iterates leave the anchor, so the search switches to Newton
+        # steps on the chain
+        ss, rep, anchor = self._unstable_orbit()
         calls = []
         chained = pc.chained_jacobians
         monkeypatch.setattr(pc, "chained_jacobians",
@@ -274,6 +279,23 @@ class TestFixedPointSearch:
         assert ss.n == 6 and calls
         assert res.converged
         assert np.linalg.norm(res.x_hat - anchor) < 1e-12 * np.linalg.norm(anchor)
+
+    def test_singular_newton_matrix_falls_back_and_stops(self, monkeypatch):
+        # J_e = -I makes I + J_e singular: the step falls back to -F, is
+        # halved, finds no descent, and the search returns without raising
+        ss, rep, anchor = self._unstable_orbit()
+        calls = []
+        chained = pc.chained_jacobians
+
+        def minus_identity(*args, **kwargs):
+            J_a, _, points = chained(*args, **kwargs)
+            calls.append(args)
+            return J_a, -np.eye(ss.n), points
+
+        monkeypatch.setattr(pc, "chained_jacobians", minus_identity)
+        res = pc.fixed_point_search(ss, rep, 1, anchor * (1 + 1e-3))
+        assert calls and not res.converged
+        assert res.iterations_used < 200
 
     def test_escape_raises_divergence(self, second_order, second_order_bounds):
         import dataclasses

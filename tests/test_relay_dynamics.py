@@ -688,6 +688,23 @@ class TestBatchedExits:
                     assert t1 == ex.tau[i] and ev.transversal_speed == ex.speed[i]
                     assert np.array_equal(x1, ex.x[i])
 
+    def test_block_with_no_marching_row(self, second_order):
+        # both starts on the wrong side: the block marches no row
+        _, ss = second_order
+        sys_ = RelaySystem(ss)
+        X = np.array([[0.3, -0.5], [0.1, -0.2]])
+        ex = sys_.exit_events(X, +1)
+        assert ex.status.tolist() == [rd.WRONG_SIDE] * 2
+        for i, x in enumerate(X):
+            one = sys_.exit_events(x, +1)
+            assert one.status[0] == ex.status[i]
+            for got, want in ((one.tau[0], ex.tau[i]), (one.x[0], ex.x[i]),
+                              (one.speed[0], ex.speed[i])):
+                np.testing.assert_array_equal(got, want)
+            err, ref = one.error(0), ex.error(i)
+            assert type(err) is type(ref) is InvalidStartError
+            assert str(err) == str(ref)
+
     def test_one_row_calls_never_reach_the_block_path(self, third_order, monkeypatch):
         # every one-row caller gets its exits from the one-row kernel alone
         _, ss = third_order
