@@ -456,7 +456,8 @@ class RelaySystem:
         return (x[..., None, :] @ self._CA[:, None])[..., 0, 0] - s * self._CB
 
     # -- exit computations ---------------------------------------------------
-    def exit_events(self, X: np.ndarray, sign: int = +1, *, level: float = 0.0) -> Exits:
+    def exit_events(self, X: np.ndarray, sign: int = +1, *, level: float = 0.0,
+                    cap: float | None = None) -> Exits:
         """First exits of the starts in the rows of ``X`` (m, n) under relay
         sign ``sign``, all at once: the first zeros of s C x(t) - ``level``.
 
@@ -481,6 +482,14 @@ class RelaySystem:
         tanh layer, in ``sfs._layer_flow``); every test above then reads s C
         x - level for s C x.  ``level=0`` runs no extra operation, so the
         relay exits are unchanged bit for bit.
+
+        A positive ``cap`` below ``t_max`` ends the march at the first grid
+        point at or past it, and becomes the horizon of the rows that do not
+        cross: a caller that needs no exit after ``cap`` (the end of
+        ``sfs._layer_flow``'s span) marches no further, so an unstable
+        plant's flow does not overflow past it.  The grid and the values are
+        those of the full march, so an exit before the cap is unchanged bit
+        for bit.
         """
         s = int(sign)
         if s not in (+1, -1):
@@ -496,10 +505,15 @@ class RelaySystem:
         f0 = Z @ self._c                           # s C xi
         if level:
             f0 = f0 - level
+        last, horizon = self._last, self.t_max
+        if cap is not None and cap < horizon:
+            last, horizon = min(math.ceil(cap / self.step_hint), last), cap
+            while last < self._last and self.step_hint * last < cap:
+                last += 1
         if len(f0) == 1:
-            return self._exit_row(X, Z, f0, s, float(scale[0]), level)
+            return self._exit_row(X, Z, f0, s, float(scale[0]), level, last, horizon)
         wrong, march = self._start_classes(X, f0, s, scale)
-        K, f_lo, found = self._brackets(Z, f0, march, level)
+        K, f_lo, found = self._brackets(Z, f0, march, level, last)
         exited = found & ~wrong
         status = np.zeros(len(f0), dtype=int)      # EXITED
         rows = slice(None)
@@ -521,12 +535,13 @@ class RelaySystem:
             hi = np.where(cross, hi, paths.t0 + 1.125 * self.node_step)
         t = self._refine(paths, lo, hi)
         x = s * paths.state(t)
-        return Exits(s, self.t_max, f0, status, rows, t, x, self.output_speed(x, s))
+        return Exits(s, horizon, f0, status, rows, t, x, self.output_speed(x, s))
 
     def _exit_row(self, X: np.ndarray, Z: np.ndarray, f0: np.ndarray, s: int,
-                  scale: float, level: float) -> Exits:
+                  scale: float, level: float, last: int, horizon: float) -> Exits:
         """``exit_events`` of the one start X (1, n), lifted to Z with its
-        value f0 = s C xi - level: the block path's steps on its tables
+        value f0 = s C xi - level, marching up to the grid point ``last``:
+        the block path's steps on its tables
         (``_start_classes``, ``_march_row`` for ``_brackets`` with its
         ``_hit_test``, the node expansion of ``_Paths``, the start and stop
         rule of ``_refine``) with the bracket and the Newton iterate on
@@ -534,14 +549,14 @@ class RelaySystem:
         y0 = f0[0]
         wrong, march = self._start_classes(X[0], y0, s, scale)
         if wrong:
-            return self._no_exit(f0, s, WRONG_SIDE)
+            return self._no_exit(f0, s, WRONG_SIDE, horizon)
         # one errstate over the march (its values and leaps may overflow)
         # and the Newton steps
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # a start that does not march leaves the sign region at once
-            bracket = self._march_row(Z, y0, level) if march else (0, y0)
+            bracket = self._march_row(Z, y0, level, last) if march else (0, y0)
             if bracket is None:
-                return self._no_exit(f0, s, QUIESCENT)
+                return self._no_exit(f0, s, QUIESCENT, horizon)
             K, f_lo = bracket
             lo, hi = self.step_hint * K, self.step_hint * (K + 1)
             paths = _Paths(self, Z, [lo], self.grid_exp(K), level)
@@ -572,12 +587,12 @@ class RelaySystem:
         if follow:
             paths.follow(t)
         x = s * paths.state(t)
-        return Exits(s, self.t_max, f0, np.zeros(1, dtype=int), None, np.array([t]), x,
+        return Exits(s, horizon, f0, np.zeros(1, dtype=int), None, np.array([t]), x,
                      self.output_speed(x, s))
 
-    def _no_exit(self, f0: np.ndarray, s: int, status: int) -> Exits:
+    def _no_exit(self, f0: np.ndarray, s: int, status: int, horizon: float) -> Exits:
         """The one-row Exits of a start that does not exit."""
-        return Exits(s, self.t_max, f0, np.array([status]), slice(0), np.empty(0),
+        return Exits(s, horizon, f0, np.array([status]), slice(0), np.empty(0),
                      np.empty((0, self.n)), np.empty(0))
 
     def _start_classes(self, X: np.ndarray, f0, s: int, scale):
@@ -596,13 +611,14 @@ class RelaySystem:
             off = off | (s * self.output_speed(X, s) >= -GRAZE_TOL)
         return wrong, off ^ wrong                  # the wrong side is off the plane
 
-    def _march_row(self, Z: np.ndarray, start, level: float) -> tuple[int, float] | None:
+    def _march_row(self, Z: np.ndarray, start, level: float,
+                   last: int) -> tuple[int, float] | None:
         """``_brackets`` of the one row of Z from its value ``start`` at
         t = 0: (K, f(K h)) of its first bracket, or None when it does not
-        cross before the horizon.  ``_exit_row`` runs it under its
-        np.errstate, as its values and leaps may overflow."""
+        cross before the grid point ``last``.  ``_exit_row`` runs it under
+        its np.errstate, as its values and leaps may overflow."""
         prev, armed = start, False
-        Zt, j, last, steps = Z.T, 0, self._last, self.march_steps(1)
+        Zt, j, steps = Z.T, 0, self.march_steps(1)
         while j < last:
             count = min(steps, last - j)
             vals = self._rows[:count] @ Zt
@@ -620,12 +636,13 @@ class RelaySystem:
                 Zt = self._leaps[count] @ Zt
         return None
 
-    def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray, level: float):
+    def _brackets(self, Z: np.ndarray, f0: np.ndarray, march: np.ndarray, level: float,
+                  last: int):
         """First brackets [K h, (K + 1) h] of a zero of [C, -level] e^{M t} z
         on the grid t = j h, j = 1, 2, ..., for the rows z of Z marked
         ``march``, from their values f0 at t = 0: (K, f(K h), found), where
-        ``found`` is false on the rows without a crossing before the
-        horizon, and K = 0, f = f0 on the unmarked rows.  Each block takes
+        ``found`` is false on the rows without a crossing before the grid
+        point ``last``, and K = 0, f = f0 on the unmarked rows.  Each block takes
         ``march_steps(r)`` grid steps of the r rows still marching, so a
         lone row marches 4 BLOCK steps at a time and a block of hundreds
         BLOCK; K depends only on the values (``_hit_test``), not on the
@@ -637,7 +654,7 @@ class RelaySystem:
         if not rows.size:
             return K, f_lo, found
         prev = start = f0[rows]            # their values at t = 0 and at grid point j
-        armed, j, last, Zt = False, 0, self._last, Z[rows].T
+        armed, j, Zt = False, 0, Z[rows].T
         with np.errstate(over="ignore", invalid="ignore"):
             while j < last:
                 count = min(self.march_steps(len(rows)), last - j)

@@ -147,8 +147,10 @@ def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
     - outside it, the relay's affine flow under s = sign C z: the time back
       to the edge from ``RelaySystem.exit_events`` at ``level`` =
       LAYER_EDGE / gamma, then z and each tangent row v <- e^{A dt} v from
-      ``RelaySystem.exp(dt)``.  A search that finds no return within the
-      horizon ``t_max`` advances t_max and searches again.
+      ``RelaySystem.exp(dt)``.  The search marches no further than the
+      first grid point at or past t_end (``cap``), so an unstable plant's
+      flow does not overflow beyond the span; one that finds no return
+      within the horizon ``t_max`` advances t_max and searches again.
 
     The kind alternates by segment and is never re-tested from |gamma C z|,
     which the event leaves at the edge to roundoff on either side; the last
@@ -175,8 +177,8 @@ def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
         else:
             system = system_for(ss)
             s = 1 if C @ w[:n] > 0.0 else -1
-            exits = system.exit_events(w[:n], s, level=LAYER_EDGE / gamma)
             t0, remaining = t, t_end - t
+            exits = system.exit_events(w[:n], s, level=LAYER_EDGE / gamma, cap=remaining)
             if exits.status[0] == EXITED and exits.tau[0] < remaining:
                 dt, inside = float(exits.tau[0]), True
                 t += dt
@@ -318,12 +320,15 @@ def _value(p: list[int], x: Fraction) -> int:
     return acc
 
 
+def _count(seq: list[list[int]], x: Fraction) -> int:
+    """Sign variations of ``seq`` at x."""
+    signs = [s for s in (_sign(_value(p, x)) for p in seq) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _variations(seq: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     """Sign variations of ``seq`` at lo minus those at hi."""
-    def at(x):
-        signs = [s for s in (_sign(_value(p, x)) for p in seq) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-    return at(lo) - at(hi)
+    return _count(seq, lo) - _count(seq, hi)
 
 
 def _unstable_count(coeffs: list[Fraction]) -> int | None:
@@ -406,9 +411,14 @@ def _axis_crossings(ss: StateSpace, gamma_max: float) -> list[Crossing]:
         if (count != 1 or _variations(positive, lo, hi) >= 0
                 or _variations(within, lo, hi) < 0):
             continue  # not one root, or its gain is not in (0, gamma_max]
+        at_lo = _count(sturm, lo)  # kept as lo moves, so a step evaluates at mid only
         while hi - lo > lo / 2**60:
             mid = split(lo, hi)
-            lo, hi = (lo, mid) if _variations(sturm, lo, mid) else (mid, hi)
+            at_mid = _count(sturm, mid)
+            if at_mid == at_lo:
+                lo = mid  # no root in (lo, mid]
+            else:
+                hi = mid
         s_lo, s_hi = _sign(_value(Q, lo)), _sign(_value(Q, hi))
         x = (lo + hi) / 2
         gain = Fraction(-_value(P, x) * x.denominator ** len(W),

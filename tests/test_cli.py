@@ -165,6 +165,17 @@ class TestArtifacts:
         assert [float(r[0]) for r in rows] == [0.0, 4e-9]
         assert rows[0][1:3] == ["0.1", "0.1"]
 
+    def test_sfs_sim_unstable_plant_within_its_span(self, runner):
+        # 1/(s - 10) from x0 = 100 never returns to the tanh layer: the
+        # affine flow (100 - 0.1) e^{10 t} + 0.1, its exit search marching
+        # no further than t_end
+        res = invoke(runner, ["sfs-sim", "--num", "1", "--den=-10,1", "--gamma", "1",
+                              "--x0", "100", "--t-end", "1"])
+        assert res.exit_code == 0
+        t, x = (float(v) for v in res.output.splitlines()[-1].split(",")[:2])
+        assert t == 1.0
+        assert x == pytest.approx((100 - 0.1) * np.exp(10.0) + 0.1, rel=1e-12, abs=0.0)
+
     def test_monodromy(self, runner):
         res = invoke(runner, ["monodromy", "--num", "1,-1", "--den", "6,5,1",
                               "--gamma", "100"])
@@ -273,10 +284,10 @@ class TestExitCodes:
         (["find-orbit", "--tau-min", "0", "--tau-max", "0"], 3, "tau_range must be finite"),
         (["find-orbit", "--tau-min", "1", "--tau-max", "1e18"], 3,
          "tau_range must end below 2^53 march steps"),
-        # an exit march of 1/(s - 10) that overflows: stderr is the JSON error
-        # alone, without numpy warnings
+        # an exit march of 1/(s - 10) that overflows within the span: stderr
+        # is the JSON error alone, without numpy warnings
         (["sfs-sim", "--num", "1", "--den=-10,1", "--gamma", "1", "--x0", "100",
-          "--t-end", "1"], 3, "non-finite function value during marching"),
+          "--t-end", "100"], 3, "non-finite function value during marching"),
         (["classify", "--num", "1", "--den", "1"], 2, "degree >= 1"),
         # s/(s+1)^2: g has roots, but no orbit keeps the output sign
         (["find-orbit", "--num", "0,1", "--den", "1,2,1"], 3, "none passes"),

@@ -359,14 +359,15 @@ class TestMonodromyExact:
         assert not np.iscomplexobj(np.linalg.eigvals(rep.matrix))
         assert all(type(m) is complex for m in rep.floquet_multipliers)
 
-    def test_det_decreases_with_extra_damping(self, second_order, orbit2):
-        _, ss = second_order
-        rep = lc.monodromy_exact(ss, orbit2)
-        a_tail = float(-ss.A[-1, -1])
-        rho_before, rho_after = orbit2.output_speeds[0]
-        more_damped = (math.exp(-(a_tail + 1.0) * orbit2.period)
-                       * (rho_after / rho_before) ** 2)
-        assert more_damped < rep.det_limit_formula
+    def test_det_decreases_with_extra_damping(self):
+        # (1 - s)/(s^2 + 5s + 6) against (1 - s)/(s^2 + 6s + 6): the monodromy
+        # itself contracts volume more with more damping (2.64e-4 against
+        # 2.15e-5)
+        def det(den):
+            ss = realize(parse_plant([1, -1], den))
+            return lc.monodromy_exact(ss, lc.find_symmetric_orbit(ss)).det
+
+        assert 0.0 < det([6, 6]) < 0.1 * det([6, 5])
 
     @pytest.mark.parametrize("num, den", [([1, -1], [6, 5, 3]), ([2, -1], [6, 11, 6])])
     def test_exact_as_cb_tends_to_zero(self, num, den):
@@ -459,12 +460,13 @@ class TestMonodromyFloquet:
     @pytest.mark.parametrize("gamma", [1e3, 1e4])
     def test_one_shooting_solve_from_the_relay_orbit(self, third_order, orbit3, gamma,
                                                      monkeypatch):
-        # one solve at the requested gain: 4 half-period evaluations at
-        # either gain, each starting one integration at t = 0 and one more
-        # per layer crossing, 3,552 evaluations of the right-hand side at
-        # either gain; integrating the whole half period took 5,818 and
-        # 5,288, and the layer split with a fifth evaluation once the
-        # residual was at roundoff 4,583 at gamma = 1e3
+        # one solve at the requested gain, from the layer-corrected relay
+        # orbit: 3 half-period evaluations at either gain (the start, one
+        # Newton step, the step kept once converged), each starting one
+        # integration at t = 0 and one more per layer crossing, 2,682
+        # evaluations of the right-hand side at either gain; from the
+        # uncorrected relay orbit it took 4 evaluations and 3,552, and
+        # integrating the whole half period 5,818 and 5,288
         shots, starts, nfev = [], [], []
         shoot, integrate = lc._shoot_half_period, numerics.integrate_adaptive
 
@@ -481,9 +483,29 @@ class TestMonodromyFloquet:
         monkeypatch.setattr(lc, "_shoot_half_period", counted_shoot)
         monkeypatch.setattr(numerics, "integrate_adaptive", counted_integrate)
         lc.monodromy_floquet(third_order[1], gamma, orbit3)
-        assert shots == [(gamma, orbit3.half_period)]
-        assert sum(starts) <= 6
-        assert sum(nfev) <= 4000
+        assert [g for g, _ in shots] == [gamma]
+        assert shots[0][1] == pytest.approx(orbit3.half_period, rel=1e-12)  # C B = 0
+        assert sum(starts) == 3
+        assert sum(nfev) <= 2800
+
+    @pytest.mark.parametrize("plant", [([1, -1, 0], [6, 5, 3]), ([1, -1], [6, 5])])
+    def test_layer_corrected_start_is_second_order(self, plant):
+        # the start is off the converged orbit by O(1 / gamma^2): its distance
+        # falls about 100x from gamma = 1e3 to 1e4, the relay orbit's 10x
+        ss = realize(parse_plant(*plant))
+        orbit = lc.find_symmetric_orbit(ss)
+
+        def distances(gamma):
+            flo = lc.monodromy_floquet(ss, gamma, orbit)
+            z, tau = flo.extras["anchor"], flo.extras["half_period"]
+            z0, tau0 = lc._layer_corrected_start(ss, gamma, orbit)
+            return (math.hypot(np.linalg.norm(z0 - z), tau0 - tau),
+                    math.hypot(np.linalg.norm(orbit.anchor - z), orbit.half_period - tau))
+
+        (corrected3, relay3), (corrected4, relay4) = distances(1e3), distances(1e4)
+        assert corrected3 >= 50 * corrected4
+        assert relay3 < 11 * relay4
+        assert corrected3 < 0.01 * relay3
 
     def test_integrates_only_the_layer(self, third_order, orbit3, monkeypatch):
         # outside |gamma C z| < LAYER_EDGE the affine flow is exact: the

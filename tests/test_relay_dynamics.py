@@ -688,6 +688,34 @@ class TestBatchedExits:
                     assert t1 == ex.tau[i] and ev.transversal_speed == ex.speed[i]
                     assert np.array_equal(x1, ex.x[i])
 
+    @pytest.mark.parametrize("level", [0.0, 0.05])
+    def test_capped_march(self, third_order, level):
+        # a cap ends the march at the first grid point at or past it: an exit
+        # before the cap is unchanged bit for bit, on the block path and on
+        # one row; a start that crosses later does not cross within the cap
+        _, ss = third_order
+        sys_ = RelaySystem(ss)
+        X = _starts(ss, +1, 40, 31)
+        full = sys_.exit_events(X, +1, level=level)
+        assert np.all(full.status == rd.EXITED)
+        cap = float(np.median(full.tau))
+        capped = sys_.exit_events(X, +1, level=level, cap=cap)
+        before = full.tau <= cap
+        assert before.any() and not before.all()
+        assert np.all(capped.status[before] == rd.EXITED)
+        assert np.all(capped.status[full.tau > cap + sys_.step_hint] == rd.QUIESCENT)
+        np.testing.assert_array_equal(capped.tau[before], full.tau[before])
+        np.testing.assert_array_equal(capped.x[before], full.x[before])
+        for i, x in enumerate(X):
+            one = sys_.exit_events(x, +1, level=level, cap=cap)
+            assert one.status[0] == capped.status[i]
+            np.testing.assert_array_equal(one.tau[0], capped.tau[i])
+        late = int(np.argmax(full.tau))
+        error = sys_.exit_events(X[late], +1, level=level, cap=cap).error(0)
+        assert isinstance(error, NoCrossingError) and f"within {cap:g} " in str(error)
+        same = sys_.exit_events(X, +1, level=level, cap=2 * sys_.t_max)
+        np.testing.assert_array_equal(same.tau, full.tau)
+
     def test_block_with_no_marching_row(self, second_order):
         # both starts on the wrong side: the block marches no row
         _, ss = second_order
