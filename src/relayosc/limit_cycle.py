@@ -125,7 +125,7 @@ def _candidates(ss: StateSpace, tau_range: tuple[float, float] | None):
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > max(lo, 0.0)):
             raise ValueError(f"tau_range must be finite with tau_max > max(tau_min, 0), "
                              f"got {tau_range!r}")
-        step = system_for(ss).step_hint
+        step = system_for(ss).step
         if not hi / step < 2.0**53:
             raise ValueError(f"tau_range must end below 2^53 march steps of {step:g}, "
                              f"got {tau_range!r}")
@@ -400,17 +400,21 @@ def monodromy_floquet(ss: StateSpace, gamma: float,
     ValueError
         ``gamma`` not in (0, inf).
     ShootingError / StiffnessError
-        Shooting divergence, integration beyond the stiffness budget, or a
-        trivial multiplier off by more than TRIVIAL_MULTIPLIER_TOL (the
-        paper's plant from gamma = 1e10, where the converged residual,
-        amplified by about gamma |B| / |f| through the field's slope at the
-        start in the middle of the layer, reaches 3e-4): the gain is too
-        large for the integrator, and ``monodromy_exact`` is the limit.
+        Shooting divergence, convergence to the equilibrium (|z| <= 1e-8
+        |x*|), integration beyond the stiffness budget, or a trivial
+        multiplier off by more than TRIVIAL_MULTIPLIER_TOL (the paper's
+        plant from gamma = 1e10, where the converged residual, amplified by
+        about gamma |B| / |f| through the field's slope at the start in the
+        middle of the layer, reaches 3e-4): the gain is too large for the
+        integrator, and ``monodromy_exact`` is the limit.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     z, tau, Phi_h, trace_h, residual = _shoot_half_period(
         ss, gamma, *_layer_corrected_start(ss, gamma, orbit_hint))
+    if np.linalg.norm(z) <= 1e-8 * np.linalg.norm(orbit_hint.anchor):
+        raise ShootingError(f"shooting at gain {gamma:g} converged to the equilibrium z = 0, "
+                            "which solves z(tau) = -z(0) for every tau")
     T, trace_integral = 2.0 * tau, 2.0 * trace_h
     # Liouville: the trace of A - c B C is A[-1, -1] - c C B in companion form
     liouville = math.exp(float(ss.A[-1, -1]) * T - float(ss.B[-1]) * trace_integral)

@@ -145,42 +145,24 @@ class _Paths:
 
         e^{M t} z_i = e^{M t0_i} sum_k (M^k / k!) (t - t0_i)^k z_i
 
-    about a node t0_i of its own, a multiple of the node step, from the
-    node's exponential e^{M t0_i} (``node``).  A row gets a new node only
-    when its time leaves the node interval, and its exponential from
-    ``RelaySystem.exp``.
+    about its node t0_i, a grid point, from the node's exponential
+    e^{M t0_i} (``node``), for t within 1/8 of a march step of the step
+    [t0_i, t0_i + h], the span of the Taylor degree.
     """
 
     def __init__(self, system: RelaySystem, Z: np.ndarray, t0: np.ndarray,
                  node: np.ndarray, level: float):
         self.system = system
-        self.Z = Z
-        self.level = level
         self.t0 = np.array(t0, dtype=float)
-        self.zk, self.yd = self._expand(node, Z)
-
-    def _expand(self, node: np.ndarray, Z: np.ndarray):
-        """The Taylor coefficients of s x, and of s C x - level and its first
-        two derivatives, about the nodes' states e^{M t0} z."""
-        system = self.system
+        # the Taylor coefficients of s x, and of s C x - level and its first
+        # two derivatives, about the nodes' states e^{M t0} z
         coef = system._expansion @ (node @ Z[:, :, None])
         K = len(system._powers)
         split = K * (system.n + 1)
-        if self.level:
-            coef[:, split] -= self.level
-        return (coef[:, :split].reshape(len(Z), K, system.n + 1),
-                coef[:, split:].reshape(len(Z), 3, K))
-
-    def follow(self, t) -> None:
-        """Move the rows whose times t (or the one row's time t) left their
-        node intervals to the nodes of those times."""
-        h = self.system.node_step
-        off = np.abs(t - self.t0 - 0.5 * h) > 0.625 * h
-        if np.count_nonzero(off):
-            away = off.nonzero()[0]
-            self.t0 = np.where(off, np.floor(t / h + 1e-6) * h, self.t0)
-            self.zk[away], self.yd[away] = self._expand(self.system.exp(self.t0[away]),
-                                                        self.Z[away])
+        if level:
+            coef[:, split] -= level
+        self.zk = coef[:, :split].reshape(len(Z), K, system.n + 1)
+        self.yd = coef[:, split:].reshape(len(Z), 3, K)
 
     def _offsets(self, t) -> np.ndarray:
         """Powers (t - t0)^k of the node offsets."""
@@ -275,11 +257,11 @@ class RelaySystem:
     symmetry: x(t; xi, -1) = -x(t; -xi, +1)); no formula needs A^{-1} or
     eigenvectors, so a pole at the origin is no special case (Van Loan,
     IEEE TAC 1978).  Construction builds one Taylor table of M^k / k! within
-    a node interval, and every e^{M t} is made from it: ``exp`` at given
+    one march step h, and every e^{M t} is made from it: ``exp`` at given
     times, the differences e^{M j dt} - I (``_exp_powers``) on evenly spaced
-    grids, and a Taylor polynomial within one node interval of a known state
-    (``_Paths``).  The march of a block of starts runs on the grid j h,
-    h = ``step_hint``: the rows [C 0] e^{M j h} give ``march_steps(r)``
+    grids, and a Taylor polynomial within one step of a known state
+    (``_Paths``).  The march of a block of starts runs on the grid j h
+    (``step``): the rows [C 0] e^{M j h} give ``march_steps(r)``
     output values of each of its r columns at once, and the leap
     e^{M march_steps(r) h} moves to the next block.  ``grid_exp`` gives
     e^{M K h} at any grid point from tables of e^{M j h} - I, which keep
@@ -297,10 +279,12 @@ class RelaySystem:
     ss : StateSpace
         Observer-canonical realization of the plant.
     step_hint : float, optional
-        Marching step for crossing detection; the default is t_max / 1e4.
-        For a relative-degree-one plant the minimum inter-switch bound of
-        ``bounds.bounds_report`` would be a valid march step, but no caller
-        passes it yet.
+        Upper bound on the march step; the default is t_max / 1e4.  The
+        march step h (``step``) is the hint in ceil(theta) whole Taylor node
+        intervals, theta = ||M_b||_1 hint with M_b the balanced M, so the
+        march resolves the fastest mode.  For a relative-degree-one plant
+        the minimum inter-switch bound of ``bounds.bounds_report`` would be
+        a valid hint, but no caller passes it yet.
     t_max : float, optional
         Search horizon for exit times; defaults to 50 slow time constants
         (50 / min |Re eigenvalue|) for a stable plant, which the finiteness
@@ -331,12 +315,12 @@ class RelaySystem:
         self.M[:n, n] = -B
         self._c = np.append(self.C, 0.0)
         self._CA, self._CB = self.C @ A, float(self.C @ B)
-        # Taylor nodes: ||M d|| <= 1 in the balanced norm on each interval
+        # the march step: the hint in whole Taylor node intervals, ||M h|| <= 1
+        # in the balanced norm
         Mb, _ = scipy.linalg.matrix_balance(self.M, permute=False, separate=True)
         theta = float(np.linalg.norm(Mb, 1)) * step
         nodes = max(1, math.ceil(theta))
-        self.node_step = step / nodes
-        self._halvings = math.ceil(math.log2(nodes))    # from h to a node interval
+        self.step = step = step / nodes
         terms = [np.eye(n + 1)]
         for k in range(1, max(3, _taylor_degree(1.125 * theta / nodes)) + 1):
             terms.append(terms[-1] @ self.M / k)
@@ -363,10 +347,10 @@ class RelaySystem:
         self._leaps = {j: self._eye + steps[j] for j in
                        map(self.march_steps, range(1, self.MARCH_WORK // self.BLOCK + 1))}
         # the march's last grid point: the last j with j h <= t_max
-        last = int(self.t_max // self.step_hint)
-        while self.step_hint * (last + 1) <= self.t_max:
+        last = int(self.t_max // step)
+        while step * (last + 1) <= self.t_max:
             last += 1
-        while last > 0 and self.step_hint * last > self.t_max:
+        while last > 0 and step * last > self.t_max:
             last -= 1
         self._last = last
 
@@ -376,37 +360,30 @@ class RelaySystem:
         values shared among them, between BLOCK and 4 BLOCK steps."""
         return min(max(self.MARCH_WORK // columns, self.BLOCK), 4 * self.BLOCK)
 
-    def _less_identity(self, dt, halvings: int | None = None) -> np.ndarray:
-        """e^{M dt} - I for a scalar dt, or one per entry of an array dt (each
-        entry's Taylor sum one row-times-table product, bit for bit its scalar
-        call), never by subtracting the identity from an exponential: the
-        Taylor sum at dt / 2^s, within one node interval, doubled s times on
-        (I + D)^2 = I + (2 D + D D); s is ``halvings`` when given, else the
-        least that brings dt within a node interval."""
-        if halvings is None:
-            halvings = math.ceil(math.log2(dt / self.node_step)) if dt > self.node_step else 0
-        d = np.asarray(dt, dtype=float)[..., None, None] / 2**halvings
+    def _less_identity(self, dt) -> np.ndarray:
+        """e^{M dt} - I for a scalar dt, or one per entry of an array dt,
+        within a march step of 0: each entry's Taylor sum is one
+        row-times-table product, bit for bit its scalar call, and never an
+        exponential less the identity."""
+        d = np.asarray(dt, dtype=float)[..., None, None]
         D = (d ** self._powers[1:]) @ self._taylor[1:].reshape(len(self._powers) - 1, -1)
-        D = D.reshape(np.shape(dt) + (self.n + 1,) * 2)
-        for _ in range(halvings):
-            D = D + D + D @ D
-        return D
+        return D.reshape(np.shape(dt) + (self.n + 1,) * 2)
 
     def exp(self, t) -> np.ndarray:
         """e^{M t} for a scalar t >= 0, or one per entry of an array t: the
         grid exponential e^{M K h} of K = floor(t / h) times e^{M (t - K h)}
-        from the Taylor sum at the march step's fixed number of halvings, so
-        an entry of an array t equals its scalar call bit for bit.  A t
-        below 0 by less than a node interval (an exit at t = 0, landed to
-        roundoff) takes K = 0.  Raises OverflowError when the result
-        overflows double precision, and ValueError on any other t."""
+        from the Taylor sum, so an entry of an array t equals its scalar
+        call bit for bit.  A t below 0 by less than a march step (an exit
+        at t = 0, landed to roundoff) takes K = 0.  Raises OverflowError
+        when the result overflows double precision, and ValueError on any
+        other t."""
         t = np.asarray(t, dtype=float)
-        K = np.fmax(np.floor(t / self.step_hint), 0.0)
-        if not _all((t >= -self.node_step) & (K < 2.0**53)):
+        K = np.fmax(np.floor(t / self.step), 0.0)
+        if not _all((t >= -self.step) & (K < 2.0**53)):
             raise ValueError("exp needs a finite t >= 0 below 2^53 march steps")
         with np.errstate(over="ignore", invalid="ignore"):
             E = self.grid_exp(K.astype(int))
-            D = self._less_identity(t - K * self.step_hint, self._halvings)
+            D = self._less_identity(t - K * self.step)
             E = E + E @ D
             if not _all(np.isfinite(E)):
                 raise OverflowError("matrix exponential overflow: ||M t|| too large")
@@ -443,9 +420,14 @@ class RelaySystem:
 
     def grid(self, xi: np.ndarray, s: int, dt: float, count: int) -> np.ndarray:
         """States at t = j dt, j = 0..count-1, from the differences
-        e^{M j dt} - I."""
+        e^{M j dt} - I; a dt past the march step takes the Taylor sum at
+        dt / 2^s within it, doubled s times on (I + D)^2 = I + (2 D + D D)."""
+        halvings = math.ceil(math.log2(dt / self.step)) if dt > self.step else 0
+        D = self._less_identity(dt / 2**halvings)
+        for _ in range(halvings):
+            D = D + D + D @ D
         z = self.lift(xi, s)
-        Z = _exp_powers(z, self._less_identity(dt).T, count)
+        Z = _exp_powers(z, D.T, count)
         Z += z
         return s * Z[:, : self.n]
 
@@ -464,7 +446,7 @@ class RelaySystem:
         Each row needs a finite 1 + |xi| (else ValueError, for the whole
         block); ``_start_classes`` tells the rows on the wrong side of the
         plane, and those on it that exit at tau = 0.  Every other row
-        marches on the grid j h (h = ``step_hint``) up to the horizon
+        marches on the grid j h (h = ``step``) up to the horizon
         ``t_max`` to its first hit (``_hit_test``), the grid point that ends
         its bracket.  The brackets are refined together by safeguarded
         Newton steps on the Taylor polynomials (``_refine``), whose last
@@ -507,8 +489,8 @@ class RelaySystem:
             f0 = f0 - level
         last, horizon = self._last, self.t_max
         if cap is not None and cap < horizon:
-            last, horizon = min(math.ceil(cap / self.step_hint), last), cap
-            while last < self._last and self.step_hint * last < cap:
+            last, horizon = min(math.ceil(cap / self.step), last), cap
+            while last < self._last and self.step * last < cap:
                 last += 1
         if len(f0) == 1:
             return self._exit_row(X, Z, f0, s, float(scale[0]), level, last, horizon)
@@ -522,17 +504,15 @@ class RelaySystem:
             status[wrong] = WRONG_SIDE
             rows = exited.nonzero()[0]
             Z, K, f_lo = Z[rows], K[rows], f_lo[rows]
-        lo = self.step_hint * K
-        hi = self.step_hint * (K + 1)
+        lo, hi = self.step * K, self.step * (K + 1)
         # nodes at the brackets' left ends
         paths = _Paths(self, Z, lo, self.grid_exp(K), level)
         cross = f_lo > 0.0
         if not _all(cross):
             # a start that exits at once, and a bracket that is none (a
-            # departure at once in ``_hit_test``), keep to their node
-            # intervals
-            lo = np.where(cross, lo, paths.t0 - 0.125 * self.node_step)
-            hi = np.where(cross, hi, paths.t0 + 1.125 * self.node_step)
+            # departure at once in ``_hit_test``), keep to their node's step
+            lo = np.where(cross, lo, paths.t0 - 0.125 * self.step)
+            hi = np.where(cross, hi, paths.t0 + 1.125 * self.step)
         t = self._refine(paths, lo, hi)
         x = s * paths.state(t)
         return Exits(s, horizon, f0, status, rows, t, x, self.output_speed(x, s))
@@ -541,11 +521,11 @@ class RelaySystem:
                   scale: float, level: float, last: int, horizon: float) -> Exits:
         """``exit_events`` of the one start X (1, n), lifted to Z with its
         value f0 = s C xi - level, marching up to the grid point ``last``:
-        the block path's steps on its tables
-        (``_start_classes``, ``_march_row`` for ``_brackets`` with its
-        ``_hit_test``, the node expansion of ``_Paths``, the start and stop
-        rule of ``_refine``) with the bracket and the Newton iterate on
-        scalars in place of per-row masks."""
+        the block path's steps on its tables (``_start_classes``,
+        ``_march_row`` for ``_brackets`` with its ``_hit_test``, the node
+        expansion of ``_Paths``, the start and stop rule of ``_refine``)
+        with the bracket and the Newton iterate on scalars in place of
+        per-row masks."""
         y0 = f0[0]
         wrong, march = self._start_classes(X[0], y0, s, scale)
         if wrong:
@@ -558,19 +538,16 @@ class RelaySystem:
             if bracket is None:
                 return self._no_exit(f0, s, QUIESCENT, horizon)
             K, f_lo = bracket
-            lo, hi = self.step_hint * K, self.step_hint * (K + 1)
+            lo, hi = self.step * K, self.step * (K + 1)
             paths = _Paths(self, Z, [lo], self.grid_exp(K), level)
             if not f_lo > 0.0:
-                lo, hi = lo - 0.125 * self.node_step, lo + 1.125 * self.node_step
-            follow = self.node_step < self.step_hint
+                lo, hi = lo - 0.125 * self.step, lo + 1.125 * self.step
             q0, _, q2, q3 = (paths.yd[0, 0, :4] / paths.yd[0, 0, 1]).tolist()
             t = _series_start(float(paths.t0[0]), q0, q2, q3)
             if not lo <= t <= hi:                  # np.fmax(lo, np.fmin(t, hi))
                 t = lo if t < lo else hi
             tol, floor = 1e-12 * max(1.0, hi), (2.0 * _EPS) * hi + 0.5e-15
             for _ in range(_NEWTON_STEPS):
-                if follow:
-                    paths.follow(t)
                 f, df, d2f = paths.output(t)[0]
                 if f > 0.0:
                     lo = t
@@ -584,8 +561,6 @@ class RelaySystem:
                 t = nxt
                 if last:
                     break
-        if follow:
-            paths.follow(t)
         x = s * paths.state(t)
         return Exits(s, horizon, f0, np.zeros(1, dtype=int), None, np.array([t]), x,
                      self.output_speed(x, s))
@@ -691,10 +666,8 @@ class RelaySystem:
         estimate |f'' / (2 f')| step^2 below the roundoff of t, and takes
         that last step, clipped to its bracket.  A stopped row stays put
         while the others go on, so a row's result does not depend on the
-        block.  With one node interval per march step a bracket lies in
-        the node interval of its left end; with more, the rows follow their
-        times from node to node."""
-        follow = self.node_step < self.step_hint
+        block.  A march step is one Taylor node interval, so every iterate
+        stays within the expansion about its bracket's left end."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = paths.yd[:, 0, :4] / paths.yd[:, 0, 1:2]   # y_k / y_1
             t = np.fmax(lo, np.fmin(_series_start(paths.t0, q[:, 0], q[:, 2], q[:, 3]), hi))
@@ -702,8 +675,6 @@ class RelaySystem:
             floor = (2.0 * _EPS) * hi + 0.5e-15
             stop = np.zeros(len(t), dtype=bool)    # the rows past their last step
             for _ in range(_NEWTON_STEPS):
-                if follow:
-                    paths.follow(t)
                 f, df, d2f = paths.output(t).T
                 above = f > 0.0
                 lo = np.where(above, t, lo)
@@ -718,8 +689,6 @@ class RelaySystem:
                 stop |= last
                 if _all(stop):
                     break
-        if follow:
-            paths.follow(t)
         return t
 
     def exit_time(self, xi: np.ndarray, sign: int = +1) -> float:
@@ -803,7 +772,7 @@ class RelaySystem:
         and the SlidingReport says so.  Grazing arrivals mark the trajectory
         as non-certified but the simulation continues.  A departure from the
         plane that returns to it within one march step (switches piling up
-        faster than ``step_hint`` resolves, as on the way to a Zeno point)
+        faster than ``step`` resolves, as on the way to a Zeno point)
         stops the trajectory on the plane, non-certified, with
         ``final_state`` set there.  ``max_switches`` must be at least 1
         (else ValueError).
@@ -844,7 +813,7 @@ class RelaySystem:
                 raise exits.error(0)
             tau = float(exits.tau[0]) if exits.status[0] == EXITED else math.inf
 
-            if departing and tau < min(self.step_hint, remaining):
+            if departing and tau < min(self.step, remaining):
                 traj.certified = False
                 traj.final_state = RelayState(x, sign, t)
                 break

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from relayosc import bounds as bounds_mod
 from relayosc.plant import parse_plant, realize
@@ -91,3 +94,15 @@ def named_plant(name, request):
     if name == "origin":
         return realize(parse_plant([1], [0, 1, 2]))
     return request.getfixturevalue(name)[1]
+
+
+def march_split(sys_, hint):
+    """The number of march steps that ``sys_`` splits the step hint into,
+    after checking the split: ceil(theta) steps of hint / ceil(theta),
+    theta = ||M_b||_1 hint in the balanced norm, so that ||M_b||_1 h <= 1."""
+    Mb, _ = scipy.linalg.matrix_balance(sys_.M, permute=False, separate=True)
+    norm = float(np.linalg.norm(Mb, 1))
+    steps = max(1, math.ceil(norm * hint))
+    assert sys_.step == hint / steps
+    assert norm * sys_.step <= 1.0 + 1e-15
+    return steps

@@ -291,6 +291,9 @@ class TestExitCodes:
         (["classify", "--num", "1", "--den", "1"], 2, "degree >= 1"),
         # s/(s+1)^2: g has roots, but no orbit keeps the output sign
         (["find-orbit", "--num", "0,1", "--den", "1,2,1"], 3, "none passes"),
+        # below the Hopf gain the shooting converges to the equilibrium
+        (["monodromy", "--gamma", "3"], 3, "converged to the equilibrium"),
+        (["classify", "--num", "1,-1"], 2, "provide --num and --den"),
     ])
     def test_bad_input_exits_with_json_error(self, runner, tmp_path, args, code, key):
         if "--plant-file" in args:
@@ -303,6 +306,11 @@ class TestExitCodes:
         assert res.exit_code == code
         payload = json.loads(res.stderr)
         assert payload["schema_version"] == 1 and key in payload["error"]
+
+    def test_missing_plant_exits_2(self, runner):
+        res = invoke(runner, ["classify"])
+        assert res.exit_code == 2
+        assert "provide --num and --den, or --plant-file" in json.loads(res.stderr)["error"]
 
     def test_wrong_x0_length_exits_2(self, runner):
         res = invoke(runner, ["sfs-sim", "--num", "1,-1", "--den", "6,5,1",

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from conftest import make_stable_plant, named_plant
+from conftest import make_stable_plant, march_split, named_plant
 from relayosc import limit_cycle as lc
 from relayosc import numerics
 from relayosc import poincare as pc
@@ -175,9 +175,9 @@ def test_relay_and_orbit_layers_make_no_pade_exponential(
     pc.chained_jacobians(ss, samples[0].point, 2)
     traj, _ = rd.simulate(ss, 1.1 * orbit.anchor, 10.0, dense_dt=0.05)
     assert traj.events and traj.states is not None
-    # several node intervals per march step: the refinement moves nodes
+    # a coarse hint, split into several march steps
     sys_ = RelaySystem(ss, step_hint=0.7)
-    assert sys_.node_step < sys_.step_hint
+    assert march_split(sys_, 0.7) > 1
     X = np.random.default_rng(5).standard_normal((20, ss.n))
     X[:, -1] = 0.1 + np.abs(X[:, -1])
     assert np.all(sys_.exit_events(X, +1).status == rd.EXITED)
@@ -587,6 +587,24 @@ class TestMonodromyFloquet:
         Phi = sol.y[n:, -1].reshape(n, n)
         assert np.abs(flo.matrix - Phi).max() <= 1e-8 * np.abs(Phi).max()
         assert flo.extras["half_period_residual"] < 1e-11
+
+    @pytest.mark.parametrize("plant, gamma", [(([1, -1], [6, 5]), 3.0),
+                                              (([1, -1], [6, 5]), 5.5),
+                                              (([1, -1], [6, 5]), 6.0),
+                                              (([2, -1, -1], [6, 11, 6]), 4.3)])
+    def test_converging_to_the_equilibrium_refused(self, plant, gamma):
+        # below the Hopf gain 5 of the paper's plant, and a little above it,
+        # Newton converges to z = 0 (|z| <= 2e-26), which solves
+        # z(tau) = -z(0) for every tau; the refusal used to blame the gain
+        ss = realize(parse_plant(*plant))
+        orbit = lc.find_symmetric_orbit(ss)
+        with pytest.raises(ShootingError, match="converged to the equilibrium"):
+            lc.monodromy_floquet(ss, gamma, orbit)
+
+    def test_orbit_above_the_hopf_gain_kept(self, second_order, orbit2):
+        flo = lc.monodromy_floquet(second_order[1], 7.5, orbit2)
+        assert np.linalg.norm(flo.extras["anchor"]) >= 0.1
+        assert flo.trivial_multiplier_error <= lc.TRIVIAL_MULTIPLIER_TOL
 
     def test_bad_gamma_rejected(self, second_order, orbit2):
         _, ss = second_order

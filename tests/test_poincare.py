@@ -161,6 +161,10 @@ class TestChainedJacobians:
         assert np.array_equal(J_e, pair.exact)
         assert len(pts) == 2
 
+    def test_k0_rejected(self, second_order):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            pc.chained_jacobians(second_order[1], np.array([2.5, 0.0]), 0)
+
 
 class TestSpectralSurvey:
     def test_all_schur_stable_second_order(self, second_order, second_order_bounds):

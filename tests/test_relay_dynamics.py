@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from conftest import named_plant
+from conftest import march_split, named_plant
 from relayosc import relay_dynamics as rd
 from relayosc import sfs
 from relayosc.errors import InvalidStartError, NoCrossingError
@@ -180,6 +180,19 @@ class TestKthExitMap:
             x = rd.exit_map(ss, x if j == 0 else -x, +1)
             assert abs(float(ss.C @ x)) < 1e-9
         assert np.array_equal(rd.system_for(ss).kth_exit_map(np.array([1.5, 0.0]), 4), x)
+
+    def test_bad_count_or_sign_rejected(self, second_order):
+        sys_ = rd.system_for(second_order[1])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            sys_.kth_exit_map([1.5, 0.0], 0)
+        with pytest.raises(ValueError, match="sign must be"):
+            sys_.exit_events([1.5, 0.0], 0)
+
+    def test_failed_iterate_named(self, second_order):
+        # C x = -1: the first iterate's start is on the wrong side for +1
+        with pytest.raises(NoCrossingError, match="iterate 1 of 2 failed") as info:
+            rd.system_for(second_order[1]).kth_exit_map([0.0, -1.0], 2)
+        assert isinstance(info.value.__cause__, InvalidStartError)
 
 
 class TestSimulate:
@@ -436,7 +449,7 @@ class TestOneKernel:
         for x in starts:
             x[-1] = sign * (0.1 + abs(x[-1]))
         # just off the plane and heading back: the exit lies in the first
-        # node interval, where the grid exponential is the identity
+        # march step, where the grid exponential is the identity
         w = ss.A.T @ ss.C
         w[-1] = 0.0
         x = -sign * (abs(float(ss.C @ ss.B)) + 1.0) / float(ss.C @ ss.A @ w) * w
@@ -448,7 +461,7 @@ class TestOneKernel:
             ref = scipy.linalg.expm(ss.A * tau)
             got = sys_.exp(tau)[: ss.n, : ss.n]
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert 0.0 < tau < sys_.node_step
+        assert 0.0 < tau < sys_.step
 
     @pytest.mark.parametrize("name", PLANTS)
     def test_state_both_signs(self, name, request):
@@ -465,7 +478,7 @@ class TestOneKernel:
             assert np.abs(grid - refs).max() <= 1e-12 * (1 + np.abs(refs).max())
 
     def test_grid_matches_high_precision(self, request):
-        # 2,000 steps within one node interval each: plain powers of
+        # 2,000 steps within one march step each: plain powers of
         # e^{M dt} drifted to 2e-12 here
         import mpmath
 
@@ -473,7 +486,7 @@ class TestOneKernel:
         sys_ = RelaySystem(ss)
         x = np.random.default_rng(3).standard_normal(ss.n)
         dt, count = 0.01, 2001
-        assert dt <= sys_.node_step
+        assert dt <= sys_.step
         got = sys_.grid(x, +1, dt, count)
         with mpmath.workdps(40):
             M = mpmath.matrix(sys_.M.tolist())
@@ -485,14 +498,14 @@ class TestOneKernel:
 
     @pytest.mark.parametrize("dt, j", [(0.3, 300), (1.0, 100)])
     def test_grid_beyond_node_interval_matches_high_precision(self, request, dt, j):
-        # steps of several node intervals: e^{M dt} - I taken as expm less
+        # steps of several march steps: e^{M dt} - I taken as expm less
         # the identity drifted to 3.7e-13 (dt = 0.3) and 1.1e-12 (dt = 1)
         import mpmath
 
         ss = named_plant("brl10", request)
         sys_ = RelaySystem(ss)
         x = np.random.default_rng(3).standard_normal(ss.n)
-        assert dt > 2 * sys_.node_step
+        assert dt > 2 * sys_.step
         got = sys_.grid(x, +1, dt, j + 1)[j]
         with mpmath.workdps(40):
             ref = mpmath.expm(mpmath.matrix(sys_.M.tolist()) * (j * mpmath.mpf(dt))) \
@@ -503,15 +516,15 @@ class TestOneKernel:
     @pytest.mark.parametrize("name", ["second_order", "brl10"])
     @pytest.mark.parametrize("step_hint", [None, 0.7])
     def test_exp_matches_high_precision(self, name, step_hint, request):
-        # e^{M t} at t = 0, within the first node interval, and past grid
+        # e^{M t} at t = 0, within the first march step, and past grid
         # points K h whose base-64 digits reach the first three table
-        # levels; h = 0.7 spans several node intervals
+        # levels; the hint 0.7 is split into several march steps
         import mpmath
 
         ss = named_plant(name, request)
         sys_ = RelaySystem(ss, step_hint=step_hint)
-        ts = [0.0, 0.3 * sys_.node_step] + [
-            (K + 0.37) * sys_.step_hint for K in (1, 63, 64, 4097, 262_145)]
+        ts = [0.0, 0.3 * sys_.step] + [
+            (K + 0.37) * sys_.step for K in (1, 63, 64, 4097, 262_145)]
         got = sys_.exp(np.array(ts))
         assert np.array_equal(got[0], np.eye(ss.n + 1))
         with mpmath.workdps(40):
@@ -597,16 +610,16 @@ class TestBatchedExits:
 
     @pytest.mark.parametrize("step_hint", [None, 0.7])
     def test_grid_exponentials(self, second_order, step_hint):
-        # e^{M K h} across base-64 digit levels, with one node interval per
-        # march step and with several (h = 0.7)
+        # e^{M K h} across base-64 digit levels, with the default hint (one
+        # march step) and with the hint 0.7 (split into several)
         _, ss = second_order
         sys_ = RelaySystem(ss, step_hint=step_hint)
-        assert (sys_.node_step < sys_.step_hint) == (step_hint is not None)
+        assert (march_split(sys_, sys_.step_hint) > 1) == (step_hint is not None)
         K = np.array([0, 1, 63, 64, 65, 4095, 4096, 262_145])
         got = sys_.grid_exp(K)
         assert np.array_equal(got[0], np.eye(ss.n + 1))
         for k, E in zip(K, got):
-            ref = scipy.linalg.expm(sys_.M * (k * sys_.step_hint))
+            ref = scipy.linalg.expm(sys_.M * (k * sys_.step))
             assert np.abs(E - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", TestOneKernel.PLANTS)
@@ -656,9 +669,8 @@ class TestBatchedExits:
         # marches longer blocks than a block of hundreds: seeded starts and
         # negated landing states (on the plane, exiting at once or lifting
         # off first); returns to the level 0.05 from above it and from on
-        # it; and a march step of several Taylor nodes (h = 0.7), where the
-        # Newton iterates move from node to node and, on brl6 and origin,
-        # some last steps leave their brackets
+        # it; and a hint of several Taylor nodes (0.7), split into as many
+        # march steps
         cases = []
         for name, sign in itertools.product(TestOneKernel.PLANTS, (+1, -1)):
             ss = named_plant(name, request)
@@ -671,7 +683,7 @@ class TestBatchedExits:
         for name, sign in itertools.product(("second_order", "brl6", "origin"), (+1, -1)):
             ss = named_plant(name, request)
             coarse = RelaySystem(ss, step_hint=0.7)
-            assert coarse.node_step < coarse.step_hint
+            assert march_split(coarse, 0.7) > 1
             X = _starts(ss, sign, 175, 14)
             cases.append((coarse, sign, 0.0, np.vstack((X, -coarse.exit_events(X, sign).x))))
         for sys_, sign, level, X in cases:
@@ -972,17 +984,51 @@ class TestBatchedExits:
 
     def test_grazing_row_flagged(self):
         # a field almost parallel to the plane: y(t) = y0 - 1e-12 t crosses at
-        # y0 / 1e-12 with a speed below GRAZE_TOL; the march step (1e3) spans
-        # a thousand Taylor node intervals
+        # y0 / 1e-12 with a speed below GRAZE_TOL; the step hint (1e3) is
+        # split into a thousand march steps
         ss = StateSpace(np.zeros((2, 2)), np.array([-1.0, 1e-12]), np.array([0.0, 1.0]))
         sys_ = RelaySystem(ss, t_max=1e7)
-        assert sys_.node_step < sys_.step_hint
+        assert march_split(sys_, 1e3) > 100
         y0 = np.array([1e-6, 2e-6, 3e-6])
         ex = sys_.exit_events(np.column_stack((np.zeros(3), y0)), +1)
         assert np.abs(ex.tau / (y0 * 1e12) - 1.0).max() <= 1e-12
         assert np.all(np.abs(ex.speed) <= rd.GRAZE_TOL)
         _, _, ev = sys_.exit_event([0.0, 1e-6], +1)
         assert ev.grazing_flag
+
+    def test_grazing_switch_leaves_simulation_uncertified(self):
+        # the plant above: the one switch, at 1e6, grazes the plane
+        ss = StateSpace(np.zeros((2, 2)), np.array([-1.0, 1e-12]), np.array([0.0, 1.0]))
+        traj, _ = RelaySystem(ss, t_max=1e7).simulate([0.0, 1e-6], 1.5e6)
+        assert len(traj.events) == 1
+        assert traj.events[0].t == pytest.approx(1e6, rel=1e-12)
+        assert traj.events[0].grazing_flag
+        assert traj.certified is False
+
+    def test_stiff_plant_first_crossing(self):
+        # poles -1 and -10 +- 1000j: the default hint t_max / 1e4 = 5e-3
+        # spans most of a period of the fast mode, and a march on it stepped
+        # over the first crossing (0.0140918 in place of 0.00152191); split
+        # into six march steps it finds it.  Reference: the output at 30
+        # digits, positive on a grid of 2.5e-5 up to the crossing
+        import mpmath
+
+        ss = realize(parse_plant([1000100], [1000100, 1000120, 21]))
+        sys_ = RelaySystem(ss)
+        assert march_split(sys_, sys_.step_hint) == 6
+        x = [125730.2210933933, -132.10486329130188, 0.32121132522164103]
+        tau = sys_.exit_time(x, +1)
+        with mpmath.workdps(30):
+            M = mpmath.matrix(sys_.M.tolist())
+            z = mpmath.matrix(x + [1.0])
+
+            def y(t):
+                return (mpmath.expm(M * t) * z)[ss.n - 1]   # C x = x_n
+
+            ref = mpmath.findroot(y, mpmath.mpf(tau))
+            assert y(mpmath.mpf("0.00154")) < 0
+            assert all(y(mpmath.mpf(t)) > 0 for t in np.linspace(0.0, 0.0015, 61))
+        assert abs(tau - float(ref)) <= 1e-14
 
     def test_module_wrappers_share_one_system(self, second_order, third_order):
         _, ss = second_order

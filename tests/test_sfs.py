@@ -533,6 +533,14 @@ class TestDescribingLocus:
         assert dl.locus_direction.real < 0
         assert abs(dl.locus_direction.imag) < 1e-9
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda ss: sfs.describing_locus(ss, 0.0, 5.0), "omega must be positive"),
+        (lambda ss: sfs.root_locus(ss, 100.0, points=9), "points must be >= 10"),
+    ])
+    def test_bad_frequency_or_grid_rejected(self, second_order, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(second_order[1])
+
     def test_pole_on_axis_rejected(self):
         # (s+1)(s^2+1): poles at +/- j
         ss = realize(parse_plant([1], [1, 1, 1]))
