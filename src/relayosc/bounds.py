@@ -74,9 +74,9 @@ class AnchorRegion:
         )
 
 
-#: Powers of e^{Ah} per batched product: the Frobenius pass streams the
-#: powers in blocks of this many, and the exact 2-norms are taken over
-#: batches of at most this many Gram matrices per ``eigvalsh`` call.
+#: Powers of e^{Ah} per batched product: the per-product Frobenius bounds of
+#: the narrowing pass and the exact 2-norms are taken over blocks of at most
+#: this many products, one ``eigvalsh`` call per block of Gram matrices.
 _NORM_BLOCK = 512
 
 #: Entries of the low table E^r, r < _LOW; the high table holds (E^_LOW)^q.
@@ -140,8 +140,60 @@ def _exact_norms(tables, ks: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _norm_bounds(tables, count: int) -> np.ndarray:
-    """Upper bounds on ``_exact_norms`` at k = 1..count: ||E^k||_F (1 + slack).
+def _finite_or_inf(bounds: np.ndarray) -> np.ndarray:
+    """NaN (inf - inf or 0 * inf past an overflow) as +inf."""
+    return np.where(np.isnan(bounds), np.inf, bounds)
+
+
+def _gram_bounds(tables, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-matrix bounds on the norms of E^k, k = 1..count: ``(lower, upper)``.
+
+    ``upper`` bounds ``_exact_norms``.  ``lower`` bounds, to first order in
+    u, the Frobenius norms of the products that ``_products`` forms; it only
+    sends a power on to its exact value.
+
+    With k = 64 q + r, H = high[q] and L = low[r], ||HL||_F^2 = <H^T H, L L^T>:
+    the Gram matrices of the two tables and one (Q x n^2) (n^2 x 64) product
+    give the Frobenius norms of all the powers with no product HL formed.
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms, 3.5;
+    u the unit roundoff, gamma_n = n u / (1 - n u)):
+
+    - The Gram matrices err entrywise by at most gamma_n |H|^T |H| and
+      gamma_n |L| |L|^T, the inner product of n^2 terms by gamma_{n^2} times
+      its sum of absolute values.  As <|H|^T |H|, |L| |L|^T> = || |H| |L| ||_F^2
+      <= ||H||_F^2 ||L||_F^2, the computed square is within
+      (n^2 + 2n) u ||H||_F^2 ||L||_F^2 of ||HL||_F^2 to first order;
+      (n + 1)^2 u in its place covers the second order.
+    - fl(HL) = HL + D with |D| <= gamma_n |H| |L|, so ||fl(HL)||_F is within
+      gamma_n ||H||_F ||L||_F of ||HL||_F.
+    - The factor 1 + 20 n^2 eps of ``_norm_bounds`` takes ||fl(HL)||_F over
+      the 2-norm computed from it and covers the few roundings here.
+
+    ||H||_F^2 and ||L||_F^2 are the traces of the Gram matrices.  A
+    non-finite bound is +inf, never NaN, so that a power whose Gram matrix
+    overflows reaches ``_exact_norms`` and its overflow error.
+    """
+    low, high = tables
+    n = low.shape[1]
+    u = np.finfo(float).eps / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        gh = np.swapaxes(high, 1, 2) @ high
+        gl = low @ np.swapaxes(low, 1, 2)
+        # one row per q: a threaded BLAS splits one (Q x n^2) (n^2 x 64) call
+        # over its threads, 0.03 to 8.6 ms at n = 10 on a loaded 2-core host
+        # against 0.1 ms row by row
+        squares = (gh.reshape(len(gh), 1, -1) @ gl.reshape(_LOW, -1).T).ravel()[1:count + 1]
+        scale = np.outer(np.trace(gh, axis1=1, axis2=2),
+                         np.trace(gl, axis1=1, axis2=2)).ravel()[1:count + 1]
+        slack = (n + 1) ** 2 * u * scale
+        spread = n * u / (1 - n * u) * np.sqrt(scale)
+        lower = np.sqrt(np.maximum(squares - slack, 0.0)) - spread
+        upper = (np.sqrt(squares + slack) + spread) * (1.0 + 20 * n * n * np.finfo(float).eps)
+        return _finite_or_inf(lower), _finite_or_inf(upper)
+
+
+def _norm_bounds(tables, ks: np.ndarray) -> np.ndarray:
+    """Upper bounds on ``_exact_norms`` at the powers ``ks``: ||E^k||_F (1 + slack).
 
     ||P||_2 <= ||P||_F (Golub & Van Loan, Matrix Computations, 2.3).  Both
     norms are taken of the same computed product P, so only their rounding
@@ -153,10 +205,11 @@ def _norm_bounds(tables, count: int) -> np.ndarray:
     limit they are compared with.
     """
     n = tables[0].shape[1]
-    norms = np.empty(count)
-    for start, P in _products(tables, np.arange(1, count + 1)):
-        norms[start:start + len(P)] = np.sqrt(np.einsum("kij,kij->k", P, P))
-    return norms * (1.0 + 20 * n * n * np.finfo(float).eps)
+    norms = np.empty(len(ks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, P in _products(tables, ks):
+            norms[start:start + len(P)] = np.sqrt(np.einsum("kij,kij->k", P, P))
+    return _finite_or_inf(norms * (1.0 + 20 * n * n * np.finfo(float).eps))
 
 
 def _step_exp(A: np.ndarray, h: float) -> np.ndarray:
@@ -177,17 +230,23 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None) -> DecayEnvelope
     are those of the powers of one step exponential, formed from two-level
     power tables (``_power_tables``).
 
-    Exact 2-norms (``_exact_norms``) are taken only where a Frobenius upper
-    bound (``_norm_bounds``) cannot decide.  The maximization takes the exact
-    value L at the power with the largest bound, then exact values at the
-    powers whose bound reaches max(L, 1); every other power is provably below
-    the maximum.  The check passes every power whose bound is within its
-    limit and takes exact values at the rest.  The exact values are those an
+    Exact 2-norms (``_exact_norms``) are taken only where upper bounds
+    cannot decide.  One small matrix product gives bounds from Gram
+    matrices for all the powers (``_gram_bounds``).  Two narrowing passes
+    follow, each against the level (max(L, 1) in the maximization, the
+    limit in the check): a power whose Gram upper bound reaches the level
+    gets the per-product Frobenius bound (``_norm_bounds``) unless its Gram
+    lower bound reaches the level too, when that bound could not decide it,
+    and only a power still undecided gets its exact value.
+    The maximization takes the exact value L at the power with the largest
+    Gram lower bound, then exact values at the powers that reach max(L, 1);
+    every other power is provably below the maximum.  The check passes every
+    power whose bound is within its limit.  The exact values are those an
     exhaustive pass would take, and a maximum and a comparison do not round,
     so ``m_initial``, the verdict and the first failing t equal the
     exhaustive pass's bit for bit.  Where the bounds cannot prune (two equal
     singular values, as for a normal complex pair), every power is taken
-    exactly, at the extra cost of the Frobenius pass only.
+    exactly.
 
     Parameters
     ----------
@@ -226,17 +285,23 @@ def decay_envelope(A: np.ndarray, epsilon: float | None = None) -> DecayEnvelope
     h = horizon / _GRID_POINTS
     tables = _power_tables(_step_exp(A, h), _GRID_POINTS)
     growth = np.exp(sigma * np.arange(1, _GRID_POINTS + 1) * h)
-    upper = _norm_bounds(tables, _GRID_POINTS) * growth
-    k = int(upper.argmax()) + 1
+    lower, upper = (b * growth for b in _gram_bounds(tables, _GRID_POINTS))
+    k = int(lower.argmax()) + 1
     best = max(1.0, float(_exact_norms(tables, np.array([k]))[0] * growth[k - 1]))  # 1.0: t = 0
-    ks = np.flatnonzero(upper >= best) + 1
+    reach = lower >= best
+    ks = np.flatnonzero((upper >= best) & ~reach) + 1
+    reach[ks - 1] = _norm_bounds(tables, ks) * growth[ks - 1] >= best
+    ks = np.flatnonzero(reach) + 1
     m_initial = _SAFETY * float(np.max(_exact_norms(tables, ks) * growth[ks - 1], initial=best))
 
     # a-posteriori check on a finer, shorter grid
     fine = np.linspace(0.0, 20.0 / sigma, 2 * _GRID_POINTS + 1)
     tables = _power_tables(_step_exp(A, fine[1] - fine[0]), 2 * _GRID_POINTS)
     limit = m_initial * np.exp(-sigma * fine) * (1 + 1e-9)
-    failed = np.concatenate(([1.0], _norm_bounds(tables, 2 * _GRID_POINTS))) > limit
+    lower, upper = (np.concatenate(([1.0], b)) for b in _gram_bounds(tables, 2 * _GRID_POINTS))
+    failed = lower > limit
+    ks = np.flatnonzero((upper > limit) & ~failed)
+    failed[ks] = _norm_bounds(tables, ks) > limit[ks]
     ks = np.flatnonzero(failed[1:]) + 1
     failed[ks] = _exact_norms(tables, ks) > limit[ks]
     if failed.any():

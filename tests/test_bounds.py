@@ -7,7 +7,7 @@ import scipy.linalg
 from conftest import make_brl_plant, make_stable_plant, named_plant
 from relayosc import bounds as bm
 from relayosc import relay_dynamics as rd
-from relayosc.plant import StateSpace, realize
+from relayosc.plant import StateSpace, parse_plant, realize
 
 
 class TestDecayEnvelope:
@@ -239,11 +239,20 @@ class TestBlockedNorms:
 
         monkeypatch.setattr(scipy.linalg, "expm", counted("expm", scipy.linalg.expm))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        products = {"matrices": 0}
+        blocks = bm._products
+
+        def counted_products(tables, ks):
+            products["matrices"] += len(ks)
+            return blocks(tables, ks)
+
+        monkeypatch.setattr(bm, "_products", counted_products)
         grams = _counting_grams(monkeypatch)
         bm.decay_envelope(third_order[1].A)
         assert calls["expm"] == 2
         assert 0 < grams["eigvalsh"] <= 32
         assert 0 < grams["grams"] <= 64      # of the 12,000 powers
+        assert 0 < products["matrices"] <= 64
         assert calls["svd"] == 0
 
     def test_pruned_equals_exhaustive_on_draws(self):
@@ -271,6 +280,65 @@ class TestBlockedNorms:
         grams = _counting_grams(monkeypatch)
         assert _envelope_or_error(A) == expected
         assert grams["grams"] >= min_grams
+
+
+def _grid_tables(A):
+    """The power tables of ``decay_envelope``'s two grids, with their counts."""
+    decay = -np.linalg.eigvals(A).real.max()
+    sigma = decay - 1e-3 * decay
+    for count, span in ((4000, 40.0), (8000, 20.0)):
+        yield bm._power_tables(scipy.linalg.expm(A * (span / sigma / count)), count), count
+
+
+def _bound_plants():
+    """Hurwitz companion matrices of n = 1..20, two draws of each order from
+    n = 2 on, and the two matrices of test_candidates_beyond_the_largest_bound."""
+    plants = [pytest.param(np.array([[-1.0, 0.5], [0.0, -5.0]]), id="non-normal2"),
+              pytest.param(np.array([[-1.0, 5.0], [-5.0, -1.0]]), id="complex-pair")]
+    for n in range(1, 21):
+        rng = np.random.default_rng(3000 + n)
+        draws = [make_stable_plant(rng, n)] + ([make_brl_plant(rng, n)] if n > 1 else [])
+        plants += [pytest.param(realize(tf).A, id="n%d-%d" % (n, i)) for i, tf in enumerate(draws)]
+    return plants
+
+
+class TestNormBounds:
+    """Both bounds against the exact norms at every power of both grids."""
+
+    @pytest.mark.parametrize("A", _bound_plants())
+    def test_bounds_cover_the_exact_norms(self, A):
+        for tables, count in _grid_tables(A):
+            ks = np.arange(1, count + 1)
+            exact = bm._exact_norms(tables, ks)
+            lower, upper = bm._gram_bounds(tables, count)
+            frobenius = bm._norm_bounds(tables, ks)
+            assert (upper >= exact).all()
+            assert (frobenius >= exact).all()
+            assert (lower <= frobenius).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("table, index", [(1, 5), (0, 7)], ids=["high", "low"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_table_gives_infinite_bounds(self, table, index, value, third_order):
+        tables = [t.copy() for t in bm._power_tables(scipy.linalg.expm(third_order[1].A), 4000)]
+        tables[table][index, 0, 0] = value      # inf - inf and 0 * inf make NaN on the way
+        ks = np.arange(1, 4001)
+        hit = (ks // 64 if table else ks % 64) == index
+        for bounds in bm._gram_bounds(tables, 4000) + (bm._norm_bounds(tables, ks),):
+            assert not np.isnan(bounds).any()
+            assert (bounds[hit] == math.inf).all()
+            assert np.isfinite(bounds[~hit]).all()
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP aim 3: the grid of 4,000 steps over 40 / sigma does not "
+                          "resolve a fast, lightly damped mode")
+@pytest.mark.parametrize("omega2", [1000100.0, 90100.0])
+def test_stiff_plant_envelope(omega2):
+    # omega2 / ((s + 1)(s^2 + 20 s + omega2)): poles -1 and -10 +- 1000j
+    # (300j); the check fails at t = 0.00500501 (0.0025025)
+    A = realize(parse_plant([omega2], [omega2, omega2 + 20.0, 21.0])).A
+    bm.decay_envelope(A)
 
 
 class TestBoundsReport:
