@@ -15,8 +15,8 @@ class PlantError(RelayOscError, ValueError):
 
 
 class MarginalPoleError(PlantError):
-    """A pole sits on (or numerically on) the imaginary axis; the
-    stable/unstable classification would be meaningless."""
+    """A pole sits exactly at the origin (a0 = 0), where the DC gain that
+    the classification reports is undefined."""
 
 
 class NoCrossingError(RelayOscError):

@@ -24,14 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
 
 from . import numerics
 from .errors import RelayOscError
-from .plant import StateSpace, TransferFunction
+from .plant import (StateSpace, TransferFunction, _combine, _count, _mul, _root_bound,
+                    _sign, _sturm, _unstable_count, _value, _variations)
 from .relay_dynamics import EXITED, system_for
 
 #: Edge of the smooth loop's tanh layer in the argument gamma C z: the
@@ -272,81 +272,6 @@ def _pair_tracks(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     return out
 
 
-# Exact polynomials are ascending lists of Python ints without trailing
-# zeros ([] is zero).  Signs are all that is asked of them, so each one may
-# be replaced by a positive multiple.
-
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * max(len(p) + len(q) - 1, 0)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _combine(p: list[int], q: list[int], c: int = 1) -> list[int]:
-    """p + c q."""
-    out = [a + c * b for a, b in zip_longest(p, q, fillvalue=0)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _sturm(p: list[int], q: list[int]) -> list[list[int]]:
-    """Signed remainder sequence p, q, -rem(p, q), ..., each member made
-    primitive.  Its sign variations at a < b, neither a root of p, count
-    sum sign(r) over the distinct roots of p in (a, b] when q = p' r
-    (Sturm-Tarski; r = 1 is Sturm's theorem)."""
-    seq = [p, q]
-    while seq[-1]:
-        p, q = seq[-2], seq[-1]
-        while len(p) >= len(q):  # pseudo-division by q, scaled by |lead q|
-            p = _combine([abs(q[-1]) * v for v in p], [0] * (len(p) - len(q)) + q,
-                         -_sign(q[-1]) * p[-1])
-        g = math.gcd(*p)
-        seq.append([-v // g for v in p])
-    return seq[:-1]
-
-
-def _value(p: list[int], x: Fraction) -> int:
-    """p(x) times x.denominator ** deg p."""
-    acc, scale = 0, 1
-    for c in reversed(p):
-        acc, scale = acc * x.numerator + c * scale, scale * x.denominator
-    return acc
-
-
-def _count(seq: list[list[int]], x: Fraction) -> int:
-    """Sign variations of ``seq`` at x."""
-    signs = [s for s in (_sign(_value(p, x)) for p in seq) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _variations(seq: list[list[int]], lo: Fraction, hi: Fraction) -> int:
-    """Sign variations of ``seq`` at lo minus those at hi."""
-    return _count(seq, lo) - _count(seq, hi)
-
-
-def _unstable_count(coeffs: list[Fraction]) -> int | None:
-    """Roots in the open right half plane of an ascending coefficient list
-    with positive leading coefficient, by the exact Routh array: the sign
-    changes down its first column; None at a zero pivot."""
-    desc = coeffs[::-1]
-    row, nxt = desc[0::2], desc[1::2]
-    changes = 0
-    while nxt:
-        if nxt[0] == 0:
-            return None
-        changes += (nxt[0] < 0) != (row[0] < 0)
-        c = row[0] / nxt[0]
-        row, nxt = nxt, [a - c * b for a, b in zip_longest(row[1:], nxt[1:], fillvalue=0)]
-    return changes
-
-
 def _check_gamma_max(gamma_max: float, gamma_min: float = 0.0) -> None:
     """Reject a gain bound that is not a finite number above ``gamma_min``."""
     if not (math.isfinite(gamma_max) and gamma_max > gamma_min):
@@ -391,9 +316,6 @@ def _axis_crossings(ss: StateSpace, gamma_max: float) -> list[Crossing]:
     sturm = _sturm(Q, dQ)
     positive = _sturm(Q, _mul(dQ, P))
     within = _sturm(Q, _mul(dQ, _combine(_mul([g_max.denominator], P), W, g_max.numerator)))
-    hi = Fraction(1)
-    while hi <= 1 + Fraction(max(map(abs, Q[:-1])), abs(Q[-1])):  # Cauchy bound
-        hi *= 2
 
     def split(lo, hi):  # a point of (lo, hi) that is no root of Q
         mid, step = (lo + hi) / 2, (hi - lo) / 4
@@ -401,7 +323,7 @@ def _axis_crossings(ss: StateSpace, gamma_max: float) -> list[Crossing]:
             mid, step = mid + step, step / 2
         return mid
 
-    todo = [(Fraction(0), hi)]
+    todo = [(Fraction(0), _root_bound(Q))]
     while todo:
         lo, hi = todo.pop()
         count = _variations(sturm, lo, hi)
@@ -500,8 +422,7 @@ def hopf_classify(ss: StateSpace, scan: RootLocusScan,
 
     below = [c for c in _axis_crossings(ss, g0) if c.gamma0 < g0]
     g_r = Fraction(min([c.gamma0 for c in below], default=g0)) / 2
-    count = _unstable_count([Fraction(float(d)) + g_r * Fraction(float(b)) for d, b in
-                             zip_longest(ss.den_coeffs, ss.num_coeffs, fillvalue=0)] + [1])
+    count = _unstable_count(ss.den_coeffs, ss.num_coeffs, g_r)
     if count is not None:  # a pair that leaves at gamma0 was counted below it
         count += sum(c.direction * (2 if c.kind == "hopf" else 1) for c in below)
         count -= 2 * (first.direction < 0)
@@ -568,7 +489,7 @@ def hyperbolicity_check(ss: StateSpace, gamma_max: float = 1e3,
     accepted for call compatibility and unused.
     """
     _check_gamma_max(gamma_max)
-    if _unstable_count([Fraction(float(c)) for c in ss.den_coeffs] + [Fraction(1)]) != 0:
+    if _unstable_count(ss.den_coeffs) != 0:
         return HyperbolicityResult(False, 0.0, tuple(closed_loop_eigenvalues(ss, 0.0)))
     crossings = _axis_crossings(ss, gamma_max)
     if not crossings:

@@ -46,6 +46,14 @@ class TestClassify:
                               "1,5,6", "--descending"])
         assert json.loads(res.output)["is_brl_urf"] is True
 
+    def test_nanosecond_time_scale(self, runner):
+        # the paper's plant with its poles and zero times 1e-9 stays in the class
+        res = invoke(runner, ["classify", "--num=1e-9,-1", "--den=6e-18,5e-9,1"])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert payload["is_brl_urf"] is True
+        assert payload["n_positive_real_zeros"] == 1
+
     def test_plant_file(self, runner, tmp_path):
         f = tmp_path / "plant.json"
         f.write_text(json.dumps({"num": [1, -1], "den": [6, 5, 1]}))

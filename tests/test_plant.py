@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import make_brl_plant, make_stable_plant
 from relayosc.errors import MarginalPoleError, PlantError
-from relayosc.plant import classify, parse_plant, realize
+from relayosc.plant import _positive_roots, _unstable_count, classify, parse_plant, realize
 
 
 class TestParse:
@@ -174,3 +176,99 @@ class TestClassify:
             assert all(a > 0 for a in tf.den_coeffs)
             assert tf.num_coeffs[0] > 0
             assert tf.num_coeffs[-1] < 0
+
+
+def _time_scaled(tf, c):
+    """G(s / c): every pole and zero times c, the DC gain and every flag
+    of the class kept."""
+    n = tf.n
+    return parse_plant([b * c ** (n - k) for k, b in enumerate(tf.num_coeffs)],
+                       [a * c ** (n - k) for k, a in enumerate(tf.den_coeffs)])
+
+
+class TestExactClass:
+    """The flags are decided exactly, so they do not depend on the unit of
+    time or on how close a zero lies to the origin."""
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_time_scale_keeps_the_class(self, k):
+        plants = [parse_plant([1, -1], [6, 5])]
+        plants += [make_brl_plant(np.random.default_rng(400 + i)) for i in range(20)]
+        for tf in plants:
+            pc = classify(_time_scaled(tf, 10.0 ** -k))
+            assert pc.is_stable and pc.is_brl_urf
+            assert pc.n_positive_real_zeros == 1
+
+    def test_tiny_positive_zero(self):
+        # (1e-10 - 0.9999999999 s - s^2) = -(s - 1e-10)(s + 1)
+        pc = classify(parse_plant([1e-10, -0.9999999999, -1], [6, 11, 6]))
+        assert pc.n_positive_real_zeros == 1
+        assert pc.is_brl_urf
+
+    def test_double_positive_zero(self):
+        # (s - 1)^2 / (s + 1)^3: an even count, counted with multiplicity
+        pc = classify(parse_plant([1, -2, 1], [1, 3, 3]))
+        assert pc.n_positive_real_zeros == 2
+        assert pc.is_stable and not pc.is_brl_urf
+
+    @pytest.mark.parametrize("den", [
+        [3, 2, 2, 1],  # s^4+s^3+2s^2+2s+3, roots 0.41 +- 1.29j: a zero Routh pivot
+        [4, 0, 0, 0],  # s^4+4, roots +-1 +-j
+        [1, 0],        # s^2+1: poles on the axis off the origin
+        [2, 1, 2],     # (s+2)(s^2+1)
+    ])
+    def test_zero_pivot_is_not_stable(self, den):
+        pc = classify(parse_plant([1], den))
+        assert not pc.is_stable and not pc.is_brl_urf
+
+    def test_near_axis_pair_is_stable(self):
+        # s^2 + 1e-12 s + 1: poles -5e-13 +- j, in the open left half plane
+        assert classify(parse_plant([1], [1, 1e-12])).is_stable
+
+
+def _factored(rng, degree, top, den):
+    """A monic rational polynomial of the given degree as sympy builds it
+    from its factors, its real roots, and the real parts of all its roots.
+    The real parts are drawn from the set i / j, |i| <= top, 1 <= j <= den:
+    a small set gives repeated roots and roots at the origin.  Complex
+    pairs a +- b j, b != 0, may lie on the axis."""
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    factors, real, re_parts = [], [], []
+    while len(re_parts) < degree:
+        a = Fraction(int(rng.integers(-top, top + 1)), int(rng.integers(1, den + 1)))
+        if degree - len(re_parts) >= 2 and rng.random() < 0.3:
+            b = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+            factors.append((s - sympy.Rational(a)) ** 2 + sympy.Rational(b) ** 2)
+            re_parts += [a, a]
+        else:
+            factors.append(s - sympy.Rational(a))
+            real.append(a)
+            re_parts.append(a)
+    return sympy.Poly(sympy.Mul(*factors), s), real, re_parts
+
+
+class TestExactOracle:
+    """The exact Routh and Sturm counts against sympy's exact real roots,
+    which count multiplicity, on seeded rational polynomials."""
+
+    @pytest.mark.parametrize("degree", range(1, 21))
+    def test_counts_match_sympy(self, degree):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(degree)
+        for top, den in [(6, 3), (6, 3), (20, 7), (20, 7)]:
+            poly, real, re_parts = _factored(rng, degree, top, den)
+            coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+            assert sorted(Fraction(int(r.p), int(r.q)) for r in sympy.real_roots(poly)) == sorted(real)
+            positive = sum(r > 0 for r in real)
+            scale = Fraction(-int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            assert _positive_roots(coeffs) == positive
+            assert _positive_roots([scale * c for c in coeffs]) == positive
+            unstable = _unstable_count(coeffs[:-1])
+            if 0 in re_parts:
+                assert unstable is None  # a root on the imaginary axis
+            elif unstable is not None:
+                assert unstable == sum(r > 0 for r in re_parts)
+            if all(Fraction(float(c)) == c for c in coeffs):  # exact as floats
+                assert _positive_roots([float(c) for c in coeffs]) == positive
+                assert _unstable_count([float(c) for c in coeffs[:-1]]) == unstable
