@@ -32,11 +32,6 @@ class NonTransversalError(RelayOscError):
     output speed, so plane-crossing linearizations are undefined."""
 
 
-class SlidingError(RelayOscError):
-    """Simulation reached a point of the sliding set where no non-sliding
-    continuation exists; certification halts there."""
-
-
 class StiffnessError(RelayOscError):
     """Adaptive integration exceeded its stiffness budget (step underflow)."""
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .artifacts import json_artifact, write_csv
-from .errors import InvalidStartError, NoCrossingError, SlidingError
+from .errors import InvalidStartError, NoCrossingError
 from .plant import StateSpace
 
 #: |C x| below PLANE_TOL * (1 + ||x||) counts as "on the switching plane".
@@ -107,9 +107,9 @@ def _all(mask: np.ndarray) -> bool:
     """Whether every entry of ``mask`` is true, by a count: on the small
     masks of a one-row exit (its start's scale, its march blocks) and of
     ``RelaySystem.exp`` at one time this costs half of the ufunc reduction
-    ``mask.all()`` or less.  A numpy bool (one start's flag) is its own
-    answer, at a twentieth of the count."""
-    return np.count_nonzero(mask) == mask.size if mask.ndim else bool(mask)
+    ``mask.all()`` or less.  A bool (one start's flag) is its own answer,
+    at a twentieth of the count."""
+    return np.count_nonzero(mask) == mask.size if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def _series_start(t0, q0, q2, q3):
@@ -193,7 +193,7 @@ _NEWTON_STEPS = 100
 
 def _hit_test(vals, armed, start):
     """(hit, armed) of a march block: of one start's values (count,), with
-    its flag ``armed`` and numpy float ``start`` (its value at t = 0), or
+    its flag ``armed`` and float ``start`` (its value at t = 0), or
     of r columns (count, r) with a flag and a start per column.  The march
     ends a column at its first hit.  Once a column is armed (its start or
     a value above F_TOL), its hits are its values at or below 0.  Before
@@ -268,11 +268,13 @@ class RelaySystem:
     working accuracy.  A block of exits thus needs no matrix exponential of
     its own: the Newton refinement and the landing states use Taylor
     expansions about the brackets' left ends, whose exponentials come from
-    the tables.  A single start (each switch of ``simulate``) takes the
-    same steps on the same tables in the one-row kernel ``_exit_row``,
-    which does its tests on scalars.  Every exit and simulation of the
-    system uses its horizon and march step, each finite and positive (else
-    ValueError).
+    the tables.  A single start takes the same steps on the same tables in
+    the one-row kernel ``_exit_row``, which does its tests on floats:
+    ``exit_events`` wraps its result for one row, and ``simulate`` calls it
+    on each landing state, reusing the landing's C A x (computed once) for
+    the event speed, the next relay sign and the next start's class.
+    Every exit and simulation of the system uses its horizon and march
+    step, each finite and positive (else ValueError).
 
     Parameters
     ----------
@@ -454,10 +456,12 @@ class RelaySystem:
         refinement tolerance; this prevents drift over thousands of
         switches.
 
-        One row (a switch of ``simulate``, ``exit_event`` and the maps built
-        on it) goes to ``_exit_row``, which takes the same steps on the same
-        tables without the block's per-row masks, so its results equal the
-        block's bit for bit; the row count alone selects it.
+        One row (``exit_event`` and the maps built on it, and the layer
+        exits of ``sfs._layer_flow``) goes to the one-row kernel
+        ``_exit_row``, which takes the same steps on the same tables without
+        the block's per-row masks, so its results equal the block's bit for
+        bit; the row count alone selects it, and its (tau, x, C A x) is
+        wrapped into Exits here.  ``simulate`` calls the kernel itself.
 
         A nonzero ``level`` puts the plane at s C x = level, the output row
         [C, -level] on the augmented state (the edge of the smooth loop's
@@ -492,9 +496,17 @@ class RelaySystem:
             last, horizon = min(math.ceil(cap / self.step), last), cap
             while last < self._last and self.step * last < cap:
                 last += 1
+        cax = self.output_speed(X, 0)              # C A xi
         if len(f0) == 1:
-            return self._exit_row(X, Z, f0, s, float(scale[0]), level, last, horizon)
-        wrong, march = self._start_classes(X, f0, s, scale)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                row = self._exit_row(Z, float(f0[0]), float(cax[0]), s, float(scale[0]),
+                                     level, last)
+            if isinstance(row, int):
+                return self._no_exit(f0, s, row, horizon)
+            tau, x, cax = row
+            return Exits(s, horizon, f0, np.zeros(1, dtype=int), None, np.array([tau]),
+                         x[None], np.array([cax - s * self._CB]))
+        wrong, march = self._start_classes(f0, s, scale, cax)
         K, f_lo, found = self._brackets(Z, f0, march, level, last)
         exited = found & ~wrong
         status = np.zeros(len(f0), dtype=int)      # EXITED
@@ -517,82 +529,85 @@ class RelaySystem:
         x = s * paths.state(t)
         return Exits(s, horizon, f0, status, rows, t, x, self.output_speed(x, s))
 
-    def _exit_row(self, X: np.ndarray, Z: np.ndarray, f0: np.ndarray, s: int,
-                  scale: float, level: float, last: int, horizon: float) -> Exits:
-        """``exit_events`` of the one start X (1, n), lifted to Z with its
-        value f0 = s C xi - level, marching up to the grid point ``last``:
-        the block path's steps on its tables (``_start_classes``,
-        ``_march_row`` for ``_brackets`` with its ``_hit_test``, the node
-        expansion of ``_Paths``, the start and stop rule of ``_refine``)
-        with the bracket and the Newton iterate on scalars in place of
-        per-row masks."""
-        y0 = f0[0]
-        wrong, march = self._start_classes(X[0], y0, s, scale)
+    def _exit_row(self, Z: np.ndarray, y0: float, cax: float, s: int, scale: float,
+                  level: float, last: int) -> tuple[float, np.ndarray, float] | int:
+        """The one-row kernel: the first exit under sign ``s`` of the start
+        lifted to Z (1, n + 1), with its value y0 = s C xi - level, its C A
+        xi and its scale 1 + |xi|, marching up to the grid point ``last``.
+        Returns (tau, x, C A x) of the landing state x (n,), or the status
+        WRONG_SIDE or QUIESCENT when it does not exit.  It takes the block
+        path's steps on its tables (``_start_classes``, ``_march_row`` for
+        ``_brackets`` with its ``_hit_test``, the node expansion of
+        ``_Paths``, the start and stop rule of ``_refine``) with the bracket
+        and the Newton iterate on floats in place of per-row masks, so its
+        results equal the block's bit for bit.  The caller runs it under one
+        np.errstate that ignores overflow, division by zero and invalid
+        values (the march's values and leaps may overflow)."""
+        wrong, march = self._start_classes(y0, s, scale, cax)
         if wrong:
-            return self._no_exit(f0, s, WRONG_SIDE, horizon)
-        # one errstate over the march (its values and leaps may overflow)
-        # and the Newton steps
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # a start that does not march leaves the sign region at once
-            bracket = self._march_row(Z, y0, level, last) if march else (0, y0)
-            if bracket is None:
-                return self._no_exit(f0, s, QUIESCENT, horizon)
-            K, f_lo = bracket
-            lo, hi = self.step * K, self.step * (K + 1)
-            paths = _Paths(self, Z, [lo], self.grid_exp(K), level)
-            if not f_lo > 0.0:
-                lo, hi = lo - 0.125 * self.step, lo + 1.125 * self.step
-            q0, _, q2, q3 = (paths.yd[0, 0, :4] / paths.yd[0, 0, 1]).tolist()
-            t = _series_start(float(paths.t0[0]), q0, q2, q3)
-            if not lo <= t <= hi:                  # np.fmax(lo, np.fmin(t, hi))
-                t = lo if t < lo else hi
-            tol, floor = 1e-12 * max(1.0, hi), (2.0 * _EPS) * hi + 0.5e-15
-            for _ in range(_NEWTON_STEPS):
-                f, df, d2f = paths.output(t)[0]
-                if f > 0.0:
-                    lo = t
-                else:
-                    hi = t
-                step = f / df
-                nxt = t - step
-                last = _last_step(step, d2f, df, tol, floor)
-                if not lo <= nxt <= hi:
-                    nxt = (lo if nxt < lo else hi) if last else 0.5 * (lo + hi)
-                t = nxt
-                if last:
-                    break
-        x = s * paths.state(t)
-        return Exits(s, horizon, f0, np.zeros(1, dtype=int), None, np.array([t]), x,
-                     self.output_speed(x, s))
+            return WRONG_SIDE
+        # a start that does not march leaves the sign region at once
+        bracket = self._march_row(Z, y0, level, last) if march else (0, y0)
+        if bracket is None:
+            return QUIESCENT
+        K, f_lo = bracket
+        lo = t0 = self.step * K
+        hi = self.step * (K + 1)
+        paths = _Paths(self, Z, [t0], self.grid_exp(K), level)
+        if not f_lo > 0.0:
+            lo, hi = t0 - 0.125 * self.step, t0 + 1.125 * self.step
+        q0, _, q2, q3 = (paths.yd[0, 0, :4] / paths.yd[0, 0, 1]).tolist()
+        t = _series_start(t0, q0, q2, q3)
+        if not lo <= t <= hi:                      # np.fmax(lo, np.fmin(t, hi))
+            t = lo if t < lo else hi
+        tol, floor = 1e-12 * max(1.0, hi), (2.0 * _EPS) * hi + 0.5e-15
+        for _ in range(_NEWTON_STEPS):
+            f, df, d2f = paths.output(t)[0].tolist()
+            if f > 0.0:
+                lo = t
+            else:
+                hi = t
+            step = f / df if df else math.nan     # f / 0 is no step: bisect
+            nxt = t - step
+            stop = _last_step(step, d2f, df, tol, floor)
+            if not lo <= nxt <= hi:
+                nxt = (lo if nxt < lo else hi) if stop else 0.5 * (lo + hi)
+            t = nxt
+            if stop:
+                break
+        x = s * paths.state(t)[0]
+        return t, x, float(x @ self._CA)
 
     def _no_exit(self, f0: np.ndarray, s: int, status: int, horizon: float) -> Exits:
         """The one-row Exits of a start that does not exit."""
         return Exits(s, horizon, f0, np.array([status]), slice(0), np.empty(0),
                      np.empty((0, self.n)), np.empty(0))
 
-    def _start_classes(self, X: np.ndarray, f0, s: int, scale):
-        """(wrong, march) of the starts X (m, n) with values f0 = s C xi -
-        level and scales 1 + |xi|, or of one start X (n,) with a numpy float
-        f0 and a float scale.  A start more than 1e-3 (1 + |xi|) past the
-        plane is on the wrong side; one past it by less marches (the
-        analytic continuation of its crossing time exists, and
+    def _start_classes(self, f0, s: int, scale, cax):
+        """(wrong, march) of the starts with values f0 = s C xi - level,
+        scales 1 + |xi| and C A xi (``cax``): arrays for a block, or
+        floats for one start.  A start more than 1e-3 (1 +
+        |xi|) past the plane is on the wrong side; one past it by less
+        marches (the analytic continuation of its crossing time exists, and
         finite-difference probes of the exit map rely on it).  So does a
         start off the plane, and one on it (within PLANE_TOL (1 + |xi|))
-        unless its flow leaves the sign region transversally, s y' <
-        -GRAZE_TOL: that one exits at tau = 0."""
+        unless its flow leaves the sign region transversally, s y' = s (C A
+        xi - s C B) < -GRAZE_TOL: that one exits at tau = 0."""
         wrong = f0 < -1e-3 * scale
         off = abs(f0) > PLANE_TOL * scale
         if not _all(off):
-            off = off | (s * self.output_speed(X, s) >= -GRAZE_TOL)
+            off = off | (s * (cax - s * self._CB) >= -GRAZE_TOL)
         return wrong, off ^ wrong                  # the wrong side is off the plane
 
     def _march_row(self, Z: np.ndarray, start, level: float,
                    last: int) -> tuple[int, float] | None:
         """``_brackets`` of the one row of Z from its value ``start`` at
         t = 0: (K, f(K h)) of its first bracket, or None when it does not
-        cross before the grid point ``last``.  ``_exit_row`` runs it under
-        its np.errstate, as its values and leaps may overflow."""
-        prev, armed = start, False
+        cross before the grid point ``last``.  It runs under the np.errstate
+        of ``_exit_row``'s caller, as its values and leaps may overflow.  A
+        block of an armed start whose least value is above 0 has no hit, and
+        skips ``_hit_test`` (a nan is not above 0, and goes to it)."""
+        prev, armed = start, start > F_TOL
         Zt, j, steps = Z.T, 0, self.march_steps(1)
         while j < last:
             count = min(steps, last - j)
@@ -600,11 +615,12 @@ class RelaySystem:
             if level:
                 vals -= level
             v = vals[:, 0]
-            hit, armed = _hit_test(v, armed, start)
-            if hit is not None:
-                k = int(hit.argmax())
-                if hit[k]:
-                    return j + k, (prev if k == 0 else v[k - 1])
+            if not (armed and v.min() > 0.0):
+                hit, armed = _hit_test(v, armed, start)
+                if hit is not None:
+                    k = int(hit.argmax())
+                    if hit[k]:
+                        return j + k, (prev if k == 0 else v[k - 1])
             prev = v[-1]
             j += count
             if j < last:
@@ -744,22 +760,6 @@ class RelaySystem:
                 x = -x
         return x
 
-    # -- relay sign selection on the plane ------------------------------------
-    def _select_sign_on_plane(self, x: np.ndarray):
-        """Non-sliding relay output at an on-plane state.
-
-        Returns the sign, or raises SlidingError when both fields aim at the
-        plane (possible only when C B > 0).  When both fields depart (the
-        repelling strip |x_{n-1}| < |C B|), +1 is chosen deterministically.
-        """
-        cax = self.output_speed(x, 0)           # C A x
-        if cax - self._CB >= 0.0:               # y' under relay output +1
-            return +1
-        if cax + self._CB <= 0.0:               # y' under relay output -1
-            return -1
-        raise SlidingError("sliding set reached: both vector fields point "
-                           "at the switching plane")
-
     # -- full simulation -------------------------------------------------------
     def simulate(self, x0: np.ndarray, t_end: float, *,
                  dense_dt: float | None = None,
@@ -767,15 +767,22 @@ class RelaySystem:
         """Simulate the relay loop from ``x0`` for ``t_end`` time units.
 
         Propagation between switches is exact (matrix exponential); switch
-        states are appended as events.  If the state reaches the sliding set
-        where no non-sliding continuation exists, the trajectory stops there
-        and the SlidingReport says so.  Grazing arrivals mark the trajectory
-        as non-certified but the simulation continues.  A departure from the
-        plane that returns to it within one march step (switches piling up
-        faster than ``step`` resolves, as on the way to a Zeno point)
-        stops the trajectory on the plane, non-certified, with
-        ``final_state`` set there.  ``max_switches`` must be at least 1
-        (else ValueError).
+        states are appended as events.  Each switch is one call of the
+        one-row kernel ``_exit_row`` on the landing state of the last, whose
+        C A x gives the event's transversal speed C A x - s C B, the next
+        relay sign and the next start's class, so every event equals the
+        ``exit_event`` of its start bit for bit.  On the plane (the start,
+        if it is there, and every landing) the relay output is the sign
+        whose field departs, +1 when both do (the repelling strip |x_{n-1}|
+        < |C B|); if both fields aim at the plane (possible only when C B >
+        0) the state is in the sliding set, with no non-sliding
+        continuation, and the trajectory stops there and the SlidingReport
+        says so.  Grazing arrivals mark the trajectory as non-certified but
+        the simulation continues.  A departure from the plane that returns
+        to it within one march step (switches piling up faster than
+        ``step`` resolves, as on the way to a Zeno point) stops the
+        trajectory on the plane, non-certified, with ``final_state`` set
+        there.  ``max_switches`` must be at least 1 (else ValueError).
         """
         if not 0.0 < t_end < math.inf:
             raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
@@ -798,20 +805,32 @@ class RelaySystem:
             raise ValueError("start state is not finite, or its norm overflows")
         y0 = float(self.C @ x)
         departing = abs(y0) <= PLANE_TOL * scale
-        if departing:
-            try:
-                sign = self._select_sign_on_plane(x)
-            except SlidingError:
-                return traj, SlidingReport(True, 0.0, x)
-        else:
-            sign = +1 if y0 > 0 else -1
+        sign = +1 if y0 > 0 else -1
+        cax = float(x @ self._CA)                  # C A x
 
-        while t < t_end and len(traj.events) < max_switches:
+        while True:
+            if departing:                          # on the plane
+                if cax - self._CB >= 0.0:          # y' under relay output +1
+                    sign = +1
+                elif cax + self._CB <= 0.0:        # y' under relay output -1
+                    sign = -1
+                else:
+                    sliding = SlidingReport(True, t, x)
+                    break
+                if len(traj.events) >= max_switches:
+                    traj.final_state = RelayState(x, sign, t)
+                    break
+            if not t < t_end:
+                break
             remaining = t_end - t
-            exits = self.exit_events(x, sign)
-            if exits.status[0] == WRONG_SIDE:
-                raise exits.error(0)
-            tau = float(exits.tau[0]) if exits.status[0] == EXITED else math.inf
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                Z = self.lift(x[None], sign)
+                f0 = Z @ self._c                   # s C x
+                row = self._exit_row(Z, float(f0[0]), cax, sign,
+                                     1.0 + math.sqrt(np.add.reduce(x * x)), 0.0, self._last)
+            if row == WRONG_SIDE:
+                raise self._no_exit(f0, sign, row, self.t_max).error(0)
+            tau = math.inf if row == QUIESCENT else row[0]
 
             if departing and tau < min(self.step, remaining):
                 traj.certified = False
@@ -830,19 +849,13 @@ class RelaySystem:
                 break
 
             t += tau
-            x = exits.x[0]
-            speed = float(exits.speed[0])
-            traj.events.append(SwitchEvent(t, x, sign, speed, abs(speed) <= GRAZE_TOL))
-            if traj.events[-1].grazing_flag:
+            _, x, cax = row
+            speed = cax - sign * self._CB
+            grazing = abs(speed) <= GRAZE_TOL
+            traj.events.append(SwitchEvent(t, x, sign, speed, grazing))
+            if grazing:
                 traj.certified = False
-            try:
-                sign = self._select_sign_on_plane(x)
-            except SlidingError:
-                sliding = SlidingReport(True, t, x)
-                break
             departing = True
-            if len(traj.events) >= max_switches:
-                traj.final_state = RelayState(x, sign, t)
 
         if dense_dt is not None and dense_t:
             traj.times = np.concatenate(dense_t)

@@ -446,7 +446,10 @@ def describing_locus(ss: StateSpace, omega: float, gamma: float) -> DescribingLo
     gamma^2 G(j omega)/4 as theta^2 grows.  Transversality is judged against
     the Nyquist tangent of the gain-scaled loop gamma G(j omega): the
     crossing is flagged tangential when the two directions are numerically
-    parallel.
+    parallel.  Both tests are relative (to the size of the terms of the
+    denominator at j omega, and a step of 1e-7 omega), so the locus of a
+    plant with its poles and zeros scaled by c at omega c is the unscaled
+    one.
 
     Raises
     ------
@@ -457,14 +460,17 @@ def describing_locus(ss: StateSpace, omega: float, gamma: float) -> DescribingLo
         raise ValueError("omega must be positive")
     tf = TransferFunction(tuple(ss.num_coeffs), tuple(ss.den_coeffs))
     num, den = tf.polynomials(1j * omega)
-    if abs(den) < 1e-12:
+    # |den(j omega)| against the size of its terms, so the test does not
+    # depend on the unit of time
+    size = omega**tf.n + sum(abs(a) * omega**k for k, a in enumerate(tf.den_coeffs))
+    if abs(den) < 1e-12 * size:
         raise RelayOscError(f"plant pole on the imaginary axis at omega={omega:g}")
     G = num / den
     thetas = np.linspace(0.0, 1.0, 200)
     L = -1.0 + thetas**2 * gamma**2 / 4.0 * G
     direction = gamma**2 * G / 4.0
     # Nyquist tangent of gamma*G at omega by central differencing in omega
-    h = max(1e-7 * omega, 1e-9)
+    h = 1e-7 * omega
     tangent = gamma * (tf(1j * (omega + h)) - tf(1j * (omega - h))) / (2 * h)
     cross = direction.real * tangent.imag - direction.imag * tangent.real
     denom = abs(direction) * abs(tangent)

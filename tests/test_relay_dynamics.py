@@ -340,6 +340,80 @@ class TestSimulate:
         else:
             assert len(traj.events) == 40
 
+    @pytest.mark.parametrize("name, hint, x0", [
+        ("second_order", None, [0.4, 0.2]), ("third_order_brl", None, [0.3, 0.1, 0.2]),
+        ("origin", None, [0.2, 0.1, 0.05]), ("third_order", 0.7, [0.1, -0.3, -0.2])])
+    def test_simulate_matches_block_exits(self, name, hint, x0, request):
+        # every switch is one call of the one-row kernel on the last landing
+        # state, and equals one block call of exit_events on all the segment
+        # starts, each re-signed for sign +1 (tau_-(x) = tau_+(-x) and
+        # psi_-(x) = -psi_+(-x) hold bit for bit), with ==; the hint 0.7 is
+        # several Taylor nodes
+        ss = named_plant(name, request)
+        sys_ = RelaySystem(ss, step_hint=hint)
+        if hint is not None:
+            assert march_split(sys_, hint) > 1
+        x0 = np.array(x0)
+        traj, sliding = sys_.simulate(x0, 1e6, max_switches=200)
+        assert not sliding.entered_sliding and len(traj.events) == len(traj.segments) == 200
+        signs = [s for _, _, s in traj.segments]
+        assert set(signs) == {+1, -1}
+        ex = sys_.exit_events(np.array([s * x for x, _, s in traj.segments]), +1)
+        assert np.all(ex.status == rd.EXITED)
+        t = 0.0
+        for (_, length, s), ev, tau, x, speed in zip(traj.segments, traj.events,
+                                                     ex.tau, ex.x, ex.speed):
+            t += tau
+            assert (length, ev.t, ev.incoming_sign) == (tau, t, s)
+            assert np.array_equal(ev.x, s * x) and ev.transversal_speed == s * speed
+        for prev, (start, _, _) in zip(traj.events, traj.segments[1:]):
+            assert np.array_equal(start, prev.x)
+        # the max_switches ending: on the last landing, under the sign that
+        # the next segment takes
+        more, _ = sys_.simulate(x0, 1e6, max_switches=201)
+        fs, last = traj.final_state, traj.events[-1]
+        assert (fs.t, fs.relay_sign) == (last.t, more.segments[200][2])
+        assert np.array_equal(fs.x, last.x)
+        assert [(ev.t, ev.transversal_speed) for ev in more.events[:200]] == [
+            (ev.t, ev.transversal_speed) for ev in traj.events]
+        # the t_end ending: halfway through segment 100, at the state there
+        t_end = traj.events[99].t + 0.5 * traj.segments[100][1]
+        cut, _ = sys_.simulate(x0, t_end, max_switches=200)
+        assert len(cut.events) == 100 and len(cut.segments) == 101
+        start, length, s = cut.segments[-1]
+        remaining = t_end - traj.events[99].t
+        assert (length, s, cut.final_state.relay_sign, cut.final_state.t) == (
+            remaining, signs[100], signs[100], t_end)
+        assert np.array_equal(cut.final_state.x, sys_.state(traj.events[99].x, s, remaining))
+        assert all(a.t == b.t and np.array_equal(a.x, b.x)
+                   for a, b in zip(cut.events, traj.events))
+
+    def test_work_counts(self, third_order, monkeypatch):
+        # a run of 400 switches makes one call of the one-row kernel per
+        # switch, and none of the one-row exit_events wrapper, of Exits or
+        # of output_speed: each landing's C A x, taken once in the kernel,
+        # gives its event speed, the next sign and the next start's class;
+        # the start is on the plane, so its sign is selected there too
+        _, ss = third_order
+        sys_ = RelaySystem(ss)
+        calls = {}
+
+        def count(cls, name):
+            fn = getattr(cls, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+
+        for cls, name in ((RelaySystem, "_exit_row"), (RelaySystem, "exit_events"),
+                          (rd.Exits, "__init__"), (RelaySystem, "output_speed")):
+            count(cls, name)
+        traj, _ = sys_.simulate(np.array([0.3, -0.2, 0.0]), 1e6, max_switches=400)
+        assert len(traj.events) == 400
+        assert calls == {"_exit_row": 400, "exit_events": 0, "__init__": 0, "output_speed": 0}
+
     def test_grazing_flag_in_events(self, second_order):
         _, ss = second_order
         traj, _ = rd.simulate(ss, np.array([0.4, 0.2]), 30.0)

@@ -547,6 +547,23 @@ class TestDescribingLocus:
         with pytest.raises(RelayOscError, match="pole"):
             sfs.describing_locus(ss, 1.0, 2.0)
 
+    def test_nanosecond_time_scale(self, second_order):
+        # the paper's plant with its poles and zero times 1e-9 has the same
+        # G at 1e-9 sqrt(11), so the same locus direction (an absolute
+        # axis-pole test refuses it); its Nyquist tangent in omega is 1e9
+        # times as long.  (s+c)(s^2+c^2), c = 1e-9, keeps its axis pole at c
+        _, ss = second_order
+        ref = sfs.describing_locus(ss, np.sqrt(11.0), 5.0)
+        fast = sfs.describing_locus(realize(parse_plant([1e-18, -1e-9], [6e-18, 5e-9])),
+                                    1e-9 * np.sqrt(11.0), 5.0)
+        assert abs(fast.locus_direction - ref.locus_direction) <= 1e-14 * abs(ref.locus_direction)
+        assert abs(1e-9 * fast.nyquist_tangent - ref.nyquist_tangent) <= 1e-7 * abs(
+            ref.nyquist_tangent)
+        assert fast.is_tangential is ref.is_tangential is False
+        c = 1e-9
+        with pytest.raises(RelayOscError, match="pole"):
+            sfs.describing_locus(realize(parse_plant([1], [c**3, c**2, c])), c, 2.0)
+
 
 class TestHyperbolicity:
     def test_no_crossing_plant_certified(self):
