@@ -496,17 +496,18 @@ class RelaySystem:
             last, horizon = min(math.ceil(cap / self.step), last), cap
             while last < self._last and self.step * last < cap:
                 last += 1
-        cax = self.output_speed(X, 0)              # C A xi
         if len(f0) == 1:
+            y0, scale = float(f0[0]), float(scale[0])
+            # C A xi, read only for a start on the plane
+            cax = math.nan if abs(y0) > PLANE_TOL * scale else float(self.output_speed(X[0], 0))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                row = self._exit_row(Z, float(f0[0]), float(cax[0]), s, float(scale[0]),
-                                     level, last)
+                row = self._exit_row(Z, y0, cax, s, scale, level, last)
             if isinstance(row, int):
                 return self._no_exit(f0, s, row, horizon)
             tau, x, cax = row
             return Exits(s, horizon, f0, np.zeros(1, dtype=int), None, np.array([tau]),
                          x[None], np.array([cax - s * self._CB]))
-        wrong, march = self._start_classes(f0, s, scale, cax)
+        wrong, march = self._start_classes(f0, s, scale, X=X)
         K, f_lo, found = self._brackets(Z, f0, march, level, last)
         exited = found & ~wrong
         status = np.zeros(len(f0), dtype=int)      # EXITED
@@ -533,7 +534,8 @@ class RelaySystem:
                   level: float, last: int) -> tuple[float, np.ndarray, float] | int:
         """The one-row kernel: the first exit under sign ``s`` of the start
         lifted to Z (1, n + 1), with its value y0 = s C xi - level, its C A
-        xi and its scale 1 + |xi|, marching up to the grid point ``last``.
+        xi (read only when it is on the plane) and its scale 1 + |xi|,
+        marching up to the grid point ``last``.
         Returns (tau, x, C A x) of the landing state x (n,), or the status
         WRONG_SIDE or QUIESCENT when it does not exit.  It takes the block
         path's steps on its tables (``_start_classes``, ``_march_row`` for
@@ -543,7 +545,7 @@ class RelaySystem:
         results equal the block's bit for bit.  The caller runs it under one
         np.errstate that ignores overflow, division by zero and invalid
         values (the march's values and leaps may overflow)."""
-        wrong, march = self._start_classes(y0, s, scale, cax)
+        wrong, march = self._start_classes(y0, s, scale, cax=cax)
         if wrong:
             return WRONG_SIDE
         # a start that does not march leaves the sign region at once
@@ -583,10 +585,11 @@ class RelaySystem:
         return Exits(s, horizon, f0, np.array([status]), slice(0), np.empty(0),
                      np.empty((0, self.n)), np.empty(0))
 
-    def _start_classes(self, f0, s: int, scale, cax):
-        """(wrong, march) of the starts with values f0 = s C xi - level,
-        scales 1 + |xi| and C A xi (``cax``): arrays for a block, or
-        floats for one start.  A start more than 1e-3 (1 +
+    def _start_classes(self, f0, s: int, scale, X=None, cax=math.nan):
+        """(wrong, march) of the starts with values f0 = s C xi - level and
+        scales 1 + |xi|: arrays for a block of starts X (m, n), or floats
+        for one start with its C A xi ``cax``.  Either is read only when a
+        start is on the plane.  A start more than 1e-3 (1 +
         |xi|) past the plane is on the wrong side; one past it by less
         marches (the analytic continuation of its crossing time exists, and
         finite-difference probes of the exit map rely on it).  So does a
@@ -596,7 +599,8 @@ class RelaySystem:
         wrong = f0 < -1e-3 * scale
         off = abs(f0) > PLANE_TOL * scale
         if not _all(off):
-            off = off | (s * (cax - s * self._CB) >= -GRAZE_TOL)
+            speed = self.output_speed(X, s) if X is not None else cax - s * self._CB
+            off = off | (s * speed >= -GRAZE_TOL)
         return wrong, off ^ wrong                  # the wrong side is off the plane
 
     def _march_row(self, Z: np.ndarray, start, level: float,
@@ -604,10 +608,8 @@ class RelaySystem:
         """``_brackets`` of the one row of Z from its value ``start`` at
         t = 0: (K, f(K h)) of its first bracket, or None when it does not
         cross before the grid point ``last``.  It runs under the np.errstate
-        of ``_exit_row``'s caller, as its values and leaps may overflow.  A
-        block of an armed start whose least value is above 0 has no hit, and
-        skips ``_hit_test`` (a nan is not above 0, and goes to it)."""
-        prev, armed = start, start > F_TOL
+        of ``_exit_row``'s caller, as its values and leaps may overflow."""
+        prev, armed = start, False
         Zt, j, steps = Z.T, 0, self.march_steps(1)
         while j < last:
             count = min(steps, last - j)
@@ -615,12 +617,11 @@ class RelaySystem:
             if level:
                 vals -= level
             v = vals[:, 0]
-            if not (armed and v.min() > 0.0):
-                hit, armed = _hit_test(v, armed, start)
-                if hit is not None:
-                    k = int(hit.argmax())
-                    if hit[k]:
-                        return j + k, (prev if k == 0 else v[k - 1])
+            hit, armed = _hit_test(v, armed, start)
+            if hit is not None:
+                k = int(hit.argmax())
+                if hit[k]:
+                    return j + k, (prev if k == 0 else v[k - 1])
             prev = v[-1]
             j += count
             if j < last:
