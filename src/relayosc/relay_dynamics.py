@@ -821,7 +821,8 @@ class RelaySystem:
                 if len(traj.events) >= max_switches:
                     traj.final_state = RelayState(x, sign, t)
                     break
-            if not t < t_end:
+            if not t < t_end:                      # the last switch landed at t_end
+                traj.final_state = RelayState(x, sign, t)
                 break
             remaining = t_end - t
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

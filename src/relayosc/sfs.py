@@ -14,9 +14,10 @@ whole family by zero exclusion when no crossing exists.
 
 Outside the layer |gamma C z| < LAYER_EDGE, tanh is +-1 to roundoff and the
 smooth loop's flow is the relay's affine flow (Fenichel 1979).  One loop,
-``_layer_flow``, integrates only the layer adaptively and takes that exact
-flow elsewhere; ``simulate_sfs`` and the Floquet shooting of
-``limit_cycle`` both run on it.
+``_layer_flow``, integrates only the layer adaptively, with the DOP853 loop
+of ``numerics.integrate_adaptive``, and takes that exact flow elsewhere;
+``simulate_sfs`` and the Floquet shooting of ``limit_cycle`` both run on
+it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -99,16 +99,11 @@ class DescribingLocus:
     is_tangential: bool
 
 
-@dataclass(frozen=True)
-class SfsRun:
-    """A run of the smooth loop: step times ``t`` (m,) and states ``y``
-    (n, m), the dense output ``sol`` (shape (n,) at a scalar t, (n, k) at k
-    times) and the right-hand-side evaluations ``nfev``."""
-
-    t: np.ndarray
-    y: np.ndarray
-    sol: Callable
-    nfev: int
+#: A run of the smooth loop: step times ``t`` (m,) and states ``y`` (n, m),
+#: the dense output ``sol`` (shape (n,) at a scalar t, (n, k) at k times)
+#: and ``nfev``, the right-hand-side calls made while integrating (not
+#: those of interpolants that ``sol`` builds later).
+SfsRun = numerics.Run
 
 
 @dataclass(frozen=True)
@@ -131,8 +126,7 @@ def sfs_field(ss: StateSpace, gamma: float):
 
 
 def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
-                rel_tol: float, abs_tol: float, *, tangents: int = 0,
-                dense_output: bool = False) -> list:
+                rel_tol: float, abs_tol: float, *, tangents: int = 0) -> list:
     """The smooth loop's flow of w over [0, t_end], segment by segment.
 
     w holds z, then ``tangents`` rows of n tangent coordinates, then any
@@ -140,10 +134,11 @@ def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
     alternate, the first chosen by |gamma C z(0)| < LAYER_EDGE:
 
     - in the tanh layer, DOP853 on ``rhs`` (``numerics.integrate_adaptive``)
-      up to a terminal event at the layer's edge.  Entered from outside, its
-      first step is 1 / (gamma |C z'|), the time in which gamma C z moves
-      by one (solve_ivp's own choice there let a step across the layer's
-      middle pass with 17 times the tolerance, third order at gamma = 1e5);
+      up to its event at the layer's edge, where |gamma C z| - LAYER_EDGE
+      rises through zero.  Entered from outside, its first step is
+      1 / (gamma |C z'|), the time in which gamma C z moves by one (the
+      initial-step heuristic there let a step across the layer's middle
+      pass with 17 times the tolerance, third order at gamma = 1e5);
     - outside it, the relay's affine flow under s = sign C z: the time back
       to the edge from ``RelaySystem.exit_events`` at ``level`` =
       LAYER_EDGE / gamma, then z and each tangent row v <- e^{A dt} v from
@@ -154,9 +149,10 @@ def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
 
     The kind alternates by segment and is never re-tested from |gamma C z|,
     which the event leaves at the edge to roundoff on either side; the last
-    segment ends at t_end.  Returns the segments, each with ``t``, ``y``,
-    ``sol`` and ``nfev``: the solver's result in the layer, an ``SfsRun``
-    of its two ends (nfev 0) on the affine flow.
+    segment ends at t_end.  Returns the segments, each a ``numerics.Run``:
+    the integrator's in the layer, whose interpolants are built only when
+    its ``sol`` is called, and one of the two ends (nfev 0) on the affine
+    flow.
     """
     n, C = ss.n, ss.C
     rows = (1 + tangents) * n
@@ -164,14 +160,12 @@ def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
     def leave(t, w):  # zero on the layer's edges, rising on the way out
         return abs(gamma * float(C @ w[:n])) - LAYER_EDGE
 
-    leave.terminal, leave.direction = True, 1.0
     t, inside = 0.0, abs(gamma * float(C @ w[:n])) < LAYER_EDGE
     first_step, segments = None, []
     while t < t_end:
         if inside:
             part = numerics.integrate_adaptive(rhs, w, (t, t_end), rel_tol, abs_tol,
-                                               dense_output=dense_output, events=leave,
-                                               first_step=first_step)
+                                               event=leave, first_step=first_step)
             t, w = float(part.t[-1]), part.y[:, -1]
             inside = False
         else:
@@ -206,9 +200,11 @@ def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float) -> SfsRun:
     tanh layer, the relay's exact affine flow outside it.
 
     ``t`` and ``y`` list the solver's steps and the ends of the affine
-    segments, ``nfev`` the right-hand-side evaluations.  ``sol(t)`` takes
-    DOP853's interpolant on a layer segment and the affine flow elsewhere.
-    A run that never leaves the layer is one DOP853 integration.
+    segments, ``nfev`` the right-hand-side calls made while integrating.
+    ``sol(t)`` takes DOP853's interpolant on a layer segment, built on the
+    first call that needs it (three more right-hand-side calls per step,
+    not counted in ``nfev``), and the affine flow elsewhere.  A run that
+    never leaves the layer is one DOP853 integration.
 
     Raises
     ------
@@ -225,7 +221,7 @@ def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float) -> SfsRun:
     if not math.isfinite(scale):
         raise ValueError("start state is not finite, or its norm overflows")
     segments = _layer_flow(ss, cfg.gamma, sfs_field(ss, cfg.gamma), x0, t_end,
-                           cfg.rel_tol, cfg.abs_tol, dense_output=True)
+                           cfg.rel_tol, cfg.abs_tol)
     starts = np.array([seg.t[0] for seg in segments])
 
     def sol(t):

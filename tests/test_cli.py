@@ -409,10 +409,11 @@ class TestArtifactHeaders:
 
 
 def test_import_defers_scipy_solvers():
-    # integrate, optimize and special load on first use, not with the CLI
+    # the CLI loads scipy.linalg; integrate (whose DOP853 tableau the smooth
+    # loop reads), optimize and special load on first use, not with the CLI
     code = ("import sys, relayosc.cli; print([m for m in sys.modules if m in "
-            "('scipy.integrate', 'scipy.optimize', 'scipy.special')])")
+            "('scipy.linalg', 'scipy.integrate', 'scipy.optimize', 'scipy.special')])")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relayosc.__file__)))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.strip() == "['scipy.linalg']"

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from relayosc import numerics
+from relayosc import limit_cycle, numerics, sfs
+from relayosc.errors import StiffnessError
 
 
 def _cond(M):
@@ -67,3 +71,82 @@ class TestIntegrateAdaptive:
     def test_tolerances_not_finite(self, rel_tol, abs_tol):
         with pytest.raises(ValueError, match="finite and positive"):
             numerics.integrate_adaptive(lambda t, x: -x, [1.0], (0.0, 1.0), rel_tol, abs_tol)
+
+    def test_blow_up_is_step_underflow(self):
+        # y' = y^2 from y(0) = 1 reaches infinity at t = 1, inside the span
+        with pytest.raises(StiffnessError, match="integration step underflow"):
+            numerics.integrate_adaptive(lambda t, y: y * y, [1.0], (0.0, 2.0))
+
+    def test_nan_field_is_step_underflow(self):
+        # every step that reaches past t = 0.5 has a nan error estimate and
+        # is rejected, until the step falls below the spacing of t
+        def rhs(t, y):
+            return np.full(1, math.nan if t > 0.5 else 1.0)
+
+        with pytest.raises(StiffnessError, match="integration step underflow"):
+            numerics.integrate_adaptive(rhs, [0.0], (0.0, 2.0))
+
+
+def _layer_calls(monkeypatch, field, ss, gamma):
+    """The integrate_adaptive calls of the smooth loop's layer split: of
+    simulate_sfs from the relay orbit's anchor moved onto C z = 0 (a start
+    in the layer) and off it to y = 1e-3, or of monodromy_floquet."""
+    calls, integrate = [], numerics.integrate_adaptive
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_adaptive", record)
+    orbit = limit_cycle.find_symmetric_orbit(ss)
+    if field == "floquet":
+        limit_cycle.monodromy_floquet(ss, gamma, orbit)
+    else:
+        for y0 in (0.0, 1e-3):
+            x0 = orbit.anchor.copy()
+            x0[-1] = y0
+            sfs.simulate_sfs(ss, sfs.SfsConfig(gamma, 1e-10, 1e-12), x0, 2 * orbit.period)
+    monkeypatch.setattr(numerics, "integrate_adaptive", integrate)
+    return calls
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e4, 1e5])
+@pytest.mark.parametrize("field", ["sfs", "floquet"])
+@pytest.mark.parametrize("plant", ["second_order", "third_order"])
+def test_equals_solve_ivp(plant, field, gamma, monkeypatch, request):
+    # the layer segments of both smooth-loop right-hand sides, the first
+    # step given and not, with the layer-edge event and without it up to
+    # the event's time: t, y, nfev and sol all equal scipy's, with ==
+    _, ss = request.getfixturevalue(plant)
+    calls = _layer_calls(monkeypatch, field, ss, gamma)
+    picked = [next(c for c in calls if c[1]["first_step"] is None),
+              next(c for c in calls if c[1]["first_step"] is not None)]
+    for (rhs, x0, (t0, t_end), rel_tol, abs_tol), kwargs in picked:
+        event, first_step = kwargs["event"], kwargs["first_step"]
+        t_event = numerics.integrate_adaptive(rhs, x0, (t0, t_end), rel_tol, abs_tol,
+                                              event=event, first_step=first_step).t[-1]
+        for span, ev in (((t0, t_end), event), ((t0, t_event), None)):
+            if ev is not None:
+                def ev(t, y, event=event):
+                    return event(t, y)
+                ev.terminal, ev.direction = True, 1.0
+            got = numerics.integrate_adaptive(rhs, x0, span, rel_tol, abs_tol,
+                                              event=event if ev else None, first_step=first_step)
+            want = [solve_ivp(rhs, span, x0, method="DOP853", rtol=rel_tol, atol=abs_tol,
+                              dense_output=dense, events=ev, first_step=first_step)
+                    for dense in (False, True)]
+            assert np.array_equal(got.t, want[0].t) and np.array_equal(got.y, want[0].y)
+            assert got.t[-1] == span[1] or ev is not None
+            assert got.nfev == want[0].nfev
+            ts = np.concatenate([np.linspace(span[0], got.t[-1], 97), got.t])
+            for t in (0.5 * (got.t[0] + got.t[-1]), got.t[-1], ts, ts[::-1]):
+                assert np.array_equal(got.sol(t), want[1].sol(t))
+            for t in got.t:
+                assert np.array_equal(got.sol(t), want[1].sol(t))
+
+
+def test_nan_from_the_start_is_step_underflow():
+    # a nan field at the start makes the initial step nan, which no step
+    # size comparison rejects: the loop refuses it at once
+    with pytest.raises(StiffnessError, match="integration step underflow"):
+        numerics.integrate_adaptive(lambda t, y: np.full(1, math.nan), [0.0], (0.0, 2.0))

@@ -285,6 +285,28 @@ class TestSimulate:
         y_end = float(ss.C @ fs.x)
         assert np.sign(y_end) == fs.relay_sign or abs(y_end) < 1e-9
 
+    def test_final_state_at_a_switch_time(self, second_order):
+        # t_end at each of the first 60 switch times: where the last switch
+        # lands exactly at t_end (27 of them) the final state is that
+        # landing, under the sign the next segment takes; elsewhere the
+        # last segment runs to t_end and ends there within roundoff
+        _, ss = second_order
+        x0 = np.array([0.4, 0.2])
+        traj, _ = rd.simulate(ss, x0, 1e6, max_switches=61)
+        landed = 0
+        for k, ev in enumerate(traj.events[:60]):
+            cut, _ = rd.simulate(ss, x0, ev.t)
+            fs = cut.final_state
+            assert fs is not None and fs.t == ev.t
+            if len(cut.events) == k + 1:
+                landed += 1
+                assert np.array_equal(fs.x, ev.x)
+                assert fs.relay_sign == traj.segments[k + 1][2]
+            else:
+                assert len(cut.events) == k
+                assert np.abs(fs.x - ev.x).max() < 1e-13
+        assert landed == 27
+
     @pytest.mark.parametrize("max_switches", [0, -1])
     def test_no_switch_budget_rejected(self, second_order, max_switches):
         # no budget would return an empty trajectory marked certified
