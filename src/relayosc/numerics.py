@@ -38,51 +38,63 @@ class Run:
     nfev: int
 
 
+def _interpolant(rhs, tab, step) -> np.ndarray:
+    """The coefficients F of DOP853's continuous extension over an accepted
+    step [t_old, h, y_old, y, K, F] (Hairer, Norsett & Wanner, *Solving
+    ODEs I*, II.6), scipy's arithmetic: three more stages into K, built
+    once and kept in the step."""
+    t_old, h, y_old, y, K, F = step
+    if F is None:
+        for s, (a, c) in enumerate(zip(tab.A_EXTRA, tab.C_EXTRA), start=tab.n_stages + 1):
+            K[s] = rhs(t_old + c * h, y_old + np.dot(K[:s].T, a[:s]) * h)
+        F = step[5] = np.empty((7, len(y)))
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (K[tab.n_stages] + K[0])
+        F[3:] = h * np.dot(tab.D, K)
+    return F
+
+
+def _interpolate(step, F, t) -> np.ndarray:
+    """The step's interpolant F at t, a 0-d or 1-d array, as scipy's
+    ``Dop853DenseOutput``."""
+    t_old, h, y_old = step[:3]
+    x = (t - t_old) / h
+    if t.ndim == 0:
+        out = np.zeros_like(y_old)
+    else:
+        x = x[:, None]
+        out = np.zeros((len(x), len(y_old)))
+    for j, f in enumerate(reversed(F)):
+        out += f
+        out *= x if j % 2 == 0 else 1 - x
+    out += y_old
+    return out.T
+
+
 class _DenseSteps:
-    """DOP853's continuous extension over the accepted steps (Hairer,
-    Norsett & Wanner, *Solving ODEs I*, II.6), scipy's arithmetic.  A step
-    is [t_old, h, y_old, y, K, F]; its interpolant F costs three more
-    stages and is built on the first call that needs it.  At a step
-    boundary of ``ts`` the lower step is taken, as in scipy's
+    """DOP853's dense output over the accepted steps, whose break points are
+    ``ts``.  A step's interpolant is built on the first call that needs it;
+    at a break point the lower step is taken, as in scipy's
     ``OdeSolution``."""
 
-    def __init__(self, rhs, tableau, steps):
-        self._rhs, self._tab, self._steps, self.ts = rhs, tableau, steps, None
+    def __init__(self, rhs, tableau, ts, steps):
+        self._rhs, self._tab, self._ts, self._steps = rhs, tableau, ts, steps
 
-    def _eval(self, step, t):
-        t_old, h, y_old, y, K, F = step
-        if F is None:
-            tab = self._tab
-            for s, (a, c) in enumerate(zip(tab.A_EXTRA, tab.C_EXTRA), start=tab.n_stages + 1):
-                K[s] = self._rhs(t_old + c * h, y_old + np.dot(K[:s].T, a[:s]) * h)
-            F = step[5] = np.empty((7, len(y)))
-            delta_y = y - y_old
-            F[0] = delta_y
-            F[1] = h * K[0] - delta_y
-            F[2] = 2 * delta_y - h * (K[tab.n_stages] + K[0])
-            F[3:] = h * np.dot(tab.D, K)
-        x = (t - t_old) / h
-        if t.ndim == 0:
-            out = np.zeros_like(y_old)
-        else:
-            x = x[:, None]
-            out = np.zeros((len(x), len(y_old)))
-        for j, f in enumerate(reversed(F)):
-            out += f
-            out *= x if j % 2 == 0 else 1 - x
-        out += y_old
-        return out.T
+    def _eval(self, i, t):
+        step = self._steps[i]
+        return _interpolate(step, _interpolant(self._rhs, self._tab, step), t)
 
     def __call__(self, t):
         t = np.asarray(t)
-        steps = self._steps
-        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(steps) - 1)
+        seg = np.clip(np.searchsorted(self._ts, t, side="left") - 1, 0, len(self._steps) - 1)
         if t.ndim == 0:
-            return self._eval(steps[seg], t)
-        out = np.empty((len(steps[0][2]), len(t)))
+            return self._eval(seg, t)
+        out = np.empty((len(self._steps[0][2]), len(t)))
         order = np.argsort(seg, kind="stable")
         for idx in np.split(order, np.flatnonzero(np.diff(seg[order])) + 1):
-            out[:, idx] = self._eval(steps[seg[idx[0]]], t[idx])
+            out[:, idx] = self._eval(seg[idx[0]], t[idx])
         return out
 
 
@@ -158,7 +170,7 @@ def integrate_adaptive(
 
     g = event(t, y) if event is not None else None
     ts, ys, steps = [t], [y], []
-    dense, done = _DenseSteps(rhs, tab, steps), False
+    done = False
     while not done:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -196,13 +208,16 @@ def integrate_adaptive(
         if g is not None:
             g_new = event(t, y)
             if g <= 0 and g_new >= 0:
+                # scipy's brentq keeps its function in a reference cycle, so
+                # it sees this step alone, not every step's stages
                 step = steps[-1]
+                F = _interpolant(rhs, tab, step)
                 nfev += len(tab.C_EXTRA)
-                t = brentq(lambda s: event(s, dense._eval(step, np.asarray(s))),
+                t = brentq(lambda s: event(s, _interpolate(step, F, np.asarray(s))),
                            t_old, t, xtol=4 * eps, rtol=4 * eps)
-                y, done = dense._eval(step, np.asarray(t)), True
+                y, done = _interpolate(step, F, np.asarray(t)), True
             g = g_new
         ts.append(t)
         ys.append(y)
-    dense.ts = np.array(ts)
-    return Run(t=dense.ts, y=np.vstack(ys).T, sol=dense, nfev=nfev)
+    ts = np.array(ts)
+    return Run(t=ts, y=np.vstack(ys).T, sol=_DenseSteps(rhs, tab, ts, steps), nfev=nfev)

@@ -77,11 +77,13 @@ class TestIntegrateAdaptive:
         with pytest.raises(StiffnessError, match="integration step underflow"):
             numerics.integrate_adaptive(lambda t, y: y * y, [1.0], (0.0, 2.0))
 
-    def test_nan_field_is_step_underflow(self):
-        # every step that reaches past t = 0.5 has a nan error estimate and
-        # is rejected, until the step falls below the spacing of t
+    @pytest.mark.parametrize("t_nan", [0.5, -1.0])
+    def test_nan_field_is_step_underflow(self, t_nan):
+        # past t = 0.5 every step has a nan error estimate and is rejected
+        # until it falls below the spacing of t; a nan field from the start
+        # makes the initial step nan, which the loop refuses at once
         def rhs(t, y):
-            return np.full(1, math.nan if t > 0.5 else 1.0)
+            return np.full(1, math.nan if t > t_nan else 1.0)
 
         with pytest.raises(StiffnessError, match="integration step underflow"):
             numerics.integrate_adaptive(rhs, [0.0], (0.0, 2.0))
@@ -123,30 +125,23 @@ def test_equals_solve_ivp(plant, field, gamma, monkeypatch, request):
               next(c for c in calls if c[1]["first_step"] is not None)]
     for (rhs, x0, (t0, t_end), rel_tol, abs_tol), kwargs in picked:
         event, first_step = kwargs["event"], kwargs["first_step"]
+
+        def edge(t, y):  # the same event, as solve_ivp takes it
+            return event(t, y)
+
+        edge.terminal, edge.direction = True, 1.0
         t_event = numerics.integrate_adaptive(rhs, x0, (t0, t_end), rel_tol, abs_tol,
                                               event=event, first_step=first_step).t[-1]
-        for span, ev in (((t0, t_end), event), ((t0, t_event), None)):
-            if ev is not None:
-                def ev(t, y, event=event):
-                    return event(t, y)
-                ev.terminal, ev.direction = True, 1.0
+        for span, with_event in (((t0, t_end), True), ((t0, t_event), False)):
             got = numerics.integrate_adaptive(rhs, x0, span, rel_tol, abs_tol,
-                                              event=event if ev else None, first_step=first_step)
+                                              event=event if with_event else None,
+                                              first_step=first_step)
             want = [solve_ivp(rhs, span, x0, method="DOP853", rtol=rel_tol, atol=abs_tol,
-                              dense_output=dense, events=ev, first_step=first_step)
+                              dense_output=dense, events=edge if with_event else None,
+                              first_step=first_step)
                     for dense in (False, True)]
             assert np.array_equal(got.t, want[0].t) and np.array_equal(got.y, want[0].y)
-            assert got.t[-1] == span[1] or ev is not None
             assert got.nfev == want[0].nfev
             ts = np.concatenate([np.linspace(span[0], got.t[-1], 97), got.t])
-            for t in (0.5 * (got.t[0] + got.t[-1]), got.t[-1], ts, ts[::-1]):
+            for t in (0.5 * (got.t[0] + got.t[-1]), ts, ts[::-1], *got.t):
                 assert np.array_equal(got.sol(t), want[1].sol(t))
-            for t in got.t:
-                assert np.array_equal(got.sol(t), want[1].sol(t))
-
-
-def test_nan_from_the_start_is_step_underflow():
-    # a nan field at the start makes the initial step nan, which no step
-    # size comparison rejects: the loop refuses it at once
-    with pytest.raises(StiffnessError, match="integration step underflow"):
-        numerics.integrate_adaptive(lambda t, y: np.full(1, math.nan), [0.0], (0.0, 2.0))
