@@ -292,7 +292,7 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
     def half(zfree, tau):
         z_init = np.append(zfree, 0.0)
         w = np.concatenate([z_init, I.ravel(), [0.0]])
-        w = sfs._layer_flow(ss, gamma, rhs, w, tau, 1e-11, 1e-13, tangents=n)[-1].y[:, -1]
+        w = sfs._layer_flow(ss, gamma, rhs, w, tau, 1e-11, 1e-13, tangents=n).y[:, -1]
         return w[:n] + z_init, w
 
     zfree = np.asarray(z0, dtype=float)[:-1].copy()

@@ -29,13 +29,37 @@ def eigenvector_condition(V: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Run:
     """An integration: step times ``t`` (m,) and states ``y`` (n, m), the
-    dense output ``sol`` (shape (n,) at a scalar t, (n, k) at k times) and
-    ``nfev``, the right-hand-side calls made while integrating."""
+    dense output ``sol`` (shape (n,) at a scalar t, (n,) + t.shape at an
+    array t) and ``nfev``, the right-hand-side calls made while
+    integrating."""
 
     t: np.ndarray
     y: np.ndarray
     sol: Callable
     nfev: int
+
+
+def _piecewise(n, breaks, pieces, side):
+    """A dense output made of pieces: ``pieces[i]`` takes a 1-d array of
+    times in [breaks[i], breaks[i + 1]] to their states (n, k), each piece
+    getting its times in the order given.  A time on an inner break point
+    takes the lower piece when ``side`` is "left" (as scipy's
+    ``OdeSolution``) and the upper one when it is "right"; a time outside
+    the breaks takes the nearer end piece.  The result has shape (n,) at a
+    scalar t and (n,) + t.shape at an array t."""
+
+    def sol(t):
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        k = np.clip(np.searchsorted(breaks, flat, side=side) - 1, 0, len(pieces) - 1)
+        out = np.empty((n, flat.size))
+        if flat.size:
+            order = np.argsort(k, kind="stable")
+            for idx in np.split(order, np.flatnonzero(np.diff(k[order])) + 1):
+                out[:, idx] = pieces[k[idx[0]]](flat[idx])
+        return out.reshape((n,) + t.shape)
+
+    return sol
 
 
 def _interpolant(rhs, tab, step) -> np.ndarray:
@@ -57,45 +81,16 @@ def _interpolant(rhs, tab, step) -> np.ndarray:
 
 
 def _interpolate(step, F, t) -> np.ndarray:
-    """The step's interpolant F at t, a 0-d or 1-d array, as scipy's
-    ``Dop853DenseOutput``."""
+    """The step's interpolant F at the times t (k,), as scipy's
+    ``Dop853DenseOutput``: shape (n, k)."""
     t_old, h, y_old = step[:3]
-    x = (t - t_old) / h
-    if t.ndim == 0:
-        out = np.zeros_like(y_old)
-    else:
-        x = x[:, None]
-        out = np.zeros((len(x), len(y_old)))
+    x = ((t - t_old) / h)[:, None]
+    out = np.zeros((len(x), len(y_old)))
     for j, f in enumerate(reversed(F)):
         out += f
         out *= x if j % 2 == 0 else 1 - x
     out += y_old
     return out.T
-
-
-class _DenseSteps:
-    """DOP853's dense output over the accepted steps, whose break points are
-    ``ts``.  A step's interpolant is built on the first call that needs it;
-    at a break point the lower step is taken, as in scipy's
-    ``OdeSolution``."""
-
-    def __init__(self, rhs, tableau, ts, steps):
-        self._rhs, self._tab, self._ts, self._steps = rhs, tableau, ts, steps
-
-    def _eval(self, i, t):
-        step = self._steps[i]
-        return _interpolate(step, _interpolant(self._rhs, self._tab, step), t)
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        seg = np.clip(np.searchsorted(self._ts, t, side="left") - 1, 0, len(self._steps) - 1)
-        if t.ndim == 0:
-            return self._eval(seg, t)
-        out = np.empty((len(self._steps[0][2]), len(t)))
-        order = np.argsort(seg, kind="stable")
-        for idx in np.split(order, np.flatnonzero(np.diff(seg[order])) + 1):
-            out[:, idx] = self._eval(seg[idx[0]], t[idx])
-        return out
 
 
 def _rms(x):
@@ -126,6 +121,8 @@ def integrate_adaptive(
     4 eps) is then the last point.  ``nfev`` counts the calls made while
     integrating, an event step's interpolant included; the other steps'
     interpolants are built, and call ``rhs``, only when ``sol`` needs them.
+    At a step's end ``sol`` takes the lower step, as scipy's
+    ``OdeSolution``.
 
     Raises ValueError for tolerances that are not finite and positive, a
     span that does not increase or a start that is not a finite vector,
@@ -213,11 +210,13 @@ def integrate_adaptive(
                 step = steps[-1]
                 F = _interpolant(rhs, tab, step)
                 nfev += len(tab.C_EXTRA)
-                t = brentq(lambda s: event(s, _interpolate(step, F, np.asarray(s))),
+                t = brentq(lambda s: event(s, _interpolate(step, F, np.array([s]))[:, 0]),
                            t_old, t, xtol=4 * eps, rtol=4 * eps)
-                y, done = _interpolate(step, F, np.asarray(t)), True
+                y, done = _interpolate(step, F, np.array([t]))[:, 0], True
             g = g_new
         ts.append(t)
         ys.append(y)
     ts = np.array(ts)
-    return Run(t=ts, y=np.vstack(ys).T, sol=_DenseSteps(rhs, tab, ts, steps), nfev=nfev)
+    pieces = [lambda t, step=step: _interpolate(step, _interpolant(rhs, tab, step), t)
+              for step in steps]
+    return Run(t=ts, y=np.vstack(ys).T, sol=_piecewise(n, ts, pieces, "left"), nfev=nfev)

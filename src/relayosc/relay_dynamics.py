@@ -779,8 +779,11 @@ class RelaySystem:
         0) the state is in the sliding set, with no non-sliding
         continuation, and the trajectory stops there and the SlidingReport
         says so.  Grazing arrivals mark the trajectory as non-certified but
-        the simulation continues.  A departure from the plane that returns
-        to it within one march step (switches piling up faster than
+        the simulation continues.  The event time t + tau decides the end:
+        a switch at or before t_end is recorded, one that lands at t_end
+        included, with its segment tau long, and the run stops short of a
+        switch only when t + tau > t_end.  A departure from the plane that
+        returns to it within one march step (switches piling up faster than
         ``step`` resolves, as on the way to a Zeno point) stops the
         trajectory on the plane, non-certified, with ``final_state`` set
         there.  ``max_switches`` must be at least 1 (else ValueError).
@@ -838,7 +841,8 @@ class RelaySystem:
                 traj.certified = False
                 traj.final_state = RelayState(x, sign, t)
                 break
-            seg_len = min(tau, remaining)
+            ends = t + tau > t_end                 # short of the switch
+            seg_len = remaining if ends else tau
             if dense_dt is not None:
                 m = max(int(np.ceil(seg_len / dense_dt)), 1)
                 dense_t.append(t + np.linspace(0.0, seg_len, m + 1))
@@ -846,7 +850,7 @@ class RelaySystem:
                 dense_u.append(np.full(m + 1, sign, dtype=float))
 
             traj.segments.append((x, seg_len, sign))
-            if tau >= remaining:
+            if ends:
                 traj.final_state = RelayState(self.state(x, sign, remaining), sign, t_end)
                 break
 

@@ -15,9 +15,9 @@ whole family by zero exclusion when no crossing exists.
 Outside the layer |gamma C z| < LAYER_EDGE, tanh is +-1 to roundoff and the
 smooth loop's flow is the relay's affine flow (Fenichel 1979).  One loop,
 ``_layer_flow``, integrates only the layer adaptively, with the DOP853 loop
-of ``numerics.integrate_adaptive``, and takes that exact flow elsewhere;
-``simulate_sfs`` and the Floquet shooting of ``limit_cycle`` both run on
-it.
+of ``numerics.integrate_adaptive``, takes that exact flow elsewhere and
+returns one ``numerics.Run`` over the span; ``simulate_sfs`` and the
+Floquet shooting of ``limit_cycle`` both run on it.
 """
 
 from __future__ import annotations
@@ -99,13 +99,6 @@ class DescribingLocus:
     is_tangential: bool
 
 
-#: A run of the smooth loop: step times ``t`` (m,) and states ``y`` (n, m),
-#: the dense output ``sol`` (shape (n,) at a scalar t, (n, k) at k times)
-#: and ``nfev``, the right-hand-side calls made while integrating (not
-#: those of interpolants that ``sol`` builds later).
-SfsRun = numerics.Run
-
-
 @dataclass(frozen=True)
 class HyperbolicityResult:
     hurwitz_everywhere: bool
@@ -126,7 +119,7 @@ def sfs_field(ss: StateSpace, gamma: float):
 
 
 def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
-                rel_tol: float, abs_tol: float, *, tangents: int = 0) -> list:
+                rel_tol: float, abs_tol: float, *, tangents: int = 0) -> numerics.Run:
     """The smooth loop's flow of w over [0, t_end], segment by segment.
 
     w holds z, then ``tangents`` rows of n tangent coordinates, then any
@@ -149,27 +142,34 @@ def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
 
     The kind alternates by segment and is never re-tested from |gamma C z|,
     which the event leaves at the edge to roundoff on either side; the last
-    segment ends at t_end.  Returns the segments, each a ``numerics.Run``:
-    the integrator's in the layer, whose interpolants are built only when
-    its ``sol`` is called, and one of the two ends (nfev 0) on the affine
-    flow.
+    segment ends at t_end.  Returns one ``numerics.Run``: ``t`` and ``y``
+    the solver's steps and the affine segments' ends, ``nfev`` the
+    integrator's calls, and ``sol`` giving z (n rows) from the segment
+    that starts at t (the upper one at a segment's end): DOP853's
+    interpolant in the layer, built only when ``sol`` needs it, and the
+    affine flow outside.
     """
     n, C = ss.n, ss.C
     rows = (1 + tangents) * n
+    system = system_for(ss)
 
     def leave(t, w):  # zero on the layer's edges, rising on the way out
         return abs(gamma * float(C @ w[:n])) - LAYER_EDGE
 
     t, inside = 0.0, abs(gamma * float(C @ w[:n])) < LAYER_EDGE
-    first_step, segments = None, []
+    first_step, nfev = None, 0
+    ts, ys, breaks, pieces = [[t]], [w[:, None]], [t], []
     while t < t_end:
         if inside:
             part = numerics.integrate_adaptive(rhs, w, (t, t_end), rel_tol, abs_tol,
                                                event=leave, first_step=first_step)
             t, w = float(part.t[-1]), part.y[:, -1]
             inside = False
+            ts.append(part.t[1:])
+            ys.append(part.y[:, 1:])
+            nfev += part.nfev
+            pieces.append(lambda t, sol=part.sol: sol(t)[:n])
         else:
-            system = system_for(ss)
             s = 1 if C @ w[:n] > 0.0 else -1
             t0, remaining = t, t_end - t
             exits = system.exit_events(w[:n], s, level=LAYER_EDGE / gamma, cap=remaining)
@@ -184,27 +184,30 @@ def _layer_flow(ss: StateSpace, gamma: float, rhs, w: np.ndarray, t_end: float,
                 dt = min(remaining, system.t_max)
                 t = t + dt if dt < remaining else t_end
             E = system.exp(dt)
-            w0, w = w, w.copy()
+            z0, w = w[:n], w.copy()
             V = w[:rows].reshape(1 + tangents, n)
             V[0] = s * (E[:n] @ system.lift(V[0], s))
             V[1:] = V[1:] @ E[:n, :n].T
-            part = SfsRun(t=np.array([t0, t]), y=np.column_stack([w0, w]), nfev=0,
-                          sol=lambda t, t0=t0, z0=w0[:n], s=s: system.state(z0, s, t - t0).T)
-        segments.append(part)
-    return segments
+            ts.append([t])
+            ys.append(w[:, None])
+            pieces.append(lambda t, t0=t0, z0=z0, s=s: system.state(z0, s, t - t0).T)
+        breaks.append(t)
+    return numerics.Run(t=np.concatenate(ts), y=np.concatenate(ys, axis=1), nfev=nfev,
+                        sol=numerics._piecewise(n, breaks, pieces, "right"))
 
 
-def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float) -> SfsRun:
+def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float) -> numerics.Run:
     """Integrate the smooth loop from ``x0`` over [0, t_end] on the layer
     split of ``_layer_flow``: DOP853 at ``cfg``'s tolerances inside the
     tanh layer, the relay's exact affine flow outside it.
 
-    ``t`` and ``y`` list the solver's steps and the ends of the affine
-    segments, ``nfev`` the right-hand-side calls made while integrating.
-    ``sol(t)`` takes DOP853's interpolant on a layer segment, built on the
-    first call that needs it (three more right-hand-side calls per step,
-    not counted in ``nfev``), and the affine flow elsewhere.  A run that
-    never leaves the layer is one DOP853 integration.
+    Returns ``_layer_flow``'s run: ``t`` and ``y`` list the solver's steps
+    and the ends of the affine segments, ``nfev`` the right-hand-side calls
+    made while integrating.  ``sol(t)`` takes DOP853's interpolant on a
+    layer segment, built on the first call that needs it (three more
+    right-hand-side calls per step, not counted in ``nfev``), and the
+    affine flow elsewhere; a t at a segment's end takes the next segment.
+    A run that never leaves the layer is one DOP853 integration.
 
     Raises
     ------
@@ -220,23 +223,8 @@ def simulate_sfs(ss: StateSpace, cfg: SfsConfig, x0, t_end: float) -> SfsRun:
         scale = 1.0 + float(np.linalg.norm(x0))
     if not math.isfinite(scale):
         raise ValueError("start state is not finite, or its norm overflows")
-    segments = _layer_flow(ss, cfg.gamma, sfs_field(ss, cfg.gamma), x0, t_end,
-                           cfg.rel_tol, cfg.abs_tol)
-    starts = np.array([seg.t[0] for seg in segments])
-
-    def sol(t):
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(segments) - 1)
-        if t.ndim == 0:
-            return segments[k].sol(t)
-        out = np.empty((ss.n,) + t.shape)
-        for j in np.unique(k):
-            out[:, k == j] = segments[j].sol(t[k == j])
-        return out
-
-    return SfsRun(t=np.concatenate([[0.0]] + [seg.t[1:] for seg in segments]),
-                  y=np.concatenate([x0[:, None]] + [seg.y[:, 1:] for seg in segments], axis=1),
-                  sol=sol, nfev=sum(seg.nfev for seg in segments))
+    return _layer_flow(ss, cfg.gamma, sfs_field(ss, cfg.gamma), x0, t_end,
+                       cfg.rel_tol, cfg.abs_tol)
 
 
 def closed_loop_matrix(ss: StateSpace, gamma) -> np.ndarray:

@@ -262,6 +262,7 @@ def test_criterion_10_determinism(tmp_path):
         ["fixed-point"] + plant + ["--seed", "5"],
         ["root-locus"] + plant + ["--gamma-max", "100"],
         ["monodromy"] + plant,
+        ["monodromy"] + plant + ["--gamma", "1e3"],
         ["sfs-sim"] + plant + ["--gamma", "50", "--x0", "0.1,0.1", "--t-end", "3"],
         ["sfs-sim"] + plant + ["--gamma", "1e5", "--x0", "0.1,0.1", "--t-end", "20"],
     ]

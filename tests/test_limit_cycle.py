@@ -12,7 +12,7 @@ from relayosc import numerics
 from relayosc import poincare as pc
 from relayosc.errors import DegenerateOrbitError, NoOrbitError, ShootingError
 from relayosc.plant import StateSpace, parse_plant, realize
-from relayosc.relay_dynamics import RelaySystem
+from relayosc.relay_dynamics import GRAZE_TOL, RelaySystem
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +506,31 @@ class TestMonodromyFloquet:
         assert corrected3 >= 50 * corrected4
         assert relay3 < 11 * relay4
         assert corrected3 < 0.01 * relay3
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_grazing_hint_starts_from_the_relay_orbit(self, third_order, orbit3, side):
+        # a switch speed at GRAZE_TOL on either side leaves the layer
+        # correction undefined: the start is the relay orbit itself, and
+        # Newton still reaches the orbit of the corrected start
+        _, ss = third_order
+        speeds = list(orbit3.output_speeds[0])
+        speeds[side] = -GRAZE_TOL
+        hint = dataclasses.replace(orbit3, output_speeds=(tuple(speeds),)
+                                   + orbit3.output_speeds[1:])
+        x, tau = lc._layer_corrected_start(ss, 1e3, hint)
+        assert np.array_equal(x, orbit3.anchor) and tau == orbit3.half_period
+        det = lc.monodromy_floquet(ss, 1e3, orbit3).det
+        assert abs(lc.monodromy_floquet(ss, 1e3, hint).det - det) <= 1e-10 * det
+
+    def test_singular_correction_starts_from_the_hint(self, orbit2):
+        # an anchor at the -1 field's equilibrium, A x + B = 0 exactly,
+        # zeroes the dtau column of the linearized symmetry condition
+        ss = realize(parse_plant([1, -1], [8, 5]))
+        x = np.array([1.625, 0.125])
+        assert not np.any(ss.A @ x + ss.B)
+        hint = dataclasses.replace(orbit2, anchor=x)
+        start, tau = lc._layer_corrected_start(ss, 1e3, hint)
+        assert start is x and tau == orbit2.half_period
 
     def test_integrates_only_the_layer(self, third_order, orbit3, monkeypatch):
         # outside |gamma C z| < LAYER_EDGE the affine flow is exact: the

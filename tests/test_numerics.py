@@ -72,6 +72,33 @@ class TestIntegrateAdaptive:
         with pytest.raises(ValueError, match="finite and positive"):
             numerics.integrate_adaptive(lambda t, x: -x, [1.0], (0.0, 1.0), rel_tol, abs_tol)
 
+    @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0), (0.0, math.nan)])
+    def test_span_must_increase(self, t_span):
+        with pytest.raises(ValueError, match="t_span must increase"):
+            numerics.integrate_adaptive(lambda t, x: -x, [1.0], t_span)
+
+    @pytest.mark.parametrize("x0", [[math.nan], [1.0, math.inf], [[1.0], [2.0]], 1.0])
+    def test_start_must_be_a_finite_vector(self, x0):
+        with pytest.raises(ValueError, match="finite vector"):
+            numerics.integrate_adaptive(lambda t, x: -x, x0, (0.0, 1.0))
+
+    @pytest.mark.parametrize("first_step", [0.0, -0.1, 1.5, math.nan])
+    def test_first_step_within_the_span(self, first_step):
+        with pytest.raises(ValueError, match="first_step must be in"):
+            numerics.integrate_adaptive(lambda t, x: -x, [1.0], (0.0, 1.0),
+                                        first_step=first_step)
+
+    def test_dense_output_shapes(self):
+        # (n,) at a scalar t, (n,) + t.shape at an array, (n, 0) at an
+        # empty one (scipy's OdeSolution raises there)
+        run = numerics.integrate_adaptive(lambda t, z: np.array([z[1], -z[0]]),
+                                          [1.0, 0.0], (0.0, 2.0))
+        ts = np.linspace(0.0, 2.0, 4)
+        xs = run.sol(ts)
+        assert xs.shape == (2, 4) and run.sol(1.0).shape == (2,)
+        assert run.sol(ts[:0]).shape == (2, 0)
+        assert np.array_equal(run.sol(ts.reshape(2, 2)), xs.reshape(2, 2, 2))
+
     def test_blow_up_is_step_underflow(self):
         # y' = y^2 from y(0) = 1 reaches infinity at t = 1, inside the span
         with pytest.raises(StiffnessError, match="integration step underflow"):

@@ -174,6 +174,10 @@ class TestLayerSplit:
         assert np.abs(xs - ref.sol(ts)).max() < 1e-8
         assert np.array_equal(run.sol(ts[1234]), xs[:, 1234])
         assert np.array_equal(run.sol(ts[:1]), xs[:, :1])
+        assert run.sol(ts[:0]).shape == (ss.n, 0)
+        corners = [0, 1000, 2000, 4000]  # segments of both kinds
+        assert np.array_equal(run.sol(ts[corners].reshape(2, 2)),
+                              xs[:, corners].reshape(ss.n, 2, 2))
         assert run.y.shape == (ss.n, len(run.t)) and np.all(np.diff(run.t) > 0)
         assert np.array_equal(run.sol(run.t[-1]), run.y[:, -1])
 
