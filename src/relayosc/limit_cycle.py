@@ -285,7 +285,7 @@ def _shoot_half_period(ss: StateSpace, gamma: float, z0: np.ndarray, tau0: float
         u *= c
         u[0] = math.tanh(arg)
         out = np.empty(len(w))
-        np.subtract(W @ AT, np.multiply.outer(u, B), out=out[:-1].reshape(n + 1, n))
+        np.subtract(W @ AT, u[:, None] * B, out=out[:-1].reshape(n + 1, n))
         out[-1] = c
         return out
 

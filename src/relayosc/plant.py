@@ -10,8 +10,9 @@ plants (stability, DC gain, relative degree, positive real zeros, the
 bounded-restless class) and builds the companion-form state space used by
 every other module.  The classification flags and the zero count are
 decided exactly, on the float coefficients as the dyadic rationals they
-are, by the exact polynomial helpers below (Routh's array and Sturm
-sequences), which ``sfs`` shares; the poles and zeros are reported floats.
+are, by the exact polynomial helpers below (Sturm sequences of integer
+polynomials, signed at dyadic points), which ``sfs`` shares; the poles and
+zeros are reported floats.
 """
 
 from __future__ import annotations
@@ -219,32 +220,48 @@ def _sturm(p: list[int], q: list[int]) -> list[list[int]]:
     return seq[:-1]
 
 
-def _value(p: list[int], x: Fraction) -> int:
-    """p(x) times x.denominator ** deg p."""
-    acc, scale = 0, 1
+def _derivative(p: list[int]) -> list[int]:
+    """p'."""
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+# Points are dyadic rationals m / 2^k held as integer pairs (m, k): every
+# point the exact helpers visit is 0, a power-of-two bound, its negative or
+# a midpoint.
+
+def _value(p: list[int], x: tuple[int, int]) -> int:
+    """p(m / 2^k) times 2^(k deg p), for the point x = (m, k)."""
+    m, k = x
+    acc, shift = 0, 0
     for c in reversed(p):
-        acc, scale = acc * x.numerator + c * scale, scale * x.denominator
+        acc, shift = acc * m + (c << shift), shift + k
     return acc
 
 
-def _count(seq: list[list[int]], x: Fraction) -> int:
-    """Sign variations of ``seq`` at x."""
+def _count(seq: list[list[int]], x: tuple[int, int]) -> int:
+    """Sign variations of ``seq`` at the point x."""
     signs = [s for s in (_sign(_value(p, x)) for p in seq) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _variations(seq: list[list[int]], lo: Fraction, hi: Fraction) -> int:
-    """Sign variations of ``seq`` at lo minus those at hi."""
+def _variations(seq: list[list[int]], lo: tuple[int, int], hi: tuple[int, int]) -> int:
+    """Sign variations of ``seq`` at the point lo minus those at hi."""
     return _count(seq, lo) - _count(seq, hi)
 
 
-def _root_bound(p: list[int]) -> Fraction:
-    """A power of two above the modulus of every root of p, deg p >= 1
-    (Cauchy's bound)."""
-    hi = Fraction(1)
-    while hi <= 1 + Fraction(max(map(abs, p[:-1])), abs(p[-1])):
-        hi *= 2
-    return hi
+def _root_bound(p: list[int]) -> tuple[int, int]:
+    """The point 2^e, the least power of two above 1 + max |p[i] / p[-1]|,
+    which is above the modulus of every root of p, deg p >= 1 (Cauchy's
+    bound)."""
+    return 1 << (1 + max(map(abs, p[:-1])) // abs(p[-1])).bit_length(), 0
+
+
+def _integer(coeffs) -> list[int]:
+    """The polynomial with the given ascending float or rational
+    coefficients, held exactly, times the least common denominator."""
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return _combine([int(c * scale) for c in coeffs], [])
 
 
 def _positive_roots(coeffs) -> int:
@@ -252,34 +269,43 @@ def _positive_roots(coeffs) -> int:
     coefficients, counted with multiplicity: Sturm counts on (0, Cauchy
     bound] of p, of gcd(p, p'), of its gcd with its derivative, and so on;
     a root of multiplicity m lies in the first m of them."""
-    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    p = _combine([int(Fraction(c) * scale) for c in coeffs], [])
+    p = _integer(coeffs)
     while p and p[0] == 0:  # roots at the origin are not positive
         p = p[1:]
     count = 0
     while len(p) > 1:
-        seq = _sturm(p, [k * c for k, c in enumerate(p)][1:])
-        count += _variations(seq, Fraction(0), _root_bound(p))
+        seq = _sturm(p, _derivative(p))
+        count += _variations(seq, (0, 0), _root_bound(p))
         p = seq[-1]
     return count
 
 
 def _unstable_count(den, num=(), gain=0) -> int | None:
-    """Roots in the open right half plane of s^n + sum (den[k] + gain
-    num[k]) s^k, for float or rational coefficients held exactly, by the
-    exact Routh array: the sign changes down its first column; None at a
-    zero pivot, which no Hurwitz polynomial has."""
-    desc = [Fraction(1)] + [Fraction(d) + gain * Fraction(b) for d, b in
-                            zip_longest(den, num, fillvalue=0)][::-1]
-    row, nxt = desc[0::2], desc[1::2]
-    changes = 0
-    while nxt:
-        if nxt[0] == 0:
-            return None
-        changes += (nxt[0] < 0) != (row[0] < 0)
-        c = row[0] / nxt[0]
-        row, nxt = nxt, [a - c * b for a, b in zip_longest(row[1:], nxt[1:], fillvalue=0)]
-    return changes
+    """Roots in the open right half plane of p(s) = s^n + sum (den[k] +
+    gain num[k]) s^k, for float or rational coefficients held exactly;
+    None when a root lies on the imaginary axis, which no Hurwitz
+    polynomial has.
+
+    Routh-Hurwitz in Sturm form (Gantmacher, The Theory of Matrices II,
+    ch. XV): with p(j w) = j^n (h(w) - j g(w)), h of degree n from the
+    powers n, n - 2, ... of p and g from n - 1, n - 3, ..., the Cauchy
+    index of g / h over the real line is n - 2 u for u unstable roots when
+    no root is on the axis, and the signed remainder sequence of h and g
+    gives it on (-B, B], B above every root of h.  A root on the axis is
+    a real root of gcd(h, g), the sequence's last member.
+    """
+    p = _integer([Fraction(d) + gain * Fraction(b)
+                  for d, b in zip_longest(den, num, fillvalue=0)] + [1])
+    n = len(p) - 1
+    h, g = (_combine([c * (-1) ** ((n - k) // 2) if (n - k) % 2 == r else 0
+                      for k, c in enumerate(p)], []) for r in (0, 1))
+    bound, _ = _root_bound(h)
+    lo, hi = (-bound, 0), (bound, 0)
+    seq = _sturm(h, g)
+    gcd = seq[-1]
+    if len(gcd) > 1 and _variations(_sturm(gcd, _derivative(gcd)), lo, hi):
+        return None
+    return (n - _variations(seq, lo, hi)) // 2
 
 
 def classify(tf: TransferFunction) -> PlantClass:
@@ -287,12 +313,13 @@ def classify(tf: TransferFunction) -> PlantClass:
     zeros, and membership in the bounded-restless (relative degree one) class.
 
     Every flag is exact on the float coefficients, so none depends on the
-    unit of time.  ``is_stable`` is an exact Routh count of zero (a zero
-    pivot is no Hurwitz polynomial), and ``n_positive_real_zeros`` an exact
-    Sturm count with multiplicity.  ``is_brl_urf`` is relative degree one, a
-    stable plant and b0 > 0 > b[n-1]: b(0) = b[n-1] prod(-z_i), so the count
-    of positive zeros is odd exactly when b0 b[n-1] < 0, and the DC gain is
-    then positive.  Poles and zeros are reported floats, eigenvalues of
+    unit of time.  ``is_stable`` is an exact Routh-Hurwitz count of zero (a
+    root on the axis is no Hurwitz polynomial), and
+    ``n_positive_real_zeros`` an exact Sturm count with multiplicity.
+    ``is_brl_urf`` is relative degree one, a stable plant and
+    b0 > 0 > b[n-1]: b(0) = b[n-1] prod(-z_i), so the count of positive
+    zeros is odd exactly when b0 b[n-1] < 0, and the DC gain is then
+    positive.  Poles and zeros are reported floats, eigenvalues of
     companion matrices; no polynomial deflation is performed.
 
     Raises

@@ -5,9 +5,11 @@ smooth family  z' = A z - B tanh(gamma C z)  with the gain gamma as the
 bifurcation parameter.  The origin is an equilibrium for every gamma; its
 linearization A - gamma B C is again a companion matrix, with closed-loop
 characteristic polynomial  den(s) + gamma num(s).  This module computes the
-imaginary-axis crossings of its roots exactly (Sturm sequences in rational
-arithmetic on the float coefficients, which are dyadic rationals), scans
-the eigenvalue root locus over gamma, decides the criticality of the first
+imaginary-axis crossings of its roots exactly (Sturm sequences of integer
+polynomials from the float coefficients, which are dyadic rationals,
+signed at dyadic points m / 2^k held as integer pairs), scans the
+eigenvalue root locus over gamma, its tracks paired between neighbouring
+gains in one nearest-neighbour pass, decides the criticality of the first
 Hopf point from the linearization there, evaluates the second-harmonic
 describing-function locus at a crossing, and proves hyperbolicity of the
 whole family by zero exclusion when no crossing exists.
@@ -30,8 +32,8 @@ import numpy as np
 
 from . import numerics
 from .errors import RelayOscError
-from .plant import (StateSpace, TransferFunction, _combine, _count, _mul, _root_bound,
-                    _sign, _sturm, _unstable_count, _value, _variations)
+from .plant import (StateSpace, TransferFunction, _combine, _count, _derivative, _mul,
+                    _root_bound, _sign, _sturm, _unstable_count, _value, _variations)
 from .relay_dynamics import EXITED, system_for
 
 #: Edge of the smooth loop's tanh layer in the argument gamma C z: the
@@ -240,12 +242,22 @@ def closed_loop_eigenvalues(ss: StateSpace, gamma) -> np.ndarray:
     return np.linalg.eigvals(closed_loop_matrix(ss, gamma))
 
 
+def _nearest(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """For each entry of ``prev``, the index of the nearest entry of
+    ``new``, by the distances ``_pair_tracks`` takes; stacks of rows are
+    paired row by row."""
+    d = prev[..., :, None] - new[..., None, :]
+    return np.hypot(d.real, d.imag).argmin(axis=-1)
+
+
 def _pair_tracks(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Greedy nearest-neighbor pairing of eigenvalue sets between grid
     points, to keep per-track continuity: each entry of ``prev`` in turn
     takes the nearest entry of ``new`` not yet taken.  The distances are
     ``hypot`` of the differences, as the scalar ``abs`` rounds them (the
-    array ``abs`` of a complex array can differ in the last bit)."""
+    array ``abs`` of a complex array can differ in the last bit).
+    ``root_locus`` runs it only where two entries of ``prev`` have the
+    same nearest entry; elsewhere the nearest entries are its picks."""
     d = prev[:, None] - new
     dist = np.hypot(d.real, d.imag)
     out = np.empty(len(prev), dtype=complex)
@@ -296,40 +308,41 @@ def _axis_crossings(ss: StateSpace, gamma_max: float) -> list[Crossing]:
     if len(Q) < 2:
         return out  # no positive root (Q = 0: the roots stay on the axis)
 
-    dQ = [k * c for k, c in enumerate(Q)][1:]
+    dQ = _derivative(Q)
     sturm = _sturm(Q, dQ)
     positive = _sturm(Q, _mul(dQ, P))
     within = _sturm(Q, _mul(dQ, _combine(_mul([g_max.denominator], P), W, g_max.numerator)))
 
-    def split(lo, hi):  # a point of (lo, hi) that is no root of Q
-        mid, step = (lo + hi) / 2, (hi - lo) / 4
-        while _value(Q, mid) == 0:
-            mid, step = mid + step, step / 2
-        return mid
+    # An interval is (lo, hi, k), the points lo / 2^k and hi / 2^k.
+    def split(lo, hi, k):  # lo, mid, hi at one shift, mid in (lo, hi) and no root of Q
+        mid, step, j = lo + hi, hi - lo, k + 1
+        while _value(Q, (mid, j)) == 0:
+            mid, j = 2 * mid + step, j + 1
+        return lo << (j - k), mid, hi << (j - k), j
 
-    todo = [(Fraction(0), _root_bound(Q))]
+    todo = [(0, *_root_bound(Q))]
     while todo:
-        lo, hi = todo.pop()
-        count = _variations(sturm, lo, hi)
+        lo, hi, k = todo.pop()
+        count = _variations(sturm, (lo, k), (hi, k))
         if count > 1:
-            mid = split(lo, hi)
-            todo += [(mid, hi), (lo, mid)]
-        if (count != 1 or _variations(positive, lo, hi) >= 0
-                or _variations(within, lo, hi) < 0):
+            lo, mid, hi, k = split(lo, hi, k)
+            todo += [(mid, hi, k), (lo, mid, k)]
+        if (count != 1 or _variations(positive, (lo, k), (hi, k)) >= 0
+                or _variations(within, (lo, k), (hi, k)) < 0):
             continue  # not one root, or its gain is not in (0, gamma_max]
-        at_lo = _count(sturm, lo)  # kept as lo moves, so a step evaluates at mid only
-        while hi - lo > lo / 2**60:
-            mid = split(lo, hi)
-            at_mid = _count(sturm, mid)
-            if at_mid == at_lo:
+        at_lo = _count(sturm, (lo, k))  # kept as lo moves, so a step evaluates at mid only
+        while (hi - lo) << 60 > lo:
+            lo, mid, hi, k = split(lo, hi, k)
+            if _count(sturm, (mid, k)) == at_lo:
                 lo = mid  # no root in (lo, mid]
             else:
                 hi = mid
-        s_lo, s_hi = _sign(_value(Q, lo)), _sign(_value(Q, hi))
-        x = (lo + hi) / 2
-        gain = Fraction(-_value(P, x) * x.denominator ** len(W),
-                        _value(W, x) * x.denominator ** len(P))
-        out.append(Crossing(float(gain), math.sqrt(x), 0 if s_lo == s_hi else -s_hi, 1, "hopf"))
+        s_lo, s_hi = _sign(_value(Q, (lo, k))), _sign(_value(Q, (hi, k)))
+        m, j = lo + hi, k + 1  # the midpoint x = m / 2^j
+        x = (m, j)
+        gain = Fraction(-_value(P, x) << j * len(W), _value(W, x) << j * len(P))
+        out.append(Crossing(float(gain), math.sqrt(Fraction(m, 1 << j)),
+                            0 if s_lo == s_hi else -s_hi, 1, "hopf"))
     return sorted(out, key=lambda c: (c.gamma0, c.omega0))
 
 
@@ -343,15 +356,36 @@ def root_locus(ss: StateSpace, gamma_max: float = 1e3, points: int = 400) -> Roo
     right half plane as gamma grows.  Tangential touches, where the root
     meets the axis without crossing it, are left out.  The tracks come from
     one stacked eigenvalue call over the grid, paired between neighbouring
-    gains by nearest neighbour.  An empty crossing list is a valid result.
+    gains by nearest neighbour: where every entry of a gain has its own
+    nearest entry at the next, those are the greedy ``_pair_tracks``'
+    picks; only the other gains run it.  An empty crossing list is a valid
+    result.
     """
     if points < 10:
         raise ValueError("points must be >= 10")
     _check_gamma_max(gamma_max, GAMMA_MIN)
     grid = np.geomspace(GAMMA_MIN, gamma_max, points)
-    tracks = closed_loop_eigenvalues(ss, grid).astype(complex)
+    eig = closed_loop_eigenvalues(ss, grid).astype(complex)
+    n = eig.shape[1]
+    # each gain's nearest entries to the previous gain's, in slices of
+    # about points / n gains, so that the (slice, n, n) distances stay the
+    # size of the (points, n) eigenvalues
+    step = -(-points // n)
+    prev, new = eig[:-1], eig[1:]
+    nearest = np.concatenate([_nearest(prev[i:i + step], new[i:i + step])
+                              for i in range(0, points - 1, step)])
+    taken = np.zeros(nearest.shape, dtype=bool)
+    np.put_along_axis(taken, nearest, True, axis=1)
+    conflict = ~taken.all(axis=1)  # two entries with one nearest entry
+    tracks = np.empty_like(eig)
+    tracks[0] = eig[0]
+    order = np.arange(n)  # tracks[i] = eig[i][order]; None after a conflict
     for i in range(1, points):
-        tracks[i] = _pair_tracks(tracks[i - 1], tracks[i])
+        if conflict[i - 1]:
+            tracks[i], order = _pair_tracks(tracks[i - 1], eig[i]), None
+            continue
+        order = _nearest(tracks[i - 1], eig[i]) if order is None else nearest[i - 1][order]
+        tracks[i] = eig[i][order]
     crossings = tuple(c for c in _axis_crossings(ss, gamma_max)
                       if c.direction and c.gamma0 >= GAMMA_MIN)
     return RootLocusScan(gamma_grid=grid, eigen_tracks=tracks, crossings=crossings)
@@ -369,8 +403,9 @@ def hopf_classify(ss: StateSpace, scan: RootLocusScan,
     is minus the exact crossing direction: "supercritical" when the pair
     enters the right half plane as gamma grows, "subcritical" otherwise.
     ``unstable_count`` (open right half plane at gamma0, +-j omega0 left
-    out) is an exact Routh count below every crossing plus the signed
-    crossings below gamma0; None at a zero Routh pivot.  ``evidence`` holds,
+    out) is an exact Routh-Hurwitz count below every crossing plus the
+    signed crossings below gamma0; None only when a root stays on the axis
+    there, one that den and num share.  ``evidence`` holds,
     per relative offset delta, gamma = gamma0 (1 + delta) and the
     normal-form output amplitude 2 sqrt((gamma - gamma0) / gamma0^3) of the
     cycle there.  The real-axis crossing gamma = -a0 / b0, where the
@@ -468,9 +503,9 @@ def hyperbolicity_check(ss: StateSpace, gamma_max: float = 1e3,
                         samples: int = 400) -> HyperbolicityResult:
     """Decide whether A - kappa B C is Hurwitz for all kappa in [0, gamma_max].
 
-    The verdict is a proof by zero exclusion: den (kappa = 0) passes an
-    exact Routh test, and no root of den + kappa num meets the imaginary
-    axis for kappa in (0, gamma_max], decided in exact rational arithmetic
+    The verdict is a proof by zero exclusion: den (kappa = 0) has an exact
+    Routh-Hurwitz count of zero, and no root of den + kappa num meets the
+    imaginary axis for kappa in (0, gamma_max], decided in exact arithmetic
     from the crossings of the module docstring, tangential touches
     included.  Otherwise the witness is gain 0, or the smallest crossing
     gain kappa* with the closed-loop eigenvalues there; of these, the one

@@ -221,6 +221,18 @@ class TestExactClass:
         pc = classify(parse_plant([1], den))
         assert not pc.is_stable and not pc.is_brl_urf
 
+    @pytest.mark.parametrize("den, unstable", [
+        ([3, 2, 2, 1], 2),         # s^4+s^3+2s^2+2s+3: a zero Routh pivot, no root on the axis
+        ([4, 0, 0, 0], 2),         # s^4+4, roots +-1 +-j
+        ([-1, 0], 1),              # s^2-1, roots +-1
+        ([1, 2], 0),               # (s+1)^2
+        ([1, 1, 1], None),         # (s+1)(s^2+1)
+        ([0, 1, 2], None),         # s (s+1)^2
+        ([1, 0, 2, 0], None),      # (s^2+1)^2
+    ])
+    def test_unstable_count_without_routh_pivots(self, den, unstable):
+        assert _unstable_count(den) == unstable
+
     def test_near_axis_pair_is_stable(self):
         # s^2 + 1e-12 s + 1: poles -5e-13 +- j, in the open left half plane
         assert classify(parse_plant([1], [1, 1e-12])).is_stable
@@ -249,7 +261,7 @@ def _factored(rng, degree, top, den):
 
 
 class TestExactOracle:
-    """The exact Routh and Sturm counts against sympy's exact real roots,
+    """The exact Routh-Hurwitz and Sturm counts against sympy's exact real roots,
     which count multiplicity, on seeded rational polynomials."""
 
     @pytest.mark.parametrize("degree", range(1, 21))
@@ -267,7 +279,7 @@ class TestExactOracle:
             unstable = _unstable_count(coeffs[:-1])
             if 0 in re_parts:
                 assert unstable is None  # a root on the imaginary axis
-            elif unstable is not None:
+            else:
                 assert unstable == sum(r > 0 for r in re_parts)
             if all(Fraction(float(c)) == c for c in coeffs):  # exact as floats
                 assert _positive_roots([float(c) for c in coeffs]) == positive

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.optimize import minimize_scalar
 from conftest import make_brl_plant, make_stable_plant, named_plant
 from relayosc import limit_cycle, numerics, sfs
 from relayosc.errors import RelayOscError
-from relayosc.plant import parse_plant, realize
+from relayosc.plant import _combine, _derivative, _mul, _sign, _sturm, parse_plant, realize
 from relayosc.relay_dynamics import system_for
 
 #: (s^2 + s + 125) / (s^3 + 3 s^2 + 100 s + 179.25): the Routh product
@@ -65,6 +67,87 @@ def per_gain_hyperbolicity(ss, gamma_max, samples):
         stack.append((lo, mid, (mlo, llo), (m, l)))
         stack.append((mid, hi, (m, l), (mhi, lhi)))
     return True, None, None, count
+
+
+def _fraction_value(p, x):
+    """p(x) times x.denominator ** deg p, for a Fraction x."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc, scale = acc * x.numerator + c * scale, scale * x.denominator
+    return acc
+
+
+def _fraction_count(seq, x):
+    signs = [s for s in (_sign(_fraction_value(p, x)) for p in seq) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _fraction_variations(seq, lo, hi):
+    return _fraction_count(seq, lo) - _fraction_count(seq, hi)
+
+
+def fraction_axis_crossings(ss, gamma_max):
+    """``sfs._axis_crossings`` with its isolation and bisection on Fraction
+    points: the same intervals, midpoints and stop rule, with every point
+    reduced by Fraction arithmetic."""
+    den = [Fraction(float(c)) for c in ss.den_coeffs] + [Fraction(1)]
+    num = [Fraction(float(c)) for c in ss.num_coeffs]
+    g_max = Fraction(float(gamma_max))
+    out = []
+    if num[0] != 0 and 0 < (g0 := -den[0] / num[0]) <= g_max:
+        slope = den[1] + g0 * (num[1] if len(num) > 1 else 0)
+        out.append(sfs.Crossing(float(g0), 0.0, -_sign(num[0] * slope), 1, "real"))
+
+    scale = math.lcm(*(c.denominator for c in den + num))
+    (Dr, Di), (Nr, Ni) = ([_combine([int(c * scale) * (-1) ** (k // 2)
+                                     for k, c in enumerate(p) if k % 2 == r], [])
+                           for r in (0, 1)] for p in (den, num))
+    Q = _combine(_mul(Di, Nr), _mul(Dr, Ni), -1)
+    P = _combine(_mul(Dr, Nr), [0] + _mul(Di, Ni))
+    W = _combine(_mul(Nr, Nr), [0] + _mul(Ni, Ni))
+    while Q and Q[0] == 0:
+        Q = Q[1:]
+    if len(Q) < 2:
+        return out
+
+    dQ = _derivative(Q)
+    sturm = _sturm(Q, dQ)
+    positive = _sturm(Q, _mul(dQ, P))
+    within = _sturm(Q, _mul(dQ, _combine(_mul([g_max.denominator], P), W, g_max.numerator)))
+
+    def split(lo, hi):
+        mid, step = (lo + hi) / 2, (hi - lo) / 4
+        while _fraction_value(Q, mid) == 0:
+            mid, step = mid + step, step / 2
+        return mid
+
+    bound = Fraction(1)
+    while bound <= 1 + Fraction(max(map(abs, Q[:-1])), abs(Q[-1])):
+        bound *= 2
+    todo = [(Fraction(0), bound)]
+    while todo:
+        lo, hi = todo.pop()
+        count = _fraction_variations(sturm, lo, hi)
+        if count > 1:
+            mid = split(lo, hi)
+            todo += [(mid, hi), (lo, mid)]
+        if (count != 1 or _fraction_variations(positive, lo, hi) >= 0
+                or _fraction_variations(within, lo, hi) < 0):
+            continue
+        at_lo = _fraction_count(sturm, lo)
+        while hi - lo > lo / 2**60:
+            mid = split(lo, hi)
+            if _fraction_count(sturm, mid) == at_lo:
+                lo = mid
+            else:
+                hi = mid
+        s_lo, s_hi = _sign(_fraction_value(Q, lo)), _sign(_fraction_value(Q, hi))
+        x = (lo + hi) / 2
+        gain = Fraction(-_fraction_value(P, x) * x.denominator ** len(W),
+                        _fraction_value(W, x) * x.denominator ** len(P))
+        out.append(sfs.Crossing(float(gain), math.sqrt(x), 0 if s_lo == s_hi else -s_hi, 1,
+                                "hopf"))
+    return sorted(out, key=lambda c: (c.gamma0, c.omega0))
 
 
 class TestSimulateSfs:
@@ -296,6 +379,94 @@ class TestRootLocus:
 
         monkeypatch.setattr(sfs, "closed_loop_eigenvalues", per_gain_rows)
         assert scan.crossings == sfs.root_locus(ss, 1e3, 400).crossings
+
+    def test_work_counts(self, request, monkeypatch):
+        # one stacked eigenvalue call, and the greedy pairing only at the
+        # gains where two tracks have the same nearest eigenvalue
+        plants = [request.getfixturevalue(name)[1]
+                  for name in ("second_order", "third_order", "third_order_brl")]
+        plants += [realize(make_brl_plant(np.random.default_rng(3), 6)),
+                   realize(parse_plant([-2, 0.5, -1], [6, 11, 6]))]
+        grid = np.geomspace(1e-2, 1e3, 400)
+        eigenvalues, pair_tracks = sfs.closed_loop_eigenvalues, sfs._pair_tracks
+        conflicts = 0
+        for ss in plants:
+            tracks = sfs.root_locus(ss, 1e3, 400).eigen_tracks
+            eig = eigenvalues(ss, grid)
+            clashing = []
+            for i in range(1, 400):
+                d = tracks[i - 1][:, None] - eig[i]
+                if len(set(np.hypot(d.real, d.imag).argmin(axis=1))) < ss.n:
+                    clashing.append(i)
+            calls = {"eigenvalues": 0, "pairs": []}
+
+            def counting_eigenvalues(*args):
+                calls["eigenvalues"] += 1
+                return eigenvalues(*args)
+
+            def counting_pairs(prev, new):
+                calls["pairs"].append(new)
+                return pair_tracks(prev, new)
+
+            monkeypatch.setattr(sfs, "closed_loop_eigenvalues", counting_eigenvalues)
+            monkeypatch.setattr(sfs, "_pair_tracks", counting_pairs)
+            sfs.root_locus(ss, 1e3, 400)
+            monkeypatch.undo()
+            assert calls["eigenvalues"] == 1
+            assert len(calls["pairs"]) == len(clashing)
+            assert all(np.array_equal(new, eig[i]) for new, i in zip(calls["pairs"], clashing))
+            conflicts += len(clashing)
+        assert conflicts > 0
+
+    def test_neighbour_table_is_sliced(self):
+        # the pairing's transient stays near the eigenvalue call's own peak;
+        # one (399, n, n) table of complex distances would take it 1.8 times
+        ss = realize(make_brl_plant(np.random.default_rng(3), 6))
+        grid = np.geomspace(1e-2, 1e3, 400)
+        sfs.root_locus(ss, 1e3, 400)
+        tracemalloc.start()
+        try:
+            sfs.closed_loop_eigenvalues(ss, grid)
+            eig_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sfs.root_locus(ss, 1e3, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * eig_peak
+
+    def test_dyadic_bisection_matches_fractions(self):
+        rng = np.random.default_rng(35)
+        hopf = 0
+        for i in range(160):
+            n = 2 + i % 9
+            ss = realize(make_brl_plant(rng, n) if i % 2 else make_stable_plant(rng, n))
+            gamma_max = 10 ** rng.uniform(0, 4)
+            crossings = sfs._axis_crossings(ss, gamma_max)
+            assert crossings == fraction_axis_crossings(ss, gamma_max), (i, n)
+            hopf += sum(c.kind == "hopf" for c in crossings)
+        assert hopf >= 80
+
+    def test_root_on_a_midpoint(self, monkeypatch):
+        # 1/(s^3 + 2 s^2 + s + 1): Q(x) = 1 - x, whose root x = 1 is the
+        # midpoint of the bisection's second interval (0, 2], so split steps
+        # off it once
+        ss = realize(parse_plant([1], [1, 1, 2]))
+        zeros = []
+        value = sfs._value
+
+        def recording(p, x):
+            v = value(p, x)
+            if v == 0:
+                zeros.append(Fraction(x[0], 2 ** x[1]))
+            return v
+
+        monkeypatch.setattr(sfs, "_value", recording)
+        (c,) = sfs._axis_crossings(ss, 1e3)
+        assert (c.gamma0, c.omega0, c.direction, c.kind) == (1.0, 1.0, 1, "hopf")
+        assert zeros == [1]
+        monkeypatch.undo()
+        assert sfs._axis_crossings(ss, 1e3) == fraction_axis_crossings(ss, 1e3)
 
     @pytest.mark.parametrize("num, den, crossings", [([1], [1, 2], 0), ([1, -1], [6, 5], 1)])
     def test_grid_is_one_stacked_call(self, num, den, crossings, monkeypatch):
